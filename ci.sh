@@ -51,8 +51,10 @@ echo "== execution-engine smoke (--engine both + vm cache hit) =="
 # (speccc exits nonzero on any disagreement), a second vm compile
 # through the compile cache must hit — executing bytecode deserialized
 # from the cached artifact — and both engines must reproduce the
-# machine's output on every pipeline variant.
-sh test/ci_engine.sh _build/default/bin/speccc.exe "$tmp"
+# machine's output on every pipeline variant.  A recursive kernel whose
+# every activation arms the semantic ALAT then runs on both engines
+# under injected faults and must print its unoptimized output.
+sh test/ci_engine.sh _build/default/bin/speccc.exe "$tmp" test/alat_frames.c
 
 echo "== speculative-safety smoke (--safety + --recover deopt) =="
 # The taint checker must CONFIRM the leaky cipher kernel (and --safety

@@ -126,20 +126,29 @@ let insert t ~frame ~reg ~addr =
   victim.valid <- true;
   Hashtbl.replace t.tags (frame, reg) victim
 
-(** A store to [addr] of [bytes] invalidates overlapping entries. *)
+let invalidate_overlaps t set ~addr ~bytes =
+  for w = 0 to t.assoc - 1 do
+    let e = set.(w) in
+    if e.valid && e.addr < addr + bytes
+       && addr < e.addr + Spec_ir.Types.cell_size
+    then begin
+      invalidate_entry t e;
+      t.store_invalidations <- t.store_invalidations + 1
+    end
+  done
+
+(** A store to [addr] of [bytes] invalidates overlapping entries.  An
+    overlapping entry starts in [(addr - cell_size, addr + bytes)], so
+    only the sets of the cells that range touches are scanned; any
+    [n_sets] consecutive cells already reach every set. *)
 let invalidate_store t ~addr ~bytes =
-  Array.iter
-    (fun set ->
-      Array.iter
-        (fun e ->
-          if e.valid && e.addr < addr + bytes
-             && addr < e.addr + Spec_ir.Types.cell_size
-          then begin
-            invalidate_entry t e;
-            t.store_invalidations <- t.store_invalidations + 1
-          end)
-        set)
-    t.sets
+  if Hashtbl.length t.tags > 0 then begin
+    let lo = (addr - Spec_ir.Types.cell_size + 1) asr 3 in
+    let hi = min ((addr + bytes - 1) asr 3) (lo + t.n_sets - 1) in
+    for c = lo to hi do
+      invalidate_overlaps t t.sets.(c land (t.n_sets - 1)) ~addr ~bytes
+    done
+  end
 
 (** Check load: does the entry for (frame, reg) survive? *)
 let check t ~frame ~reg = Hashtbl.mem t.tags (frame, reg)

@@ -23,30 +23,43 @@ let mk_level ~size_kb ~ways ~line =
     lru = Array.init n_sets (fun _ -> Array.init ways (fun i -> i));
     n_sets; ways; line_bits; hits = 0; misses = 0 }
 
+(* Runs on every simulated load and store: plain loops over the set, no
+   closures or escaping refs, so a probe allocates nothing. *)
 let probe lvl addr ~allocate =
   let line = addr lsr lvl.line_bits in
   let set = line mod lvl.n_sets in
   let tags = lvl.tags.(set) and lru = lvl.lru.(set) in
+  let ways = lvl.ways in
+  (* the last matching way, should a tag ever appear twice *)
   let hit = ref (-1) in
-  Array.iteri (fun i t -> if t = line then hit := i) tags;
-  if !hit >= 0 then begin
+  for i = 0 to ways - 1 do
+    if tags.(i) = line then hit := i
+  done;
+  let hit = !hit in
+  if hit >= 0 then begin
     lvl.hits <- lvl.hits + 1;
     (* move to MRU *)
-    Array.iteri (fun i age -> if age < lru.(!hit) then lru.(i) <- lru.(i) + 1)
-      lru;
-    lru.(!hit) <- 0;
+    let age = lru.(hit) in
+    for i = 0 to ways - 1 do
+      if lru.(i) < age then lru.(i) <- lru.(i) + 1
+    done;
+    lru.(hit) <- 0;
     true
   end
   else begin
     lvl.misses <- lvl.misses + 1;
     if allocate then begin
-      (* evict LRU way *)
+      (* evict the LRU way: the first of the oldest *)
       let victim = ref 0 in
-      Array.iteri (fun i age -> if age > lru.(!victim) then victim := i) lru;
-      tags.(!victim) <- line;
-      Array.iteri (fun i age -> ignore i; ignore age) lru;
-      Array.iteri (fun i age -> lru.(i) <- age + 1) lru;
-      lru.(!victim) <- 0
+      for i = 1 to ways - 1 do
+        if lru.(i) > lru.(!victim) then victim := i
+      done;
+      let victim = !victim in
+      tags.(victim) <- line;
+      for i = 0 to ways - 1 do
+        lru.(i) <- lru.(i) + 1
+      done;
+      lru.(victim) <- 0
     end;
     false
   end
@@ -78,3 +91,5 @@ let load_latency t ~fp addr =
 let store t addr =
   ignore (probe t.l1 addr ~allocate:true : bool);
   ignore (probe t.l2 addr ~allocate:true : bool)
+
+let counts t = ((t.l1.hits, t.l1.misses), (t.l2.hits, t.l2.misses))

@@ -13,3 +13,6 @@ val load_latency : t -> fp:bool -> int -> int
 
 (** A store allocates the line in both levels (fire-and-forget). *)
 val store : t -> int -> unit
+
+(** [((l1_hits, l1_misses), (l2_hits, l2_misses))] so far. *)
+val counts : t -> (int * int) * (int * int)

@@ -79,6 +79,7 @@ type state = {
   mutable seq : int;               (* next dynamic sequence number *)
   (* ROB: circular buffer of retirement times *)
   retq : int array;
+  mutable rob_slot : int;          (* (seq - 1) mod rob_entries *)
   mutable last_retire : int;
   (* issue ports: next free cycle per port *)
   alu_free : int array;
@@ -115,7 +116,7 @@ let is_cmp = function
 
 (* Dispatch the next dynamic instruction: charge it, stall the front
    end if the ROB is full, consume a fetch slot.  Returns the dispatch
-   cycle and the instruction's sequence number. *)
+   cycle; {!retire} finds the instruction's sequence number in [st]. *)
 let dispatch st =
   st.ctrs.insns <- st.ctrs.insns + 1;
   st.fuel <- st.fuel - 1;
@@ -123,9 +124,13 @@ let dispatch st =
   let s = st.seq in
   st.seq <- s + 1;
   let n = st.cfg.rob_entries in
+  let slot =
+    if s = 0 || st.rob_slot + 1 = n then 0 else st.rob_slot + 1
+  in
+  st.rob_slot <- slot;
   if s >= n then begin
     (* the slot we are about to reuse still holds insn [s-n]'s retire *)
-    let r = st.retq.(s mod n) in
+    let r = st.retq.(slot) in
     if r > st.fclock then begin
       st.fclock <- r;
       st.fslot <- 0
@@ -137,20 +142,33 @@ let dispatch st =
     st.fslot <- 0;
     st.fclock <- st.fclock + 1
   end;
-  (t, s)
+  t
 
-(* In-order, width-limited retirement.  [data_cycles] counts only the
-   latency a load exposes once it reaches the retirement point. *)
-let retire st ~seq:s ~complete ~is_load =
+(* In-order, width-limited retirement of the instruction just
+   dispatched (sequence number [st.seq - 1], ROB slot [st.rob_slot]).
+   [data_cycles] counts only the latency a load exposes once it reaches
+   the retirement point. *)
+let retire st ~complete ~is_load =
+  let s = st.seq - 1 in
   let n = st.cfg.rob_entries in
-  let prev = if s = 0 then 0 else st.retq.((s - 1) mod n) in
+  let slot = st.rob_slot in
+  let prev =
+    if s = 0 then 0 else st.retq.(if slot = 0 then n - 1 else slot - 1)
+  in
   let w = st.cfg.retire_width in
-  let wprev = if s >= w then st.retq.((s - w) mod n) + 1 else 0 in
+  let wprev =
+    if s >= w then begin
+      let k = slot - w in
+      st.retq.(if k >= 0 then k else if k >= -n then k + n
+               else (s - w) mod n) + 1
+    end
+    else 0
+  in
   let floor_ = if prev > wprev then prev else wprev in
   if is_load && complete > floor_ then
     st.ctrs.data_cycles <- st.ctrs.data_cycles + (complete - floor_);
   let r = if complete > floor_ then complete else floor_ in
-  st.retq.(s mod n) <- r;
+  st.retq.(slot) <- r;
   if r > st.last_retire then st.last_retire <- r
 
 (* Greedy port allocation: earliest-free port, busy for one cycle. *)
@@ -197,17 +215,29 @@ let interfere st ~now =
 (* LSQ and memory-dependence predictor                                 *)
 (* ------------------------------------------------------------------ *)
 
-let predicted_dep st ~lsite ~ssite =
+let find_site tbl site =
+  match Hashtbl.find_opt tbl site with Some v -> v | None -> -1
+
+(* The predictor's view of one load, looked up once per load: the store
+   site it last violated against (last-violator) or its store set
+   (store-set); -1 when it can be predicted dependent on no store.
+   Sites and store-set ids are never negative. *)
+let load_prediction st ~lsite =
+  match st.cfg.mdp with
+  | Mdp_none -> -1
+  | Mdp_last_violator -> find_site st.lv lsite
+  | Mdp_store_set -> find_site st.ss_load lsite
+
+(* Is the store at [ssite] predicted to alias a load whose
+   {!load_prediction} is [pred] (>= 0)? *)
+let predicted_dep st ~pred ~ssite =
   match st.cfg.mdp with
   | Mdp_none -> false
-  | Mdp_last_violator -> Hashtbl.find_opt st.lv lsite = Some ssite
+  | Mdp_last_violator -> ssite = pred
   | Mdp_store_set ->
-    (match Hashtbl.find_opt st.ss_load lsite with
-     | None -> false
-     | Some set ->
-       (match Hashtbl.find_opt st.ss_store ssite with
-        | Some s -> s = set
-        | None -> false))
+    (match Hashtbl.find_opt st.ss_store ssite with
+     | Some s -> s = pred
+     | None -> false)
 
 let train st ~lsite ~ssite =
   Hashtbl.replace st.lv lsite ssite;
@@ -243,40 +273,50 @@ let load_timing st ~t ~base ~site ~fp a =
     let l = st.stq_n - cap in
     if st.stq_base > l then st.stq_base else if l > 0 then l else 0
   in
-  (* predictor: wait for predicted-dependent unresolved store addresses *)
+  (* predictor: wait for predicted-dependent unresolved store addresses.
+     Both scans step the ring index [j] rather than divide per entry. *)
   let wait = ref base in
-  for i = lo to st.stq_n - 1 do
-    let e = st.stq.(i mod cap) in
-    if e.s_addr_ready > base && predicted_dep st ~lsite:site ~ssite:e.s_site
-    then if e.s_addr_ready > !wait then wait := e.s_addr_ready
-  done;
+  let pred = load_prediction st ~lsite:site in
+  if pred >= 0 then begin
+    let j = ref (lo mod cap) in
+    for _ = lo to st.stq_n - 1 do
+      let e = st.stq.(!j) in
+      if e.s_addr_ready > !wait && predicted_dep st ~pred ~ssite:e.s_site
+      then wait := e.s_addr_ready;
+      j := if !j + 1 = cap then 0 else !j + 1
+    done
+  end;
   let issue = port st.mem_free (if !wait > t then !wait else t) in
   let lat = Cache.load_latency st.cache ~fp a in
   let complete = ref (issue + lat) in
   (* youngest older store to the same cell decides forward vs violate *)
-  (try
-     for i = st.stq_n - 1 downto lo do
-       let e = st.stq.(i mod cap) in
-       if e.s_addr = a then begin
-         if e.s_addr_ready > issue then begin
-           (* issued past an unresolved store that aliased: violation *)
-           st.ctrs.lsq_replays <- st.ctrs.lsq_replays + 1;
-           let src =
-             if e.s_data_ready > e.s_addr_ready then e.s_data_ready
-             else e.s_addr_ready
-           in
-           complete := src + st.cfg.replay_penalty;
-           train st ~lsite:site ~ssite:e.s_site
-         end
-         else if e.s_data_ready >= issue then begin
-           (* store still in flight: forward from the queue *)
-           let c = e.s_data_ready + 1 in
-           complete := if c > issue + 1 then c else issue + 1
-         end;
-         raise_notrace Exit
-       end
-     done
-   with Exit -> ());
+  let i = ref (st.stq_n - 1) in
+  let j = ref (if !i >= lo then !i mod cap else 0) in
+  while !i >= lo do
+    let e = st.stq.(!j) in
+    if e.s_addr = a then begin
+      if e.s_addr_ready > issue then begin
+        (* issued past an unresolved store that aliased: violation *)
+        st.ctrs.lsq_replays <- st.ctrs.lsq_replays + 1;
+        let src =
+          if e.s_data_ready > e.s_addr_ready then e.s_data_ready
+          else e.s_addr_ready
+        in
+        complete := src + st.cfg.replay_penalty;
+        train st ~lsite:site ~ssite:e.s_site
+      end
+      else if e.s_data_ready >= issue then begin
+        (* store still in flight: forward from the queue *)
+        let c = e.s_data_ready + 1 in
+        complete := if c > issue + 1 then c else issue + 1
+      end;
+      i := lo - 1
+    end
+    else begin
+      decr i;
+      j := if !j = 0 then cap - 1 else !j - 1
+    end
+  done;
   !complete
 
 (* ------------------------------------------------------------------ *)
@@ -336,37 +376,37 @@ let alu_compute fr d op fp a b =
 let rec exec_insn st (fr : frame) ~site (i : rinsn) =
   match i with
   | RMovi_i (d, v) ->
-    let t, s = dispatch st in
+    let t = dispatch st in
     set_dst fr d (t + 1) false;
-    retire st ~seq:s ~complete:(t + 1) ~is_load:false;
+    retire st ~complete:(t + 1) ~is_load:false;
     fr.ints.(d) <- v
   | RMovi_f (d, v) ->
-    let t, s = dispatch st in
+    let t = dispatch st in
     set_dst fr d (t + 1) false;
-    retire st ~seq:s ~complete:(t + 1) ~is_load:false;
+    retire st ~complete:(t + 1) ~is_load:false;
     fr.flts.(d) <- v
   | RMov (d, sr) ->
-    let t, s = dispatch st in
+    let t = dispatch st in
     let c = port st.alu_free (rdy1 fr t sr) + 1 in
     set_dst fr d c false;
-    retire st ~seq:s ~complete:c ~is_load:false;
+    retire st ~complete:c ~is_load:false;
     fr.ints.(d) <- fr.ints.(sr);
     fr.flts.(d) <- fr.flts.(sr)
   | (RLea_g (d, _) | RLea_s (d, _) | RLea_e (d, _)) as lea ->
-    let t, s = dispatch st in
+    let t = dispatch st in
     set_dst fr d (t + 1) false;
-    retire st ~seq:s ~complete:(t + 1) ~is_load:false;
+    retire st ~complete:(t + 1) ~is_load:false;
     fr.ints.(d) <- lea_addr st fr lea
   | RLd { dst; addr; fp; kind } -> exec_load st fr ~site ~dst ~addr ~fp ~kind
   | RSt { src; addr; fp } ->
-    let t, s = dispatch st in
+    let t = dispatch st in
     st.ctrs.stores <- st.ctrs.stores + 1;
     let addr_rdy = rdy1 fr t addr in
     let data_rdy = rdy1 fr t src in
     let issue = port st.mem_free addr_rdy in
     push_store st ~addr:fr.ints.(addr) ~site ~addr_ready:issue
       ~data_ready:(if data_rdy > issue then data_rdy else issue);
-    retire st ~seq:s ~complete:issue ~is_load:false;
+    retire st ~complete:issue ~is_load:false;
     let a = fr.ints.(addr) in
     if fp then Memory.store_flt st.mem a fr.flts.(src)
     else Memory.store_int st.mem a fr.ints.(src);
@@ -374,20 +414,20 @@ let rec exec_insn st (fr : frame) ~site (i : rinsn) =
     interfere st ~now:t;
     Alat.invalidate_store st.alat ~addr:a ~bytes:Types.cell_size
   | RAlu (op, fp, d, a, b) ->
-    let t, s = dispatch st in
+    let t = dispatch st in
     let latency = if fp && not (is_cmp op) then 4 else 1 in
     let r1 = rdy1 fr t a in
     let rdy = let r2 = fr.ready.(b) in if r2 > r1 then r2 else r1 in
     let c = port st.alu_free rdy + latency in
     set_dst fr d c false;
-    retire st ~seq:s ~complete:c ~is_load:false;
+    retire st ~complete:c ~is_load:false;
     alu_compute fr d op fp a b
   | RUn (op, fp, d, sr) ->
-    let t, s = dispatch st in
+    let t = dispatch st in
     let latency = if fp then 4 else 1 in
     let c = port st.alu_free (rdy1 fr t sr) + latency in
     set_dst fr d c false;
-    retire st ~seq:s ~complete:c ~is_load:false;
+    retire st ~complete:c ~is_load:false;
     (match op with
      | Sir.Neg -> if fp then fr.flts.(d) <- -.fr.flts.(sr)
        else fr.ints.(d) <- -fr.ints.(sr)
@@ -401,24 +441,24 @@ and exec_load st fr ~site ~dst ~addr ~fp ~kind =
   let a = fr.ints.(addr) in
   match kind with
   | Lchk ->
-    let t, s = dispatch st in
+    let t = dispatch st in
     st.ctrs.checks <- st.ctrs.checks + 1;
     interfere st ~now:t;
     if Alat.check st.alat ~frame:fr.fr_serial ~reg:dst then
       (* speculation held: the check occupies a ROB slot but no port *)
-      retire st ~seq:s ~complete:t ~is_load:false
+      retire st ~complete:t ~is_load:false
     else begin
       st.ctrs.check_misses <- st.ctrs.check_misses + 1;
       let c = load_timing st ~t ~base:(rdy1 fr t addr) ~site ~fp a in
       set_dst fr dst c true;
-      retire st ~seq:s ~complete:c ~is_load:true;
+      retire st ~complete:c ~is_load:true;
       if fp then fr.flts.(dst) <- Memory.load_flt st.mem a
       else fr.ints.(dst) <- Memory.load_int st.mem a;
       (* re-arm: a reloading ld.c behaves like ld.a for later checks *)
       Alat.insert st.alat ~frame:fr.fr_serial ~reg:dst ~addr:a
     end
   | (Lnorm | Ladv | Lspec | Lsa) as k ->
-    let t, s = dispatch st in
+    let t = dispatch st in
     (match k with
      | Lnorm -> st.ctrs.loads_plain <- st.ctrs.loads_plain + 1
      | Ladv -> st.ctrs.loads_adv <- st.ctrs.loads_adv + 1
@@ -427,7 +467,7 @@ and exec_load st fr ~site ~dst ~addr ~fp ~kind =
     let spec = k = Lspec || k = Lsa in
     let c = load_timing st ~t ~base:(rdy1 fr t addr) ~site ~fp a in
     set_dst fr dst c true;
-    retire st ~seq:s ~complete:c ~is_load:true;
+    retire st ~complete:c ~is_load:true;
     if fp then
       fr.flts.(dst) <-
         (if spec then Memory.load_flt_spec st.mem a
@@ -442,13 +482,13 @@ and exec_load st fr ~site ~dst ~addr ~fp ~kind =
     end
 
 and exec_call st fr ~target ~args ~ret =
-  let t, s = dispatch st in
+  let t = dispatch st in
   let args_rdy =
     Array.fold_left (fun acc r -> let v = fr.ready.(r) in
                       if v > acc then v else acc)
       t args
   in
-  retire st ~seq:s ~complete:args_rdy ~is_load:false;
+  retire st ~complete:args_rdy ~is_load:false;
   let set_builtin_ret result =
     if ret >= 0 then begin
       fr.ready.(ret) <- args_rdy + 1;
@@ -552,9 +592,9 @@ and exec_blocks st (fr : frame) ~func_ix (rf : rfunc) : int * float * int =
       run t
     | RTbc (c, tb, eb) ->
       st.ctrs.branches <- st.ctrs.branches + 1;
-      let t, s = dispatch st in
+      let t = dispatch st in
       let resolve = port st.alu_free (rdy1 fr t c) + 1 in
-      retire st ~seq:s ~complete:resolve ~is_load:false;
+      retire st ~complete:resolve ~is_load:false;
       let taken = fr.ints.(c) <> 0 in
       let idx = (site_of ~func_ix ~bid 2047 * 0x9E3779B1) land (bp_size - 1) in
       let ctr = Bytes.get_uint8 st.bp idx in
@@ -575,9 +615,9 @@ and exec_blocks st (fr : frame) ~func_ix (rf : rfunc) : int * float * int =
       run (if taken then tb else eb)
     | RTret_none -> (0, 0., st.fclock)
     | RTret r ->
-      let t, s = dispatch st in
+      let t = dispatch st in
       let rdy = rdy1 fr t r in
-      retire st ~seq:s ~complete:rdy ~is_load:false;
+      retire st ~complete:rdy ~is_load:false;
       (fr.ints.(r), fr.flts.(r), rdy)
   in
   run 0
@@ -602,6 +642,7 @@ let run_resolved ?(config = default_config) ?faults (rp : rprog) : result =
       fslot = 0;
       seq = 0;
       retq = Array.make (max 1 config.rob_entries) 0;
+      rob_slot = 0;
       last_retire = 0;
       alu_free = Array.make (max 1 config.alu_ports) 0;
       mem_free = Array.make (max 1 config.mem_ports) 0;

@@ -523,14 +523,12 @@ type state = {
   mutable fuel : int;
   (* semantic ALAT: advanced loads arm an entry (frame serial, temp) ->
      address; stores invalidate matching addresses; a check reload is
-     skipped when its entry survives.  Unbounded (ideal): capacity
-     effects belong to the machine model, not the language semantics. *)
-  alat : (int * int, int) Hashtbl.t;
-  mutable frame_serial : int;
-  (* injected ALAT interference (stress runs only); time is counted in
-     ALAT operations since the interpreter has no cycle clock *)
-  finj : Spec_stress.Faults.injector option;
-  mutable fevents : int;
+     skipped when its entry survives.  No capacity limit (capacity
+     effects belong to the machine model, not the language semantics),
+     but an entry lives only as long as its frame.  Injected
+     interference (stress runs only) counts time in ALAT operations,
+     since the interpreter has no cycle clock. *)
+  alat : Sem_alat.t;
   (* deopt recovery plan: failed checks carrying a descriptor finish the
      function in its unoptimized body instead of reloading *)
   recover : Spec_safety.Deopt.plan option;
@@ -550,49 +548,6 @@ type frame = {
 exception Deopt_return of value
 
 let no_addrs : int array = [||]
-
-(* Interference only removes entries, so a faulted run reloads values
-   that are current in memory — observable behavior is unchanged.  The
-   chaos victim is the k-th entry in [Hashtbl] fold order, which is a
-   pure function of the table's (deterministic) history. *)
-let alat_interfere st =
-  match st.finj with
-  | None -> ()
-  | Some inj ->
-    st.fevents <- st.fevents + 1;
-    Spec_stress.Faults.advance inj ~upto:st.fevents
-      ~flush:(fun () -> Hashtbl.reset st.alat)
-      ~invalidate:(fun rng ->
-        let n = Hashtbl.length st.alat in
-        if n > 0 then begin
-          let k = Spec_stress.Srng.below rng n in
-          let i = ref 0 and victim = ref None in
-          Hashtbl.iter
-            (fun key _ -> if !i = k then victim := Some key; incr i)
-            st.alat;
-          match !victim with
-          | Some key -> Hashtbl.remove st.alat key
-          | None -> ()
-        end)
-
-let alat_arm st serial tvid addr =
-  alat_interfere st;
-  Hashtbl.replace st.alat (serial, tvid) addr
-
-let alat_check st serial tvid addr =
-  alat_interfere st;
-  match Hashtbl.find_opt st.alat (serial, tvid) with
-  | Some a -> a = addr
-  | None -> false
-
-let alat_invalidate st addr =
-  alat_interfere st;
-  let stale =
-    Hashtbl.fold
-      (fun k a acc -> if a = addr then k :: acc else acc)
-      st.alat []
-  in
-  List.iter (Hashtbl.remove st.alat) stale
 
 let spend st =
   st.ctrs.steps <- st.ctrs.steps + 1;
@@ -743,18 +698,18 @@ let rec exec_stmt st (fr : frame) (s : cstmt) : unit =
     let addr = resolve_addr st fr vr in
     if st.instr then st.hooks.on_mem ~site:None ~addr ~is_store:true;
     st.ctrs.mem_stores <- st.ctrs.mem_stores + 1;
-    alat_invalidate st addr;
+    Sem_alat.invalidate st.alat addr;
     Memory.store_int st.mem addr v
   | CSstorev_f { vr; e } ->
     let v = eval_f st fr e in
     let addr = resolve_addr st fr vr in
     if st.instr then st.hooks.on_mem ~site:None ~addr ~is_store:true;
     st.ctrs.mem_stores <- st.ctrs.mem_stores + 1;
-    alat_invalidate st addr;
+    Sem_alat.invalidate st.alat addr;
     Memory.store_flt st.mem addr v
   | CSchk_ilod { tvid; slot; fp; a; site; which; dd } ->
     let addr = eval_i st fr a in
-    if not (alat_check st fr.serial tvid addr) then begin
+    if not (Sem_alat.check st.alat ~serial:fr.serial ~tag:tvid addr) then begin
       match st.recover, dd with
       | Some pl, Some d -> do_deopt st fr pl d
       | _ ->
@@ -774,11 +729,11 @@ let rec exec_stmt st (fr : frame) (s : cstmt) : unit =
             st.hooks.on_load ~which ~func:fr.cf.cname ~addr ~v:(Vint v);
           fr.ints.(slot) <- v
         end;
-        alat_arm st fr.serial tvid addr
+        Sem_alat.arm st.alat ~serial:fr.serial ~tag:tvid addr
     end
   | CSchk_lod { tvid; slot; fp; vr; dd } ->
     let addr = resolve_addr st fr vr in
-    if not (alat_check st fr.serial tvid addr) then begin
+    if not (Sem_alat.check st.alat ~serial:fr.serial ~tag:tvid addr) then begin
       match st.recover, dd with
       | Some pl, Some d -> do_deopt st fr pl d
       | _ ->
@@ -787,21 +742,21 @@ let rec exec_stmt st (fr : frame) (s : cstmt) : unit =
         st.ctrs.mem_loads <- st.ctrs.mem_loads + 1;
         if fp then fr.flts.(slot) <- Memory.load_flt st.mem addr
         else fr.ints.(slot) <- Memory.load_int st.mem addr;
-        alat_arm st fr.serial tvid addr
+        Sem_alat.arm st.alat ~serial:fr.serial ~tag:tvid addr
     end
   | CSistr_i { a; e; site } ->
     let addr = eval_i st fr a in
     let v = eval_i st fr e in
     if st.instr then st.hooks.on_mem ~site:(Some site) ~addr ~is_store:true;
     st.ctrs.mem_stores <- st.ctrs.mem_stores + 1;
-    alat_invalidate st addr;
+    Sem_alat.invalidate st.alat addr;
     Memory.store_int st.mem addr v
   | CSistr_f { a; e; site } ->
     let addr = eval_i st fr a in
     let v = eval_f st fr e in
     if st.instr then st.hooks.on_mem ~site:(Some site) ~addr ~is_store:true;
     st.ctrs.mem_stores <- st.ctrs.mem_stores + 1;
-    alat_invalidate st addr;
+    Sem_alat.invalidate st.alat addr;
     Memory.store_flt st.mem addr v
   | CScall { target; args; ret_slot; ret_fp; csite } ->
     exec_call st fr ~target ~args ~ret_slot ~ret_fp ~csite
@@ -848,7 +803,7 @@ and do_deopt st (fr : frame) (pl : Spec_safety.Deopt.plan) (d : cdeopt)
       D.h_store =
         (fun ty addr v ->
           st.ctrs.mem_stores <- st.ctrs.mem_stores + 1;
-          alat_invalidate st addr;
+          Sem_alat.invalidate st.alat addr;
           if Types.is_fp ty then Memory.store_flt st.mem addr (D.as_flt v)
           else Memory.store_int st.mem addr (D.as_int v));
       D.h_addr_of =
@@ -930,10 +885,10 @@ and exec_arm st fr = function
   | Arm_ilod { tvid; a } ->
     (* advanced loads arm the semantic ALAT; the address is re-evaluated,
        as in the tree-walking engine (its side effects included) *)
-    (try alat_arm st fr.serial tvid (eval_i st fr a)
+    (try Sem_alat.arm st.alat ~serial:fr.serial ~tag:tvid (eval_i st fr a)
      with Runtime_error _ -> ())
   | Arm_var { tvid; vr } ->
-    alat_arm st fr.serial tvid (resolve_addr st fr vr)
+    Sem_alat.arm st.alat ~serial:fr.serial ~tag:tvid (resolve_addr st fr vr)
 
 and exec_call st fr ~target ~args ~ret_slot ~ret_fp ~csite =
   match target with
@@ -991,9 +946,8 @@ and exec_call st fr ~target ~args ~ret_slot ~ret_fp ~csite =
 and exec_func st ix (ai : int array) (af : float array) : value =
   let cf = st.comp.cfuncs.(ix) in
   if st.instr then st.hooks.on_entry ~func:cf.cname;
-  st.frame_serial <- st.frame_serial + 1;
   let fr =
-    { cf; serial = st.frame_serial;
+    { cf; serial = Sem_alat.enter_frame st.alat;
       ints = (if cf.n_slots = 0 then no_addrs else Array.make cf.n_slots 0);
       flts = (if cf.n_slots = 0 then no_flts else Array.make cf.n_slots 0.);
       addrs = (if cf.n_addr = 0 then no_addrs else Array.make cf.n_addr 0) }
@@ -1020,6 +974,7 @@ and exec_func st ix (ai : int array) (af : float array) : value =
   let ret =
     try exec_blocks st fr with Deopt_return v -> v
   in
+  Sem_alat.exit_frame st.alat fr.serial;
   Memory.pop_frame st.mem mark;
   ret
 
@@ -1078,8 +1033,7 @@ let run_compiled ?(fuel = 200_000_000) ?hooks ?faults ?recover
       ctrs = { steps = 0; mem_loads = 0; mem_stores = 0; branches = 0;
                calls = 0; check_stmts = 0; check_reloads = 0; deopts = 0 };
       out = Buffer.create 256; globals; rng = 88172645463325252; fuel;
-      alat = Hashtbl.create 32; frame_serial = 0;
-      finj = faults; fevents = 0; recover }
+      alat = Sem_alat.create ?faults (); recover }
   in
   if instr then hooks.on_memory st.mem;
   let ret = exec_func st comp.main_ix no_addrs no_flts in

@@ -50,8 +50,10 @@ type state = {
   mutable fuel : int;
   (* semantic ALAT: advanced loads arm an entry (frame serial, temp) ->
      address; stores invalidate matching addresses; a check reload is
-     skipped when its entry survives.  Unbounded (ideal): capacity
-     effects belong to the machine model, not the language semantics. *)
+     skipped when its entry survives.  No capacity limit (capacity
+     effects belong to the machine model, not the language semantics),
+     but a returning frame drops its entries, exactly as {!Sem_alat}
+     does for the other engines. *)
   alat : (int * int, int) Hashtbl.t;
   mutable frame_serial : int;
   (* injected ALAT interference (stress runs only); time counted in ALAT
@@ -350,6 +352,16 @@ and call_user st name argv : value =
    with Invalid_argument _ ->
      error "arity mismatch calling %s" name);
   let ret = exec_blocks st frame in
+  (* the frame-exit rule; an empty table (every unoptimized run) skips
+     the scan *)
+  if Hashtbl.length st.alat > 0 then begin
+    let dead =
+      Hashtbl.fold
+        (fun ((s, _) as k) _ acc -> if s = frame.serial then k :: acc else acc)
+        st.alat []
+    in
+    List.iter (Hashtbl.remove st.alat) dead
+  end;
   Memory.pop_frame st.mem mark;
   ret
 

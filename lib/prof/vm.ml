@@ -8,17 +8,18 @@
     accessors on the slow path, so every fault is raised with the exact
     message the tree engines produce.
 
-    All speculation semantics carry over: the semantic ALAT is the same
-    unbounded [(frame serial, tag) -> address] table, advanced loads arm
-    it (with the tree engine's re-evaluated-address side effects and its
-    try/with via a per-activation trap continuation), stores invalidate
-    matching addresses, check loads reload only when their entry is
-    gone, and injected interference ({!Spec_stress.Faults}) advances on
-    the same ALAT-operation clock.  Observable behaviour — output,
-    return value, and all counters — is identical to {!Interp} and
-    {!Interp_ref} on every run that terminates; the differential suites
-    in [test/test_engines.ml] and [test/test_fuzz.ml] enforce this
-    across workloads, variants and fault plans. *)
+    All speculation semantics carry over: the semantic ALAT is the tree
+    engine's own {!Sem_alat} table, advanced loads arm it (with the tree
+    engine's re-evaluated-address side effects and its try/with via a
+    per-activation trap continuation), stores invalidate matching
+    addresses, check loads reload only when their entry is gone, a
+    returning activation drops its entries, and injected interference
+    ({!Spec_stress.Faults}) advances on the same ALAT-operation clock.
+    Observable behaviour — output, return value, and all counters — is
+    identical to {!Interp} and {!Interp_ref} on every run that
+    terminates; the differential suites in [test/test_engines.ml] and
+    [test/test_fuzz.ml] enforce this across workloads, variants and
+    fault plans. *)
 
 open Spec_ir
 module I = Interp
@@ -36,11 +37,7 @@ type state = {
   globals : int array;   (* orig vid -> data-segment address, -1 if none *)
   mutable rng : int;
   mutable fuel : int;
-  (* semantic ALAT, identical protocol to the tree engines *)
-  alat : (int * int, int) Hashtbl.t;
-  mutable frame_serial : int;
-  finj : Spec_stress.Faults.injector option;
-  mutable fevents : int;
+  alat : Sem_alat.t;     (* semantic ALAT, shared with the tree engine *)
   (* return-value registers: callee -> caller, no allocation *)
   mutable ret_isf : bool;
   mutable ret_i : int;
@@ -57,53 +54,6 @@ exception Deopt_done
 
 let no_ints : int array = [||]
 let no_flts : float array = [||]
-
-(* ---- ALAT (same semantics and fold-order determinism as Interp) ---- *)
-
-let alat_interfere st =
-  match st.finj with
-  | None -> ()
-  | Some inj ->
-    st.fevents <- st.fevents + 1;
-    Spec_stress.Faults.advance inj ~upto:st.fevents
-      ~flush:(fun () -> Hashtbl.reset st.alat)
-      ~invalidate:(fun rng ->
-        let n = Hashtbl.length st.alat in
-        if n > 0 then begin
-          let k = Spec_stress.Srng.below rng n in
-          let i = ref 0 and victim = ref None in
-          Hashtbl.iter
-            (fun key _ -> if !i = k then victim := Some key; incr i)
-            st.alat;
-          match !victim with
-          | Some key -> Hashtbl.remove st.alat key
-          | None -> ()
-        end)
-
-let alat_arm st serial tvid addr =
-  alat_interfere st;
-  Hashtbl.replace st.alat (serial, tvid) addr
-
-let alat_check st serial tvid addr =
-  alat_interfere st;
-  match Hashtbl.find_opt st.alat (serial, tvid) with
-  | Some a -> a = addr
-  | None -> false
-
-(* The empty-ALAT/no-injector case is every store of a non-speculative
-   run (and most stores of speculative ones): skipping it entirely is
-   unobservable — the interference clock only ticks under an injector,
-   and there is nothing to invalidate. *)
-let alat_invalidate st addr =
-  if st.finj != None || Hashtbl.length st.alat > 0 then begin
-    alat_interfere st;
-    let stale =
-      Hashtbl.fold
-        (fun k a acc -> if a = addr then k :: acc else acc)
-        st.alat []
-    in
-    List.iter (Hashtbl.remove st.alat) stale
-  end
 
 (* ---- memory fast paths ---- *)
 (* The range test avoids `addr + 8` so a near-max_int address cannot
@@ -165,8 +115,7 @@ let[@inline] glob_addr st g =
 
 let rec exec_func st fix (ai : int array) (af : float array) : unit =
   let vf = Array.unsafe_get st.vp.V.vfuncs fix in
-  st.frame_serial <- st.frame_serial + 1;
-  let serial = st.frame_serial in
+  let serial = Sem_alat.enter_frame st.alat in
   let nr = vf.V.n_regs in
   let ints = if nr = 0 then no_ints else Array.make nr 0 in
   let flts = if nr = 0 then no_flts else Array.make nr 0. in
@@ -621,49 +570,49 @@ let rec exec_func st fix (ai : int array) (af : float array) : unit =
       let v = Array.unsafe_get ints (Array.unsafe_get code (pc + 2)) in
       let addr = glob_addr st (Array.unsafe_get code (pc + 1)) in
       ctrs.I.mem_stores <- ctrs.I.mem_stores + 1;
-      alat_invalidate st addr;
+      Sem_alat.invalidate st.alat addr;
       st_i mem addr v;
       loop (pc + 3)
     | 72 (* STS_I *) ->
       let v = Array.unsafe_get ints (Array.unsafe_get code (pc + 2)) in
       let addr = Array.unsafe_get addrs (Array.unsafe_get code (pc + 1)) in
       ctrs.I.mem_stores <- ctrs.I.mem_stores + 1;
-      alat_invalidate st addr;
+      Sem_alat.invalidate st.alat addr;
       st_i mem addr v;
       loop (pc + 3)
     | 73 (* STG_F *) ->
       let v = Array.unsafe_get flts (Array.unsafe_get code (pc + 2)) in
       let addr = glob_addr st (Array.unsafe_get code (pc + 1)) in
       ctrs.I.mem_stores <- ctrs.I.mem_stores + 1;
-      alat_invalidate st addr;
+      Sem_alat.invalidate st.alat addr;
       st_f mem addr v;
       loop (pc + 3)
     | 74 (* STS_F *) ->
       let v = Array.unsafe_get flts (Array.unsafe_get code (pc + 2)) in
       let addr = Array.unsafe_get addrs (Array.unsafe_get code (pc + 1)) in
       ctrs.I.mem_stores <- ctrs.I.mem_stores + 1;
-      alat_invalidate st addr;
+      Sem_alat.invalidate st.alat addr;
       st_f mem addr v;
       loop (pc + 3)
     | 75 (* IST_I *) ->
       let addr = Array.unsafe_get ints (Array.unsafe_get code (pc + 1)) in
       let v = Array.unsafe_get ints (Array.unsafe_get code (pc + 2)) in
       ctrs.I.mem_stores <- ctrs.I.mem_stores + 1;
-      alat_invalidate st addr;
+      Sem_alat.invalidate st.alat addr;
       st_i mem addr v;
       loop (pc + 3)
     | 76 (* IST_F *) ->
       let addr = Array.unsafe_get ints (Array.unsafe_get code (pc + 1)) in
       let v = Array.unsafe_get flts (Array.unsafe_get code (pc + 2)) in
       ctrs.I.mem_stores <- ctrs.I.mem_stores + 1;
-      alat_invalidate st addr;
+      Sem_alat.invalidate st.alat addr;
       st_f mem addr v;
       loop (pc + 3)
     | 77 (* IST_II *) ->
       let addr = Array.unsafe_get ints (Array.unsafe_get code (pc + 1)) in
       let v = Array.unsafe_get code (pc + 2) in
       ctrs.I.mem_stores <- ctrs.I.mem_stores + 1;
-      alat_invalidate st addr;
+      Sem_alat.invalidate st.alat addr;
       st_i mem addr v;
       loop (pc + 3)
     | 78 (* IST_ADD *) ->
@@ -673,7 +622,7 @@ let rec exec_func st fix (ai : int array) (af : float array) : unit =
         + Array.unsafe_get ints (Array.unsafe_get code (pc + 3))
       in
       ctrs.I.mem_stores <- ctrs.I.mem_stores + 1;
-      alat_invalidate st addr;
+      Sem_alat.invalidate st.alat addr;
       st_i mem addr v;
       loop (pc + 4)
     | 79 (* IST_ADDI *) ->
@@ -683,7 +632,7 @@ let rec exec_func st fix (ai : int array) (af : float array) : unit =
         + Array.unsafe_get code (pc + 3)
       in
       ctrs.I.mem_stores <- ctrs.I.mem_stores + 1;
-      alat_invalidate st addr;
+      Sem_alat.invalidate st.alat addr;
       st_i mem addr v;
       loop (pc + 4)
     | 80 (* CHKSTMT *) ->
@@ -693,72 +642,72 @@ let rec exec_func st fix (ai : int array) (af : float array) : unit =
       ctrs.I.check_stmts <- ctrs.I.check_stmts + 1;
       let t = Array.unsafe_get code (pc + 1) in
       let addr = Array.unsafe_get ints (Array.unsafe_get code (pc + 3)) in
-      if not (alat_check st serial t addr) && not (deopting pc) then begin
+      if not (Sem_alat.check st.alat ~serial ~tag:t addr) && not (deopting pc) then begin
         ctrs.I.check_reloads <- ctrs.I.check_reloads + 1;
         ctrs.I.mem_loads <- ctrs.I.mem_loads + 1;
         Array.unsafe_set ints (Array.unsafe_get code (pc + 2))
           (ld_i mem addr);
-        alat_arm st serial t addr
+        Sem_alat.arm st.alat ~serial ~tag:t addr
       end;
       loop (pc + 4)
     | 82 (* CHK_ILOD_F *) ->
       ctrs.I.check_stmts <- ctrs.I.check_stmts + 1;
       let t = Array.unsafe_get code (pc + 1) in
       let addr = Array.unsafe_get ints (Array.unsafe_get code (pc + 3)) in
-      if not (alat_check st serial t addr) && not (deopting pc) then begin
+      if not (Sem_alat.check st.alat ~serial ~tag:t addr) && not (deopting pc) then begin
         ctrs.I.check_reloads <- ctrs.I.check_reloads + 1;
         ctrs.I.mem_loads <- ctrs.I.mem_loads + 1;
         Array.unsafe_set flts (Array.unsafe_get code (pc + 2))
           (ld_f mem addr);
-        alat_arm st serial t addr
+        Sem_alat.arm st.alat ~serial ~tag:t addr
       end;
       loop (pc + 4)
     | 83 (* CHK_LDG_I *) ->
       ctrs.I.check_stmts <- ctrs.I.check_stmts + 1;
       let t = Array.unsafe_get code (pc + 1) in
       let addr = glob_addr st (Array.unsafe_get code (pc + 3)) in
-      if not (alat_check st serial t addr) && not (deopting pc) then begin
+      if not (Sem_alat.check st.alat ~serial ~tag:t addr) && not (deopting pc) then begin
         ctrs.I.check_reloads <- ctrs.I.check_reloads + 1;
         ctrs.I.mem_loads <- ctrs.I.mem_loads + 1;
         Array.unsafe_set ints (Array.unsafe_get code (pc + 2))
           (ld_i mem addr);
-        alat_arm st serial t addr
+        Sem_alat.arm st.alat ~serial ~tag:t addr
       end;
       loop (pc + 4)
     | 84 (* CHK_LDG_F *) ->
       ctrs.I.check_stmts <- ctrs.I.check_stmts + 1;
       let t = Array.unsafe_get code (pc + 1) in
       let addr = glob_addr st (Array.unsafe_get code (pc + 3)) in
-      if not (alat_check st serial t addr) && not (deopting pc) then begin
+      if not (Sem_alat.check st.alat ~serial ~tag:t addr) && not (deopting pc) then begin
         ctrs.I.check_reloads <- ctrs.I.check_reloads + 1;
         ctrs.I.mem_loads <- ctrs.I.mem_loads + 1;
         Array.unsafe_set flts (Array.unsafe_get code (pc + 2))
           (ld_f mem addr);
-        alat_arm st serial t addr
+        Sem_alat.arm st.alat ~serial ~tag:t addr
       end;
       loop (pc + 4)
     | 85 (* CHK_LDS_I *) ->
       ctrs.I.check_stmts <- ctrs.I.check_stmts + 1;
       let t = Array.unsafe_get code (pc + 1) in
       let addr = Array.unsafe_get addrs (Array.unsafe_get code (pc + 3)) in
-      if not (alat_check st serial t addr) && not (deopting pc) then begin
+      if not (Sem_alat.check st.alat ~serial ~tag:t addr) && not (deopting pc) then begin
         ctrs.I.check_reloads <- ctrs.I.check_reloads + 1;
         ctrs.I.mem_loads <- ctrs.I.mem_loads + 1;
         Array.unsafe_set ints (Array.unsafe_get code (pc + 2))
           (ld_i mem addr);
-        alat_arm st serial t addr
+        Sem_alat.arm st.alat ~serial ~tag:t addr
       end;
       loop (pc + 4)
     | 86 (* CHK_LDS_F *) ->
       ctrs.I.check_stmts <- ctrs.I.check_stmts + 1;
       let t = Array.unsafe_get code (pc + 1) in
       let addr = Array.unsafe_get addrs (Array.unsafe_get code (pc + 3)) in
-      if not (alat_check st serial t addr) && not (deopting pc) then begin
+      if not (Sem_alat.check st.alat ~serial ~tag:t addr) && not (deopting pc) then begin
         ctrs.I.check_reloads <- ctrs.I.check_reloads + 1;
         ctrs.I.mem_loads <- ctrs.I.mem_loads + 1;
         Array.unsafe_set flts (Array.unsafe_get code (pc + 2))
           (ld_f mem addr);
-        alat_arm st serial t addr
+        Sem_alat.arm st.alat ~serial ~tag:t addr
       end;
       loop (pc + 4)
     | 87 (* ARM_TRY *) ->
@@ -767,16 +716,16 @@ let rec exec_func st fix (ai : int array) (af : float array) : unit =
     | 88 (* ARM *) ->
       let t = Array.unsafe_get code (pc + 1) in
       let addr = Array.unsafe_get ints (Array.unsafe_get code (pc + 2)) in
-      alat_arm st serial t addr;
+      Sem_alat.arm st.alat ~serial ~tag:t addr;
       trap := -1;
       loop (pc + 3)
     | 89 (* ARM_G *) ->
       let t = Array.unsafe_get code (pc + 1) in
-      alat_arm st serial t (glob_addr st (Array.unsafe_get code (pc + 2)));
+      Sem_alat.arm st.alat ~serial ~tag:t (glob_addr st (Array.unsafe_get code (pc + 2)));
       loop (pc + 3)
     | 90 (* ARM_S *) ->
       let t = Array.unsafe_get code (pc + 1) in
-      alat_arm st serial t
+      Sem_alat.arm st.alat ~serial ~tag:t
         (Array.unsafe_get addrs (Array.unsafe_get code (pc + 2)));
       loop (pc + 3)
     | 91 (* JMP *) -> loop (Array.unsafe_get code (pc + 1))
@@ -1002,6 +951,7 @@ let rec exec_func st fix (ai : int array) (af : float array) : unit =
       go t
   in
   (try go 0 with Deopt_done -> ());
+  Sem_alat.exit_frame st.alat serial;
   Memory.pop_frame mem mark
 
 (* Deoptimization: transfer the live register state into the
@@ -1044,7 +994,7 @@ and vm_deopt st (pl : Spec_safety.Deopt.plan) (vf : V.func)
       D.h_store =
         (fun ty addr v ->
           st.ctrs.I.mem_stores <- st.ctrs.I.mem_stores + 1;
-          alat_invalidate st addr;
+          Sem_alat.invalidate st.alat addr;
           if Types.is_fp ty then Memory.store_flt st.mem addr (D.as_flt v)
           else Memory.store_int st.mem addr (D.as_int v));
       D.h_addr_of =
@@ -1147,8 +1097,7 @@ let run_program ?(fuel = 200_000_000) ?faults ?recover
       ctrs = { I.steps = 0; mem_loads = 0; mem_stores = 0; branches = 0;
                calls = 0; check_stmts = 0; check_reloads = 0; deopts = 0 };
       out = Buffer.create 256; globals; rng = 88172645463325252; fuel;
-      alat = Hashtbl.create 32; frame_serial = 0;
-      finj = faults; fevents = 0;
+      alat = Sem_alat.create ?faults ();
       ret_isf = false; ret_i = 0; ret_f = 0.; recover }
   in
   exec_func st p.V.vmain no_ints no_flts;

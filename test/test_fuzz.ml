@@ -239,10 +239,11 @@ let prop_recursive =
 
 (* the pre-compiled tree engine, the threaded-code vm and the
    tree-walking reference must agree bit-for-bit on the same optimized
-   program — outputs, return value, and (tree vs vm) every counter —
-   under every fault plan.  Each engine draws a fresh injector from the
-   same plan and scope, so all three see identical deterministic fault
-   streams. *)
+   program — outputs, return value, and every counter the reference
+   keeps (tree vs vm: every counter) — under every fault plan.  Each
+   engine draws a fresh injector from the same plan and scope, so all
+   three see identical deterministic fault streams; equal reload counts
+   then mean they chose the same chaos victims. *)
 let fault_plans = [ ""; "inv=50000"; "flush=64"; "flush=16,inv=200000" ]
 
 let engines_agree r name plan_spec =
@@ -268,9 +269,21 @@ let engines_agree r name plan_spec =
       compare x y = 0
     | _ -> false
   in
+  let counters_agree =
+    let a = tree.Spec_prof.Interp.counters
+    and b = oracle.Spec_prof.Interp_ref.counters in
+    a.Spec_prof.Interp.steps = b.Spec_prof.Interp_ref.steps
+    && a.Spec_prof.Interp.mem_loads = b.Spec_prof.Interp_ref.mem_loads
+    && a.Spec_prof.Interp.mem_stores = b.Spec_prof.Interp_ref.mem_stores
+    && a.Spec_prof.Interp.branches = b.Spec_prof.Interp_ref.branches
+    && a.Spec_prof.Interp.calls = b.Spec_prof.Interp_ref.calls
+    && a.Spec_prof.Interp.check_stmts = b.Spec_prof.Interp_ref.check_stmts
+    && a.Spec_prof.Interp.check_reloads = b.Spec_prof.Interp_ref.check_reloads
+  in
   tree.Spec_prof.Interp.output = oracle.Spec_prof.Interp_ref.output
   && vm.Spec_prof.Interp.output = oracle.Spec_prof.Interp_ref.output
   && ret_agrees
+  && counters_agree
   && vm.Spec_prof.Interp.ret = tree.Spec_prof.Interp.ret
   && vm.Spec_prof.Interp.counters = tree.Spec_prof.Interp.counters
 
@@ -288,6 +301,48 @@ let prop_engine_differential =
           in
           List.for_all (engines_agree r name) fault_plans)
         (variants_of src))
+
+(* The recursion-heavy workload kernels under an invalidation plan and
+   a flush plan: returning frames keep dropping their entries, so chaos
+   victims are drawn from a table that shrinks as well as grows, and
+   all three engines must still pick the same ones. *)
+let test_recursive_workloads_faulted () =
+  let module W = Spec_workloads.Workloads in
+  List.iter
+    (fun kernel ->
+      let w = List.find (fun w -> w.W.name = kernel) W.all in
+      let src = W.train_source w in
+      List.iter
+        (fun (name, variant, prof) ->
+          if name <> "base" then begin
+            let r =
+              Pipeline.compile_and_optimize ~edge_profile:(Some prof) src
+                variant
+            in
+            List.iter
+              (fun plan ->
+                check_bool
+                  (Printf.sprintf "%s/%s %s: tree = vm = ref" kernel name plan)
+                  true
+                  (engines_agree r (kernel ^ "/" ^ name) plan))
+              [ "inv=50000"; "flush=64" ];
+            (* the invalidation plan really removes live entries *)
+            let reloads faults =
+              (Spec_prof.Interp.run ?faults r.Pipeline.prog)
+                .Spec_prof.Interp.counters.Spec_prof.Interp.check_reloads
+            in
+            let inv =
+              Spec_stress.Faults.injector_opt
+                (Result.get_ok (Spec_stress.Faults.parse ~seed:7 "inv=50000"))
+                ~scope:[ "fuzz"; kernel; name ]
+            in
+            check_bool
+              (Printf.sprintf "%s/%s: chaos invalidation costs reloads" kernel
+                 name)
+              true (reloads inv > reloads None)
+          end)
+        (variants_of src))
+    [ "parser"; "gzip" ]
 
 (* ---- deoptimization-recovery differential ---- *)
 
@@ -396,6 +451,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_control_shapes;
     QCheck_alcotest.to_alcotest prop_recursive;
     QCheck_alcotest.to_alcotest prop_engine_differential;
+    Alcotest.test_case "recursive workloads, faulted (tree/vm/ref)" `Quick
+      test_recursive_workloads_faulted;
     Alcotest.test_case "deopt recovery under forced faults" `Quick
       test_deopt_forced_faults;
     QCheck_alcotest.to_alcotest prop_deopt_recovery ]

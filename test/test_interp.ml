@@ -282,6 +282,38 @@ let test_load_reuse_store_changes_value () =
   let lr, _ = Load_reuse.analyse p in
   check_int "no spurious reuse" 0 lr.Load_reuse.reused_loads
 
+(* ---- semantic ALAT: an entry lives as long as its frame ---- *)
+
+let test_sem_alat_frame_exit () =
+  let t = Sem_alat.create () in
+  let main = Sem_alat.enter_frame t in
+  Sem_alat.arm t ~serial:main ~tag:1 64;
+  let callee = Sem_alat.enter_frame t in
+  check_bool "serials are fresh" true (callee > main);
+  Sem_alat.arm t ~serial:callee ~tag:1 64;
+  Sem_alat.arm t ~serial:callee ~tag:2 72;
+  let leaf = Sem_alat.enter_frame t in
+  check_int "caller, callee and an idle leaf" 3 (Sem_alat.live t);
+  Sem_alat.exit_frame t leaf;
+  check_int "a frame that armed nothing drops nothing" 3 (Sem_alat.live t);
+  Sem_alat.exit_frame t callee;
+  check_int "the returned frame's entries are gone" 1 (Sem_alat.live t);
+  check_bool "the caller's entry survives its callee's return" true
+    (Sem_alat.check t ~serial:main ~tag:1 64);
+  check_bool "a dead frame's tag never checks" false
+    (Sem_alat.check t ~serial:callee ~tag:1 64);
+  (* a caller whose callee armed, but which armed nothing itself *)
+  let idle = Sem_alat.enter_frame t in
+  let busy = Sem_alat.enter_frame t in
+  Sem_alat.arm t ~serial:busy ~tag:3 80;
+  Sem_alat.exit_frame t busy;
+  Sem_alat.exit_frame t idle;
+  check_int "only main's entry is left" 1 (Sem_alat.live t);
+  Sem_alat.invalidate t 64;
+  check_int "a store still invalidates live entries" 0 (Sem_alat.live t);
+  Sem_alat.exit_frame t main;
+  check_int "empty after main returns" 0 (Sem_alat.live t)
+
 let suite =
   [ Alcotest.test_case "arith" `Quick test_arith;
     Alcotest.test_case "float arith" `Quick test_float_arith;
@@ -299,4 +331,5 @@ let suite =
     Alcotest.test_case "edge profile" `Quick test_edge_profile;
     Alcotest.test_case "call mod/ref profile" `Quick test_call_modref_profile;
     Alcotest.test_case "load reuse redundancy" `Quick test_load_reuse_detects_redundancy;
-    Alcotest.test_case "load reuse store kills" `Quick test_load_reuse_store_changes_value ]
+    Alcotest.test_case "load reuse store kills" `Quick test_load_reuse_store_changes_value;
+    Alcotest.test_case "semantic ALAT frame exit" `Quick test_sem_alat_frame_exit ]

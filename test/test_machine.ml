@@ -287,6 +287,162 @@ let test_alat_counter_pinning () =
   check_bool "moved tag still resolves" true (Alat.check t ~frame:0 ~reg:7);
   check_bool "new tag resolves" true (Alat.check t ~frame:0 ~reg:9)
 
+(* ---- rewritten hot paths against their former implementations ---- *)
+
+(* The full-table scan [Alat.invalidate_store] used to run, kept as the
+   reference for the set-indexed version. *)
+let ref_invalidate_store (t : Alat.t) ~addr ~bytes =
+  Array.iter
+    (fun set ->
+      Array.iter
+        (fun (e : Alat.entry) ->
+          if e.Alat.valid && e.Alat.addr < addr + bytes
+             && addr < e.Alat.addr + Spec_ir.Types.cell_size
+          then begin
+            e.Alat.valid <- false;
+            (match Hashtbl.find_opt t.Alat.tags (e.Alat.tag_frame, e.Alat.tag_reg) with
+             | Some e' when e' == e ->
+               Hashtbl.remove t.Alat.tags (e.Alat.tag_frame, e.Alat.tag_reg)
+             | _ -> ());
+            t.Alat.store_invalidations <- t.Alat.store_invalidations + 1
+          end)
+        set)
+    t.Alat.sets
+
+type alat_op =
+  | Ins of int * int * int         (* frame, reg, addr *)
+  | Store of int * int             (* addr, bytes *)
+  | Chk of int * int               (* frame, reg *)
+
+let gen_alat_case =
+  QCheck.Gen.(
+    let* entries = oneofl [ 2; 4; 6; 32 ] in
+    let addr = int_range 0 400 in      (* unaligned *)
+    let op =
+      frequency
+        [ 4, map3 (fun f r a -> Ins (f, r, a)) (int_range 0 2) (int_range 0 7) addr;
+          3, map2 (fun a b -> Store (a, b)) addr (int_range 1 16);
+          3, map2 (fun f r -> Chk (f, r)) (int_range 0 2) (int_range 0 7) ]
+    in
+    let* ops = list_size (int_range 1 200) op in
+    return (entries, ops))
+
+let print_alat_case (entries, ops) =
+  Printf.sprintf "entries=%d: %s" entries
+    (String.concat "; "
+       (List.map
+          (function
+            | Ins (f, r, a) -> Printf.sprintf "ins %d/%d@%d" f r a
+            | Store (a, b) -> Printf.sprintf "st %d+%d" a b
+            | Chk (f, r) -> Printf.sprintf "chk %d/%d" f r)
+          ops))
+
+let prop_alat_set_indexed_store =
+  QCheck.Test.make ~count:300
+    ~name:"ALAT set-indexed store invalidation = full scan"
+    (QCheck.make ~print:print_alat_case gen_alat_case)
+    (fun (entries, ops) ->
+      let fast = Alat.create ~entries () and slow = Alat.create ~entries () in
+      List.for_all
+        (function
+          | Ins (frame, reg, addr) ->
+            Alat.insert fast ~frame ~reg ~addr;
+            Alat.insert slow ~frame ~reg ~addr;
+            true
+          | Store (addr, bytes) ->
+            Alat.invalidate_store fast ~addr ~bytes;
+            ref_invalidate_store slow ~addr ~bytes;
+            true
+          | Chk (frame, reg) ->
+            Alat.check fast ~frame ~reg = Alat.check slow ~frame ~reg)
+        ops
+      && fast.Alat.store_invalidations = slow.Alat.store_invalidations
+      && fast.Alat.capacity_evictions = slow.Alat.capacity_evictions
+      && Alat.live fast = Alat.live slow)
+
+(* The closure-based two-level cache [Cache.probe] used to be, kept as
+   the reference for the loop version. *)
+module Ref_cache = struct
+  type level = {
+    tags : int array array;
+    lru : int array array;
+    n_sets : int;
+    line_bits : int;
+    mutable hits : int;
+    mutable misses : int;
+  }
+
+  let mk_level ~size_kb ~ways ~line =
+    let line_bits =
+      let rec bits n = if n <= 1 then 0 else 1 + bits (n / 2) in
+      bits line
+    in
+    let n_sets = size_kb * 1024 / line / ways in
+    { tags = Array.init n_sets (fun _ -> Array.make ways (-1));
+      lru = Array.init n_sets (fun _ -> Array.init ways (fun i -> i));
+      n_sets; line_bits; hits = 0; misses = 0 }
+
+  let probe lvl addr =
+    let line = addr lsr lvl.line_bits in
+    let set = line mod lvl.n_sets in
+    let tags = lvl.tags.(set) and lru = lvl.lru.(set) in
+    let hit = ref (-1) in
+    Array.iteri (fun i t -> if t = line then hit := i) tags;
+    if !hit >= 0 then begin
+      lvl.hits <- lvl.hits + 1;
+      Array.iteri (fun i age -> if age < lru.(!hit) then lru.(i) <- lru.(i) + 1)
+        lru;
+      lru.(!hit) <- 0;
+      true
+    end
+    else begin
+      lvl.misses <- lvl.misses + 1;
+      let victim = ref 0 in
+      Array.iteri (fun i age -> if age > lru.(!victim) then victim := i) lru;
+      tags.(!victim) <- line;
+      Array.iteri (fun i age -> lru.(i) <- age + 1) lru;
+      lru.(!victim) <- 0;
+      false
+    end
+
+  (* 1 KB 4-way L1, 4 KB 8-way L2: small enough to evict constantly *)
+  let create () =
+    (mk_level ~size_kb:1 ~ways:4 ~line:64, mk_level ~size_kb:4 ~ways:8 ~line:64)
+
+  let load_latency (l1, l2) ~fp addr =
+    if fp then (if probe l2 addr then 9 else 120)
+    else if probe l1 addr then 2
+    else if probe l2 addr then 9
+    else 120
+
+  let store (l1, l2) addr = ignore (probe l1 addr); ignore (probe l2 addr)
+end
+
+let prop_cache_probe_loops =
+  QCheck.Test.make ~count:200 ~name:"cache probe loops = closure version"
+    (QCheck.make
+       ~print:(fun ops ->
+         String.concat " "
+           (List.map (fun (k, a) -> Printf.sprintf "%d@%d" k a) ops))
+       QCheck.Gen.(
+         list_size (int_range 1 600)
+           (pair (int_range 0 2) (int_range 0 (8 * 1024)))))
+    (fun ops ->
+      let c = Cache.create ~l1_kb:1 ~l2_kb:4 () and r = Ref_cache.create () in
+      List.for_all
+        (fun (kind, addr) ->
+          match kind with
+          | 0 -> Cache.store c addr; Ref_cache.store r addr; true
+          | k ->
+            let fp = k = 2 in
+            Cache.load_latency c ~fp addr = Ref_cache.load_latency r ~fp addr)
+        ops
+      &&
+      let (l1, l2) = r in
+      Cache.counts c
+      = ((l1.Ref_cache.hits, l1.Ref_cache.misses),
+         (l2.Ref_cache.hits, l2.Ref_cache.misses)))
+
 (* differential property over random programs, through codegen *)
 let prop_machine_differential =
   QCheck.Test.make ~count:40
@@ -328,4 +484,6 @@ let suite =
     Alcotest.test_case "ALAT frame-tag collision" `Quick test_alat_frame_tag_collision;
     Alcotest.test_case "ALAT counter pinning" `Quick test_alat_counter_pinning;
     Alcotest.test_case "RSE accounting" `Quick test_rse_accounting;
+    QCheck_alcotest.to_alcotest prop_alat_set_indexed_store;
+    QCheck_alcotest.to_alcotest prop_cache_probe_loops;
     QCheck_alcotest.to_alcotest prop_machine_differential ]
