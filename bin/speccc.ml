@@ -215,7 +215,7 @@ let recover_plan recover src =
   | `Reload -> None
   | `Deopt -> Some (Spec_safety.Deopt.make_plan (Lower.compile src))
 
-let open_cache dir = Option.map Spec_fdo.Cache.create dir
+let open_cache dir = Option.map (fun d -> Spec_fdo.Cache.create d) dir
 
 let report_cache cache =
   match cache with

@@ -43,8 +43,11 @@ echo "== persistent FDO smoke (profile store + compile cache) =="
 # Record two training profiles, merge them with decay, stale-check the
 # merged store against the source, then compile twice through the
 # content-addressed cache: the warm compile must hit (zero passes run)
-# and print the same program output.
+# and print the same program output.  On the committed smoke kernel the
+# recorded profile must also match the pinned test/smoke.sprof byte for
+# byte.
 sh test/ci_fdo.sh _build/default/bin/speccc.exe "$tmp"
+sh test/ci_fdo.sh _build/default/bin/speccc.exe test/smoke.c test/smoke.sprof
 
 echo "== execution-engine smoke (--engine both + vm cache hit) =="
 # The tree and threaded-code vm engines must print identical output

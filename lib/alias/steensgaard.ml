@@ -23,7 +23,7 @@ type node = {
 }
 
 type t = {
-  mutable nodes : node Vec.t;
+  nodes : node Vec.t;
   var_node : (int, int) Hashtbl.t;    (* variable id -> node id *)
   heap_node : (int, int) Hashtbl.t;   (* allocation site -> node id *)
   ret_node : (string, int) Hashtbl.t; (* function -> return-value node *)

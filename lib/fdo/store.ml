@@ -713,10 +713,21 @@ let summary (t : t) : string =
 (* File I/O                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* Written to a temp file in the same directory and renamed over
+   [path], as the compile cache stores artifacts: a crash mid-write
+   leaves the old store intact, never a truncated one. *)
 let save path t =
-  let oc = open_out_bin path in
-  output_string oc (write t);
-  close_out oc
+  let tmp =
+    Filename.concat (Filename.dirname path)
+      (Printf.sprintf ".tmp.%d.%s" (Unix.getpid ()) (Filename.basename path))
+  in
+  let oc = open_out_bin tmp in
+  match output_string oc (write t); close_out oc with
+  | () -> Sys.rename tmp path
+  | exception e ->
+    close_out_noerr oc;
+    (try Sys.remove tmp with Sys_error _ -> ());
+    raise e
 
 let load path : (t, string) result =
   match

@@ -121,5 +121,8 @@ val bind : t -> Spec_ir.Sir.prog -> Spec_prof.Profile.t * match_report
 (** One-line summary for [speccc profile show]. *)
 val summary : t -> string
 
+(** Write the store to a file atomically: a temp file next to it,
+    renamed over it, so a crash mid-write never truncates an existing
+    store. *)
 val save : string -> t -> unit
 val load : string -> (t, string) result

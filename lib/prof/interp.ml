@@ -17,9 +17,8 @@
       arming, builtin vs user call) is decided at compile time rather
       than re-matched per execution.
 
-    Instrumentation hooks are optional: when the caller passes no hooks
-    (pure simulation), the engine takes a fast path that never invokes a
-    closure; profiling runs pass hooks and keep full instrumentation.
+    The engine carries no instrumentation: profiling runs execute
+    profile-mode bytecode on the vm ({!Vmcode.profile}).
     Observable behaviour — output, return value, and all counters — is
     identical to {!Interp_ref}; the differential suite in
     [test/test_engines.ml] enforces this for every workload under every
@@ -40,33 +39,6 @@ let as_int = function
 let as_flt = function
   | Vflt f -> f
   | Vint i -> error "expected float value, got int %d" i
-
-(** Instrumentation hooks; all default to no-ops. *)
-type hooks = {
-  mutable on_edge : func:string -> src:int -> dst:int -> unit;
-  mutable on_entry : func:string -> unit;
-  mutable on_mem :
-    site:int option -> addr:int -> is_store:bool -> unit;
-      (** every memory access; [site] is set for indirect references *)
-  mutable on_load :
-    which:[ `Site of int | `Var of int ] ->
-    func:string -> addr:int -> v:value -> unit;
-      (** every memory load, for load-reuse analysis *)
-  mutable on_call : site:int -> callee:string -> unit;
-      (** user-function call about to execute *)
-  mutable on_call_ret : site:int -> callee:string -> unit;
-  mutable on_memory : Memory.t -> unit;
-      (** invoked once, when the memory image is created *)
-}
-
-let no_hooks () =
-  { on_edge = (fun ~func:_ ~src:_ ~dst:_ -> ());
-    on_entry = (fun ~func:_ -> ());
-    on_mem = (fun ~site:_ ~addr:_ ~is_store:_ -> ());
-    on_load = (fun ~which:_ ~func:_ ~addr:_ ~v:_ -> ());
-    on_call = (fun ~site:_ ~callee:_ -> ());
-    on_call_ret = (fun ~site:_ ~callee:_ -> ());
-    on_memory = (fun _ -> ()) }
 
 type counters = {
   mutable steps : int;
@@ -514,8 +486,6 @@ let compile (p : Sir.prog) : compiled =
 type state = {
   comp : compiled;
   mem : Memory.t;
-  hooks : hooks;
-  instr : bool;          (* hooks present: invoke instrumentation closures *)
   ctrs : counters;
   out : Buffer.t;
   globals : int array;   (* orig vid -> data-segment address, -1 if none *)
@@ -565,25 +535,15 @@ let rec eval_i st (fr : frame) (e : iexpr) : int =
   match e with
   | Iconst i -> i
   | Ireg s -> fr.ints.(s)
-  | Ildv { vr; vid } ->
+  | Ildv { vr; _ } ->
     let addr = resolve_addr st fr vr in
-    if st.instr then st.hooks.on_mem ~site:None ~addr ~is_store:false;
     st.ctrs.mem_loads <- st.ctrs.mem_loads + 1;
-    let v = Memory.load_int st.mem addr in
-    if st.instr then
-      st.hooks.on_load ~which:(`Var vid) ~func:fr.cf.cname ~addr ~v:(Vint v);
-    v
-  | Iilod { a; site; spec; which } ->
+    Memory.load_int st.mem addr
+  | Iilod { a; spec; _ } ->
     let addr = eval_i st fr a in
     st.ctrs.mem_loads <- st.ctrs.mem_loads + 1;
-    if st.instr then st.hooks.on_mem ~site:(Some site) ~addr ~is_store:false;
-    let v =
-      if spec then Memory.load_int_spec st.mem addr
-      else Memory.load_int st.mem addr
-    in
-    if st.instr then
-      st.hooks.on_load ~which ~func:fr.cf.cname ~addr ~v:(Vint v);
-    v
+    if spec then Memory.load_int_spec st.mem addr
+    else Memory.load_int st.mem addr
   | Ilda vr -> resolve_addr st fr vr
   | Ineg x -> - (eval_i st fr x)
   | Ilnot x -> if eval_i st fr x = 0 then 1 else 0
@@ -638,25 +598,15 @@ and eval_f st (fr : frame) (e : fexpr) : float =
   match e with
   | Fconst f -> f
   | Freg s -> fr.flts.(s)
-  | Fldv { vr; vid } ->
+  | Fldv { vr; _ } ->
     let addr = resolve_addr st fr vr in
-    if st.instr then st.hooks.on_mem ~site:None ~addr ~is_store:false;
     st.ctrs.mem_loads <- st.ctrs.mem_loads + 1;
-    let v = Memory.load_flt st.mem addr in
-    if st.instr then
-      st.hooks.on_load ~which:(`Var vid) ~func:fr.cf.cname ~addr ~v:(Vflt v);
-    v
-  | Filod { a; site; spec; which } ->
+    Memory.load_flt st.mem addr
+  | Filod { a; spec; _ } ->
     let addr = eval_i st fr a in
     st.ctrs.mem_loads <- st.ctrs.mem_loads + 1;
-    if st.instr then st.hooks.on_mem ~site:(Some site) ~addr ~is_store:false;
-    let v =
-      if spec then Memory.load_flt_spec st.mem addr
-      else Memory.load_flt st.mem addr
-    in
-    if st.instr then
-      st.hooks.on_load ~which ~func:fr.cf.cname ~addr ~v:(Vflt v);
-    v
+    if spec then Memory.load_flt_spec st.mem addr
+    else Memory.load_flt st.mem addr
   | Fneg x -> -. (eval_f st fr x)
   | Fi2f x -> float_of_int (eval_i st fr x)
   | Fbin (op, a, b) ->
@@ -696,18 +646,16 @@ let rec exec_stmt st (fr : frame) (s : cstmt) : unit =
   | CSstorev_i { vr; e } ->
     let v = eval_i st fr e in
     let addr = resolve_addr st fr vr in
-    if st.instr then st.hooks.on_mem ~site:None ~addr ~is_store:true;
     st.ctrs.mem_stores <- st.ctrs.mem_stores + 1;
     Sem_alat.invalidate st.alat addr;
     Memory.store_int st.mem addr v
   | CSstorev_f { vr; e } ->
     let v = eval_f st fr e in
     let addr = resolve_addr st fr vr in
-    if st.instr then st.hooks.on_mem ~site:None ~addr ~is_store:true;
     st.ctrs.mem_stores <- st.ctrs.mem_stores + 1;
     Sem_alat.invalidate st.alat addr;
     Memory.store_flt st.mem addr v
-  | CSchk_ilod { tvid; slot; fp; a; site; which; dd } ->
+  | CSchk_ilod { tvid; slot; fp; a; dd; _ } ->
     let addr = eval_i st fr a in
     if not (Sem_alat.check st.alat ~serial:fr.serial ~tag:tvid addr) then begin
       match st.recover, dd with
@@ -715,20 +663,8 @@ let rec exec_stmt st (fr : frame) (s : cstmt) : unit =
       | _ ->
         st.ctrs.check_reloads <- st.ctrs.check_reloads + 1;
         st.ctrs.mem_loads <- st.ctrs.mem_loads + 1;
-        if st.instr then
-          st.hooks.on_mem ~site:(Some site) ~addr ~is_store:false;
-        if fp then begin
-          let v = Memory.load_flt st.mem addr in
-          if st.instr then
-            st.hooks.on_load ~which ~func:fr.cf.cname ~addr ~v:(Vflt v);
-          fr.flts.(slot) <- v
-        end
-        else begin
-          let v = Memory.load_int st.mem addr in
-          if st.instr then
-            st.hooks.on_load ~which ~func:fr.cf.cname ~addr ~v:(Vint v);
-          fr.ints.(slot) <- v
-        end;
+        if fp then fr.flts.(slot) <- Memory.load_flt st.mem addr
+        else fr.ints.(slot) <- Memory.load_int st.mem addr;
         Sem_alat.arm st.alat ~serial:fr.serial ~tag:tvid addr
     end
   | CSchk_lod { tvid; slot; fp; vr; dd } ->
@@ -738,23 +674,20 @@ let rec exec_stmt st (fr : frame) (s : cstmt) : unit =
       | Some pl, Some d -> do_deopt st fr pl d
       | _ ->
         st.ctrs.check_reloads <- st.ctrs.check_reloads + 1;
-        if st.instr then st.hooks.on_mem ~site:None ~addr ~is_store:false;
         st.ctrs.mem_loads <- st.ctrs.mem_loads + 1;
         if fp then fr.flts.(slot) <- Memory.load_flt st.mem addr
         else fr.ints.(slot) <- Memory.load_int st.mem addr;
         Sem_alat.arm st.alat ~serial:fr.serial ~tag:tvid addr
     end
-  | CSistr_i { a; e; site } ->
+  | CSistr_i { a; e; _ } ->
     let addr = eval_i st fr a in
     let v = eval_i st fr e in
-    if st.instr then st.hooks.on_mem ~site:(Some site) ~addr ~is_store:true;
     st.ctrs.mem_stores <- st.ctrs.mem_stores + 1;
     Sem_alat.invalidate st.alat addr;
     Memory.store_int st.mem addr v
-  | CSistr_f { a; e; site } ->
+  | CSistr_f { a; e; _ } ->
     let addr = eval_i st fr a in
     let v = eval_f st fr e in
-    if st.instr then st.hooks.on_mem ~site:(Some site) ~addr ~is_store:true;
     st.ctrs.mem_stores <- st.ctrs.mem_stores + 1;
     Sem_alat.invalidate st.alat addr;
     Memory.store_flt st.mem addr v
@@ -766,11 +699,11 @@ let rec exec_stmt st (fr : frame) (s : cstmt) : unit =
     error "%s" msg
 
 (* Deopt recovery: read the descriptor's slots out of the optimized
-   frame, run the unoptimized continuation (all effects through hooks
-   against this engine's state), and unwind to [exec_func] with the
-   continuation's return value.  Instrumentation closures are not
-   invoked during the continuation — only counters accumulate — so the
-   tree and vm engines stay counter-identical under recovery. *)
+   frame, run the unoptimized continuation (all effects through
+   [Deopt] callbacks against this engine's state), and unwind to
+   [exec_func] with the continuation's return value.  Only counters
+   accumulate during the continuation, so the tree and vm engines stay
+   counter-identical under recovery. *)
 and do_deopt st (fr : frame) (pl : Spec_safety.Deopt.plan) (d : cdeopt)
   : unit =
   let module D = Spec_safety.Deopt in
@@ -920,7 +853,6 @@ and exec_call st fr ~target ~args ~ret_slot ~ret_fp ~csite =
     st.rng <- (st.rng * 0x5851F42D4C957F2D + 0x14057B7EF767814F) land max_int;
     set_ret fr ret_slot ret_fp ((st.rng lsr 29) mod m)
   | Tuser ix ->
-    let callee = st.comp.cfuncs.(ix) in
     let n = Array.length args in
     let ai = if n = 0 then no_addrs else Array.make n 0 in
     let af = if n = 0 then no_flts else Array.make n 0. in
@@ -930,9 +862,7 @@ and exec_call st fr ~target ~args ~ret_slot ~ret_fp ~csite =
       | Af e -> af.(k) <- eval_f st fr e
     done;
     st.ctrs.calls <- st.ctrs.calls + 1;
-    if st.instr then st.hooks.on_call ~site:csite ~callee:callee.cname;
     let result = exec_func st ix ai af in
-    if st.instr then st.hooks.on_call_ret ~site:csite ~callee:callee.cname;
     if ret_slot >= 0 then begin
       if ret_fp then fr.flts.(ret_slot) <- as_flt result
       else fr.ints.(ret_slot) <- as_int result
@@ -940,12 +870,10 @@ and exec_call st fr ~target ~args ~ret_slot ~ret_fp ~csite =
   | Tunknown name ->
     Array.iter (fun a -> ignore (eval_a st fr a : value)) args;
     st.ctrs.calls <- st.ctrs.calls + 1;
-    if st.instr then st.hooks.on_call ~site:csite ~callee:name;
     invalid_arg ("Sir.find_func: no function " ^ name)
 
 and exec_func st ix (ai : int array) (af : float array) : value =
   let cf = st.comp.cfuncs.(ix) in
-  if st.instr then st.hooks.on_entry ~func:cf.cname;
   let fr =
     { cf; serial = Sem_alat.enter_frame st.alat;
       ints = (if cf.n_slots = 0 then no_addrs else Array.make cf.n_slots 0);
@@ -994,12 +922,10 @@ and exec_blocks st (fr : frame) : value =
     spend st;
     match b.cb_term with
     | CTgoto next ->
-      if st.instr then st.hooks.on_edge ~func:cf.cname ~src:bid ~dst:next;
       run_block next
     | CTcond (c, t, e) ->
       st.ctrs.branches <- st.ctrs.branches + 1;
       let next = if eval_i st fr c <> 0 then t else e in
-      if st.instr then st.hooks.on_edge ~func:cf.cname ~src:bid ~dst:next;
       run_block next
     | CTret_none -> Vint 0
     | CTret e -> eval_a st fr e
@@ -1010,18 +936,13 @@ and exec_blocks st (fr : frame) : value =
 (* Entry points                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(** Run a pre-compiled program.  Omitting [hooks] selects the
-    uninstrumented fast path (no closure is ever invoked).  [faults]
-    attaches injected ALAT interference for stress runs.  [recover]
+(** Run a pre-compiled program.  [faults] attaches injected ALAT interference for stress runs.  [recover]
     supplies a deoptimization plan: failed checks whose statements carry
     descriptors finish their function in the unoptimized body instead of
     reloading. *)
-let run_compiled ?(fuel = 200_000_000) ?hooks ?faults ?recover
+let run_compiled ?(fuel = 200_000_000) ?faults ?recover
     ?(heap_bytes = 24 * 1024 * 1024) (comp : compiled) : result =
   if comp.main_ix < 0 then error "program has no main function";
-  let instr, hooks =
-    match hooks with None -> false, no_hooks () | Some h -> true, h
-  in
   let syms = comp.cprog.Sir.syms in
   let mem = Memory.create ~heap_bytes comp.cprog in
   let globals = Array.make (Symtab.count syms) (-1) in
@@ -1029,13 +950,12 @@ let run_compiled ?(fuel = 200_000_000) ?hooks ?faults ?recover
     (fun g -> globals.(g) <- Memory.global_addr mem g)
     comp.cprog.Sir.globals;
   let st =
-    { comp; mem; hooks; instr;
+    { comp; mem;
       ctrs = { steps = 0; mem_loads = 0; mem_stores = 0; branches = 0;
                calls = 0; check_stmts = 0; check_reloads = 0; deopts = 0 };
       out = Buffer.create 256; globals; rng = 88172645463325252; fuel;
       alat = Sem_alat.create ?faults (); recover }
   in
-  if instr then hooks.on_memory st.mem;
   let ret = exec_func st comp.main_ix no_addrs no_flts in
   let r = { ret; output = Buffer.contents st.out; counters = st.ctrs } in
   Memory.release st.mem;
@@ -1045,7 +965,7 @@ let run_compiled ?(fuel = 200_000_000) ?hooks ?faults ?recover
     program is compiled first (one cheap pass); callers that execute the
     same program repeatedly can {!compile} once and use
     {!run_compiled}. *)
-let run ?fuel ?hooks ?faults ?recover ?heap_bytes (p : Sir.prog) : result =
+let run ?fuel ?faults ?recover ?heap_bytes (p : Sir.prog) : result =
   if not (Hashtbl.mem p.Sir.funcs "main") then
     error "program has no main function";
-  run_compiled ?fuel ?hooks ?faults ?recover ?heap_bytes (compile p)
+  run_compiled ?fuel ?faults ?recover ?heap_bytes (compile p)

@@ -10,7 +10,9 @@
     The compiled representation is exposed because it is the input of
     the threaded-code lowerer ({!Vmcode}): the bytecode engine inherits
     every type-resolution and speculation-classification decision from
-    this compiler, which is what keeps the engines byte-identical.
+    this compiler, which is what keeps the engines byte-identical.  The
+    engine carries no instrumentation: profiling runs execute
+    profile-mode bytecode on the vm ({!Vmcode.profile}).
 
     Observable behaviour — output, return value, and all counters — is
     identical to {!Interp_ref}; the differential suites in
@@ -26,26 +28,6 @@ exception Runtime_error of string
 val error : ('a, Format.formatter, unit, 'b) format4 -> 'a
 val as_int : value -> int
 val as_flt : value -> float
-
-(** Instrumentation hooks; all default to no-ops. *)
-type hooks = {
-  mutable on_edge : func:string -> src:int -> dst:int -> unit;
-  mutable on_entry : func:string -> unit;
-  mutable on_mem :
-    site:int option -> addr:int -> is_store:bool -> unit;
-      (** every memory access; [site] is set for indirect references *)
-  mutable on_load :
-    which:[ `Site of int | `Var of int ] ->
-    func:string -> addr:int -> v:value -> unit;
-      (** every memory load, for load-reuse analysis *)
-  mutable on_call : site:int -> callee:string -> unit;
-      (** user-function call about to execute *)
-  mutable on_call_ret : site:int -> callee:string -> unit;
-  mutable on_memory : Memory.t -> unit;
-      (** invoked once, when the memory image is created *)
-}
-
-val no_hooks : unit -> hooks
 
 type counters = {
   mutable steps : int;
@@ -186,16 +168,13 @@ val compile : Sir.prog -> compiled
 
 (** {1 Execution} *)
 
-(** Run a pre-compiled program.  Omitting [hooks] selects the
-    uninstrumented fast path (no closure is ever invoked).  [faults]
-    attaches injected ALAT interference for stress runs.  [recover]
+(** Run a pre-compiled program.  [faults] attaches injected ALAT interference for stress runs.  [recover]
     supplies a deoptimization plan (built over a fresh lowering of the
     same source): failed checks whose statements carry descriptors
     finish their function in the unoptimized body instead of
     reloading. *)
 val run_compiled :
   ?fuel:int ->
-  ?hooks:hooks ->
   ?faults:Spec_stress.Faults.injector ->
   ?recover:Spec_safety.Deopt.plan ->
   ?heap_bytes:int ->
@@ -208,7 +187,6 @@ val run_compiled :
     {!run_compiled}. *)
 val run :
   ?fuel:int ->
-  ?hooks:hooks ->
   ?faults:Spec_stress.Faults.injector ->
   ?recover:Spec_safety.Deopt.plan ->
   ?heap_bytes:int ->

@@ -5,100 +5,15 @@
     syntax trees (indirect references) form equivalence classes.  Tracking
     the dynamic reference stream, a load is counted as a potential reuse
     when the previous load of the same address in its equivalence class
-    produced the same value within the same procedure invocation. *)
-
-open Spec_ir
-
-type class_state = {
-  mutable last : (int * Interp.value) option;  (* last (addr, value) *)
-  mutable invocation : int;                    (* invocation it was seen in *)
-}
+    produced the same value within the same procedure invocation.  The
+    classes are interned once per program by the profile-mode lowering
+    ({!Vmcode.profile} with [~values]); the vm's recorder keeps each
+    class's last address, value and invocation. *)
 
 type t = {
-  mutable total_loads : int;
-  mutable reused_loads : int;
-  classes : (string, class_state) Hashtbl.t;
-  class_key : (int, string) Hashtbl.t;       (* site -> class key cache *)
-  mutable cur_invocation : int;
-  prog : Sir.prog;
+  total_loads : int;
+  reused_loads : int;
 }
-
-let create (prog : Sir.prog) : t =
-  { total_loads = 0; reused_loads = 0; classes = Hashtbl.create 64;
-    class_key = Hashtbl.create 64; cur_invocation = 0; prog }
-
-(* Equivalence-class key of an indirect load site: the printed address
-   syntax tree of its Ilod, qualified by function name.  Computed once per
-   site, on demand. *)
-let site_key (t : t) site func =
-  match Hashtbl.find_opt t.class_key site with
-  | Some k -> k
-  | None ->
-    (* find the Ilod with this site in the program and print its address *)
-    let found = ref None in
-    (try
-       Sir.iter_funcs
-         (fun f ->
-           Vec.iter
-             (fun (b : Sir.bb) ->
-               let check_expr e =
-                 Sir.iter_subexprs
-                   (function
-                     | Sir.Ilod (_, a, s) when s = site ->
-                       found :=
-                         Some (Pp.expr_to_string t.prog.Sir.syms a);
-                       raise Exit
-                     | _ -> ())
-                   e
-               in
-               List.iter
-                 (fun st -> List.iter check_expr (Sir.stmt_exprs st.Sir.kind))
-                 b.Sir.stmts;
-               List.iter check_expr (Sir.term_exprs b.Sir.term))
-             f.Sir.fblocks)
-         t.prog
-     with Exit -> ());
-    let k =
-      match !found with
-      | Some s -> func ^ ":" ^ s
-      | None -> func ^ ":site" ^ string_of_int site
-    in
-    Hashtbl.replace t.class_key site k;
-    k
-
-let state_of t key =
-  match Hashtbl.find_opt t.classes key with
-  | Some s -> s
-  | None ->
-    let s = { last = None; invocation = -1 } in
-    Hashtbl.replace t.classes key s;
-    s
-
-(** Wire the analyser into interpreter hooks. *)
-let instrument (t : t) (hooks : Interp.hooks) =
-  let prev_entry = hooks.Interp.on_entry in
-  hooks.Interp.on_entry <-
-    (fun ~func ->
-      t.cur_invocation <- t.cur_invocation + 1;
-      prev_entry ~func);
-  let prev_load = hooks.Interp.on_load in
-  hooks.Interp.on_load <-
-    (fun ~which ~func ~addr ~v ->
-      t.total_loads <- t.total_loads + 1;
-      let key =
-        match which with
-        | `Site s -> site_key t s func
-        | `Var vid -> func ^ ":var" ^ string_of_int vid
-      in
-      let st = state_of t key in
-      (match st.last with
-       | Some (a, pv) when a = addr && pv = v
-                           && st.invocation = t.cur_invocation ->
-         t.reused_loads <- t.reused_loads + 1
-       | _ -> ());
-      st.last <- Some (addr, v);
-      st.invocation <- t.cur_invocation;
-      prev_load ~which ~func ~addr ~v)
 
 (** Fraction of dynamic loads that are potential (speculative) reuses. *)
 let reuse_fraction t =
@@ -106,9 +21,8 @@ let reuse_fraction t =
   else float_of_int t.reused_loads /. float_of_int t.total_loads
 
 (** Run a program with load-reuse instrumentation. *)
-let analyse ?(fuel = 200_000_000) (prog : Sir.prog) : t * Interp.result =
-  let t = create prog in
-  let hooks = Interp.no_hooks () in
-  instrument t hooks;
-  let r = Interp.run ~fuel ~hooks prog in
-  t, r
+let analyse ?(fuel = 200_000_000) (prog : Spec_ir.Sir.prog) : t * Interp.result
+    =
+  let vp, lay = Vmcode.profile ~values:true prog in
+  let r, pr = Vm.profile ~fuel vp lay in
+  ({ total_loads = pr.Vm.loads; reused_loads = pr.Vm.reused }, r)

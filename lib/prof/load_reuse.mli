@@ -5,26 +5,12 @@
     procedure invocation. *)
 
 type t = {
-  mutable total_loads : int;
-  mutable reused_loads : int;
-  classes : (string, class_state) Hashtbl.t;
-  class_key : (int, string) Hashtbl.t;
-  mutable cur_invocation : int;
-  prog : Spec_ir.Sir.prog;
+  total_loads : int;
+  reused_loads : int;
 }
-
-and class_state = {
-  mutable last : (int * Interp.value) option;
-  mutable invocation : int;
-}
-
-val create : Spec_ir.Sir.prog -> t
-
-(** Wire the analyser into interpreter hooks (composes with existing
-    hooks). *)
-val instrument : t -> Interp.hooks -> unit
 
 val reuse_fraction : t -> float
 
-(** Run a program with load-reuse instrumentation. *)
+(** Run a program with load-reuse instrumentation on the vm.  The
+    program must be unspeculated (e.g. a base build). *)
 val analyse : ?fuel:int -> Spec_ir.Sir.prog -> t * Interp.result

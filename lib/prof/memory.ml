@@ -27,6 +27,7 @@ type t = {
   mutable heap_allocs : (int * int * int) array;
       (* (start addr, byte length, alloc site), sorted by start *)
   mutable heap_n : int;
+  mutable heap_last : int;             (* heap_allocs index [owner] last hit *)
   mutable sp : int;                    (* next free stack address *)
   mutable hp : int;                    (* next free heap address *)
   global_addr : (int, int) Hashtbl.t;  (* var id -> address *)
@@ -64,8 +65,7 @@ let pool_mu = Mutex.create ()
 let pool_cap = 4
 
 (** Return [m] to the image pool.  The caller must not touch [m] again:
-    the engines call this once a run is over, after which any [t] handed
-    out through hooks (e.g. {!Spec_prof.Interp.hooks.on_memory}) is dead. *)
+    the engines call this once a run is over. *)
 let release (m : t) =
   Mutex.lock pool_mu;
   if List.length !pool < pool_cap then pool := m :: !pool;
@@ -122,6 +122,7 @@ let create ?(heap_bytes = 24 * 1024 * 1024) (p : Sir.prog) : t =
         stack_locs = Array.make stack_cells (-1);
         heap_allocs = Array.make 64 (0, 0, 0);
         heap_n = 0;
+        heap_last = 0;
         sp = stack_base;
         hp = heap_base;
         global_addr = Hashtbl.create 16;
@@ -238,30 +239,44 @@ let malloc m ~site bytes =
 
 (* ---- LOC resolution ---- *)
 
-(** Resolve an address to its abstract memory location. *)
-let loc_of_addr m addr : Loc.t option =
-  if addr >= data_base && addr < stack_base then begin
-    let v = m.data_locs.(cell (addr - data_base)) in
-    if v >= 0 then Some (Loc.Lvar v) else None
-  end
-  else if addr >= stack_base && addr < stack_limit then begin
-    let v = m.stack_locs.(cell (addr - stack_base)) in
-    if v >= 0 then Some (Loc.Lvar v) else None
-  end
-  else if addr >= heap_base && addr < m.hp then begin
-    (* binary search over allocations *)
-    let lo = ref 0 and hi = ref (m.heap_n - 1) in
-    let found = ref None in
+(* Allocation site of the heap object holding [addr], encoded as for
+   [owner].  The allocation found last is tried before the binary
+   search; its range is re-checked, so a stale index is harmless. *)
+let heap_owner m addr =
+  let i = m.heap_last in
+  let start, len, site =
+    if i < m.heap_n then m.heap_allocs.(i) else (0, 0, 0)
+  in
+  if addr >= start && addr < start + len then -2 - site
+  else begin
+    let lo = ref 0 and hi = ref (m.heap_n - 1) and found = ref (-1) in
     while !lo <= !hi do
       let mid = (!lo + !hi) / 2 in
       let start, len, site = m.heap_allocs.(mid) in
       if addr < start then hi := mid - 1
       else if addr >= start + len then lo := mid + 1
       else begin
-        found := Some (Loc.Lheap site);
+        found := -2 - site;
+        m.heap_last <- mid;
         lo := !hi + 1
       end
     done;
     !found
   end
-  else None
+
+(** What [addr] belongs to, without allocating: a variable id ([>= 0]),
+    [-2 - site] for a heap object allocated at [site], or [-1]. *)
+let owner m addr =
+  if addr >= data_base && addr < stack_base then
+    m.data_locs.(cell (addr - data_base))
+  else if addr >= stack_base && addr < stack_limit then
+    m.stack_locs.(cell (addr - stack_base))
+  else if addr >= heap_base && addr < m.hp then heap_owner m addr
+  else -1
+
+(** Resolve an address to its abstract memory location. *)
+let loc_of_addr m addr : Loc.t option =
+  let o = owner m addr in
+  if o >= 0 then Some (Loc.Lvar o)
+  else if o = -1 then None
+  else Some (Loc.Lheap (-2 - o))

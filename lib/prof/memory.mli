@@ -35,6 +35,7 @@ type t = {
   mutable heap_allocs : (int * int * int) array;
       (* (start addr, byte length, alloc site), sorted by start *)
   mutable heap_n : int;
+  mutable heap_last : int;             (* heap_allocs index [owner] last hit *)
   mutable sp : int;                    (* next free stack address *)
   mutable hp : int;                    (* next free heap address *)
   global_addr : (int, int) Hashtbl.t;  (* var id -> address *)
@@ -50,8 +51,7 @@ type t = {
 exception Fault of string
 
 (** Return [m] to the image pool.  The caller must not touch [m] again:
-    the engines call this once a run is over, after which any [t] handed
-    out through hooks (e.g. {!Interp.hooks.on_memory}) is dead. *)
+    the engines call this once a run is over. *)
 val release : t -> unit
 
 (** Create a memory image with the program's globals laid out in the
@@ -83,5 +83,12 @@ val pop_frame : t -> int -> unit
 
 val malloc : t -> site:int -> int -> int
 
-(** Resolve an address to its abstract memory location. *)
+(** What an address belongs to, without allocating: a variable id
+    ([>= 0]), [-2 - site] for a heap object allocated at [site], or
+    [-1] for nothing.  A one-entry cache of the last heap object found
+    sits in front of the heap's binary search. *)
+val owner : t -> int -> int
+
+(** Resolve an address to its abstract memory location ({!owner} as a
+    LOC). *)
 val loc_of_addr : t -> int -> Loc.t option

@@ -29,43 +29,6 @@ let create () =
         call_mod = Hashtbl.create 64;
         call_ref = Hashtbl.create 64 } }
 
-let bump tbl key n =
-  Hashtbl.replace tbl key
-    (n + (match Hashtbl.find_opt tbl key with Some c -> c | None -> 0))
-
-let record_edge t ~func ~src ~dst = bump t.edge.edges (func, src, dst) 1
-let record_entry t ~func = bump t.edge.entries func 1
-
-let add_loc tbl site loc =
-  let s =
-    match Hashtbl.find_opt tbl site with
-    | Some s -> s
-    | None -> Loc.Set.empty
-  in
-  Hashtbl.replace tbl site (Loc.Set.add loc s)
-
-let record_ref t ~site ~(loc : Loc.t option) =
-  bump t.alias.ref_counts site 1;
-  match loc with
-  | None -> ()
-  | Some l ->
-    let counts =
-      match Hashtbl.find_opt t.alias.ref_locs site with
-      | Some c -> c
-      | None ->
-        let c = Hashtbl.create 4 in
-        Hashtbl.replace t.alias.ref_locs site c;
-        c
-    in
-    bump counts l 1
-
-let record_call_effect t ~site ~(loc : Loc.t option) ~is_store =
-  match loc with
-  | None -> ()
-  | Some l ->
-    if is_store then add_loc t.alias.call_mod site l
-    else add_loc t.alias.call_ref site l
-
 (** LOC set observed at an indirect-reference site; empty if the site never
     executed during profiling. *)
 let locs_at t site =

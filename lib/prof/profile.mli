@@ -1,4 +1,4 @@
-(** Profile data collected by instrumented interpretation: edge profiles
+(** Profile data collected by instrumented execution: edge profiles
     (control speculation) and alias profiles — the LOC sets observed at
     each indirect memory reference with observation counts, and the
     mod/ref LOC sets of each call site (data speculation), per §3.2.1 of
@@ -27,14 +27,6 @@ type alias_profile = {
 type t = { edge : edge_profile; alias : alias_profile }
 
 val create : unit -> t
-
-(** Recording hooks, driven by {!Profiler}. *)
-
-val record_edge : t -> func:string -> src:int -> dst:int -> unit
-val record_entry : t -> func:string -> unit
-val record_ref : t -> site:int -> loc:Loc.t option -> unit
-val record_call_effect :
-  t -> site:int -> loc:Loc.t option -> is_store:bool -> unit
 
 (** Queries, consumed by the speculation-flag assignment. *)
 

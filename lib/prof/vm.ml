@@ -29,9 +29,71 @@ type result = I.result
 
 let error = I.error
 
+(* Dense profile counters, written by the profile-mode opcodes. *)
+type recorder = {
+  lay : V.layout;
+  entries : int array;
+  mutable invocations : int;
+  edge_counts : int array;
+  ref_counts : int array;
+  site_locs : int array array;
+  site_hits : int array array;
+  site_n : int array;
+  site_last : int array;
+  call_mod : Bytes.t;
+  call_ref : Bytes.t;
+  open_count : int array;
+  open_slots : int array;
+  mutable n_open : int;
+  mutable ref_addr : int;
+  mutable loads : int;
+  mutable reused : int;
+  cl_inv : int array;
+  cl_addr : int array;
+  cl_fp : Bytes.t;
+  cl_int : int array;
+  cl_flt : float array;
+}
+
+let recorder (lay : V.layout) n_funcs =
+  let n_refs = Array.length lay.V.ref_sites in
+  let n_calls = Array.length lay.V.call_sites in
+  let n_classes = Array.length lay.V.classes in
+  let bits = n_calls * Array.length lay.V.locs in
+  { lay;
+    entries = Array.make n_funcs 0;
+    invocations = 0;
+    edge_counts = Array.make (Array.length lay.V.edges) 0;
+    ref_counts = Array.make n_refs 0;
+    site_locs = Array.make n_refs [||];
+    site_hits = Array.make n_refs [||];
+    site_n = Array.make n_refs 0;
+    site_last = Array.make n_refs (-1);
+    call_mod = Bytes.make bits '\000';
+    call_ref = Bytes.make bits '\000';
+    open_count = Array.make n_calls 0;
+    open_slots = Array.make n_calls 0;
+    n_open = 0;
+    ref_addr = 0;
+    loads = 0;
+    reused = 0;
+    cl_inv = Array.make n_classes (-1);
+    cl_addr = Array.make n_classes 0;
+    cl_fp = Bytes.make n_classes '\000';
+    cl_int = Array.make n_classes 0;
+    cl_flt = Array.make n_classes 0. }
+
+(* plain runs: ordinary bytecode never touches the recorder *)
+let no_recorder =
+  recorder
+    { V.edges = [||]; ref_sites = [||]; call_sites = [||]; locs = [||];
+      loc_of_vid = [||]; loc_of_heap_site = [||]; classes = [||] }
+    0
+
 type state = {
   vp : V.program;
   mem : Memory.t;
+  pr : recorder;         (* profile-mode counters *)
   ctrs : I.counters;
   out : Buffer.t;
   globals : int array;   (* orig vid -> data-segment address, -1 if none *)
@@ -110,6 +172,83 @@ let[@inline] st_f (m : Memory.t) addr v =
 let[@inline] glob_addr st g =
   let a = Array.unsafe_get st.globals g in
   if a >= 0 then a else Memory.global_addr st.mem g
+
+(* ---- profile recording ---- *)
+(* Nothing here allocates per access (a site's LOC table grows at most
+   a few times per run). *)
+
+let loc_id pr (m : Memory.t) addr =
+  let o = Memory.owner m addr in
+  if o >= 0 then pr.lay.V.loc_of_vid.(o)
+  else if o = -1 then -1
+  else pr.lay.V.loc_of_heap_site.(-2 - o)
+
+(* one more observation of [loc] at reference slot [r]; a new LOC is
+   appended, so a site's table keeps first-touch order *)
+let site_loc pr r loc =
+  let locs = pr.site_locs.(r) in
+  let j = pr.site_last.(r) in
+  if j >= 0 && locs.(j) = loc then
+    pr.site_hits.(r).(j) <- pr.site_hits.(r).(j) + 1
+  else begin
+    let n = pr.site_n.(r) in
+    let j = ref 0 in
+    while !j < n && locs.(!j) <> loc do incr j done;
+    if !j = n then begin
+      if n = Array.length locs then begin
+        let grow a = Array.append a (Array.make (max 4 n) 0) in
+        pr.site_locs.(r) <- grow locs;
+        pr.site_hits.(r) <- grow pr.site_hits.(r)
+      end;
+      pr.site_locs.(r).(n) <- loc;
+      pr.site_n.(r) <- n + 1
+    end;
+    pr.site_hits.(r).(!j) <- pr.site_hits.(r).(!j) + 1;
+    pr.site_last.(r) <- !j
+  end
+
+(* a memory reference: [r] is the indirect reference's slot (-1 for a
+   direct one); the LOC joins the mod or ref set of every open call
+   site *)
+let record_ref st r store addr =
+  let pr = st.pr in
+  pr.ref_addr <- addr;
+  let loc = loc_id pr st.mem addr in
+  if r >= 0 then begin
+    pr.ref_counts.(r) <- pr.ref_counts.(r) + 1;
+    if loc >= 0 then site_loc pr r loc
+  end;
+  if loc >= 0 && pr.n_open > 0 then begin
+    let bits = if store <> 0 then pr.call_mod else pr.call_ref in
+    let nl = Array.length pr.lay.V.locs in
+    for i = 0 to pr.n_open - 1 do
+      Bytes.unsafe_set bits ((pr.open_slots.(i) * nl) + loc) '\001'
+    done
+  end
+
+(* load-reuse observation of the value just loaded from the address of
+   the preceding reference: a reuse when its class last loaded the same
+   address and value within the same invocation.  Float equality is
+   IEEE [=], as [=] on [Interp.value] is, so a nan never reuses. *)
+let observe_int pr c v =
+  pr.loads <- pr.loads + 1;
+  if pr.cl_inv.(c) = pr.invocations && pr.cl_addr.(c) = pr.ref_addr
+     && Bytes.get pr.cl_fp c = '\000' && pr.cl_int.(c) = v
+  then pr.reused <- pr.reused + 1;
+  pr.cl_inv.(c) <- pr.invocations;
+  pr.cl_addr.(c) <- pr.ref_addr;
+  Bytes.set pr.cl_fp c '\000';
+  pr.cl_int.(c) <- v
+
+let observe_flt pr c (f : float) =
+  pr.loads <- pr.loads + 1;
+  if pr.cl_inv.(c) = pr.invocations && pr.cl_addr.(c) = pr.ref_addr
+     && Bytes.get pr.cl_fp c = '\001' && pr.cl_flt.(c) = f
+  then pr.reused <- pr.reused + 1;
+  pr.cl_inv.(c) <- pr.invocations;
+  pr.cl_addr.(c) <- pr.ref_addr;
+  Bytes.set pr.cl_fp c '\001';
+  pr.cl_flt.(c) <- f
 
 (* ---- dispatch ---- *)
 
@@ -940,6 +1079,60 @@ let rec exec_func st fix (ai : int array) (af : float array) : unit =
       ctrs.I.calls <- ctrs.I.calls + 1;
       invalid_arg
         (Array.unsafe_get spool (Array.unsafe_get code (pc + 1)))
+    (* profile mode: no steps, no fuel *)
+    | 122 (* ENTRY *) ->
+      let pr = st.pr in
+      let f = Array.unsafe_get code (pc + 1) in
+      pr.entries.(f) <- pr.entries.(f) + 1;
+      pr.invocations <- pr.invocations + 1;
+      loop (pc + 2)
+    | 123 (* EDGE *) ->
+      let ec = st.pr.edge_counts in
+      let e = Array.unsafe_get code (pc + 1) in
+      ec.(e) <- ec.(e) + 1;
+      loop (Array.unsafe_get code (pc + 2))
+    | 124 (* MREF_G *) ->
+      record_ref st (Array.unsafe_get code (pc + 1))
+        (Array.unsafe_get code (pc + 2))
+        (glob_addr st (Array.unsafe_get code (pc + 3)));
+      loop (pc + 4)
+    | 125 (* MREF_S *) ->
+      record_ref st (Array.unsafe_get code (pc + 1))
+        (Array.unsafe_get code (pc + 2))
+        (Array.unsafe_get addrs (Array.unsafe_get code (pc + 3)));
+      loop (pc + 4)
+    | 126 (* MREF_R *) ->
+      record_ref st (Array.unsafe_get code (pc + 1))
+        (Array.unsafe_get code (pc + 2))
+        (Array.unsafe_get ints (Array.unsafe_get code (pc + 3)));
+      loop (pc + 4)
+    | 127 (* LDV_I *) ->
+      observe_int st.pr (Array.unsafe_get code (pc + 1))
+        (Array.unsafe_get ints (Array.unsafe_get code (pc + 2)));
+      loop (pc + 3)
+    | 128 (* LDV_F *) ->
+      observe_flt st.pr (Array.unsafe_get code (pc + 1))
+        (Array.unsafe_get flts (Array.unsafe_get code (pc + 2)));
+      loop (pc + 3)
+    | 129 (* CS_PUSH *) ->
+      (* [open_slots] holds each open call slot once, outermost first:
+         calls nest, so a slot whose last activation closes is on top *)
+      let pr = st.pr in
+      let k = Array.unsafe_get code (pc + 1) in
+      let c = pr.open_count.(k) in
+      if c = 0 then begin
+        pr.open_slots.(pr.n_open) <- k;
+        pr.n_open <- pr.n_open + 1
+      end;
+      pr.open_count.(k) <- c + 1;
+      loop (pc + 2)
+    | 130 (* CS_POP *) ->
+      let pr = st.pr in
+      let k = Array.unsafe_get code (pc + 1) in
+      let c = pr.open_count.(k) - 1 in
+      pr.open_count.(k) <- c;
+      if c = 0 then pr.n_open <- pr.n_open - 1;
+      loop (pc + 2)
     | op -> error "vm: corrupt bytecode (opcode %d at %d in %s)" op pc
               vf.V.vname
   in
@@ -1083,8 +1276,8 @@ and vm_deopt_call st ~site name (argv : Spec_safety.Deopt.value list)
     the tree engines exactly.  [recover] supplies a deoptimization plan:
     failed checks whose pc carries a descriptor finish their function in
     the unoptimized body instead of reloading. *)
-let run_program ?(fuel = 200_000_000) ?faults ?recover
-    ?(heap_bytes = 24 * 1024 * 1024) (p : V.program) : I.result =
+let run_with ~pr ~fuel ?faults ?recover ~heap_bytes (p : V.program)
+  : I.result =
   if p.V.vmain < 0 then error "program has no main function";
   let mem = Memory.create ~heap_bytes p.V.vsrc in
   let syms = p.V.vsrc.Sir.syms in
@@ -1093,7 +1286,7 @@ let run_program ?(fuel = 200_000_000) ?faults ?recover
     (fun g -> globals.(g) <- Memory.global_addr mem g)
     p.V.vsrc.Sir.globals;
   let st =
-    { vp = p; mem;
+    { vp = p; mem; pr;
       ctrs = { I.steps = 0; mem_loads = 0; mem_stores = 0; branches = 0;
                calls = 0; check_stmts = 0; check_reloads = 0; deopts = 0 };
       out = Buffer.create 256; globals; rng = 88172645463325252; fuel;
@@ -1105,6 +1298,18 @@ let run_program ?(fuel = 200_000_000) ?faults ?recover
   let r = { I.ret; output = Buffer.contents st.out; counters = st.ctrs } in
   Memory.release mem;
   r
+
+let run_program ?(fuel = 200_000_000) ?faults ?recover
+    ?(heap_bytes = 24 * 1024 * 1024) (p : V.program) : I.result =
+  run_with ~pr:no_recorder ~fuel ?faults ?recover ~heap_bytes p
+
+(** Run profile-mode bytecode ({!Vmcode.profile}) from [main] into a
+    fresh recorder. *)
+let profile ?(fuel = 200_000_000) ?(heap_bytes = 24 * 1024 * 1024)
+    (p : V.program) (lay : V.layout) : I.result * recorder =
+  let pr = recorder lay (Array.length p.V.vfuncs) in
+  let r = run_with ~pr ~fuel ~heap_bytes p in
+  (r, pr)
 
 (** Lower [p] and run [main] (one cheap pass; callers that execute the
     same program repeatedly should {!Vmcode.compile} once and use

@@ -32,6 +32,44 @@ val run_program :
   ?recover:Spec_safety.Deopt.plan -> ?heap_bytes:int ->
   Vmcode.program -> Interp.result
 
+(** Dense profile counters, filled by a {!profile} run; ids are the
+    {!Vmcode.layout}'s. *)
+type recorder = private {
+  lay : Vmcode.layout;
+  entries : int array;            (** function index → entry count *)
+  mutable invocations : int;      (** all function entries *)
+  edge_counts : int array;        (** edge id → traversal count *)
+  ref_counts : int array;         (** reference slot → executions *)
+  site_locs : int array array;
+      (** reference slot → LOC ids observed there, first-touch order *)
+  site_hits : int array array;    (** matching observation counts *)
+  site_n : int array;             (** used prefix of each LOC table *)
+  site_last : int array;          (** index of the slot's last LOC *)
+  call_mod : Bytes.t;
+      (** byte [k * n_locs + l] is nonzero iff LOC [l] was stored to
+          while call slot [k] was open *)
+  call_ref : Bytes.t;             (** same, for loads *)
+  open_count : int array;         (** call slot → open activations *)
+  open_slots : int array;         (** distinct open call slots *)
+  mutable n_open : int;
+  mutable ref_addr : int;         (** address of the latest reference *)
+  mutable loads : int;            (** load-value observations *)
+  mutable reused : int;           (** of which potential reuses *)
+  cl_inv : int array;             (** class → invocation of its last load *)
+  cl_addr : int array;            (** class → address of its last load *)
+  cl_fp : Bytes.t;                (** class → last value was a float *)
+  cl_int : int array;
+  cl_flt : float array;
+}
+
+(** Run profile-mode bytecode ({!Vmcode.profile}) from [main], counting
+    into a fresh recorder.  The profile opcodes spend no steps and no
+    fuel: the result is the one {!run_program} returns for the plain
+    lowering. *)
+val profile :
+  ?fuel:int -> ?heap_bytes:int ->
+  Vmcode.program -> Vmcode.layout -> Interp.result * recorder
+
 (** Lower [p] and run [main] in one step (one cheap pass; callers that
     execute the same program repeatedly should {!Vmcode.compile} once
     and use {!run_program}). *)

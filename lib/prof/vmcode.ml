@@ -32,6 +32,15 @@
     the [steps] counter is identical to the tree engines', and an
     out-of-fuel run raises the same error.
 
+    {!profile} lowers the same program in *profile mode*: the same
+    emitter additionally writes instrumentation opcodes (function entry,
+    one counter per CFG edge, a memory-reference event before every
+    load and store, call-site open/close around user calls, and
+    optionally a load-value observation after every load) and turns
+    load/ALU fusion off so every access is a separate load.  The
+    instrumentation opcodes spend no fuel and no steps, and ordinary
+    lowering never emits them, so cached bytecode never contains them.
+
     The module also serializes bytecode ([specvm/1]) for the
     content-addressed compile cache, so a warm compile skips lowering
     entirely. *)
@@ -171,7 +180,19 @@ let op_call = 119       (* fix rs rfp n enc0..enc(n-1); enc = slot*2+fp *)
 let op_call_err = 120   (* s        — calls++; raise spool.(s) *)
 let op_call_unknown = 121 (* s      — calls++; raise Invalid_argument *)
 
-let n_opcodes = 122
+(* profile mode only (see [profile]); none of these spends steps *)
+let op_entry = 122      (* f        — function f entered *)
+let op_edge = 123       (* e L      — count CFG edge e, jump to L *)
+let op_mref_g = 124     (* r w g    — reference to global g; r = reference
+                                      slot (-1: direct), w = 1 for a store *)
+let op_mref_s = 125     (* r w a    — via frame addr slot a *)
+let op_mref_r = 126     (* r w a    — via ints.(a) *)
+let op_ldv_i = 127      (* c d      — ints.(d) was just loaded, class c *)
+let op_ldv_f = 128      (* c d *)
+let op_cs_push = 129    (* k        — call slot k opens *)
+let op_cs_pop = 130     (* k        — call slot k closes *)
+
+let n_opcodes = 131
 
 (* ------------------------------------------------------------------ *)
 (* Program representation                                              *)
@@ -201,39 +222,62 @@ type program = {
   spool : string array;
 }
 
+(* what the dense ids inside profile-mode bytecode stand for *)
+type layout = {
+  edges : (int * int * int) array;       (* edge id -> (func ix, src, dst) *)
+  ref_sites : int array;                 (* reference slot -> site *)
+  call_sites : int array;                (* call slot -> call site *)
+  locs : Spec_ir.Loc.t array;            (* LOC id -> LOC *)
+  loc_of_vid : int array;                (* var id -> LOC id, -1 if none *)
+  loc_of_heap_site : int array;          (* malloc site -> LOC id, -1 *)
+  classes : string array;                (* load-reuse class id -> key *)
+}
+
 (* ------------------------------------------------------------------ *)
 (* Emitter                                                             *)
 (* ------------------------------------------------------------------ *)
 
-type pools = {
-  mutable fl : float list;               (* reversed *)
-  mutable fn : int;
-  ftbl : (int64, int) Hashtbl.t;
-  mutable sl : string list;              (* reversed *)
-  mutable sn : int;
-  stbl : (string, int) Hashtbl.t;
+(* dense-id interning, in first-seen order *)
+type 'a interner = {
+  ix : ('a, int) Hashtbl.t;
+  mutable keys : 'a list;                (* reversed *)
+  mutable n : int;
 }
 
-let fpool_ix p f =
-  let bits = Int64.bits_of_float f in
-  match Hashtbl.find_opt p.ftbl bits with
+let interner () = { ix = Hashtbl.create 16; keys = []; n = 0 }
+
+let intern it k =
+  match Hashtbl.find_opt it.ix k with
   | Some i -> i
   | None ->
-    let i = p.fn in
-    p.fl <- f :: p.fl;
-    p.fn <- i + 1;
-    Hashtbl.replace p.ftbl bits i;
+    let i = it.n in
+    Hashtbl.replace it.ix k i;
+    it.keys <- k :: it.keys;
+    it.n <- i + 1;
     i
 
-let spool_ix p s =
-  match Hashtbl.find_opt p.stbl s with
-  | Some i -> i
-  | None ->
-    let i = p.sn in
-    p.sl <- s :: p.sl;
-    p.sn <- i + 1;
-    Hashtbl.replace p.stbl s i;
-    i
+let interned it = Array.of_list (List.rev it.keys)
+
+type pools = {
+  floats : int64 interner;               (* float literals, by bits *)
+  strings : string interner;             (* error messages *)
+}
+
+let fpool_ix p f = intern p.floats (Int64.bits_of_float f)
+let spool_ix p s = intern p.strings s
+
+(* profile-mode lowering state, shared by all functions of a program *)
+type prof = {
+  values : bool;                         (* emit load-value observations *)
+  site_text : (int, string) Hashtbl.t;   (* site -> printed address *)
+  mutable fix : int;                     (* function being lowered *)
+  mutable fname : string;
+  edge_ids : (int * int * int) interner;
+  ref_slots : int interner;
+  call_slots : int interner;
+  heap_sites : int interner;
+  classes : string interner;
+}
 
 type em = {
   mutable code : int array;
@@ -241,6 +285,7 @@ type em = {
   n_slots : int;                         (* named slots; temps follow *)
   mutable n_temps : int;                 (* high-water of temp use *)
   pools : pools;
+  prof : prof option;                    (* profile mode *)
   mutable patches : (int * int) list;    (* (code pos, block id) *)
   mutable dlist : (int * (I.cdeopt * int)) list;
       (* (check-opcode pc, (descriptor, step refund)) *)
@@ -275,6 +320,58 @@ let err em msg = e2 em op_err (spool_ix em.pools msg)
 
 let no_slot_err em name = err em (Fmt.str "no stack slot for %s" name)
 
+(* profile mode: the memory-reference event right before an access;
+   [site] is an indirect reference's site, -1 for a direct one *)
+let mref em op ~site ~store src =
+  match em.prof with
+  | None -> ()
+  | Some p ->
+    let slot = if site < 0 then -1 else intern p.ref_slots site in
+    e4 em op slot (if store then 1 else 0) src
+
+(* profile mode with values: the load just performed into [dst], in its
+   load-reuse equivalence class — the variable, or the printed address
+   of the site, qualified by the executing function *)
+let load_value em ~fp dst (which : [ `Site of int | `Var of int ]) =
+  match em.prof with
+  | Some ({ values = true; _ } as p) ->
+    let key =
+      match which with
+      | `Var vid -> p.fname ^ ":var" ^ string_of_int vid
+      | `Site s ->
+        (match Hashtbl.find_opt p.site_text s with
+         | Some t -> p.fname ^ ":" ^ t
+         | None -> p.fname ^ ":site" ^ string_of_int s)
+    in
+    e3 em (if fp then op_ldv_f else op_ldv_i) (intern p.classes key) dst
+  | _ -> ()
+
+let direct_load em ~fp dst (vr : I.vref) vid =
+  match vr with
+  | I.Rglob g ->
+    mref em op_mref_g ~site:(-1) ~store:false g;
+    e3 em (if fp then op_ldg_f else op_ldg_i) dst g;
+    load_value em ~fp dst (`Var vid)
+  | I.Rslot s ->
+    mref em op_mref_s ~site:(-1) ~store:false s;
+    e3 em (if fp then op_lds_f else op_lds_i) dst s;
+    load_value em ~fp dst (`Var vid)
+  | I.Rnone n -> no_slot_err em n
+
+(* load through the address in slot [sa] *)
+let indirect_load em ~fp ~spec dst sa ~site which =
+  mref em op_mref_r ~site ~store:false sa;
+  let op =
+    match fp, spec with
+    | false, false -> op_iload_i | false, true -> op_iload_si
+    | true, false -> op_iload_f | true, true -> op_iload_sf
+  in
+  e3 em op dst sa;
+  load_value em ~fp dst which
+
+(* load/ALU fusion leaves no place for the profile opcodes *)
+let fuses em = em.prof = None
+
 (* ------------------------------------------------------------------ *)
 (* Expression lowering                                                 *)
 (*                                                                     *)
@@ -303,14 +400,10 @@ let rec force_i em depth dst (e : I.iexpr) =
   match e with
   | I.Iconst i -> e3 em op_movi dst i
   | I.Ireg s -> if s <> dst then e3 em op_movr dst s
-  | I.Ildv { vr; _ } ->
-    (match vr with
-     | I.Rglob g -> e3 em op_ldg_i dst g
-     | I.Rslot s -> e3 em op_lds_i dst s
-     | I.Rnone n -> no_slot_err em n)
-  | I.Iilod { a; spec; _ } ->
+  | I.Ildv { vr; vid } -> direct_load em ~fp:false dst vr vid
+  | I.Iilod { a; spec; site; which } ->
     let sa = slot_i em depth a in
-    e3 em (if spec then op_iload_si else op_iload_i) dst sa
+    indirect_load em ~fp:false ~spec dst sa ~site which
   | I.Ilda vr ->
     (match vr with
      | I.Rglob g -> e3 em op_lda_g dst g
@@ -324,7 +417,7 @@ let rec force_i em depth dst (e : I.iexpr) =
      (* superinstruction: [x op A[i]] — the load is the right operand,
         so evaluation order matches the tree engine *)
      | (Spec_ir.Sir.Add | Spec_ir.Sir.Sub | Spec_ir.Sir.Mul),
-       I.Iilod { a = ba; spec = false; _ } ->
+       I.Iilod { a = ba; spec = false; _ } when fuses em ->
        let sa = slot_i em depth a in
        let sb = slot_i em (depth + 1) ba in
        let fused =
@@ -360,20 +453,16 @@ and force_f em depth dst (e : I.fexpr) =
   match e with
   | I.Fconst f -> e3 em op_movf dst (fpool_ix em.pools f)
   | I.Freg s -> if s <> dst then e3 em op_movrf dst s
-  | I.Fldv { vr; _ } ->
-    (match vr with
-     | I.Rglob g -> e3 em op_ldg_f dst g
-     | I.Rslot s -> e3 em op_lds_f dst s
-     | I.Rnone n -> no_slot_err em n)
-  | I.Filod { a; spec; _ } ->
+  | I.Fldv { vr; vid } -> direct_load em ~fp:true dst vr vid
+  | I.Filod { a; spec; site; which } ->
     let sa = slot_i em depth a in
-    e3 em (if spec then op_iload_sf else op_iload_f) dst sa
+    indirect_load em ~fp:true ~spec dst sa ~site which
   | I.Fneg x -> let s = slot_f em depth x in e3 em op_fneg dst s
   | I.Fi2f x -> let s = slot_i em depth x in e3 em op_i2f dst s
   | I.Fbin (op, a, b) ->
     (match op, b with
      | (Spec_ir.Sir.Add | Spec_ir.Sir.Sub | Spec_ir.Sir.Mul),
-       I.Filod { a = ba; spec = false; _ } ->
+       I.Filod { a = ba; spec = false; _ } when fuses em ->
        let sa = slot_f em depth a in
        let sb = slot_i em (depth + 1) ba in
        let fused =
@@ -449,14 +538,18 @@ let lower_stmt em (s : I.cstmt) =
     (* value first, then the address resolve — tree-engine order *)
     let v = slot_i em 0 e in
     (match vr with
-     | I.Rglob g -> e3 em op_stg_i g v
-     | I.Rslot s -> e3 em op_sts_i s v
+     | I.Rglob g ->
+       mref em op_mref_g ~site:(-1) ~store:true g; e3 em op_stg_i g v
+     | I.Rslot s ->
+       mref em op_mref_s ~site:(-1) ~store:true s; e3 em op_sts_i s v
      | I.Rnone n -> no_slot_err em n)
   | I.CSstorev_f { vr; e } ->
     let v = slot_f em 0 e in
     (match vr with
-     | I.Rglob g -> e3 em op_stg_f g v
-     | I.Rslot s -> e3 em op_sts_f s v
+     | I.Rglob g ->
+       mref em op_mref_g ~site:(-1) ~store:true g; e3 em op_stg_f g v
+     | I.Rslot s ->
+       mref em op_mref_s ~site:(-1) ~store:true s; e3 em op_sts_f s v
      | I.Rnone n -> no_slot_err em n)
   | I.CSchk_ilod { tvid; slot; fp; a; dd; _ } ->
     let sa = slot_i em 0 a in
@@ -478,23 +571,30 @@ let lower_stmt em (s : I.cstmt) =
        record ();
        e4 em (if fp then op_chk_lds_f else op_chk_lds_i) tvid slot s
      | I.Rnone n -> e1 em op_chkstmt; no_slot_err em n)
-  | I.CSistr_i { a; e; _ } ->
+  | I.CSistr_i { a; e; site } ->
+    (* the store's operands are all evaluated before its reference
+       event, so store fusion survives profile mode *)
     let sa = slot_i em 0 a in
+    let store () = mref em op_mref_r ~site ~store:true sa in
     (match e with
-     | I.Iconst i -> e3 em op_ist_ii sa i
+     | I.Iconst i -> store (); e3 em op_ist_ii sa i
      | I.Ibin (Spec_ir.Sir.Add, x, I.Iconst i) ->
        let sx = slot_i em 1 x in
+       store ();
        e4 em op_ist_addi sa sx i
      | I.Ibin (Spec_ir.Sir.Add, x, y) ->
        let sx = slot_i em 1 x in
        let sy = slot_i em 2 y in
+       store ();
        e4 em op_ist_add sa sx sy
      | _ ->
        let v = slot_i em 1 e in
+       store ();
        e3 em op_ist_i sa v)
-  | I.CSistr_f { a; e; _ } ->
+  | I.CSistr_f { a; e; site } ->
     let sa = slot_i em 0 a in
     let v = slot_f em 1 e in
+    mref em op_mref_r ~site ~store:true sa;
     e3 em op_ist_f sa v
   | I.CScall { target; args; ret_slot; ret_fp; csite } ->
     let rfp = if ret_fp then 1 else 0 in
@@ -508,6 +608,9 @@ let lower_stmt em (s : I.cstmt) =
     (match target with
      | I.Tmalloc ->
        let a = builtin_arg () in
+       (match em.prof with
+        | Some p -> ignore (intern p.heap_sites csite : int)
+        | None -> ());
        emit em op_malloc; emit em a; emit em ret_slot; emit em rfp;
        emit em csite
      | I.Tprint_int ->
@@ -541,9 +644,18 @@ let lower_stmt em (s : I.cstmt) =
              | I.Af e -> force_f em (k + 1) t e; (t * 2) + 1)
            args
        in
+       (* profile mode: the call site is open exactly while the callee
+          runs (arguments are already evaluated) *)
+       let slot =
+         match em.prof with
+         | Some p -> intern p.call_slots csite
+         | None -> -1
+       in
+       if slot >= 0 then e2 em op_cs_push slot;
        emit em op_call; emit em ix; emit em ret_slot; emit em rfp;
        emit em n;
-       Array.iter (emit em) encs
+       Array.iter (emit em) encs;
+       if slot >= 0 then e2 em op_cs_pop slot
      | I.Tunknown name ->
        Array.iter
          (fun a ->
@@ -564,35 +676,62 @@ let lower_stmt em (s : I.cstmt) =
       args;
     e2 em op_call_err (spool_ix em.pools msg)
 
-let lower_term em (t : I.cterm) =
+(* profile mode: count edge [src -> dst] and jump to [dst] *)
+let counted_jump em p ~src dst =
+  emit em op_edge;
+  emit em (intern p.edge_ids (p.fix, src, dst));
+  blockref em dst
+
+(* a conditional branch's two target operands; in profile mode each
+   targets a stub right after the branch that counts its edge *)
+let branch_arms em ~bid bt be =
+  match em.prof with
+  | None -> blockref em bt; blockref em be
+  | Some p ->
+    let pos = em.len in
+    emit em 0; emit em 0;
+    em.code.(pos) <- em.len;
+    counted_jump em p ~src:bid bt;
+    em.code.(pos + 1) <- em.len;
+    counted_jump em p ~src:bid be
+
+let lower_term em ~bid (t : I.cterm) =
+  let arms = branch_arms em ~bid in
   match t with
-  | I.CTgoto b -> emit em op_jmp; blockref em b
+  | I.CTgoto b ->
+    (match em.prof with
+     | None -> emit em op_jmp; blockref em b
+     | Some p -> counted_jump em p ~src:bid b)
   | I.CTcond (c, bt, be) ->
     (match c with
      | I.Icmp_i (op, a, I.Iconst i) ->
        let sa = slot_i em 0 a in
        emit em (op_bri_lt + cmp_base op); emit em sa; emit em i;
-       blockref em bt; blockref em be
+       arms bt be
      | I.Icmp_i (op, a, b) ->
        let sa = slot_i em 0 a in
        let sb = slot_i em 1 b in
        emit em (op_br_lt + cmp_base op); emit em sa; emit em sb;
-       blockref em bt; blockref em be
+       arms bt be
      | I.Icmp_f (op, a, b) ->
        let sa = slot_f em 0 a in
        let sb = slot_f em 1 b in
        emit em (op_brf_lt + cmp_base op); emit em sa; emit em sb;
-       blockref em bt; blockref em be
+       arms bt be
      | _ ->
        let s = slot_i em 0 c in
-       emit em op_bnz; emit em s; blockref em bt; blockref em be)
+       emit em op_bnz; emit em s; arms bt be)
   | I.CTret_none -> e1 em op_ret0
   | I.CTret (I.Ai e) -> let s = slot_i em 0 e in e2 em op_ret_i s
   | I.CTret (I.Af e) -> let s = slot_f em 0 e in e2 em op_ret_f s
 
-let lower_func pools (cf : I.cfunc) : func =
+let lower_func ?prof pools (cf : I.cfunc) : func =
   let em = { code = Array.make 256 0; len = 0; n_slots = cf.I.n_slots;
-             n_temps = 0; pools; patches = []; dlist = []; refund = 0 } in
+             n_temps = 0; pools; prof; patches = []; dlist = [];
+             refund = 0 } in
+  (* profile mode: the entry counter precedes block 0, so a loop back to
+     the entry block does not count as an entry *)
+  (match prof with Some p -> e2 em op_entry p.fix | None -> ());
   let n = Array.length cf.I.cblocks in
   let offsets = Array.make n 0 in
   for bid = 0 to n - 1 do
@@ -602,6 +741,10 @@ let lower_func pools (cf : I.cfunc) : func =
       err em "interpreter cannot execute SSA-form code (phis present)"
     else begin
       let stmts = b.I.cb_stmts in
+      if prof <> None && Array.exists Fun.id b.I.cb_chk then
+        invalid_arg
+          ("Vmcode.profile: check statement in " ^ cf.I.cname
+           ^ " (profile mode takes unspeculated code)");
       e2 em op_steps (Array.length stmts + 1);
       Array.iteri
         (fun k s ->
@@ -610,7 +753,7 @@ let lower_func pools (cf : I.cfunc) : func =
             e1 em op_chkstmt;
           lower_stmt em s)
         stmts;
-      lower_term em b.I.cb_term
+      lower_term em ~bid b.I.cb_term
     end
   done;
   List.iter (fun (pos, bid) -> em.code.(pos) <- offsets.(bid)) em.patches;
@@ -624,19 +767,108 @@ let lower_func pools (cf : I.cfunc) : func =
     vformals = cf.I.formals;
     vdeopt }
 
-(** Lower an already tree-compiled program. *)
-let of_compiled (comp : I.compiled) : program =
-  let pools = { fl = []; fn = 0; ftbl = Hashtbl.create 16;
-                sl = []; sn = 0; stbl = Hashtbl.create 16 } in
-  let vfuncs = Array.map (lower_func pools) comp.I.cfuncs in
+let new_pools () = { floats = interner (); strings = interner () }
+
+let assemble (comp : I.compiled) pools vfuncs : program =
   { vsrc = comp.I.cprog;
     vfuncs;
     vmain = comp.I.main_ix;
-    fpool = Array.of_list (List.rev pools.fl);
-    spool = Array.of_list (List.rev pools.sl) }
+    fpool = Array.map Int64.float_of_bits (interned pools.floats);
+    spool = interned pools.strings }
+
+(** Lower an already tree-compiled program. *)
+let of_compiled (comp : I.compiled) : program =
+  let pools = new_pools () in
+  assemble comp pools (Array.map (lower_func pools) comp.I.cfuncs)
 
 (** Compile a whole (non-SSA) program to bytecode: the tree compiler's
     resolution pass followed by flattening.  Still cheap relative to any
     execution. *)
 let compile (p : Spec_ir.Sir.prog) : program = of_compiled (I.compile p)
+
+(* printed address of the first [Ilod] carrying each site, in program
+   order: the load-reuse class of an indirect load *)
+let site_texts (p : Spec_ir.Sir.prog) =
+  let module Sir = Spec_ir.Sir in
+  let tbl = Hashtbl.create 64 in
+  let scan e =
+    Sir.iter_subexprs
+      (function
+        | Sir.Ilod (_, a, s) when not (Hashtbl.mem tbl s) ->
+          Hashtbl.replace tbl s (Spec_ir.Pp.expr_to_string p.Sir.syms a)
+        | _ -> ())
+      e
+  in
+  Sir.iter_funcs
+    (fun f ->
+      Spec_ir.Vec.iter
+        (fun (b : Sir.bb) ->
+          List.iter (fun st -> List.iter scan (Sir.stmt_exprs st.Sir.kind))
+            b.Sir.stmts;
+          List.iter scan (Sir.term_exprs b.Sir.term))
+        f.Sir.fblocks)
+    p;
+  tbl
+
+(* LOC ids: every variable the memory image can name (globals, then
+   memory-resident locals and formals), then every allocation site *)
+let loc_table (p : Spec_ir.Sir.prog) (vfuncs : func array) heap_sites =
+  let nsyms = Spec_ir.Symtab.count p.Spec_ir.Sir.syms in
+  let loc_of_vid = Array.make nsyms (-1) in
+  let locs = ref [] and n = ref 0 in
+  let add_var v =
+    if loc_of_vid.(v) < 0 then begin
+      loc_of_vid.(v) <- !n;
+      locs := Spec_ir.Loc.Lvar v :: !locs;
+      incr n
+    end
+  in
+  List.iter add_var p.Spec_ir.Sir.globals;
+  Array.iter
+    (fun vf ->
+      Array.iter (fun (_, vid, _) -> add_var vid) vf.vmem_locals;
+      Array.iter
+        (function I.Fm_mem { vid; _ } -> add_var vid | I.Fm_reg _ -> ())
+        vf.vformals)
+    vfuncs;
+  let max_site = Array.fold_left max (-1) heap_sites in
+  let loc_of_heap_site = Array.make (max_site + 1) (-1) in
+  Array.iter
+    (fun s ->
+      loc_of_heap_site.(s) <- !n;
+      locs := Spec_ir.Loc.Lheap s :: !locs;
+      incr n)
+    heap_sites;
+  (Array.of_list (List.rev !locs), loc_of_vid, loc_of_heap_site)
+
+(** Profile-mode lowering of a fresh (unspeculated) program, with the
+    layout its dense ids index. *)
+let profile ?(values = false) (p : Spec_ir.Sir.prog) : program * layout =
+  let comp = I.compile p in
+  let prof =
+    { values;
+      site_text = (if values then site_texts p else Hashtbl.create 1);
+      fix = 0; fname = "";
+      edge_ids = interner (); ref_slots = interner ();
+      call_slots = interner (); heap_sites = interner ();
+      classes = interner () }
+  in
+  let pools = new_pools () in
+  let vfuncs =
+    Array.mapi
+      (fun fix (cf : I.cfunc) ->
+        prof.fix <- fix;
+        prof.fname <- cf.I.cname;
+        lower_func ~prof pools cf)
+      comp.I.cfuncs
+  in
+  let locs, loc_of_vid, loc_of_heap_site =
+    loc_table p vfuncs (interned prof.heap_sites)
+  in
+  ( assemble comp pools vfuncs,
+    { edges = interned prof.edge_ids;
+      ref_sites = interned prof.ref_slots;
+      call_sites = interned prof.call_slots;
+      locs; loc_of_vid; loc_of_heap_site;
+      classes = interned prof.classes } )
 

@@ -12,7 +12,13 @@
     The opcode numbering is private to this module and {!Vm} — the
     serialized form ([specvm/2], {!Spec_fdo.Vm_io}) carries raw code
     words, so the two files must stay in sync; the differential suites
-    catch any mismatch immediately. *)
+    catch any mismatch immediately.
+
+    {!profile} is the profiling lowering of the same program: the same
+    emitter adds instrumentation opcodes that write dense counters
+    (see {!Vm.profile}).  They spend no steps and no fuel, and
+    {!compile}/{!of_compiled} never emit them, so cached bytecode never
+    contains them. *)
 
 type func = {
   vname : string;
@@ -43,3 +49,27 @@ val of_compiled : Interp.compiled -> program
 
 (** [of_compiled] of {!Interp.compile}. *)
 val compile : Spec_ir.Sir.prog -> program
+
+(** What the dense ids inside profile-mode bytecode stand for. *)
+type layout = {
+  edges : (int * int * int) array;
+      (** edge id → (function index, source block, target block) *)
+  ref_sites : int array;      (** reference slot → indirect-reference site *)
+  call_sites : int array;     (** call slot → call site *)
+  locs : Spec_ir.Loc.t array; (** LOC id → LOC *)
+  loc_of_vid : int array;     (** variable id → LOC id, [-1] if none *)
+  loc_of_heap_site : int array;  (** malloc site → LOC id, [-1] if none *)
+  classes : string array;
+      (** load-reuse class id → key ([func:varN] or [func:address]) *)
+}
+
+(** Profile-mode lowering: {!compile} plus an entry counter per
+    function, a counter per CFG edge (gotos and both arms of every
+    conditional, compare-and-branch fusion kept), a memory-reference
+    event before every load and store of a memory variable or through a
+    pointer (formal spills excluded, as in the tree engine), and
+    call-site open/close around every user call.  Load/ALU fusion is
+    off.  With [values], every load is followed by a load-value
+    observation for {!Load_reuse}.  The program must be unspeculated:
+    a check statement raises [Invalid_argument]. *)
+val profile : ?values:bool -> Spec_ir.Sir.prog -> program * layout

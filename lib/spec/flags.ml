@@ -34,8 +34,7 @@ let mode_name = function
 (** LOC of a memory-resident variable. *)
 let var_loc syms vid = Loc.Lvar (Symtab.orig syms vid).Symtab.vid
 
-let assign_stmt ?(threshold = 0.) prog (annot : Spec_alias.Annotate.info)
-    mode (s : Sir.stmt) =
+let assign_stmt ?(threshold = 0.) prog mode (s : Sir.stmt) =
   let syms = prog.Sir.syms in
   let is_vv v = Symtab.is_virtual syms v in
   let flag_all value =
@@ -182,7 +181,9 @@ let perturb_stmt p syms (s : Sir.stmt) =
     for the speculative modes (stress harness): the framework must stay
     correct — only slower — under an arbitrarily wrong flag assignment,
     because every ignored weak update is guarded by a check load. *)
-let assign ?threshold ?perturb prog annot mode =
+(* The χ/μ lists live on the statements; the annotation result is taken
+   only so that callers must have run the annotation first. *)
+let assign ?threshold ?perturb prog (_ : Spec_alias.Annotate.info) mode =
   let perturb =
     (* the baseline (Nonspec) assignment is not a speculation policy;
        adversarial profiles only make sense against speculative modes *)
@@ -194,7 +195,7 @@ let assign ?threshold ?perturb prog annot mode =
         (fun (b : Sir.bb) ->
           List.iter
             (fun s ->
-              assign_stmt ?threshold prog annot mode s;
+              assign_stmt ?threshold prog mode s;
               match perturb with
               | Some p -> perturb_stmt p prog.Sir.syms s
               | None -> ())

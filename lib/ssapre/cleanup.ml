@@ -9,7 +9,6 @@
     machine's ALAT behaviour depends on them). *)
 
 open Spec_ir
-open Spec_cfg
 
 type stats = {
   mutable folded : int;

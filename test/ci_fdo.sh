@@ -1,15 +1,28 @@
 #!/bin/sh
-# @ci smoke for the persistent FDO subsystem: record two profile stores,
-# merge them (with decay), stale-check the merged store against the
-# source, then compile twice through the content-addressed cache and
-# require the warm compile to hit with byte-identical program output.
+# @ci smoke for the persistent FDO subsystem: when given a pinned store
+# (third argument), re-record the source's profile and require it byte
+# for byte; then record two profile stores, merge them (with decay),
+# stale-check the merged store against the source, and compile twice
+# through the content-addressed cache, requiring the warm compile to hit
+# with byte-identical program output.
+#
+#   sh test/ci_fdo.sh SPECCC SRC.c [PINNED.sprof]
 set -eu
 
 speccc="$1"
 src="$2"
+pinned="${3:-}"
 
 work="$(mktemp -d -t speccc-fdo-ci-XXXXXX)"
 trap 'rm -rf "$work"' EXIT
+
+if [ -n "$pinned" ]; then
+  "$speccc" profile record "$src" -o "$work/pinned.sprof" > /dev/null
+  cmp "$pinned" "$work/pinned.sprof" || {
+    echo "fdo ci: profile of $src differs from $pinned" >&2
+    exit 1
+  }
+fi
 
 "$speccc" profile record "$src" -o "$work/a.sprof" > /dev/null
 "$speccc" profile record "$src" -o "$work/b.sprof" > /dev/null

@@ -421,6 +421,30 @@ let fresh_dir tag =
    | exception Sys_error _ -> ());
   dir
 
+(* [Store.save] over an existing store renames a complete temp file into
+   place: the path gets a new inode (an in-place rewrite would keep the
+   old one, truncated first), no temp file is left behind, and the
+   store reads back equal *)
+let test_store_save_atomic () =
+  let dir = fresh_dir "save" in
+  (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+  let path = Filename.concat dir "unit.sprof" in
+  let old, _ = store_of base_src in
+  let store = Store.merge old old in
+  Store.save path old;
+  let ino0 = (Unix.stat path).Unix.st_ino in
+  Store.save path store;
+  check_bool "saved over a new inode" true
+    ((Unix.stat path).Unix.st_ino <> ino0);
+  check_bool "no temp file left" true
+    (Array.for_all
+       (fun f -> not (String.length f >= 5 && String.sub f 0 5 = ".tmp."))
+       (Sys.readdir dir));
+  (match Store.load path with
+   | Ok back -> check_bool "reads back equal" true (Store.equal store back)
+   | Error e -> Alcotest.fail ("saved store unreadable: " ^ e));
+  Sys.remove path
+
 let total_pass_runs (r : Passes.report) =
   List.fold_left (fun acc ps -> acc + ps.Passes.ps_runs) 0 r.Passes.rp_passes
 
@@ -555,6 +579,7 @@ let suite =
     Alcotest.test_case "store round trip" `Quick test_store_roundtrip;
     Alcotest.test_case "store format golden" `Quick test_store_golden;
     Alcotest.test_case "store rejects drift" `Quick test_store_rejects_drift;
+    Alcotest.test_case "store save is atomic" `Quick test_store_save_atomic;
     Alcotest.test_case "merge laws" `Quick test_merge_laws;
     Alcotest.test_case "decay" `Quick test_decay;
     Alcotest.test_case "stale matching is sound" `Quick

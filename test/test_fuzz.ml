@@ -7,9 +7,11 @@
    unoptimized interpreter run.  This exercises, in one property: the
    frontend, alias analysis, speculative SSA, speculative SSAPRE, store
    promotion, strength reduction, cleanup, codegen, scheduling, the ALAT,
-   and the interpreter's semantic ALAT.  A second differential pits the
-   three interpreter engines (pre-compiled tree, threaded-code vm,
-   tree-walking reference) against each other under fault injection. *)
+   and the interpreter's semantic ALAT.  Profiled and load-reuse runs on
+   the vm must match the plain vm and the reference exactly.  A second
+   differential pits the three interpreter engines (pre-compiled tree,
+   threaded-code vm, tree-walking reference) against each other under
+   fault injection. *)
 
 open Spec_ir
 open Spec_driver
@@ -98,6 +100,39 @@ let variants_of src =
     "heuristic", Pipeline.Spec_heuristic ]
   |> List.map (fun (n, v) -> (n, v, prof))
 
+(* an engine run agrees with the reference oracle's run: output, return
+   value and every counter the reference keeps *)
+let agrees_with_oracle (r : Spec_prof.Interp.result)
+    (o : Spec_prof.Interp_ref.result) =
+  let ret_agrees =
+    match r.Spec_prof.Interp.ret, o.Spec_prof.Interp_ref.ret with
+    | Spec_prof.Interp.Vint x, Spec_prof.Interp_ref.Vint y -> x = y
+    | Spec_prof.Interp.Vflt x, Spec_prof.Interp_ref.Vflt y ->
+      compare x y = 0
+    | _ -> false
+  in
+  let a = r.Spec_prof.Interp.counters
+  and b = o.Spec_prof.Interp_ref.counters in
+  r.Spec_prof.Interp.output = o.Spec_prof.Interp_ref.output
+  && ret_agrees
+  && a.Spec_prof.Interp.steps = b.Spec_prof.Interp_ref.steps
+  && a.Spec_prof.Interp.mem_loads = b.Spec_prof.Interp_ref.mem_loads
+  && a.Spec_prof.Interp.mem_stores = b.Spec_prof.Interp_ref.mem_stores
+  && a.Spec_prof.Interp.branches = b.Spec_prof.Interp_ref.branches
+  && a.Spec_prof.Interp.calls = b.Spec_prof.Interp_ref.calls
+  && a.Spec_prof.Interp.check_stmts = b.Spec_prof.Interp_ref.check_stmts
+  && a.Spec_prof.Interp.check_reloads = b.Spec_prof.Interp_ref.check_reloads
+
+(* instrumentation must not perturb a run: the profiled vm (profile or
+   load-reuse bytecode) = the plain vm = the reference oracle, on output
+   and on every counter *)
+let profiled_runs_agree (prog : Sir.prog) =
+  let plain = Spec_prof.Vm.run prog in
+  let _, profiled = Spec_prof.Profiler.profile prog in
+  let _, reuse = Spec_prof.Load_reuse.analyse prog in
+  profiled = plain && reuse = plain
+  && agrees_with_oracle plain (Spec_prof.Interp_ref.run prog)
+
 let prop_whole_stack =
   QCheck.Test.make ~count:120 ~name:"whole-stack differential fuzzing"
     (QCheck.make ~print:Fun.id gen_program)
@@ -105,23 +140,15 @@ let prop_whole_stack =
       let expected =
         (Spec_prof.Interp.run (Lower.compile src)).Spec_prof.Interp.output
       in
-      List.for_all
-        (fun (_name, variant, prof) ->
+      profiled_runs_agree (Lower.compile src)
+      && List.for_all
+        (fun (name, variant, prof) ->
           let r =
             Pipeline.compile_and_optimize ~edge_profile:(Some prof) src
               variant
           in
-          (* the pre-compiled interpreter on both of its code paths: the
-             bare fast path and the instrumented path (hooks present flip
-             [instr] even when every closure is a no-op) *)
-          let cp = Spec_prof.Interp.compile r.Pipeline.prog in
-          let fast_off =
-            (Spec_prof.Interp.run_compiled cp).Spec_prof.Interp.output
-          in
-          let fast_on =
-            (Spec_prof.Interp.run_compiled
-               ~hooks:(Spec_prof.Interp.no_hooks ()) cp)
-              .Spec_prof.Interp.output
+          let tree_out =
+            (Spec_prof.Interp.run r.Pipeline.prog).Spec_prof.Interp.output
           in
           (* the tree-walking reference oracle on the same optimized
              program *)
@@ -132,8 +159,9 @@ let prop_whole_stack =
           let mp = Spec_codegen.Codegen.lower r.Pipeline.prog in
           ignore (Spec_codegen.Schedule.run mp : Spec_codegen.Schedule.stats);
           let mach_out = (Spec_machine.Machine.run mp).Spec_machine.Machine.output in
-          fast_off = expected && fast_on = expected && ref_out = expected
-          && mach_out = expected)
+          tree_out = expected && ref_out = expected && mach_out = expected
+          (* load reuse runs on base builds *)
+          && (name <> "base" || profiled_runs_agree r.Pipeline.prog))
         (variants_of src))
 
 (* a focused generator for the SSA/PRE corner cases: deep nesting, breaks,
@@ -262,28 +290,8 @@ let engines_agree r name plan_spec =
   let oracle =
     Spec_prof.Interp_ref.run ?faults:(inj ()) r.Pipeline.prog
   in
-  let ret_agrees =
-    match tree.Spec_prof.Interp.ret, oracle.Spec_prof.Interp_ref.ret with
-    | Spec_prof.Interp.Vint x, Spec_prof.Interp_ref.Vint y -> x = y
-    | Spec_prof.Interp.Vflt x, Spec_prof.Interp_ref.Vflt y ->
-      compare x y = 0
-    | _ -> false
-  in
-  let counters_agree =
-    let a = tree.Spec_prof.Interp.counters
-    and b = oracle.Spec_prof.Interp_ref.counters in
-    a.Spec_prof.Interp.steps = b.Spec_prof.Interp_ref.steps
-    && a.Spec_prof.Interp.mem_loads = b.Spec_prof.Interp_ref.mem_loads
-    && a.Spec_prof.Interp.mem_stores = b.Spec_prof.Interp_ref.mem_stores
-    && a.Spec_prof.Interp.branches = b.Spec_prof.Interp_ref.branches
-    && a.Spec_prof.Interp.calls = b.Spec_prof.Interp_ref.calls
-    && a.Spec_prof.Interp.check_stmts = b.Spec_prof.Interp_ref.check_stmts
-    && a.Spec_prof.Interp.check_reloads = b.Spec_prof.Interp_ref.check_reloads
-  in
-  tree.Spec_prof.Interp.output = oracle.Spec_prof.Interp_ref.output
+  agrees_with_oracle tree oracle
   && vm.Spec_prof.Interp.output = oracle.Spec_prof.Interp_ref.output
-  && ret_agrees
-  && counters_agree
   && vm.Spec_prof.Interp.ret = tree.Spec_prof.Interp.ret
   && vm.Spec_prof.Interp.counters = tree.Spec_prof.Interp.counters
 

@@ -153,37 +153,50 @@ let test_counters () =
 (* ---- LOC resolution ---- *)
 
 let test_loc_resolution () =
+  (* the accesses run inside [st], so its call site's mod set holds
+     every LOC stored to, direct or indirect, and its ref set the one
+     LOC loaded (the frame variable [x], read directly); the indirect
+     stores also land in their own sites' LOC tables *)
   let p =
     Lower.compile
       "int g; int h[4]; \
-       int main(){ int x; int* p; p = &x; *p = 1; g = 2; h[1] = 3; \
-       int* q; q = (int*)malloc(16); q[0] = 4; return 0; }"
+       void st(){ int x; int* p; p = &x; *p = 1; g = x + 1; h[1] = 3; \
+       int* q; q = (int*)malloc(16); q[0] = 4; } \
+       int main(){ st(); return 0; }"
   in
-  let locs = ref [] in
-  let hooks = Interp.no_hooks () in
-  let memr = ref None in
-  hooks.Interp.on_memory <- (fun m -> memr := Some m);
-  hooks.Interp.on_mem <-
-    (fun ~site:_ ~addr ~is_store ->
-      if is_store then
-        match !memr with
-        | Some m -> locs := Memory.loc_of_addr m addr :: !locs
-        | None -> ());
-  ignore (Interp.run ~hooks p);
-  let names =
-    List.rev_map
-      (function
-        | Some (Loc.Lvar v) -> Symtab.name p.Sir.syms v
-        | Some (Loc.Lheap s) -> "heap@" ^ string_of_int s
-        | None -> "?")
-      !locs
+  let prof, _ = Profiler.profile p in
+  let name = function
+    | Loc.Lvar v -> Symtab.name p.Sir.syms v
+    | Loc.Lheap _ -> "heap"
   in
-  (match names with
-   | [ "x"; "g"; "h"; heap ] ->
-     check_bool "heap loc named by alloc site" true
-       (String.length heap > 5 && String.sub heap 0 5 = "heap@")
-   | _ ->
-     Alcotest.failf "unexpected store locs: %s" (String.concat "," names))
+  let names set = List.sort compare (List.map name (Loc.Set.elements set)) in
+  let sites kind =
+    Hashtbl.fold
+      (fun s (si : Sir.site_info) acc ->
+        if si.Sir.si_kind = kind then s :: acc else acc)
+      p.Sir.sites []
+    |> List.sort compare
+  in
+  let store_locs =
+    List.concat_map (fun s -> names (Profile.locs_at prof s)) (sites Sir.Kistore)
+  in
+  Alcotest.(check (list string)) "indirect store LOCs, in site order"
+    [ "x"; "h"; "heap" ] store_locs;
+  (* two call sites: [st()], whose subtree stores, and the malloc that
+     names the heap LOC *)
+  match
+    List.partition
+      (fun s -> Loc.Set.is_empty (Profile.call_mod_locs prof s))
+      (sites Sir.Kcall)
+  with
+  | [ malloc ], [ call ] ->
+    Alcotest.(check (list string)) "call mod set" [ "g"; "h"; "heap"; "x" ]
+      (names (Profile.call_mod_locs prof call));
+    Alcotest.(check (list string)) "call ref set" [ "x" ]
+      (names (Profile.call_ref_locs prof call));
+    check_bool "heap LOC named by its allocation site" true
+      (Loc.Set.mem (Loc.Lheap malloc) (Profile.call_mod_locs prof call))
+  | _ -> Alcotest.fail "expected one storing call and one malloc"
 
 (* ---- alias profile ---- *)
 

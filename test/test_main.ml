@@ -20,6 +20,7 @@ let () =
       ("parallel", Test_parallel_compile.suite);
       ("workloads", Test_workloads.suite);
       ("engines", Test_engines.suite);
+      ("profile_vm", Test_profile_vm.suite);
       ("stress", Test_stress.suite);
       ("safety", Test_safety.suite);
       ("fdo", Test_fdo.suite);
