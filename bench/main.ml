@@ -37,15 +37,9 @@
                                        in-order-vs-OoO comparison table (also
                                        --table backends; with --json the
                                        dump gains a "backends" section)
-     bench/main.exe --engine E      -- interpreter engine validating every
-                                       variant: tree (default), vm (the
-                                       threaded-code engine), or both.
-                                       "both" executes each variant on both
-                                       engines and hard-fails on any output
-                                       disagreement with the machine
      bench/main.exe --table engines -- engine-throughput sweep (oracle vs
-                                       pre-compiled tree vs vm; always in
-                                       the --json dump as "engines")
+                                       vm; always in the --json dump as
+                                       "engines")
      bench/main.exe --table mdp     -- OoO memory-dependence predictor
                                        sweep (store-set, last-violator,
                                        none; "mdp" section in the dump)
@@ -60,9 +54,11 @@
            engines mdp safety ablate-cspec ablate-alat ablate-threshold
            ablate-sched micro
 
-   Workload results are computed per-(workload, backend) on demand and
-   memoized, so `--table smvp` only runs equake on the in-order core;
-   table output is deterministic in [--jobs] (see Parpool). *)
+   Every variant also runs on the vm, which must reproduce the machine's
+   output.  Workload results are computed per-(workload, backend) on
+   demand and memoized, so `--table smvp` only runs equake on the
+   in-order core; table output is deterministic in [--jobs] (see
+   Parpool).  An unknown argument or table name exits 2. *)
 
 open Spec_driver
 
@@ -80,7 +76,6 @@ let compile_bench = ref false
 let traffic = ref false
 let svc_shards = ref 1
 let backends : Machine.backend list ref = ref [ Machine.Inorder ]
-let engines : Experiments.engine list ref = ref [ Experiments.Etree ]
 
 let both_backends () = List.length !backends > 1
 
@@ -104,8 +99,7 @@ let results_on backend (ws : Spec_workloads.Workloads.workload list) :
   in
   if missing <> [] then begin
     let computed =
-      Experiments.run_workloads ~quick:!quick ~backend ~engines:!engines
-        missing
+      Experiments.run_workloads ~quick:!quick ~backend missing
     in
     List.iter2
       (fun w b ->
@@ -161,8 +155,8 @@ let table_backends () =
 
 (** Memoized engine-throughput cells so the table and the JSON section
     share one (strictly sequential — it carries wall times) sweep.
-    Every cell asserts the tree and vm engines reproduced the
-    tree-walking oracle exactly; a divergence fails the run. *)
+    Every cell asserts the vm reproduced the tree-walking oracle
+    exactly; a divergence fails the run. *)
 let engine_cells_tbl : Experiments.engine_cell list option ref = ref None
 
 let engine_cells () =
@@ -179,16 +173,15 @@ let engine_cells () =
 
 let table_engines () =
   section
-    "Execution-engine throughput: tree-walking oracle vs pre-compiled tree \
-     vs threaded-code vm (best-of wall)";
+    "Execution-engine throughput: tree-walking oracle vs threaded-code vm \
+     (best-of wall)";
   let cells = engine_cells () in
   print_endline Experiments.engine_header;
   List.iter (fun c -> print_endline (Experiments.engine_row c)) cells;
   Printf.printf
-    "(geomean tree/vm %.2fx, oracle/vm %.2fx over %d workloads; every \
-     engine output identical to the oracle)\n"
-    (Experiments.engine_geomean Experiments.engine_tree_over_vm cells)
-    (Experiments.engine_geomean Experiments.engine_ref_over_vm cells)
+    "(geomean oracle/vm %.2fx over %d workloads; every vm output \
+     identical to the oracle)\n"
+    (Experiments.engine_geomean cells)
     (List.length cells)
 
 (** Memoized memory-dependence-predictor cells (base builds plus the
@@ -219,8 +212,7 @@ let table_mdp () =
 
 (** Memoized speculative-safety cells so the table and the JSON section
     share one sweep.  The sweep itself is the gate: every recovery leg
-    must reproduce the unoptimized oracle's output byte-for-byte and the
-    two engines must agree on the deopt leg to the counter —
+    must reproduce the unoptimized oracle's output byte-for-byte —
     [Experiments.Safety_divergence] escapes and fails the run. *)
 let safety_cells_tbl : Experiments.safety_cell list option ref = ref None
 
@@ -523,12 +515,11 @@ let micro_phases () =
     (fun (name, est) -> Printf.printf "%-45s %12.0f ns/run\n" name est)
     (measure tests)
 
-(** Throughput of the four execution engines on the equake train
-    kernel: the tree-walking reference interpreter, the pre-compiled
-    interpreter (no hooks), the threaded-code vm, and the resolved ITL
-    machine simulator.  Reported as ns/run plus retired statements (or
-    instructions) per second, so engine regressions show up as absolute
-    throughput. *)
+(** Throughput of the three execution engines on the equake train
+    kernel: the tree-walking reference interpreter, the threaded-code vm,
+    and the resolved ITL machine simulator.  Reported as ns/run plus
+    retired statements (or instructions) per second, so engine
+    regressions show up as absolute throughput. *)
 let micro_engines () =
   section "Execution-engine throughput (Bechamel)";
   let open Bechamel in
@@ -537,7 +528,6 @@ let micro_engines () =
       (Spec_workloads.Workloads.find "equake")
   in
   let iprog = Spec_ir.Lower.compile src in
-  let compiled = Spec_prof.Interp.compile (Spec_ir.Lower.compile src) in
   let vprog = Spec_prof.Vmcode.compile (Spec_ir.Lower.compile src) in
   let rp =
     let p = Spec_ir.Lower.compile src in
@@ -547,7 +537,7 @@ let micro_engines () =
     Spec_machine.Machine.resolve mp
   in
   let steps =
-    (Spec_prof.Interp.run_compiled compiled).Spec_prof.Interp.counters
+    (Spec_prof.Vm.run_program vprog).Spec_prof.Interp.counters
       .Spec_prof.Interp.steps
   in
   let insns =
@@ -558,9 +548,6 @@ let micro_engines () =
     Test.make_grouped ~name:"engines"
       [ Test.make ~name:"interp-ref: tree-walking oracle"
           (Staged.stage (fun () -> ignore (Spec_prof.Interp_ref.run iprog)));
-        Test.make ~name:"interp: pre-compiled, no hooks"
-          (Staged.stage (fun () ->
-               ignore (Spec_prof.Interp.run_compiled compiled)));
         Test.make ~name:"vm: threaded-code bytecode"
           (Staged.stage (fun () ->
                ignore (Spec_prof.Vm.run_program vprog)));
@@ -570,7 +557,6 @@ let micro_engines () =
   in
   let work =
     [ "engines/interp-ref: tree-walking oracle", (steps, "stmt");
-      "engines/interp: pre-compiled, no hooks", (steps, "stmt");
       "engines/vm: threaded-code bytecode", (steps, "stmt");
       "engines/machine: resolved ITL simulator", (insns, "insn") ]
   in
@@ -792,6 +778,13 @@ let known_tables =
     "backends", table_backends; "engines", table_engines;
     "mdp", table_mdp; "safety", table_safety; "traffic", table_traffic ]
 
+(* every flag [parse] accepts; a flag that takes a value is unknown when
+   the value is missing *)
+let known_args =
+  "--quick, --full, --jobs N, --table NAME, --micro, --stress, \
+   --stress-seed N, --fdo, --compile-bench, --traffic, --shards N, \
+   --backend inorder|ooo|both, --json, --json-file PATH"
+
 let () =
   let args = Array.to_list Sys.argv in
   let rec parse = function
@@ -827,16 +820,6 @@ let () =
             Printf.eprintf "--backend expects inorder|ooo|both, got %s\n" b;
             exit 2));
       parse rest
-    | "--engine" :: e :: rest ->
-      (match e with
-       | "both" -> engines := Experiments.all_engines
-       | e ->
-         (match Experiments.engine_of_string e with
-          | Some k -> engines := [ k ]
-          | None ->
-            Printf.eprintf "--engine expects tree|vm|both, got %s\n" e;
-            exit 2));
-      parse rest
     | "--json" :: rest -> json := true; parse rest
     | "--json-file" :: p :: rest -> json_file := Some p; parse rest
     | "--jobs" :: n :: rest ->
@@ -846,10 +829,17 @@ let () =
          Printf.eprintf "--jobs expects a positive integer, got %s\n" n;
          exit 2);
       parse rest
-    | "--table" :: t :: rest -> tables := t :: !tables; parse rest
-    | a :: rest ->
-      Printf.eprintf "ignoring unknown argument %s\n" a;
+    | "--table" :: t :: rest ->
+      if not (List.mem_assoc t known_tables) then begin
+        Printf.eprintf "unknown table %s (known: %s)\n" t
+          (String.concat ", " (List.map fst known_tables));
+        exit 2
+      end;
+      tables := t :: !tables;
       parse rest
+    | a :: _ ->
+      Printf.eprintf "unknown argument %s (known: %s)\n" a known_args;
+      exit 2
   in
   parse (List.tl args);
   if !jobs > 1 then Parpool.set_jobs !jobs;
@@ -877,11 +867,4 @@ let () =
       @ [ "micro" ]
     else List.rev !tables
   in
-  List.iter
-    (fun t ->
-      match List.assoc_opt t known_tables with
-      | Some f -> f ()
-      | None ->
-        Printf.eprintf "unknown table %s (known: %s)\n" t
-          (String.concat ", " (List.map fst known_tables)))
-    to_run
+  List.iter (fun t -> List.assoc t known_tables ()) to_run

@@ -1,12 +1,10 @@
 (* speccc: command-line driver for the speculative compiler.
 
    Compile a mini-C source file, optionally profile it, optimize it under a
-   chosen speculation policy, and run it on the reference interpreter or
-   the ITL machine simulator.
+   chosen speculation policy, and run it on the threaded-code vm or the
+   ITL machine simulator.
 
-     speccc run prog.c                      interpret, print output
-     speccc run --engine vm prog.c          threaded-code bytecode engine
-     speccc run --engine both prog.c        tree + vm, fail on divergence
+     speccc run prog.c                      execute on the vm, print output
      speccc run --machine prog.c            simulate on the ITL machine
      speccc run --machine --backend ooo prog.c   on the out-of-order core
      speccc run --faults inv=10000 prog.c   misspeculation stress run
@@ -41,6 +39,15 @@ let read_file path =
   let s = really_input_string ic n in
   close_in ic;
   s
+
+(* Run [f] on the text of a source file.  A lexing, parsing or lowering
+   error in it is the user's, not speccc's: report it as FILE:LINE and
+   exit 2, the code of every other semantic error. *)
+let with_source file f =
+  let src = read_file file in
+  try f src with Ast.Frontend_error (line, msg) ->
+    Printf.eprintf "speccc: %s:%d: %s\n" file line msg;
+    exit 2
 
 let src_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE"
@@ -189,8 +196,8 @@ let recover_arg =
        & info [ "recover" ] ~docv:"POLICY"
            ~doc:"failed-check recovery: $(b,reload) (re-execute the \
                  load, default) or $(b,deopt) (transfer to the \
-                 unoptimized body at the equivalent point; requires the \
-                 interpreter engines)")
+                 unoptimized body at the equivalent point; runs on the \
+                 vm, not with --machine)")
 
 (* Print the checker report; under --safety strict a confirmed site
    fails the invocation with a one-line diagnostic. *)
@@ -267,55 +274,21 @@ let machine_scope backend =
   | Spec_machine.Machine.Inorder -> "machine"
   | b -> "machine-" ^ Spec_machine.Machine.backend_name b
 
-let engine_arg =
-  Arg.(value
-       & opt (enum [ "tree", `Tree; "vm", `Vm; "both", `Both ]) `Tree
-       & info [ "engine" ] ~docv:"ENGINE"
-           ~doc:"interpreter engine: $(b,tree) (pre-compiled closure \
-                 tree, default), $(b,vm) (threaded-code bytecode; on a \
-                 --cache-dir hit the bytecode comes straight from the \
-                 cached artifact), or $(b,both) (run both and fail on \
-                 any output disagreement)")
-
-let engine_list = function
-  | `Tree -> [ `Tree ]
-  | `Vm -> [ `Vm ]
-  | `Both -> [ `Tree; `Vm ]
-
-let engine_name = function `Tree -> "tree" | `Vm -> "vm"
-
-(* both engines draw a fresh injector from the same plan and scope, so
-   they see identical deterministic fault streams *)
-let run_engine plan ?recover file (r : Pipeline.result) engine =
-  let fi =
-    Spec_stress.Faults.injector_opt plan
-      ~scope:[ Filename.basename file; "speccc"; "interp" ]
-  in
-  let out =
-    match engine with
-    | `Tree -> Spec_prof.Interp.run ?faults:fi ?recover r.Pipeline.prog
-    | `Vm ->
-      Spec_prof.Vm.run_program ?faults:fi ?recover
-        (Lazy.force r.Pipeline.vm)
-  in
-  (out, fi)
-
 let run_cmd =
   let machine =
     Arg.(value & flag & info [ "machine" ] ~doc:"run on the ITL machine \
                                                  simulator (with counters)")
   in
-  let action file mode machine backend engine recover verify_each timings
-      jobs faults stress_seed profile_in profile_out cache_dir threshold =
+  let action file mode machine backend recover verify_each timings jobs
+      faults stress_seed profile_in profile_out cache_dir threshold =
     set_jobs jobs;
     if machine && recover = `Deopt then begin
       Printf.eprintf
         "speccc: --recover deopt is not supported with --machine \
-         (usage: speccc run --recover deopt [--engine tree|vm|both] \
-         FILE)\n";
+         (usage: speccc run --recover deopt FILE)\n";
       exit 2
     end;
-    let src = read_file file in
+    with_source file @@ fun src ->
     let plan =
       match faults with
       | None -> Spec_stress.Faults.null stress_seed
@@ -382,47 +355,32 @@ let run_cmd =
        | None -> ())
     end
     else begin
-      let rplan = recover_plan recover src in
-      let results =
-        List.map (fun e -> (e, run_engine plan ?recover:rplan file r e))
-          (engine_list engine)
+      (* the vm keeps the historical "interp" fault-stream scope *)
+      let fi =
+        Spec_stress.Faults.injector_opt plan
+          ~scope:[ Filename.basename file; "speccc"; "interp" ]
       in
-      (match results with
-       | [] -> assert false
-       | (_, (first, _)) :: rest ->
-         List.iter
-           (fun (e, (out, _)) ->
-             if out.Spec_prof.Interp.output
-                <> first.Spec_prof.Interp.output
-             then begin
-               Printf.eprintf
-                 "speccc: engine disagreement: %s output differs from \
-                  tree\n"
-                 (engine_name e);
-               exit 1
-             end)
-           rest;
-         print_string first.Spec_prof.Interp.output);
-      List.iter
-        (fun (e, (out, fi)) ->
-          match fi with
-          | Some inj ->
-            Printf.eprintf
-              "engine=%s check-reloads=%d deopts=%d alat-flushes=%d \
-               alat-invalidations=%d\n"
-              (engine_name e)
-              out.Spec_prof.Interp.counters.Spec_prof.Interp.check_reloads
-              out.Spec_prof.Interp.counters.Spec_prof.Interp.deopts
-              (Spec_stress.Faults.flushes inj)
-              (Spec_stress.Faults.invalidations inj)
-          | None -> ())
-        results
+      let out =
+        Spec_prof.Vm.run_program ?faults:fi
+          ?recover:(recover_plan recover src) (Lazy.force r.Pipeline.vm)
+      in
+      print_string out.Spec_prof.Interp.output;
+      match fi with
+      | Some inj ->
+        let c = out.Spec_prof.Interp.counters in
+        Printf.eprintf
+          "check-reloads=%d deopts=%d alat-flushes=%d \
+           alat-invalidations=%d\n"
+          c.Spec_prof.Interp.check_reloads c.Spec_prof.Interp.deopts
+          (Spec_stress.Faults.flushes inj)
+          (Spec_stress.Faults.invalidations inj)
+      | None -> ()
     end;
     0
   in
   Cmd.v (Cmd.info "run" ~doc:"compile, optimize and execute a program")
     Term.(const action $ src_arg $ mode_arg $ machine $ backend_arg
-          $ engine_arg $ recover_arg $ verify_arg $ timings_arg $ jobs_arg
+          $ recover_arg $ verify_arg $ timings_arg $ jobs_arg
           $ faults_arg $ stress_seed_arg $ profile_in_arg $ profile_out_arg
           $ cache_dir_arg $ threshold_arg)
 
@@ -447,7 +405,7 @@ let dump_cmd =
           dump --phase opt|itl --safety report|strict FILE)\n";
        exit 2
      | _ -> ());
-    let src = read_file file in
+    with_source file @@ fun src ->
     (* one training run (or store load) per invocation, and only for the
        phases that need evidence at all *)
     let ev = lazy (evidence ?profile_in ?profile_out src) in
@@ -511,17 +469,15 @@ let dump_cmd =
 (* ---- stats ---- *)
 
 let stats_cmd =
-  let action file backend engine safety recover verify_each timings jobs
+  let action file backend safety recover verify_each timings jobs
       profile_in profile_out cache_dir threshold =
     set_jobs jobs;
-    let src = read_file file in
+    with_source file @@ fun src ->
     let ev = evidence ?profile_in ?profile_out src in
     let cache = open_cache cache_dir in
     let rplan = recover_plan recover src in
     let safety_reports = ref [] in
-    Printf.printf "backend: %s  engine: %s\n"
-      (Spec_machine.Machine.backend_name backend)
-      (String.concat "+" (List.map engine_name (engine_list engine)));
+    Printf.printf "backend: %s\n" (Spec_machine.Machine.backend_name backend);
     Printf.printf "%-10s %10s %10s %8s %8s %8s %8s %10s\n" "variant"
       "cycles" "insns" "loads" "checks" "misses" "stores" "steps";
     let reports = ref [] in
@@ -537,29 +493,17 @@ let stats_cmd =
          | Some rep -> safety_reports := (name, rep) :: !safety_reports
          | None -> ());
         let m = Spec_machine.Machine.run_sir_on backend r.Pipeline.prog in
-        (* every requested engine must reproduce the machine's output *)
-        let steps =
-          List.fold_left
-            (fun _ e ->
-              let i =
-                match e with
-                | `Tree ->
-                  Spec_prof.Interp.run ?recover:rplan r.Pipeline.prog
-                | `Vm ->
-                  Spec_prof.Vm.run_program ?recover:rplan
-                    (Lazy.force r.Pipeline.vm)
-              in
-              if i.Spec_prof.Interp.output <> m.Spec_machine.Machine.output
-              then begin
-                Printf.eprintf
-                  "speccc: %s: %s engine output diverged from the \
-                   machine\n"
-                  name (engine_name e);
-                exit 1
-              end;
-              i.Spec_prof.Interp.counters.Spec_prof.Interp.steps)
-            0 (engine_list engine)
+        (* the vm must reproduce the machine's output *)
+        let i =
+          Spec_prof.Vm.run_program ?recover:rplan (Lazy.force r.Pipeline.vm)
         in
+        if i.Spec_prof.Interp.output <> m.Spec_machine.Machine.output
+        then begin
+          Printf.eprintf "speccc: %s: vm output diverged from the machine\n"
+            name;
+          exit 1
+        end;
+        let steps = i.Spec_prof.Interp.counters.Spec_prof.Interp.steps in
         let p = m.Spec_machine.Machine.perf in
         Printf.printf "%-10s %10d %10d %8d %8d %8d %8d %10d\n" name
           p.Spec_machine.Machine.cycles p.Spec_machine.Machine.insns
@@ -596,7 +540,7 @@ let stats_cmd =
   in
   Cmd.v
     (Cmd.info "stats" ~doc:"machine counters for every pipeline variant")
-    Term.(const action $ src_arg $ backend_arg $ engine_arg $ safety_arg
+    Term.(const action $ src_arg $ backend_arg $ safety_arg
           $ recover_arg $ verify_arg $ timings_arg $ jobs_arg
           $ profile_in_arg $ profile_out_arg $ cache_dir_arg
           $ threshold_arg)
@@ -609,7 +553,7 @@ let out_arg =
 
 let profile_record_cmd =
   let action file out =
-    let src = read_file file in
+    with_source file @@ fun src ->
     let prog, prof, _ = Pipeline.train src in
     let store = Spec_fdo.Store.of_profile prog prof in
     Spec_fdo.Store.save out store;
@@ -681,7 +625,7 @@ let profile_stale_check_cmd =
   in
   let action store_path file =
     let store = load_store store_path in
-    let src = read_file file in
+    with_source file @@ fun src ->
     let prog = Lower.compile src in
     let _, mr = Spec_fdo.Store.bind store prog in
     print_endline (Spec_fdo.Store.report_to_string mr);

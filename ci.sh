@@ -49,22 +49,21 @@ echo "== persistent FDO smoke (profile store + compile cache) =="
 sh test/ci_fdo.sh _build/default/bin/speccc.exe "$tmp"
 sh test/ci_fdo.sh _build/default/bin/speccc.exe test/smoke.c test/smoke.sprof
 
-echo "== execution-engine smoke (--engine both + vm cache hit) =="
-# The tree and threaded-code vm engines must print identical output
-# (speccc exits nonzero on any disagreement), a second vm compile
-# through the compile cache must hit — executing bytecode deserialized
-# from the cached artifact — and both engines must reproduce the
+echo "== execution-engine smoke (vm cache miss, then hit) =="
+# A cold compile through the compile cache must miss and store, and a
+# warm one must hit — executing bytecode deserialized from the cached
+# artifact — and print the same output.  The vm must reproduce the
 # machine's output on every pipeline variant.  A recursive kernel whose
-# every activation arms the semantic ALAT then runs on both engines
-# under injected faults and must print its unoptimized output.
+# every activation arms the semantic ALAT then runs under injected
+# faults and must print its unoptimized output.
 sh test/ci_engine.sh _build/default/bin/speccc.exe "$tmp" test/alat_frames.c
 
 echo "== speculative-safety smoke (--safety + --recover deopt) =="
 # The taint checker must CONFIRM the leaky cipher kernel (and --safety
 # strict must fail its compile), pass the constant-time kernel under
-# strict, deopt-based recovery under forced flushes must agree across
-# both engines, and malformed safety/recovery flags must exit non-zero
-# with a usage hint.
+# strict, deopt-based recovery under forced flushes must actually
+# deoptimize, malformed safety/recovery flags must exit non-zero with a
+# usage hint, and malformed source must exit 2 naming the line.
 sh test/ci_safety.sh _build/default/bin/speccc.exe \
   test/safety_smoke.c test/safety_ct.c
 
@@ -83,6 +82,14 @@ echo "== sharded-service smoke (serve --shards 2 + client storm) =="
 # per-shard rows summing to the aggregate, zero errors) must be sane
 # through a clean shutdown.
 sh test/ci_shard.sh _build/default/bin/speccc.exe "$tmp"
+
+echo "== bench harness argument check =="
+# An unknown flag must fail the harness, not run the default sweep: the
+# removed engine option is the likeliest leftover.
+if dune exec bench/main.exe -- --engine vm > /dev/null 2>&1; then
+  echo "bench/main.exe accepted an unknown flag" >&2
+  exit 1
+fi
 
 echo "== bench harness smoke (--quick --stress --jobs 2) =="
 # Runs every workload through every pipeline variant on a 2-domain pool,

@@ -77,8 +77,8 @@ let () =
   print_endline
     (Pp.func_to_string spec.Pipeline.prog.Sir.syms
        (Sir.find_func spec.Pipeline.prog "main"));
-  let out_base = Spec_prof.Interp.run base.Pipeline.prog in
-  let out_spec = Spec_prof.Interp.run spec.Pipeline.prog in
+  let out_base = Spec_prof.Vm.run base.Pipeline.prog in
+  let out_spec = Spec_prof.Vm.run spec.Pipeline.prog in
   assert
     (out_base.Spec_prof.Interp.output = out_spec.Spec_prof.Interp.output);
   Printf.printf "Outputs agree: %s" out_base.Spec_prof.Interp.output

@@ -32,7 +32,7 @@ let src =
 let () =
   print_endline "Source:";
   print_endline src;
-  let baseline = Spec_prof.Interp.run (Lower.compile src) in
+  let baseline = Spec_prof.Vm.run (Lower.compile src) in
   let prof = Pipeline.profile_of_source src in
   let show name variant =
     let r =

@@ -1,4 +1,4 @@
-(** Machine-readable bench dump (schema [specpre-bench/4]): emission,
+(** Machine-readable bench dump (schema [specpre-bench/8]): emission,
     parsing, and validation.
 
     The [--json] harness mode writes a trajectory record
@@ -10,57 +10,47 @@
     the tree) that accepts exactly the JSON subset the emitter produces
     plus standard escapes.
 
-    [specpre-bench/4] added the execution-engine dimension: every
-    variant row carries a required [engine] field naming the
-    interpreter engine(s) that validated it ("tree", "vm" or
-    "tree+vm"), and every dump carries an [engines] throughput section
-    (tree-walking oracle vs pre-compiled tree vs threaded-code vm, with
-    speedups and Mstmt/s / Minsn/s rates) plus an [mdp] section sweeping
-    the OoO core's memory-dependence predictors.
+    Schema history:
+    - [/4] added the [engines] throughput section and the [mdp] section
+      sweeping the OoO core's memory-dependence predictors;
+    - [/5] added the optional [service] section: the compile-service
+      traffic replay ([bench/main.exe --traffic]) — request mix,
+      cold/warm/joined split, online-FDO reports and drift-triggered
+      recompiles, divergence count (always 0), p50/p99 latency and
+      throughput;
+    - [/6] added the [safety] section: the speculative-taint checker's
+      verdict per (workload, speculative variant) plus the recovery-cost
+      comparison (check misses recovered by reloading vs by
+      deoptimizing, under one forced interference plan);
+    - [/7] added the sharded compile service: the [service] section's
+      required [parked] counter and the optional [shards] section — one
+      row per shard, [per_shard] holding exactly [shards] rows and
+      [divergences] pinned at 0;
+    - [/8] (current) has one interpreter engine: variant rows lose their
+      [engine] label, and the [engines] section compares the
+      tree-walking oracle with the vm only ([tree_wall_s],
+      [tree_over_vm] and [geomean_tree_over_vm] are gone).
 
-    [specpre-bench/5] added the optional [service] section: the
-    compile-service traffic replay ([bench/main.exe --traffic]) —
-    request mix, cold/warm/joined split, online-FDO reports and
-    drift-triggered recompiles, divergence count (always 0: the replay
-    hard-fails on any daemon-vs-offline mismatch), p50/p99 latency and
-    throughput.
-
-    [specpre-bench/6] added the [safety] section: the
-    speculative-taint checker's verdict per (workload, speculative
-    variant) — confirmed/plausible counts and the stable site keys —
-    plus the recovery-cost comparison (check misses recovered by
-    reloading vs by deoptimizing, under one forced interference plan).
-
-    [specpre-bench/7] (this PR) adds the sharded compile service:
-    the [service] section gains the required [parked] counter
-    (cross-wakeup single-flight joins), and the optional [shards]
-    section records a key-routed multi-shard traffic replay
-    ([bench/main.exe --traffic --shards n]) — topology width,
-    aggregate latency/throughput, and one row per shard with its
-    request/served/FDO counters and latency percentiles.  [per_shard]
-    must hold exactly [shards] rows and [divergences] must be 0 (the
-    replay hard-fails if a sharded answer differs by one byte from
-    the unsharded oracle).  /6 and older dumps are rejected. *)
+    /7 and older dumps are rejected. *)
 
 open Spec_workloads
 
-let schema_tag = "specpre-bench/7"
+let schema_tag = "specpre-bench/8"
 
 (* ------------------------------------------------------------------ *)
 (* Emission                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let variant_json ~backend ~engine name (r : Experiments.run) =
+let variant_json ~backend name (r : Experiments.run) =
   let open Spec_machine in
   let p = r.Experiments.r_machine.Machine.perf in
   Printf.sprintf
-    "{\"variant\":%S,\"backend\":%S,\"engine\":%S,\"wall_s\":%.6f,\
+    "{\"variant\":%S,\"backend\":%S,\"wall_s\":%.6f,\
      \"cycles\":%d,\
      \"insns\":%d,\"data_cycles\":%d,\"loads_retired\":%d,\"checks\":%d,\
      \"check_misses\":%d,\"br_mispredicts\":%d,\"lsq_replays\":%d}"
     name
     (Machine.backend_name backend)
-    engine
     r.Experiments.r_wall_s p.Machine.cycles p.Machine.insns
     p.Machine.data_cycles
     (Machine.loads_retired p)
@@ -74,7 +64,6 @@ let variant_json ~backend ~engine name (r : Experiments.run) =
 let workload_json (w : Workloads.workload) (b : Experiments.bench_result) =
   let buf = Buffer.create 4096 in
   let backend = b.Experiments.backend in
-  let engine = Experiments.engines_label b.Experiments.engines in
   Printf.bprintf buf
     "{\"name\":%S,\"backend\":%S,\"wall_s\":%.6f,\"profile_wall_s\":%.6f,\
      \"variants\":["
@@ -84,7 +73,7 @@ let workload_json (w : Workloads.workload) (b : Experiments.bench_result) =
   List.iteri
     (fun i (name, r) ->
       if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (variant_json ~backend ~engine name r))
+      Buffer.add_string buf (variant_json ~backend name r))
     [ "noopt", b.Experiments.noopt; "base", b.Experiments.base;
       "profile", b.Experiments.prof_spec;
       "heuristic", b.Experiments.heur_spec;
@@ -196,24 +185,20 @@ let backends_json (pairs :
 let engine_cell_json (c : Experiments.engine_cell) =
   Printf.sprintf
     "{\"workload\":%S,\"steps\":%d,\"insns\":%d,\"ref_wall_s\":%.6f,\
-     \"tree_wall_s\":%.6f,\"vm_wall_s\":%.6f,\"tree_over_vm\":%.3f,\
-     \"ref_over_vm\":%.3f,\"vm_mstmt_s\":%.3f,\"vm_minsn_s\":%.3f}"
+     \"vm_wall_s\":%.6f,\"ref_over_vm\":%.3f,\"vm_mstmt_s\":%.3f,\
+     \"vm_minsn_s\":%.3f}"
     c.Experiments.e_wname c.Experiments.e_steps c.Experiments.e_insns
-    c.Experiments.e_ref_s c.Experiments.e_tree_s c.Experiments.e_vm_s
-    (Experiments.engine_tree_over_vm c)
+    c.Experiments.e_ref_s c.Experiments.e_vm_s
     (Experiments.engine_ref_over_vm c)
     (Experiments.engine_mrate c.Experiments.e_steps c.Experiments.e_vm_s)
     (Experiments.engine_mrate c.Experiments.e_insns c.Experiments.e_vm_s)
 
 (** The engine-throughput sweep as a JSON object: per-workload wall
-    times for the three engines plus the geometric-mean speedups. *)
+    times for the oracle and the vm plus the geometric-mean speedup. *)
 let engines_json (cells : Experiments.engine_cell list) =
   let buf = Buffer.create 2048 in
-  Printf.bprintf buf
-    "{\"geomean_tree_over_vm\":%.3f,\"geomean_ref_over_vm\":%.3f,\
-     \"workloads\":["
-    (Experiments.engine_geomean Experiments.engine_tree_over_vm cells)
-    (Experiments.engine_geomean Experiments.engine_ref_over_vm cells);
+  Printf.bprintf buf "{\"geomean_ref_over_vm\":%.3f,\"workloads\":["
+    (Experiments.engine_geomean cells);
   List.iteri
     (fun i c ->
       if i > 0 then Buffer.add_char buf ',';
@@ -572,7 +557,7 @@ let parse (s : string) : (json, string) result =
 
 exception Invalid of string
 
-(** The pinned [specpre-bench/4] shape.  A field is described by its name
+(** The pinned [specpre-bench/8] shape.  A field is described by its name
     and a type tag; [`Num] accepts ints where floats are expected (JSON
     does not distinguish) but not the reverse, so counter fields stay
     integers. *)
@@ -608,27 +593,10 @@ let validate_backend_name path name f =
             (String.concat "." (List.rev path)) name other))
   | _ -> assert false
 
-(* the per-variant engine label: one or more engine names joined by '+'
-   ("tree", "vm", "tree+vm") *)
-let validate_engine_label path name f =
-  match field path name `Str f with
-  | Str s
-    when s <> ""
-         && List.for_all
-              (fun e -> Experiments.engine_of_string e <> None)
-              (String.split_on_char '+' s) -> ()
-  | Str other ->
-    raise
-      (Invalid
-         (Printf.sprintf "field %s.%s: unknown engine %S"
-            (String.concat "." (List.rev path)) name other))
-  | _ -> assert false
-
 let validate_variant path v =
   let f = as_obj path "variant entry" v in
   ignore (field path "variant" `Str f);
   validate_backend_name path "backend" f;
-  validate_engine_label path "engine" f;
   ignore (field path "wall_s" `Num f);
   List.iter
     (fun name -> ignore (field path name `Int f))
@@ -688,8 +656,8 @@ let validate_engine_cell i v =
     [ "steps"; "insns" ];
   List.iter
     (fun name -> ignore (field path name `Num f))
-    [ "ref_wall_s"; "tree_wall_s"; "vm_wall_s"; "tree_over_vm";
-      "ref_over_vm"; "vm_mstmt_s"; "vm_minsn_s" ]
+    [ "ref_wall_s"; "vm_wall_s"; "ref_over_vm"; "vm_mstmt_s";
+      "vm_minsn_s" ]
 
 let validate_mdp_cell i v =
   let path = [ Printf.sprintf "mdp.cells[%d]" i ] in
@@ -872,13 +840,13 @@ let validate_shards v =
             (List.length rows)));
   List.iteri validate_shard_cell rows
 
-(** Validate a parsed dump against the [specpre-bench/7] schema.  The
+(** Validate a parsed dump against the [specpre-bench/8] schema.  The
     [backends], [engines], [mdp], [stress], [fdo], [compile],
     [safety], [service] and [shards] sections are optional (present
     only when the corresponding sweep ran) but fully pinned when
-    present.  Older schema tags — including [specpre-bench/6], whose
-    [service] section lacked the [parked] counter and which had no
-    [shards] section — are rejected. *)
+    present.  Older schema tags — including [specpre-bench/7], whose
+    variant rows carried an [engine] label and whose [engines] section
+    had a tree column — are rejected. *)
 let validate (v : json) : (unit, string) result =
   try
     let f = as_obj [] "bench dump" v in
@@ -907,9 +875,7 @@ let validate (v : json) : (unit, string) result =
      | None -> ()
      | Some ev ->
        let ef = as_obj [ "engines" ] "engines" ev in
-       List.iter
-         (fun name -> ignore (field [ "engines" ] name `Num ef))
-         [ "geomean_tree_over_vm"; "geomean_ref_over_vm" ];
+       ignore (field [ "engines" ] "geomean_ref_over_vm" `Num ef);
        let cells = as_arr (field [ "engines" ] "workloads" `Arr ef) in
        List.iteri validate_engine_cell cells);
     (match List.assoc_opt "mdp" f with

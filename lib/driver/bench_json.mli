@@ -1,23 +1,21 @@
-(** Machine-readable bench dump (schema [specpre-bench/7]): emission,
+(** Machine-readable bench dump (schema [specpre-bench/8]): emission,
     parsing, and validation.  See [bench/main.ml] for the harness side
     and [test/test_stress.ml] for the golden schema check.
 
-    /7 adds the sharded compile service: the [service] section gains
-    the required [parked] counter (cross-wakeup single-flight joins)
-    and the optional [shards] section records a key-routed multi-shard
-    traffic replay — topology width, aggregate latency/throughput, and
-    one pinned row per shard.  /6 dumps (no [parked], no [shards])
-    no longer validate. *)
+    /8 has one interpreter engine: variant rows carry no [engine] label,
+    and the [engines] section compares the tree-walking oracle with the
+    vm ([tree_wall_s], [tree_over_vm] and [geomean_tree_over_vm] are
+    gone).  /7 dumps no longer validate. *)
 
 (** The schema tag emitted and required by this build,
-    ["specpre-bench/7"]. *)
+    ["specpre-bench/8"]. *)
 val schema_tag : string
 
 (** {1 Emission} *)
 
 val variant_json :
-  backend:Spec_machine.Machine.backend -> engine:string -> string ->
-  Experiments.run -> string
+  backend:Spec_machine.Machine.backend -> string -> Experiments.run ->
+  string
 
 val workload_json :
   Spec_workloads.Workloads.workload -> Experiments.bench_result -> string
@@ -37,8 +35,8 @@ val backends_json :
 val engine_cell_json : Experiments.engine_cell -> string
 
 (** The engine-throughput sweep as a JSON object: per-workload wall
-    times for the tree-walking oracle, the pre-compiled tree engine and
-    the threaded-code vm, plus geometric-mean speedups. *)
+    times for the tree-walking oracle and the threaded-code vm, plus
+    the geometric-mean speedup. *)
 val engines_json : Experiments.engine_cell list -> string
 
 val mdp_cell_json :
@@ -91,7 +89,7 @@ val parse : string -> (json, string) result
 
 (** {1 Schema validation} *)
 
-(** Validate a parsed dump against the pinned [specpre-bench/7] shape:
+(** Validate a parsed dump against the pinned [specpre-bench/8] shape:
     every field name and type of the top level, workload entries,
     variant counters, metrics, pass reports, and (when present) the
     [backends], [engines], [mdp], [stress], [fdo], [compile],

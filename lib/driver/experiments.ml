@@ -4,42 +4,17 @@
     Methodology, as in the paper: profiles (edge + alias) are collected on
     each kernel's *train* input; every pipeline variant is compiled with
     that profile and measured on the *ref* input on the ITL machine
-    simulator.  All variants must produce the reference output — the
-    harness asserts this, so every experiment run doubles as an
-    end-to-end correctness check of speculation and recovery. *)
+    simulator.  All variants must produce the reference output, and the
+    vm must reproduce the machine's output on every variant — the
+    harness asserts both, so every experiment run doubles as an
+    end-to-end correctness check of speculation and recovery.  The
+    semantic oracle ({!Spec_prof.Interp_ref}) gates the engine-throughput
+    and safety sweeps. *)
 
 open Spec_ir
 open Spec_prof
 open Spec_machine
 open Spec_workloads
-
-(** Interpreter-side execution engine: the pre-compiled tree walker
-    ({!Spec_prof.Interp}) or the threaded-code bytecode vm
-    ({!Spec_prof.Vm}).  Every harness measurement validates each variant
-    on the selected engine(s) against the machine's program output, so
-    an engine bug fails the run rather than skewing a table. *)
-type engine = Etree | Evm
-
-let engine_name = function Etree -> "tree" | Evm -> "vm"
-
-let engine_of_string = function
-  | "tree" -> Some Etree
-  | "vm" -> Some Evm
-  | _ -> None
-
-let all_engines = [ Etree; Evm ]
-
-(** Label for a selection of engines as it appears in the bench JSON's
-    per-variant [engine] field: "tree", "vm", or "tree+vm". *)
-let engines_label es = String.concat "+" (List.map engine_name es)
-
-(** Execute an optimized program on [engine].  The vm leg forces the
-    pipeline result's cached bytecode, so a warm compile whose artifact
-    carried a vm section runs without re-lowering. *)
-let engine_exec engine (r : Pipeline.result) : Interp.result =
-  match engine with
-  | Etree -> Interp.run r.Pipeline.prog
-  | Evm -> Vm.run_program (Lazy.force r.Pipeline.vm)
 
 type run = {
   r_machine : Machine.result;
@@ -50,7 +25,6 @@ type run = {
 type bench_result = {
   wname : string;
   backend : Machine.backend;  (** core model the variants ran on *)
-  engines : engine list;  (** engines that validated every variant *)
   fp : bool;
   noopt : run;
   base : run;
@@ -73,11 +47,11 @@ let machine_config = ref Machine.default_config
     backend [backend] (default: the in-order EPIC core).  Every variant
     gets the local list scheduler, like the paper's O3 baseline (ORC
     schedules everything).  The same optimized program is then executed
-    on every selected interpreter engine, which must reproduce the
-    machine's output byte-for-byte — an engine/machine divergence fails
-    the measurement. *)
+    on the vm, which must reproduce the machine's output byte-for-byte —
+    a vm/machine divergence fails the measurement rather than skewing a
+    table. *)
 let run_variant ?(quick = false) ?(backend = Machine.Inorder)
-    ?(engines = [ Etree ]) (w : Workloads.workload) profile variant : run =
+    (w : Workloads.workload) profile variant : run =
   let t0 = Unix.gettimeofday () in
   let params = if quick then w.Workloads.train else w.Workloads.ref_ in
   let prog = Lower.compile (w.Workloads.source params) in
@@ -87,17 +61,12 @@ let run_variant ?(quick = false) ?(backend = Machine.Inorder)
   let mp = Spec_codegen.Codegen.lower r.Pipeline.prog in
   ignore (Spec_codegen.Schedule.run mp : Spec_codegen.Schedule.stats);
   let m = Machine.run_on backend ~config:!machine_config mp in
-  List.iter
-    (fun e ->
-      let i = engine_exec e r in
-      if i.Interp.output <> m.Machine.output then
-        failwith
-          (Printf.sprintf
-             "experiment %s/%s: %s engine output diverged from the machine"
-             w.Workloads.name
-             (Pipeline.variant_name variant)
-             (engine_name e)))
-    engines;
+  let i = Vm.run_program (Lazy.force r.Pipeline.vm) in
+  if i.Interp.output <> m.Machine.output then
+    failwith
+      (Printf.sprintf "experiment %s/%s: vm output diverged from the machine"
+         w.Workloads.name
+         (Pipeline.variant_name variant));
   { r_machine = m; r_stats = r.Pipeline.stats;
     r_wall_s = Unix.gettimeofday () -. t0 }
 
@@ -110,7 +79,7 @@ let reuse_fraction ?(quick = false) (w : Workloads.workload) profile : float =
   Load_reuse.reuse_fraction lr
 
 let run_workload ?(quick = false) ?(backend = Machine.Inorder)
-    ?(engines = [ Etree ]) (w : Workloads.workload) : bench_result =
+    (w : Workloads.workload) : bench_result =
   let t0 = Unix.gettimeofday () in
   let train_prog = Lower.compile (Workloads.train_source w) in
   let profile, _ = Profiler.profile train_prog in
@@ -120,11 +89,11 @@ let run_workload ?(quick = false) ?(backend = Machine.Inorder)
      result record — and hence all table output — is identical to the
      sequential run. *)
   let tasks =
-    [ (fun () -> `Run (run_variant ~quick ~backend ~engines w profile Pipeline.Noopt));
-      (fun () -> `Run (run_variant ~quick ~backend ~engines w profile Pipeline.Base));
-      (fun () -> `Run (run_variant ~quick ~backend ~engines w profile (Pipeline.Spec_profile profile)));
-      (fun () -> `Run (run_variant ~quick ~backend ~engines w profile Pipeline.Spec_heuristic));
-      (fun () -> `Run (run_variant ~quick ~backend ~engines w profile Pipeline.Aggressive));
+    [ (fun () -> `Run (run_variant ~quick ~backend w profile Pipeline.Noopt));
+      (fun () -> `Run (run_variant ~quick ~backend w profile Pipeline.Base));
+      (fun () -> `Run (run_variant ~quick ~backend w profile (Pipeline.Spec_profile profile)));
+      (fun () -> `Run (run_variant ~quick ~backend w profile Pipeline.Spec_heuristic));
+      (fun () -> `Run (run_variant ~quick ~backend w profile Pipeline.Aggressive));
       (fun () -> `Reuse (reuse_fraction ~quick w profile)) ]
   in
   let noopt, base, prof_spec, heur_spec, aggressive, reuse_frac =
@@ -150,7 +119,7 @@ let run_workload ?(quick = false) ?(backend = Machine.Inorder)
     +. List.fold_left (fun acc r -> acc +. r.r_wall_s) 0.
          [ noopt; base; prof_spec; heur_spec; aggressive ]
   in
-  { wname = w.Workloads.name; backend; engines; fp = w.Workloads.fp; noopt;
+  { wname = w.Workloads.name; backend; fp = w.Workloads.fp; noopt;
     base; prof_spec; heur_spec; aggressive; reuse_frac; prof_wall_s;
     total_wall_s; train_profile = profile }
 
@@ -159,9 +128,8 @@ let run_workload ?(quick = false) ?(backend = Machine.Inorder)
     variant fan-out nests inside this one — [Parpool.await] helps with
     queued tasks, so the nesting cannot deadlock. *)
 let run_workloads ?(quick = false) ?(backend = Machine.Inorder)
-    ?(engines = [ Etree ]) (ws : Workloads.workload list) :
-    bench_result list =
-  Parpool.parmap (fun w -> run_workload ~quick ~backend ~engines w) ws
+    (ws : Workloads.workload list) : bench_result list =
+  Parpool.parmap (fun w -> run_workload ~quick ~backend w) ws
 
 (* ------------------------------------------------------------------ *)
 (* Metrics                                                             *)
@@ -302,28 +270,23 @@ let smvp_case_study (b : bench_result) : smvp_study =
     tuned_speedup = speedup ~base:b.base ~spec:b.aggressive }
 
 (* ------------------------------------------------------------------ *)
-(* Engine throughput (tree-walking oracle vs pre-compiled tree vs vm)  *)
+(* Engine throughput (tree-walking oracle vs vm)                       *)
 (* ------------------------------------------------------------------ *)
 
 (** One workload's engine-throughput cell: the same (unoptimized)
-    program executed by the tree-walking oracle ({!Interp_ref}), the
-    pre-compiled tree engine ({!Interp}) and the threaded-code vm
-    ({!Vm}), with best-of-[reps] wall times.  [e_steps] is the number of
-    source statements every engine retires; [e_insns] is the resolved
-    machine's instruction count on the same program — a fixed work
-    measure, so Mstmt/s and Minsn/s rates compare engines on identical
-    work. *)
+    program executed by the tree-walking oracle ({!Interp_ref}) and the
+    threaded-code vm ({!Vm}), with best-of-[reps] wall times.  [e_steps]
+    is the number of source statements both retire; [e_insns] is the
+    resolved machine's instruction count on the same program — a fixed
+    work measure, so Mstmt/s and Minsn/s rates compare engines on
+    identical work. *)
 type engine_cell = {
   e_wname : string;
   e_steps : int;
   e_insns : int;
   e_ref_s : float;   (** tree-walking oracle, best-of wall *)
-  e_tree_s : float;  (** pre-compiled tree engine, best-of wall *)
   e_vm_s : float;    (** threaded-code vm, best-of wall *)
 }
-
-let engine_tree_over_vm (c : engine_cell) =
-  if c.e_vm_s > 0. then c.e_tree_s /. c.e_vm_s else 0.
 
 let engine_ref_over_vm (c : engine_cell) =
   if c.e_vm_s > 0. then c.e_ref_s /. c.e_vm_s else 0.
@@ -344,33 +307,26 @@ let best_of_wall reps f =
   in
   go 0 infinity
 
-(** Measure one workload's engine throughput.  The first (untimed) run
-    of each engine doubles as the agreement gate: output, return value
-    and retired-statement count must match the tree-walking oracle
-    exactly.  Timed runs are best-of-[reps] and must execute
-    sequentially — the caller must not put this on the domain pool. *)
+(** Measure one workload's engine throughput.  The first (untimed) vm
+    run doubles as the agreement gate: its output and retired-statement
+    count must match the tree-walking oracle exactly.  Timed runs are
+    best-of-[reps] and must execute sequentially — the caller must not
+    put this on the domain pool. *)
 let engine_bench_workload ?(quick = false) ?(reps = 5)
     (w : Workloads.workload) : engine_cell =
   let params = if quick then w.Workloads.train else w.Workloads.ref_ in
   let src = w.Workloads.source params in
   let iprog = Lower.compile src in
-  let compiled = Interp.compile iprog in
   let vprog = Vmcode.compile iprog in
   let oracle = Interp_ref.run iprog in
-  let tree = Interp.run_compiled compiled in
   let vm = Vm.run_program vprog in
-  let agree engine (i : Interp.result) =
-    if i.Interp.output <> oracle.Interp_ref.output
-       || i.Interp.counters.Interp.steps
-          <> oracle.Interp_ref.counters.Interp_ref.steps
-    then
-      failwith
-        (Printf.sprintf
-           "engine bench %s: %s engine diverged from the tree-walking oracle"
-           w.Workloads.name engine)
-  in
-  agree "tree" tree;
-  agree "vm" vm;
+  if vm.Interp.output <> oracle.Interp_ref.output
+     || vm.Interp.counters.Interp.steps
+        <> oracle.Interp_ref.counters.Interp_ref.steps
+  then
+    failwith
+      (Printf.sprintf "engine bench %s: vm diverged from the tree-walking oracle"
+         w.Workloads.name);
   let insns =
     let p = Lower.compile src in
     let r = Pipeline.optimize p Pipeline.Noopt in
@@ -379,10 +335,9 @@ let engine_bench_workload ?(quick = false) ?(reps = 5)
     (Machine.run ~config:!machine_config mp).Machine.perf.Machine.insns
   in
   { e_wname = w.Workloads.name;
-    e_steps = tree.Interp.counters.Interp.steps;
+    e_steps = vm.Interp.counters.Interp.steps;
     e_insns = insns;
     e_ref_s = best_of_wall reps (fun () -> Interp_ref.run iprog);
-    e_tree_s = best_of_wall reps (fun () -> Interp.run_compiled compiled);
     e_vm_s = best_of_wall reps (fun () -> Vm.run_program vprog) }
 
 (** Engine-throughput sweep.  Strictly sequential: the cells carry wall
@@ -392,22 +347,24 @@ let run_engine_bench ?(quick = false) ?reps (ws : Workloads.workload list) :
   List.map (fun w -> engine_bench_workload ~quick ?reps w) ws
 
 let engine_header =
-  "workload  |   ref ms |  tree ms |    vm ms | tree/vm | ref/vm | vm Mstmt/s | vm Minsn/s"
+  "workload  |   ref ms |    vm ms | ref/vm | vm Mstmt/s | vm Minsn/s"
 
 let engine_row (c : engine_cell) =
-  Printf.sprintf "%-9s | %8.3f | %8.3f | %8.3f | %6.2fx | %5.1fx | %10.1f | %10.1f"
-    c.e_wname (1000. *. c.e_ref_s) (1000. *. c.e_tree_s) (1000. *. c.e_vm_s)
-    (engine_tree_over_vm c) (engine_ref_over_vm c)
+  Printf.sprintf "%-9s | %8.3f | %8.3f | %5.1fx | %10.1f | %10.1f"
+    c.e_wname (1000. *. c.e_ref_s) (1000. *. c.e_vm_s)
+    (engine_ref_over_vm c)
     (engine_mrate c.e_steps c.e_vm_s)
     (engine_mrate c.e_insns c.e_vm_s)
 
-(** Geometric-mean speedups over a sweep — the headline engine numbers. *)
-let engine_geomean sel (cells : engine_cell list) =
+(** Geometric-mean oracle/vm speedup over a sweep — the headline engine
+    number. *)
+let engine_geomean (cells : engine_cell list) =
   match cells with
   | [] -> 0.
   | _ ->
     exp
-      (List.fold_left (fun acc c -> acc +. log (sel c)) 0. cells
+      (List.fold_left (fun acc c -> acc +. log (engine_ref_over_vm c)) 0.
+         cells
        /. float_of_int (List.length cells))
 
 (* ------------------------------------------------------------------ *)
@@ -675,8 +632,9 @@ let stress_grid ~seed () =
                            Spec_stress.Faults.Adv_invert;
                          Spec_stress.Faults.inv_ppm = 100_000 } } ]
 
-(** One (workload, point, variant) measurement: both engines ran to
-    completion with outputs bit-identical to the unoptimized oracle. *)
+(** One (workload, point, variant) measurement: the machine and the vm
+    ran to completion with outputs bit-identical to the unoptimized
+    oracle. *)
 type stress_cell = {
   sc_workload : string;
   sc_backend : string;  (** machine backend name ("inorder"/"ooo") *)
@@ -689,8 +647,8 @@ type stress_cell = {
   sc_insns : int;
   sc_m_flushes : int;   (** injected full flushes, machine ALAT *)
   sc_m_invs : int;      (** injected chaos invalidations, machine ALAT *)
-  sc_i_checks : int;    (** interpreter check statements executed *)
-  sc_i_reloads : int;   (** interpreter check reloads *)
+  sc_i_checks : int;    (** vm check statements executed *)
+  sc_i_reloads : int;   (** vm check reloads *)
   sc_i_flushes : int;   (** injected full flushes, semantic ALAT *)
   sc_i_invs : int;      (** injected chaos invalidations, semantic ALAT *)
 }
@@ -729,7 +687,7 @@ let stress_variant ~quick ~seed ~oracle ~backend (w : Workloads.workload)
     in
     let mp = Spec_codegen.Codegen.lower r.Pipeline.prog in
     ignore (Spec_codegen.Schedule.run mp : Spec_codegen.Schedule.stats);
-    (Machine.resolve mp, Interp.compile r.Pipeline.prog, flips)
+    (Machine.resolve mp, Vmcode.compile r.Pipeline.prog, flips)
   in
   let adversaries =
     List.sort_uniq compare
@@ -749,7 +707,7 @@ let stress_variant ~quick ~seed ~oracle ~backend (w : Workloads.workload)
          && plan.Spec_stress.Faults.adversary <> Spec_stress.Faults.Adv_none
       then []
       else begin
-        let rp, cprog, flips =
+        let rp, vprog, flips =
           match List.assoc plan.Spec_stress.Faults.adversary compiled with
           | c -> c
         in
@@ -776,13 +734,15 @@ let stress_variant ~quick ~seed ~oracle ~backend (w : Workloads.workload)
         if m.Machine.output <> oracle then
           stress_diverged ~workload:w.Workloads.name ~variant:vname
             ~point:pt.sp_label ~engine:"machine";
+        (* the vm keeps the historical "interp" scope, so its fault
+           streams (and hence the stress cells) are unchanged *)
         let fi =
           Spec_stress.Faults.injector_opt plan ~scope:(scope "interp")
         in
-        let i = Interp.run_compiled ?faults:fi cprog in
+        let i = Vm.run_program ?faults:fi vprog in
         if i.Interp.output <> oracle then
           stress_diverged ~workload:w.Workloads.name ~variant:vname
-            ~point:pt.sp_label ~engine:"interp";
+            ~point:pt.sp_label ~engine:"vm";
         let p = m.Machine.perf in
         let ic = i.Interp.counters in
         let injected f = function None -> 0 | Some inj -> f inj in
@@ -1178,8 +1138,7 @@ exception Safety_divergence of string
     site keys it reported, and the cost of the two recovery policies under
     one forced interference plan — the same build re-run with check misses
     recovered by reloading vs by deoptimizing into the unoptimized body.
-    The deopt leg runs on both interpreter engines with the same
-    scope-derived fault stream and must agree to the counter, and every
+    Both legs run on the vm with scope-derived fault streams, and every
     run must reproduce the unoptimized oracle's output byte-for-byte. *)
 type safety_cell = {
   sf_wname : string;
@@ -1190,9 +1149,9 @@ type safety_cell = {
   sf_sites : string list;   (** tier + kind + stable site key, program order *)
   sf_checks : int;          (** ld.c executions on the reload leg *)
   sf_reloads : int;         (** check misses recovered by reloading *)
-  sf_reload_steps : int;    (** tree-engine steps, reload recovery *)
+  sf_reload_steps : int;    (** vm steps, reload recovery *)
   sf_deopts : int;          (** check misses recovered by deoptimizing *)
-  sf_deopt_steps : int;     (** tree-engine steps, deopt recovery *)
+  sf_deopt_steps : int;     (** vm steps, deopt recovery *)
 }
 
 (* the interference plan the recovery comparison runs under: periodic
@@ -1227,9 +1186,9 @@ let safety_variant ~quick ~seed (w : Workloads.workload) profile
      (as in the main harness); it is held to its own fault-free output
      instead — faults only ever remove ALAT entries, so a faulted run
      must still reproduce it exactly *)
+  let vprog = Lazy.force r.Pipeline.vm in
   let expected =
-    if variant = Pipeline.Aggressive then
-      (Interp.run r.Pipeline.prog).Interp.output
+    if variant = Pipeline.Aggressive then (Vm.run_program vprog).Interp.output
     else (Interp_ref.run (Lower.compile src)).Interp_ref.output
   in
   let plan = safety_fault_plan ~seed in
@@ -1242,22 +1201,10 @@ let safety_variant ~quick ~seed (w : Workloads.workload) profile
       safety_diverged ~workload:w.Workloads.name ~variant:vname ~leg
         "output diverged from the unoptimized oracle"
   in
-  let reload = Interp.run ~faults:(inj "reload") r.Pipeline.prog in
+  let reload = Vm.run_program ~faults:(inj "reload") vprog in
   check "reload" reload;
-  (* both engines replay the same fault stream (they share the ALAT
-     operation clock), so the deopt legs must agree exactly *)
-  let deo_tree =
-    Interp.run ~faults:(inj "deopt") ~recover:dplan r.Pipeline.prog
-  in
-  check "deopt-tree" deo_tree;
-  let deo_vm = Vm.run ~faults:(inj "deopt") ~recover:dplan r.Pipeline.prog in
-  check "deopt-vm" deo_vm;
-  if deo_vm.Interp.output <> deo_tree.Interp.output
-     || deo_vm.Interp.ret <> deo_tree.Interp.ret
-     || deo_vm.Interp.counters <> deo_tree.Interp.counters
-  then
-    safety_diverged ~workload:w.Workloads.name ~variant:vname ~leg:"deopt-vm"
-      "vm engine disagreed with the tree engine";
+  let deo = Vm.run_program ~faults:(inj "deopt") ~recover:dplan vprog in
+  check "deopt" deo;
   { sf_wname = w.Workloads.name;
     sf_variant = vname;
     sf_verdict = verdict;
@@ -1267,8 +1214,8 @@ let safety_variant ~quick ~seed (w : Workloads.workload) profile
     sf_checks = reload.Interp.counters.Interp.check_stmts;
     sf_reloads = reload.Interp.counters.Interp.check_reloads;
     sf_reload_steps = reload.Interp.counters.Interp.steps;
-    sf_deopts = deo_tree.Interp.counters.Interp.deopts;
-    sf_deopt_steps = deo_tree.Interp.counters.Interp.steps }
+    sf_deopts = deo.Interp.counters.Interp.deopts;
+    sf_deopt_steps = deo.Interp.counters.Interp.steps }
 
 let safety_variants =
   [ "profile", `Profile; "heuristic", `Heuristic; "aggressive", `Aggressive ]

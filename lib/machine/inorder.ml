@@ -13,8 +13,8 @@
     - register-stack accounting with spill cycles when the stacked
       register demand exceeds the physical stacked file.
 
-    Like the interpreter ({!Spec_prof.Interp}), the simulator executes
-    the *resolved* program form ({!Backend.rprog}): symbol-table
+    Like the vm ({!Spec_prof.Vm}), the simulator executes a
+    *resolved* program form ({!Backend.rprog}): symbol-table
     traversals, callee lookup and builtin dispatch were performed once at
     resolve time, and the per-instruction issue logic is specialized by
     source-operand count so the hot loop allocates nothing.  The

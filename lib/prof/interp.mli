@@ -1,23 +1,20 @@
-(** Pre-compiled tree execution engine for SIR (the "tree" engine).
+(** The resolved form of SIR and the result types shared by the
+    executors.
 
-    Before executing, the engine *compiles* each [Sir.func] into a
-    resolved form: register-resident variables get dense per-frame slots
-    in unboxed [int]/[float] arrays, memory-resident locals get dense
-    address slots, symbol-table and type dispatch are resolved at
-    compile time, and statement dispatch (check-load vs plain assign,
-    advanced-load arming, builtin vs user call) is decided once.
+    {!compile} resolves a program once, ahead of execution:
+    register-resident variables get dense per-frame slots, memory-resident
+    locals get dense address slots, symbol-table and type dispatch are
+    resolved, and statement dispatch (check-load vs plain assign,
+    advanced-load arming, builtin vs user call) is decided.
 
-    The compiled representation is exposed because it is the input of
-    the threaded-code lowerer ({!Vmcode}): the bytecode engine inherits
-    every type-resolution and speculation-classification decision from
-    this compiler, which is what keeps the engines byte-identical.  The
-    engine carries no instrumentation: profiling runs execute
-    profile-mode bytecode on the vm ({!Vmcode.profile}).
-
-    Observable behaviour — output, return value, and all counters — is
-    identical to {!Interp_ref}; the differential suites in
-    [test/test_engines.ml] and [test/test_fuzz.ml] enforce this for
-    every workload under every pipeline variant and fault plan. *)
+    This module executes nothing.  The resolved form is the input of the
+    bytecode lowerer ({!Vmcode}): the vm ({!Vm}) inherits every
+    type-resolution and speculation-classification decision made here.
+    {!Vm} and the semantic oracle ({!Interp_ref}) both report through
+    {!result} and {!counters}; the differential suites in
+    [test/test_engines.ml] and [test/test_fuzz.ml] hold the vm to the
+    oracle's output, return value and counters for every workload under
+    every pipeline variant and fault plan. *)
 
 open Spec_ir
 
@@ -62,7 +59,7 @@ type vref =
   | Rnone of string       (* no stack slot: runtime error with var name *)
 
 (** Int-typed and float-typed compiled expressions.  Type mismatches the
-    tree-walking engine would discover dynamically ([as_int] on a float)
+    tree-walking oracle would discover dynamically ([as_int] on a float)
     are compiled into [Iof_f]/[Fof_i] nodes that evaluate the wrongly
     typed subtree and raise the same [Runtime_error]. *)
 type iexpr =
@@ -100,8 +97,8 @@ type arm =
   | Arm_ilod of { tvid : int; a : iexpr }   (* re-evaluates the address *)
   | Arm_var of { tvid : int; vr : vref }
 
-(** A check statement's deoptimization descriptor, resolved against this
-    engine's register slots. *)
+(** A check statement's deoptimization descriptor, resolved against the
+    function's register slots. *)
 type cdeopt = {
   d_sid : int;                        (* lowering-era target statement id *)
   d_vars : (int * int * bool) array;  (* (orig vid, register slot, is_fp) *)
@@ -165,30 +162,3 @@ type compiled = {
 (** Compile a whole (non-SSA) program.  Cheap relative to any execution:
     one pass over the statements. *)
 val compile : Sir.prog -> compiled
-
-(** {1 Execution} *)
-
-(** Run a pre-compiled program.  [faults] attaches injected ALAT interference for stress runs.  [recover]
-    supplies a deoptimization plan (built over a fresh lowering of the
-    same source): failed checks whose statements carry descriptors
-    finish their function in the unoptimized body instead of
-    reloading. *)
-val run_compiled :
-  ?fuel:int ->
-  ?faults:Spec_stress.Faults.injector ->
-  ?recover:Spec_safety.Deopt.plan ->
-  ?heap_bytes:int ->
-  compiled ->
-  result
-
-(** Run [main].  [fuel] bounds the number of executed statements.  The
-    program is compiled first (one cheap pass); callers that execute the
-    same program repeatedly can {!compile} once and use
-    {!run_compiled}. *)
-val run :
-  ?fuel:int ->
-  ?faults:Spec_stress.Faults.injector ->
-  ?recover:Spec_safety.Deopt.plan ->
-  ?heap_bytes:int ->
-  Sir.prog ->
-  result

@@ -1,13 +1,13 @@
 (** Frozen tree-walking reference interpreter for SIR.
 
     This is the seed interpreter, kept verbatim as the *semantic oracle*
-    for the pre-compiled engine in {!Interp}: the differential test suite
-    runs every workload under every pipeline variant on both engines and
-    asserts identical output, return value, and counters.  It walks the
-    SIR tree directly — symbol-table lookups and hash tables on every
-    variable access — so it is slow but obviously faithful to the
-    language definition.  Do not optimize this module; optimize
-    {!Interp} and prove it equivalent here. *)
+    for the threaded-code vm ({!Vm}): the differential test suite runs
+    every workload under every pipeline variant on both and asserts
+    identical output, return value, and counters.  It walks the SIR tree
+    directly — symbol-table lookups and hash tables on every variable
+    access — so it is slow but obviously faithful to the language
+    definition.  Do not optimize this module; optimize {!Vm} and prove
+    it equivalent here. *)
 
 open Spec_ir
 
@@ -53,11 +53,12 @@ type state = {
      skipped when its entry survives.  No capacity limit (capacity
      effects belong to the machine model, not the language semantics),
      but a returning frame drops its entries, exactly as {!Sem_alat}
-     does for the other engines. *)
+     does for the vm. *)
   alat : (int * int, int) Hashtbl.t;
   mutable frame_serial : int;
   (* injected ALAT interference (stress runs only); time counted in ALAT
-     operations, mirroring Interp so both engines stay comparable *)
+     operations, mirroring Sem_alat so the vm and the oracle stay
+     comparable *)
   finj : Spec_stress.Faults.injector option;
   mutable fevents : int;
 }

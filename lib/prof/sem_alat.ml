@@ -1,4 +1,4 @@
-(* The semantic ALAT of the tree engine and the vm; see sem_alat.mli.
+(* The semantic ALAT of the vm; see sem_alat.mli.
    [Interp_ref] keeps its own copy of this protocol as the oracle: any
    change here that alters the table's operation sequence must be
    mirrored there, or faulted runs stop picking the same victims. *)

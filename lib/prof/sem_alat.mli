@@ -1,5 +1,4 @@
-(** The semantic ALAT shared by the pre-compiled tree engine ({!Interp})
-    and the threaded-code vm ({!Vm}).
+(** The semantic ALAT of the threaded-code vm ({!Vm}).
 
     Advanced loads arm an entry [(frame serial, tag) -> address]; stores
     drop every entry holding their address; a check load reloads only
@@ -16,8 +15,8 @@
     ALAT operations (arm, check, store-invalidate).  A chaos
     invalidation drops the k-th entry in [Hashtbl] iteration order, a
     pure function of the table's history; {!Interp_ref} keeps its own
-    copy of the table with the same protocol, so all three engines pick
-    the same victims. *)
+    copy of the table with the same protocol, so the vm and the oracle
+    pick the same victims. *)
 
 type t
 

@@ -1,25 +1,24 @@
 (** Threaded-code execution engine: a tight dispatch loop over the flat
-    bytecode produced by {!Vmcode} (the "vm" engine).
+    bytecode produced by {!Vmcode} (the "vm").
 
     One closure-free [loop] per activation dispatches on dense integer
-    opcodes (the match compiles to a jump table) over the same unboxed
-    per-frame int/float slot arrays the tree engine uses.  Memory access
+    opcodes (the match compiles to a jump table) over unboxed per-frame
+    int/float slot arrays, numbered by {!Interp.compile}.  Memory access
     inlines the bounds check and falls back to {!Memory}'s checked
     accessors on the slow path, so every fault is raised with the exact
-    message the tree engines produce.
+    message the oracle ({!Interp_ref}) produces.
 
-    All speculation semantics carry over: the semantic ALAT is the tree
-    engine's own {!Sem_alat} table, advanced loads arm it (with the tree
-    engine's re-evaluated-address side effects and its try/with via a
+    All speculation semantics carry over: the semantic ALAT is the
+    {!Sem_alat} table, advanced loads arm it (with the oracle's
+    re-evaluated-address side effects and its try/with via a
     per-activation trap continuation), stores invalidate matching
     addresses, check loads reload only when their entry is gone, a
     returning activation drops its entries, and injected interference
     ({!Spec_stress.Faults}) advances on the same ALAT-operation clock.
     Observable behaviour — output, return value, and all counters — is
-    identical to {!Interp} and {!Interp_ref} on every run that
-    terminates; the differential suites in [test/test_engines.ml] and
-    [test/test_fuzz.ml] enforce this across workloads, variants and
-    fault plans. *)
+    identical to {!Interp_ref} on every run that terminates; the
+    differential suites in [test/test_engines.ml] and [test/test_fuzz.ml]
+    enforce this across workloads, variants and fault plans. *)
 
 open Spec_ir
 module I = Interp
@@ -99,7 +98,7 @@ type state = {
   globals : int array;   (* orig vid -> data-segment address, -1 if none *)
   mutable rng : int;
   mutable fuel : int;
-  alat : Sem_alat.t;     (* semantic ALAT, shared with the tree engine *)
+  alat : Sem_alat.t;     (* semantic ALAT *)
   (* return-value registers: callee -> caller, no allocation *)
   mutable ret_isf : bool;
   mutable ret_i : int;
@@ -121,7 +120,7 @@ let no_flts : float array = [||]
 (* The range test avoids `addr + 8` so a near-max_int address cannot
    wrap into the fast path; out-of-range traffic falls back to the
    checked accessors, which raise (or, for spec loads, absorb) the
-   exact faults the tree engines see. *)
+   exact faults the oracle sees. *)
 
 let data_base = Memory.data_base
 
@@ -1148,9 +1147,10 @@ let rec exec_func st fix (ai : int array) (af : float array) : unit =
   Memory.pop_frame mem mark
 
 (* Deoptimization: transfer the live register state into the
-   unoptimized body and finish the function there.  Hook-side counter
-   updates mirror [Interp.do_deopt] exactly, which keeps the two
-   engines' counters identical under [--recover deopt]. *)
+   unoptimized body and finish the function there.  The hooks count the
+   continuation's steps, loads, stores, branches and calls as it runs;
+   [test/test_safety.ml] and [test/test_fuzz.ml] pin the resulting
+   counters under [--recover deopt]. *)
 and vm_deopt st (pl : Spec_safety.Deopt.plan) (vf : V.func)
     (ints : int array) (flts : float array) (addrs : int array)
     (d : I.cdeopt) (refund : int) : unit =
@@ -1158,7 +1158,8 @@ and vm_deopt st (pl : Spec_safety.Deopt.plan) (vf : V.func)
   st.ctrs.I.deopts <- st.ctrs.I.deopts + 1;
   (* the block's steps were charged up-front at its STEPS opcode; credit
      back the statements (and terminator) the deopt skips, so step and
-     fuel accounting match the per-statement tree engine exactly *)
+     fuel accounting match per-statement charging exactly and the
+     pinned deopt counters hold *)
   st.ctrs.I.steps <- st.ctrs.I.steps - refund;
   st.fuel <- st.fuel + refund;
   let regs =
@@ -1273,7 +1274,7 @@ and vm_deopt_call st ~site name (argv : Spec_safety.Deopt.value list)
 
 (** Run a lowered program.  [faults] attaches injected ALAT interference
     for stress runs; the interference clock and victim selection match
-    the tree engines exactly.  [recover] supplies a deoptimization plan:
+    the oracle's exactly.  [recover] supplies a deoptimization plan:
     failed checks whose pc carries a descriptor finish their function in
     the unoptimized body instead of reloading. *)
 let run_with ~pr ~fuel ?faults ?recover ~heap_bytes (p : V.program)

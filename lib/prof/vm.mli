@@ -1,32 +1,31 @@
 (** Threaded-code execution engine: a tight dispatch loop over the flat
-    bytecode produced by {!Vmcode} (the "vm" engine).
+    bytecode produced by {!Vmcode} (the "vm"), and the project's only
+    executor of SIR besides the semantic oracle {!Interp_ref}.
 
     One closure-free dispatch loop per activation over dense integer
     opcodes (the match compiles to a jump table) and unboxed per-frame
-    int/float slot arrays.  All speculation semantics carry over from
-    the tree engines: the same semantic ALAT protocol, advanced loads,
-    check loads, store invalidation, and injected interference on the
-    same ALAT-operation clock.  Observable behaviour — output, return
-    value, and every counter — is identical to {!Interp} and
-    {!Interp_ref} on every run that terminates; [test/test_engines.ml]
-    and [test/test_fuzz.ml] enforce this differentially across
-    workloads, variants and fault plans. *)
+    int/float slot arrays.  All speculation semantics match the
+    oracle's: the same semantic ALAT protocol, advanced loads, check
+    loads, store invalidation, and injected interference on the same
+    ALAT-operation clock.  Observable behaviour — output, return value,
+    and every counter — is identical to {!Interp_ref} on every run that
+    terminates; [test/test_engines.ml] and [test/test_fuzz.ml] enforce
+    this differentially across workloads, variants and fault plans. *)
 
 type result = Interp.result
 
-(** {!Interp.error}: raise {!Interp.Runtime_error} with the engines'
-    shared message discipline. *)
+(** {!Interp.error}: raise {!Interp.Runtime_error} with the oracle's
+    message discipline. *)
 val error : ('a, Format.formatter, unit, 'b) format4 -> 'a
 
 (** Execute pre-lowered bytecode from [main].  [fuel] bounds the step
-    count (default 200M, spent per block exactly as the tree engines
-    spend it); [faults] injects ALAT interference on the shared clock;
-    [recover] supplies a deoptimization plan — failed checks whose pc
-    carries a descriptor finish their function in the unoptimized body
-    instead of reloading (counted in [deopts], not [check_reloads]);
-    [heap_bytes] sizes the heap (default 24MB).  Raises
-    {!Interp.Runtime_error} on any fault, with the tree engines'
-    message. *)
+    count (default 200M, spent per block exactly as the oracle spends
+    it per statement); [faults] injects ALAT interference on the shared
+    clock; [recover] supplies a deoptimization plan — failed checks
+    whose pc carries a descriptor finish their function in the
+    unoptimized body instead of reloading (counted in [deopts], not
+    [check_reloads]); [heap_bytes] sizes the heap (default 24MB).  Raises
+    {!Interp.Runtime_error} on any fault, with the oracle's message. *)
 val run_program :
   ?fuel:int -> ?faults:Spec_stress.Faults.injector ->
   ?recover:Spec_safety.Deopt.plan -> ?heap_bytes:int ->

@@ -1,13 +1,12 @@
 (** Threaded-code lowering: resolved SIR to a flat bytecode array.
 
-    The third execution engine compiles {!Interp}'s resolved tree form
-    one step further, into a dense [int array] instruction stream per
-    function — opcode words with inline operand slots — executed by the
-    tight dispatch loop in {!Vm}.  Lowering from [Interp.compiled]
-    (rather than from [Sir] directly) means every type-resolution,
-    slot-assignment and speculation-classification decision is inherited
-    from the tree engine, which is what keeps the two engines
-    byte-identical by construction.
+    Compiles {!Interp}'s resolved form one step further, into a dense
+    [int array] instruction stream per function — opcode words with
+    inline operand slots — executed by the tight dispatch loop in
+    {!Vm}.  Lowering from [Interp.compiled] (rather than from [Sir]
+    directly) means every type-resolution, slot-assignment and
+    speculation-classification decision is made once, in
+    {!Interp.compile}.
 
     Layout decisions:
 
@@ -29,8 +28,8 @@
 
     Fuel is spent per *block* (statement count + terminator, one [STEPS]
     word) rather than per statement; on any run that terminates normally
-    the [steps] counter is identical to the tree engines', and an
-    out-of-fuel run raises the same error.
+    the [steps] counter is identical to the oracle's per-statement
+    count, and an out-of-fuel run raises the same error.
 
     {!profile} lowers the same program in *profile mode*: the same
     emitter additionally writes instrumentation opcodes (function entry,
@@ -209,9 +208,9 @@ type func = {
       (* check-opcode pc -> deoptimization descriptor plus the step
          refund: the block's steps were charged up-front, so a mid-block
          deopt credits back the statements (and terminator) that will
-         not execute, keeping counters and fuel identical to the
-         per-statement tree engine (slot numbering is
-         the tree compiler's, which the bytecode shares) *)
+         not execute, keeping counters and fuel identical to
+         per-statement charging (slot numbering is {!Interp.compile}'s,
+         which the bytecode shares) *)
 }
 
 type program = {
@@ -379,7 +378,7 @@ let fuses em = em.prof = None
 (* [dst]; temporaries at indices >= [tmp em depth] may be used, and    *)
 (* [dst] is written only by the final instruction (so [i = i + 1]      *)
 (* reads the old value).  Sub-expressions are evaluated left to right, *)
-(* exactly as the tree engine's recursion does — load counters and     *)
+(* exactly as the oracle's recursion does — load counters and          *)
 (* fault order are observably identical.                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -415,7 +414,7 @@ let rec force_i em depth dst (e : I.iexpr) =
   | I.Ibin (op, a, b) ->
     (match op, b with
      (* superinstruction: [x op A[i]] — the load is the right operand,
-        so evaluation order matches the tree engine *)
+        so evaluation order matches the oracle *)
      | (Spec_ir.Sir.Add | Spec_ir.Sir.Sub | Spec_ir.Sir.Mul),
        I.Iilod { a = ba; spec = false; _ } when fuses em ->
        let sa = slot_i em depth a in
@@ -505,7 +504,7 @@ let lower_arm em = function
   | I.Arm_ilod { tvid; a } ->
     (* the address is re-evaluated (side effects included); a
        Runtime_error inside it skips the arm and execution continues,
-       matching the tree engines' try/with *)
+       matching the oracle's try/with *)
     e2 em op_arm_try 0;
     let patch = em.len - 1 in
     let s = slot_i em 0 a in
@@ -535,7 +534,7 @@ let lower_stmt em (s : I.cstmt) =
     force_f em 0 slot e;
     lower_arm em arm
   | I.CSstorev_i { vr; e } ->
-    (* value first, then the address resolve — tree-engine order *)
+    (* value first, then the address resolve — the oracle's order *)
     let v = slot_i em 0 e in
     (match vr with
      | I.Rglob g ->
@@ -600,7 +599,7 @@ let lower_stmt em (s : I.cstmt) =
     let rfp = if ret_fp then 1 else 0 in
     let builtin_arg () =
       (* builtins take one int argument by construction; a wrongly typed
-         arg is not evaluated (tree-engine semantics: the value is 0) *)
+         arg is not evaluated and the value is 0 *)
       match args.(0) with
       | I.Ai a -> slot_i em 0 a
       | I.Af _ -> let t = tmp em 0 in e3 em op_movi t 0; t
@@ -776,12 +775,12 @@ let assemble (comp : I.compiled) pools vfuncs : program =
     fpool = Array.map Int64.float_of_bits (interned pools.floats);
     spool = interned pools.strings }
 
-(** Lower an already tree-compiled program. *)
+(** Lower an already resolved program. *)
 let of_compiled (comp : I.compiled) : program =
   let pools = new_pools () in
   assemble comp pools (Array.map (lower_func pools) comp.I.cfuncs)
 
-(** Compile a whole (non-SSA) program to bytecode: the tree compiler's
+(** Compile a whole (non-SSA) program to bytecode: {!Interp.compile}'s
     resolution pass followed by flattening.  Still cheap relative to any
     execution. *)
 let compile (p : Spec_ir.Sir.prog) : program = of_compiled (I.compile p)

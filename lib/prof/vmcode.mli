@@ -1,13 +1,12 @@
 (** Threaded-code lowering: resolved SIR to a flat bytecode array.
 
-    Compiles {!Interp}'s resolved tree form one step further, into a
-    dense [int array] instruction stream per function — opcode words
-    with inline operand slots — executed by the dispatch loop in {!Vm}.
+    Compiles {!Interp}'s resolved form one step further, into a dense
+    [int array] instruction stream per function — opcode words with
+    inline operand slots — executed by the dispatch loop in {!Vm}.
     Lowering from {!Interp.compiled} (rather than from [Sir] directly)
     means every type-resolution, slot-assignment and
-    speculation-classification decision is inherited from the tree
-    engine, which is what keeps the two engines byte-identical by
-    construction.
+    speculation-classification decision is made once, in
+    {!Interp.compile}.
 
     The opcode numbering is private to this module and {!Vm} — the
     serialized form ([specvm/2], {!Spec_fdo.Vm_io}) carries raw code
@@ -29,10 +28,10 @@ type func = {
   vformals : Interp.formal array;
   vdeopt : (int, Interp.cdeopt * int) Hashtbl.t;
       (** check-opcode pc -> (deoptimization descriptor, step refund).
-          Slot numbering is the tree compiler's, which the bytecode
+          Slot numbering is {!Interp.compile}'s, which the bytecode
           shares; the refund undoes the block's up-front step charge for
           the statements a mid-block deopt never executes, keeping the
-          step counter identical to the tree engine's. *)
+          step counter at its per-statement value. *)
 }
 
 type program = {
@@ -43,7 +42,7 @@ type program = {
   spool : string array;      (** error-message pool *)
 }
 
-(** Lower an already-compiled tree program (shares its resolution
+(** Lower an already resolved program (shares its resolution
     decisions). *)
 val of_compiled : Interp.compiled -> program
 
@@ -67,7 +66,8 @@ type layout = {
     function, a counter per CFG edge (gotos and both arms of every
     conditional, compare-and-branch fusion kept), a memory-reference
     event before every load and store of a memory variable or through a
-    pointer (formal spills excluded, as in the tree engine), and
+    pointer (formal spills excluded, as in the pinned hook-era
+    profiles), and
     call-site open/close around every user call.  Load/ALU fusion is
     off.  With [values], every load is followed by a load-value
     observation for {!Load_reuse}.  The program must be unspeculated:

@@ -1,11 +1,11 @@
 #!/bin/sh
-# @ci smoke for the threaded-code execution engine: run the same kernel
-# under both interpreter engines (speccc itself hard-fails on any stdout
-# disagreement), then run the vm engine again through the
-# content-addressed compile cache and require the warm compile to hit —
-# so the executed bytecode came straight out of the cached artifact.
-# The third argument is a recursive kernel whose every activation arms
-# the semantic ALAT: both engines run it under injected faults, with
+# @ci smoke for the threaded-code vm: run a kernel through the
+# content-addressed compile cache twice — the cold compile must miss and
+# store, the warm one must hit and print the same output, so the
+# executed bytecode came straight out of the cached artifact.  `speccc
+# stats` then checks the vm against the machine on every pipeline
+# variant.  The third argument is a recursive kernel whose every
+# activation arms the semantic ALAT: it runs under injected faults, with
 # dead frames' entries reclaimed, and must print what the unoptimized
 # program prints.
 set -eu
@@ -17,13 +17,11 @@ frames="$3"
 work="$(mktemp -d -t speccc-engine-ci-XXXXXX)"
 trap 'rm -rf "$work"' EXIT
 
-cold="$("$speccc" run --engine both --cache-dir "$work/cache" "$src" \
-        2> "$work/cold.err")"
-warm="$("$speccc" run --engine vm --cache-dir "$work/cache" "$src" \
-        2> "$work/warm.err")"
+cold="$("$speccc" run --cache-dir "$work/cache" "$src" 2> "$work/cold.err")"
+warm="$("$speccc" run --cache-dir "$work/cache" "$src" 2> "$work/warm.err")"
 
 [ "$cold" = "$warm" ] || {
-  echo "engine ci: cached-bytecode vm output differs from cold tree+vm" >&2
+  echo "engine ci: cached-bytecode vm output differs from the cold run" >&2
   echo "cold: $cold" >&2; echo "warm: $warm" >&2
   exit 1
 }
@@ -38,13 +36,14 @@ grep -q "hits 1  misses 0" "$work/warm.err" || {
   exit 1
 }
 
-# both engines must also reproduce the machine's output on every variant
-"$speccc" stats --engine both "$src" > /dev/null
+# the vm must reproduce the machine's output on every variant (speccc
+# stats exits 1 on any divergence)
+"$speccc" stats "$src" > /dev/null
 
 # frame-scoped semantic ALAT under chaos invalidation and flushes
 plain="$("$speccc" run --mode none "$frames" 2> /dev/null)"
-faulted="$("$speccc" run --mode heuristic --engine both \
-           --faults inv=50000,flush=64 "$frames" 2> "$work/frames.err")"
+faulted="$("$speccc" run --mode heuristic --faults inv=50000,flush=64 \
+           "$frames" 2> "$work/frames.err")"
 [ "$plain" = "$faulted" ] || {
   echo "engine ci: faulted $frames output differs from the unoptimized run" >&2
   echo "plain: $plain" >&2; echo "faulted: $faulted" >&2

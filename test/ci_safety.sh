@@ -2,10 +2,10 @@
 # @ci smoke for the speculative-safety subsystem: the checker must
 # CONFIRM the leaky cipher kernel (and --safety strict must fail its
 # compile), pass the constant-time kernel under strict, and deopt-based
-# recovery under forced ALAT flushes must agree across both interpreter
-# engines while actually exercising the deopt path.  Malformed
-# safety/recovery flag spellings must die with a non-zero exit and a
-# one-line usage hint, never compile anyway.
+# recovery under forced ALAT flushes must actually exercise the deopt
+# path.  Malformed safety/recovery flag spellings must die with a
+# non-zero exit and a one-line usage hint, never compile anyway, and
+# malformed source must exit 2 naming the offending line.
 set -eu
 
 speccc="$1"
@@ -49,14 +49,13 @@ grep -q "safety: safe" "$work/ct.out" || {
 
 # -- deopt recovery under forced interference ------------------------
 
-# speccc itself hard-fails on any tree/vm divergence under --engine both
-"$speccc" run --mode heuristic --engine both --recover deopt \
+"$speccc" run --mode heuristic --recover deopt \
   --faults flush=16 "$leaky" > "$work/deopt.out" 2>&1 || {
   echo "safety ci: deopt recovery run failed:" >&2
   cat "$work/deopt.out" >&2
   exit 1
 }
-grep -q "engine=tree .*deopts=[1-9]" "$work/deopt.out" || {
+grep -q "deopts=[1-9]" "$work/deopt.out" || {
   echo "safety ci: forced flushes never exercised the deopt path:" >&2
   cat "$work/deopt.out" >&2
   exit 1
@@ -87,5 +86,30 @@ expect_fail "--recover deopt with --machine" \
   "$speccc" run --machine --recover deopt "$leaky"
 expect_fail "--safety on a pre-optimization phase" \
   "$speccc" dump --phase ast --safety report "$leaky"
+
+# malformed source is a user error: exit 2 with "speccc: FILE:LINE: ...",
+# never an uncaught exception
+expect_frontend_error() {
+  what="$1"; file="$2"; line="$3"
+  status=0
+  "$speccc" run "$file" > "$work/err.out" 2>&1 || status=$?
+  [ "$status" -eq 2 ] || {
+    echo "safety ci: $what exited $status, not 2:" >&2
+    cat "$work/err.out" >&2
+    exit 1
+  }
+  grep -q "^speccc: $file:$line: " "$work/err.out" || {
+    echo "safety ci: $what did not name line $line:" >&2
+    cat "$work/err.out" >&2
+    exit 1
+  }
+}
+
+printf 'int main(){ return x; }\n' > "$work/undef.c"
+expect_frontend_error "undefined variable" "$work/undef.c" 1
+printf 'int main( { return 0; }\n' > "$work/syntax.c"
+expect_frontend_error "syntax error" "$work/syntax.c" 1
+printf 'int main(){ return 0; }\n\303\n' > "$work/byte.c"
+expect_frontend_error "stray non-ASCII byte" "$work/byte.c" 2
 
 echo "safety ci ok"

@@ -13,7 +13,7 @@ let run_cleanup src =
   let st = Spec_ssapre.Cleanup.run p in
   p, st
 
-let interp p = Spec_prof.Interp.run p
+let interp p = Spec_prof.Vm.run p
 
 let count_stmts (p : Sir.prog) =
   let n = ref 0 in

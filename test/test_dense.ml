@@ -191,7 +191,7 @@ let random_two_func_prog : string QCheck.Gen.t =
           print_int(b[0]+b[1]+b[2]+b[3]); return 0; }"
          n_iters alias_pct helper_call))
 
-let run_prog prog = Spec_prof.Interp.run prog
+let run_prog prog = Spec_prof.Vm.run prog
 
 let prop_dense_differential =
   QCheck.Test.make ~count:40

@@ -1,15 +1,13 @@
-(* Differential suite for the pre-compiled execution engines.
+(* Differential suite for the execution engines.
 
-   The fast engines ({!Interp}'s pre-compiled interpreter, the {!Vm}
-   threaded-code bytecode engine, and the resolved {!Machine} simulator)
-   must be observationally identical to the seed's tree-walking
-   semantics:
+   The fast engines (the {!Vm} threaded-code bytecode engine and the
+   resolved {!Machine} simulator) must be observationally identical to
+   the seed's tree-walking semantics:
 
-   - [Interp] and [Vm] vs [Interp_ref] (the frozen seed-semantics
-     oracle): for every workload under every pipeline variant, program
-     output, return value and every counter (steps, mem_loads,
-     mem_stores, branches, calls, check_stmts, check_reloads) must
-     agree exactly.
+   - [Vm] vs [Interp_ref] (the frozen seed-semantics oracle): for every
+     workload under every pipeline variant, program output, return value
+     and every counter (steps, mem_loads, mem_stores, branches, calls,
+     check_stmts, check_reloads) must agree exactly.
 
    - The compile-cache artifact carries the vm bytecode: a warm hit
      executes bytecode deserialized from disk (no re-lowering), and a
@@ -68,7 +66,7 @@ let pool_exn () =
       | exception Failure m -> Alcotest.(check string) "exn payload" "boom" m)
 
 (* ------------------------------------------------------------------ *)
-(* Interp vs Interp_ref differential                                   *)
+(* Vm vs Interp_ref differential                                       *)
 (* ------------------------------------------------------------------ *)
 
 let variants profile =
@@ -77,7 +75,7 @@ let variants profile =
     "heuristic", Pipeline.Spec_heuristic;
     "aggressive", Pipeline.Aggressive ]
 
-(* compare one fast engine's result against the Interp_ref oracle *)
+(* compare the vm's result against the Interp_ref oracle *)
 let check_vs_oracle ctx (a : Interp.result) (b : Interp_ref.result) =
   Alcotest.(check string) (ctx ^ ": output") b.Interp_ref.output
     a.Interp.output;
@@ -99,11 +97,6 @@ let check_vs_oracle ctx (a : Interp.result) (b : Interp_ref.result) =
       "check_stmts", ca.Interp.check_stmts, cb.Interp_ref.check_stmts;
       "check_reloads", ca.Interp.check_reloads, cb.Interp_ref.check_reloads ]
 
-let check_engines_agree ctx prog =
-  let b = Interp_ref.run prog in
-  check_vs_oracle (ctx ^ "/tree") (Interp.run prog) b;
-  check_vs_oracle (ctx ^ "/vm") (Vm.run prog) b
-
 let diff_workload w () =
   let train_prog = Lower.compile (Spec_workloads.Workloads.train_source w) in
   let profile, _ = Profiler.profile train_prog in
@@ -111,7 +104,8 @@ let diff_workload w () =
     (fun (vname, v) ->
       let prog = Lower.compile (Spec_workloads.Workloads.train_source w) in
       let r = Pipeline.optimize ~edge_profile:(Some profile) prog v in
-      check_engines_agree (wname w ^ "/" ^ vname) r.Pipeline.prog)
+      check_vs_oracle (wname w ^ "/" ^ vname ^ "/vm") (Vm.run r.Pipeline.prog)
+        (Interp_ref.run r.Pipeline.prog))
     (variants profile)
 
 (* ------------------------------------------------------------------ *)

@@ -157,7 +157,7 @@ let test_decay () =
 (* ---- stale-profile matching: soundness on edited sources ---- *)
 
 let interp_output prog =
-  (Spec_prof.Interp.run prog).Spec_prof.Interp.output
+  (Spec_prof.Vm.run prog).Spec_prof.Interp.output
 
 let compile_with_store store src =
   let prog = Lower.compile src in

@@ -9,9 +9,9 @@
    promotion, strength reduction, cleanup, codegen, scheduling, the ALAT,
    and the interpreter's semantic ALAT.  Profiled and load-reuse runs on
    the vm must match the plain vm and the reference exactly.  A second
-   differential pits the three interpreter engines (pre-compiled tree,
-   threaded-code vm, tree-walking reference) against each other under
-   fault injection. *)
+   differential pits the threaded-code vm against the tree-walking
+   reference under fault injection, and a third pins the vm's
+   deoptimization recovery. *)
 
 open Spec_ir
 open Spec_driver
@@ -138,7 +138,7 @@ let prop_whole_stack =
     (QCheck.make ~print:Fun.id gen_program)
     (fun src ->
       let expected =
-        (Spec_prof.Interp.run (Lower.compile src)).Spec_prof.Interp.output
+        (Spec_prof.Vm.run (Lower.compile src)).Spec_prof.Interp.output
       in
       profiled_runs_agree (Lower.compile src)
       && List.for_all
@@ -147,8 +147,8 @@ let prop_whole_stack =
             Pipeline.compile_and_optimize ~edge_profile:(Some prof) src
               variant
           in
-          let tree_out =
-            (Spec_prof.Interp.run r.Pipeline.prog).Spec_prof.Interp.output
+          let vm_out =
+            (Spec_prof.Vm.run r.Pipeline.prog).Spec_prof.Interp.output
           in
           (* the tree-walking reference oracle on the same optimized
              program *)
@@ -159,7 +159,7 @@ let prop_whole_stack =
           let mp = Spec_codegen.Codegen.lower r.Pipeline.prog in
           ignore (Spec_codegen.Schedule.run mp : Spec_codegen.Schedule.stats);
           let mach_out = (Spec_machine.Machine.run mp).Spec_machine.Machine.output in
-          tree_out = expected && ref_out = expected && mach_out = expected
+          vm_out = expected && ref_out = expected && mach_out = expected
           (* load reuse runs on base builds *)
           && (name <> "base" || profiled_runs_agree r.Pipeline.prog))
         (variants_of src))
@@ -204,7 +204,7 @@ let prop_control_shapes =
     (QCheck.make ~print:Fun.id gen_control)
     (fun src ->
       let expected =
-        (Spec_prof.Interp.run (Lower.compile src)).Spec_prof.Interp.output
+        (Spec_prof.Vm.run (Lower.compile src)).Spec_prof.Interp.output
       in
       List.for_all
         (fun (_n, variant, prof) ->
@@ -212,7 +212,7 @@ let prop_control_shapes =
             Pipeline.compile_and_optimize ~edge_profile:(Some prof) src
               variant
           in
-          (Spec_prof.Interp.run r.Pipeline.prog).Spec_prof.Interp.output
+          (Spec_prof.Vm.run r.Pipeline.prog).Spec_prof.Interp.output
           = expected
           && (Spec_machine.Machine.run_sir r.Pipeline.prog)
                .Spec_machine.Machine.output
@@ -250,7 +250,7 @@ let prop_recursive =
     (QCheck.make ~print:Fun.id gen_recursive)
     (fun src ->
       let expected =
-        (Spec_prof.Interp.run (Lower.compile src)).Spec_prof.Interp.output
+        (Spec_prof.Vm.run (Lower.compile src)).Spec_prof.Interp.output
       in
       List.for_all
         (fun (_n, variant, prof) ->
@@ -263,15 +263,14 @@ let prop_recursive =
           = expected)
         (variants_of src))
 
-(* ---- three-way engine differential ---- *)
+(* ---- vm vs reference differential ---- *)
 
-(* the pre-compiled tree engine, the threaded-code vm and the
-   tree-walking reference must agree bit-for-bit on the same optimized
-   program — outputs, return value, and every counter the reference
-   keeps (tree vs vm: every counter) — under every fault plan.  Each
-   engine draws a fresh injector from the same plan and scope, so all
-   three see identical deterministic fault streams; equal reload counts
-   then mean they chose the same chaos victims. *)
+(* the threaded-code vm and the tree-walking reference must agree
+   bit-for-bit on the same optimized program — outputs, return value,
+   and every counter the reference keeps — under every fault plan.
+   Each draws a fresh injector from the same plan and scope, so both see
+   identical deterministic fault streams; equal reload counts then mean
+   they chose the same chaos victims. *)
 let fault_plans = [ ""; "inv=50000"; "flush=64"; "flush=16,inv=200000" ]
 
 let engines_agree r name plan_spec =
@@ -283,21 +282,15 @@ let engines_agree r name plan_spec =
   let inj () =
     Spec_stress.Faults.injector_opt plan ~scope:[ "fuzz"; name; plan_spec ]
   in
-  let tree = Spec_prof.Interp.run ?faults:(inj ()) r.Pipeline.prog in
   let vm =
     Spec_prof.Vm.run_program ?faults:(inj ()) (Lazy.force r.Pipeline.vm)
   in
-  let oracle =
-    Spec_prof.Interp_ref.run ?faults:(inj ()) r.Pipeline.prog
-  in
-  agrees_with_oracle tree oracle
-  && vm.Spec_prof.Interp.output = oracle.Spec_prof.Interp_ref.output
-  && vm.Spec_prof.Interp.ret = tree.Spec_prof.Interp.ret
-  && vm.Spec_prof.Interp.counters = tree.Spec_prof.Interp.counters
+  agrees_with_oracle vm
+    (Spec_prof.Interp_ref.run ?faults:(inj ()) r.Pipeline.prog)
 
 let prop_engine_differential =
   QCheck.Test.make ~count:40
-    ~name:"three-way engine differential (tree/vm/ref, faulted)"
+    ~name:"engine differential (vm/ref, faulted)"
     (QCheck.make ~print:Fun.id
        QCheck.Gen.(oneof [ gen_program; gen_control; gen_recursive ]))
     (fun src ->
@@ -313,7 +306,7 @@ let prop_engine_differential =
 (* The recursion-heavy workload kernels under an invalidation plan and
    a flush plan: returning frames keep dropping their entries, so chaos
    victims are drawn from a table that shrinks as well as grows, and
-   all three engines must still pick the same ones. *)
+   the vm and the reference must still pick the same ones. *)
 let test_recursive_workloads_faulted () =
   let module W = Spec_workloads.Workloads in
   List.iter
@@ -330,13 +323,13 @@ let test_recursive_workloads_faulted () =
             List.iter
               (fun plan ->
                 check_bool
-                  (Printf.sprintf "%s/%s %s: tree = vm = ref" kernel name plan)
+                  (Printf.sprintf "%s/%s %s: vm = ref" kernel name plan)
                   true
                   (engines_agree r (kernel ^ "/" ^ name) plan))
               [ "inv=50000"; "flush=64" ];
             (* the invalidation plan really removes live entries *)
             let reloads faults =
-              (Spec_prof.Interp.run ?faults r.Pipeline.prog)
+              (Spec_prof.Vm.run ?faults r.Pipeline.prog)
                 .Spec_prof.Interp.counters.Spec_prof.Interp.check_reloads
             in
             let inv =
@@ -352,43 +345,40 @@ let test_recursive_workloads_faulted () =
         (variants_of src))
     [ "parser"; "gzip" ]
 
-(* ---- deoptimization-recovery differential ---- *)
+(* ---- deoptimization recovery ---- *)
 
 (* with [~recover], a missed check deoptimizes into the unoptimized body
-   instead of re-running the load: under flush/invalidate/capacity fault
-   plans both engines must still reproduce the unoptimized oracle
-   bit-for-bit and agree with each other on every counter (the vm's
-   step refund included) *)
+   instead of re-running the load.  The reference has no [~recover], so
+   the vm's deopt runs are held to the unoptimized oracle's output and,
+   on the cipher kernel below, to counters pinned when a second,
+   independent executor still cross-checked them. *)
 let deopt_fault_plans =
   [ "flush=16"; "inv=200000"; "alat=2"; "flush=16,inv=100000" ]
 
-let deopt_engines_agree r dplan expected name plan_spec =
+let deopt_run r dplan name plan_spec ~recover =
   let plan =
     match Spec_stress.Faults.parse ~seed:11 plan_spec with
     | Ok p -> p
     | Error m -> failwith m
   in
-  let inj () =
+  let faults =
     Spec_stress.Faults.injector_opt plan
       ~scope:[ "fuzz-deopt"; name; plan_spec ]
   in
-  let tree =
-    Spec_prof.Interp.run ?faults:(inj ()) ~recover:dplan r.Pipeline.prog
-  in
-  let vm =
-    Spec_prof.Vm.run ?faults:(inj ()) ~recover:dplan r.Pipeline.prog
-  in
-  let ok =
-    tree.Spec_prof.Interp.output = expected
-    && vm.Spec_prof.Interp.output = expected
-    && vm.Spec_prof.Interp.ret = tree.Spec_prof.Interp.ret
-    && vm.Spec_prof.Interp.counters = tree.Spec_prof.Interp.counters
-  in
-  (ok, tree.Spec_prof.Interp.counters.Spec_prof.Interp.deopts)
+  if recover then Spec_prof.Vm.run ?faults ~recover:dplan r.Pipeline.prog
+  else Spec_prof.Vm.run ?faults r.Pipeline.prog
 
+(* A run under [~recover] that never deoptimized took no recovery
+   decision, so it must equal ([=]: output, return value, every counter)
+   the reload run drawn from the same plan and scope.  Random programs
+   rarely keep a descriptor whose check then misses: a scratch run of
+   this rule over 80 programs x 3 variants x 4 plans (960 runs) held on
+   every run and saw no deopt at all, so this leg guards the recovery
+   plumbing's no-op path; real deopts are compared in
+   [test_deopt_forced_faults]. *)
 let prop_deopt_recovery =
   QCheck.Test.make ~count:15
-    ~name:"deopt recovery differential (tree/vm, faulted)"
+    ~name:"deopt recovery differential (faulted)"
     (QCheck.make ~print:Fun.id
        QCheck.Gen.(oneof [ gen_program; gen_control; gen_recursive ]))
     (fun src ->
@@ -404,9 +394,26 @@ let prop_deopt_recovery =
               ~deopt:true src variant
           in
           List.for_all
-            (fun plan -> fst (deopt_engines_agree r dplan expected name plan))
+            (fun plan ->
+              let deo = deopt_run r dplan name plan ~recover:true in
+              deo.Spec_prof.Interp.output = expected
+              && (deo.Spec_prof.Interp.counters.Spec_prof.Interp.deopts > 0
+                  || deo = deopt_run r dplan name plan ~recover:false))
             deopt_fault_plans)
         (variants_of src))
+
+(* The vm's counters on the cipher kernel's heuristic build under each
+   deopt fault plan, recorded while the pre-compiled tree engine still
+   ran beside it and matched them counter for counter. *)
+let cipher_deopt_counters =
+  let c steps mem_loads check_stmts deopts =
+    { Spec_prof.Interp.steps; mem_loads; mem_stores = 531; branches = 538;
+      calls = 344; check_stmts; check_reloads = 0; deopts }
+  in
+  [ "flush=16", c 3871 1128 14 3;
+    "inv=200000", c 3855 1140 10 3;
+    "alat=2", c 4586 588 192 0;
+    "flush=16,inv=100000", c 3843 1149 7 3 ]
 
 let test_deopt_forced_faults () =
   (* deterministic leg with a kernel whose descriptors are known to
@@ -425,14 +432,15 @@ let test_deopt_forced_faults () =
   let r =
     Pipeline.compile_and_optimize ~deopt:true src Pipeline.Spec_heuristic
   in
-  let total = ref 0 in
   List.iter
     (fun plan ->
-      let ok, deopts = deopt_engines_agree r dplan expected "cipher" plan in
-      check_bool (plan ^ " engines agree on the oracle output") true ok;
-      total := !total + deopts)
-    deopt_fault_plans;
-  check_bool "forced faults exercised the deopt path" true (!total > 0)
+      let deo = deopt_run r dplan "cipher" plan ~recover:true in
+      Alcotest.(check string) (plan ^ ": the oracle's output") expected
+        deo.Spec_prof.Interp.output;
+      check_bool (plan ^ ": pinned counters") true
+        (deo.Spec_prof.Interp.counters
+         = List.assoc plan cipher_deopt_counters))
+    deopt_fault_plans
 
 let test_fuzz_smoke () =
   (* one deterministic instance of each generator, as a fast smoke test *)
@@ -440,7 +448,7 @@ let test_fuzz_smoke () =
   List.iter
     (fun src ->
       let expected =
-        (Spec_prof.Interp.run (Lower.compile src)).Spec_prof.Interp.output
+        (Spec_prof.Vm.run (Lower.compile src)).Spec_prof.Interp.output
       in
       check_bool "smoke instance agrees" true
         (List.for_all
@@ -448,7 +456,7 @@ let test_fuzz_smoke () =
              let r =
                Pipeline.compile_and_optimize ~edge_profile:(Some prof) src v
              in
-             (Spec_prof.Interp.run r.Pipeline.prog).Spec_prof.Interp.output
+             (Spec_prof.Vm.run r.Pipeline.prog).Spec_prof.Interp.output
              = expected)
            (variants_of src)))
     [ pick gen_program; pick gen_control; pick gen_recursive ]
@@ -459,7 +467,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_control_shapes;
     QCheck_alcotest.to_alcotest prop_recursive;
     QCheck_alcotest.to_alcotest prop_engine_differential;
-    Alcotest.test_case "recursive workloads, faulted (tree/vm/ref)" `Quick
+    Alcotest.test_case "recursive workloads, faulted (vm/ref)" `Quick
       test_recursive_workloads_faulted;
     Alcotest.test_case "deopt recovery under forced faults" `Quick
       test_deopt_forced_faults;

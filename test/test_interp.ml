@@ -1,4 +1,4 @@
-(* Tests for the reference interpreter, memory model, and profilers. *)
+(* Tests for the interpreter (the vm), memory model, and profilers. *)
 
 open Spec_ir
 open Spec_prof
@@ -9,7 +9,7 @@ let check_str = Alcotest.(check string)
 
 let run src =
   let p = Lower.compile src in
-  Interp.run p
+  Vm.run p
 
 let ret_int src =
   match (run src).Interp.ret with
@@ -126,7 +126,7 @@ let test_rnd_deterministic () =
 let test_runtime_errors () =
   let expect_error src =
     try
-      ignore (Interp.run ~fuel:100_000 (Lower.compile src));
+      ignore (Vm.run ~fuel:100_000 (Lower.compile src));
       Alcotest.fail "expected a runtime error"
     with Interp.Runtime_error _ | Memory.Fault _ -> ()
   in
@@ -137,7 +137,7 @@ let test_runtime_errors () =
 let test_fuel_limit () =
   let p = Lower.compile "int main(){ int s; for (int i = 0; i < 1000000; i++) s++; return s; }" in
   (try
-     ignore (Interp.run ~fuel:1000 p);
+     ignore (Vm.run ~fuel:1000 p);
      Alcotest.fail "expected fuel exhaustion"
    with Interp.Runtime_error _ -> ())
 

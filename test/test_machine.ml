@@ -10,7 +10,7 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_str = Alcotest.(check string)
 
-let interp_out p = (Spec_prof.Interp.run p).Spec_prof.Interp.output
+let interp_out p = (Spec_prof.Vm.run p).Spec_prof.Interp.output
 
 let machine_out p = (Machine.run_sir p).Machine.output
 

@@ -143,7 +143,7 @@ let test_fig5a_redundant () =
   (* the second load is gone entirely *)
   let p = (Pipeline.compile_and_optimize src Pipeline.Base).Pipeline.prog in
   let loads =
-    (Spec_prof.Interp.run p).Spec_prof.Interp.counters.Spec_prof.Interp.mem_loads
+    (Spec_prof.Vm.run p).Spec_prof.Interp.counters.Spec_prof.Interp.mem_loads
   in
   check_int "one load remains" 1 loads
 

@@ -170,7 +170,7 @@ let test_variants_match_noopt_verified () =
       let src = Workloads.train_source w in
       let prof = Pipeline.profile_of_source src in
       let expect =
-        (Spec_prof.Interp.run (Lower.compile src)).Spec_prof.Interp.output
+        (Spec_prof.Vm.run (Lower.compile src)).Spec_prof.Interp.output
       in
       List.iter
         (fun (name, variant) ->
@@ -179,7 +179,7 @@ let test_variants_match_noopt_verified () =
               ~edge_profile:(Some prof) src variant
           in
           let out =
-            (Spec_prof.Interp.run r.Pipeline.prog).Spec_prof.Interp.output
+            (Spec_prof.Vm.run r.Pipeline.prog).Spec_prof.Interp.output
           in
           check_str
             (w.Workloads.name ^ "/" ^ name ^ " matches noopt output")

@@ -81,12 +81,12 @@ let test_refinement_sharpens_baseline () =
      for (int i = 0; i < 50; i++) { s = s + g; *q = i; } \
      print_int(s); print_int(h); return 0; }"
   in
-  let baseline = Spec_prof.Interp.run (Lower.compile src) in
+  let baseline = Spec_prof.Vm.run (Lower.compile src) in
   let prof = Pipeline.profile_of_source src in
   let res =
     Pipeline.compile_and_optimize ~edge_profile:(Some prof) src Pipeline.Base
   in
-  let out = Spec_prof.Interp.run res.Pipeline.prog in
+  let out = Spec_prof.Vm.run res.Pipeline.prog in
   check_str "output preserved" baseline.Spec_prof.Interp.output
     out.Spec_prof.Interp.output;
   (* the load of g is hoisted without any data speculation: no ld.c *)
@@ -115,7 +115,7 @@ let test_refined_same_target_still_kills () =
      x = *q; *q = 7; y = *q; print_int(x + y); return 0; }"
   in
   let r = Pipeline.compile_and_optimize src Pipeline.Spec_heuristic in
-  let out = Spec_prof.Interp.run r.Pipeline.prog in
+  let out = Spec_prof.Vm.run r.Pipeline.prog in
   check_str "store-forwarding semantics preserved" "7\n"
     out.Spec_prof.Interp.output
 

@@ -5,8 +5,8 @@
    stable site key (golden below), the constant-time selection kernel
    must come out clean *while still speculating*, and secret-free
    programs stay unannotated.  On top of the verdicts: strict mode,
-   deopt-based recovery (tree/vm agreement, nonzero deopt counters
-   under forced interference, and the step-refund parity), and
+   deopt-based recovery (the oracle's output and pinned vm counters
+   under forced interference, the step refund included), and
    preservation of deopt descriptors across the compile-cache artifact
    round trip. *)
 
@@ -91,7 +91,7 @@ let test_ctsel_safe () =
       (* clean must not mean trivial: the constant-time build still
          carries data speculation for the checker to reason about *)
       if vname <> "aggressive" then begin
-        let run = Spec_prof.Interp.run r.Pipeline.prog in
+        let run = Spec_prof.Vm.run r.Pipeline.prog in
         check_bool (vname ^ " really speculates") true
           (run.Spec_prof.Interp.counters.Spec_prof.Interp.check_stmts > 0)
       end)
@@ -112,36 +112,35 @@ let fault_plan spec =
   | Ok p -> p
   | Error m -> failwith m
 
-let test_deopt_recovery_agreement () =
+(* the vm's counters for the run below, recorded while the pre-compiled
+   tree engine still ran beside it and matched them counter for counter
+   (steps included, via the vm's step refund) *)
+let cipher_deopt_counters =
+  { Spec_prof.Interp.steps = 3871; mem_loads = 1128; mem_stores = 531;
+    branches = 538; calls = 344; check_stmts = 14; check_reloads = 0;
+    deopts = 3 }
+
+let test_deopt_recovery_pinned () =
   (* under forced periodic flushes the cipher build must deoptimize (its
-     descriptors survive the pipeline), both engines must agree to the
-     counter — including steps, via the vm's refund — and the output
-     must stay byte-identical to the unoptimized oracle *)
+     descriptors survive the pipeline), the vm must reproduce the pinned
+     counters, and the output must stay byte-identical to the
+     unoptimized oracle *)
   let src = train_src "cipher" in
   let r = build "cipher" "heuristic" in
   let dplan = Deopt.make_plan (Lower.compile src) in
   let expected =
     (Spec_prof.Interp_ref.run (Lower.compile src)).Spec_prof.Interp_ref.output
   in
-  let inj () =
-    Spec_stress.Faults.injector (fault_plan "flush=16")
-      ~scope:[ "test-safety"; "cipher"; "deopt" ]
-  in
-  let tree =
-    Spec_prof.Interp.run ~faults:(inj ()) ~recover:dplan r.Pipeline.prog
-  in
   let vm =
-    Spec_prof.Vm.run ~faults:(inj ()) ~recover:dplan r.Pipeline.prog
+    Spec_prof.Vm.run
+      ~faults:
+        (Spec_stress.Faults.injector (fault_plan "flush=16")
+           ~scope:[ "test-safety"; "cipher"; "deopt" ])
+      ~recover:dplan r.Pipeline.prog
   in
-  check_str "tree output is the oracle's" expected
-    tree.Spec_prof.Interp.output;
   check_str "vm output is the oracle's" expected vm.Spec_prof.Interp.output;
-  check_bool "rets agree" true
-    (vm.Spec_prof.Interp.ret = tree.Spec_prof.Interp.ret);
-  check_bool "every counter agrees" true
-    (vm.Spec_prof.Interp.counters = tree.Spec_prof.Interp.counters);
-  check_bool "forced flushes exercised the deopt path" true
-    (tree.Spec_prof.Interp.counters.Spec_prof.Interp.deopts > 0)
+  check_bool "pinned counters" true
+    (vm.Spec_prof.Interp.counters = cipher_deopt_counters)
 
 let test_recover_vs_reload_outputs () =
   (* recovery policy must never be observable in the output, only in
@@ -153,9 +152,9 @@ let test_recover_vs_reload_outputs () =
     Spec_stress.Faults.injector (fault_plan "flush=16")
       ~scope:[ "test-safety"; "cipher"; leg ]
   in
-  let reload = Spec_prof.Interp.run ~faults:(inj "cmp") r.Pipeline.prog in
+  let reload = Spec_prof.Vm.run ~faults:(inj "cmp") r.Pipeline.prog in
   let deo =
-    Spec_prof.Interp.run ~faults:(inj "cmp") ~recover:dplan r.Pipeline.prog
+    Spec_prof.Vm.run ~faults:(inj "cmp") ~recover:dplan r.Pipeline.prog
   in
   check_str "same output under either policy"
     reload.Spec_prof.Interp.output deo.Spec_prof.Interp.output;
@@ -224,8 +223,8 @@ let suite =
     Alcotest.test_case "ctsel constant-time is safe" `Quick test_ctsel_safe;
     Alcotest.test_case "secret-free programs stay unannotated" `Quick
       test_secret_free_unannotated;
-    Alcotest.test_case "deopt recovery: engines agree, oracle output" `Quick
-      test_deopt_recovery_agreement;
+    Alcotest.test_case "deopt: pinned counters, oracle output" `Quick
+      test_deopt_recovery_pinned;
     Alcotest.test_case "recovery policy invisible in output" `Quick
       test_recover_vs_reload_outputs;
     Alcotest.test_case "artifact preserves deopt descriptors" `Quick

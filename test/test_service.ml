@@ -575,7 +575,7 @@ let test_stale_report_sound () =
   check_bool "stale evidence binds partially" true
     (r.Proto.cr_match_ppm < 1_000_000);
   let oracle =
-    (Spec_prof.Interp.run (Lower.compile src_a_edited))
+    (Spec_prof.Vm.run (Lower.compile src_a_edited))
       .Spec_prof.Interp.output
   in
   check_str "stale-profile compile output == unoptimized oracle" oracle

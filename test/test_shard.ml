@@ -5,7 +5,7 @@
    N same-key requests across wakeups = exactly one cold compile
    (cold/joined/parked counters), sharded-vs-unsharded byte-identical
    answers on a full workload sweep, and the [shards] section of the
-   specpre-bench/7 schema (accept + reject). *)
+   specpre-bench/8 schema (accept + reject). *)
 
 open Spec_fdo
 open Spec_driver
@@ -394,13 +394,17 @@ let test_shards_schema () =
     (fun _ -> "{\"seed\":1,\"shards\":2,\"requests\":40,\"units\":3,\
                \"divergences\":0,\"p50_ms\":1.0,\"p99_ms\":2.0,\
                \"wall_s\":1.0,\"throughput_rps\":40.0}");
-  (* the /6 tag (pre-shards) is rejected outright *)
-  (match
-     Bench_json.check
-       (replace_all ~pat:"specpre-bench/7" ~by:"specpre-bench/6" (dump ()))
-   with
-   | Ok () -> Alcotest.fail "accepted a specpre-bench/6 dump"
-   | Error _ -> ())
+  (* the /7 tag (two engines) and the /6 tag (pre-shards) are rejected
+     outright *)
+  List.iter
+    (fun old ->
+      match
+        Bench_json.check
+          (replace_all ~pat:"specpre-bench/8" ~by:old (dump ()))
+      with
+      | Ok () -> Alcotest.fail ("accepted a " ^ old ^ " dump")
+      | Error _ -> ())
+    [ "specpre-bench/7"; "specpre-bench/6" ]
 
 let suite =
   [ Alcotest.test_case "routing determinism" `Quick

@@ -153,11 +153,11 @@ let test_ssa_check_catches_violation () =
 (* Round trip: optimizing pipeline with no optimization must preserve
    semantics exactly. *)
 let roundtrip_src src =
-  let baseline = Spec_prof.Interp.run (Lower.compile src) in
+  let baseline = Spec_prof.Vm.run (Lower.compile src) in
   let p, _, _ = build src in
   Ssa_check.check p;
   Out_of_ssa.run p;
-  let after = Spec_prof.Interp.run p in
+  let after = Spec_prof.Vm.run p in
   check_str "output preserved" baseline.Spec_prof.Interp.output
     after.Spec_prof.Interp.output;
   check_bool "return preserved" true
@@ -244,11 +244,11 @@ let prop_random_roundtrip =
   QCheck.Test.make ~count:100 ~name:"random programs round-trip through SSA"
     (QCheck.make ~print:Fun.id random_prog_gen)
     (fun src ->
-      let baseline = Spec_prof.Interp.run (Lower.compile src) in
+      let baseline = Spec_prof.Vm.run (Lower.compile src) in
       let p, _, _ = build src in
       Ssa_check.check p;
       Out_of_ssa.run p;
-      let after = Spec_prof.Interp.run p in
+      let after = Spec_prof.Vm.run p in
       baseline.Spec_prof.Interp.output = after.Spec_prof.Interp.output)
 
 let suite =

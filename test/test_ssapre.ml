@@ -40,7 +40,7 @@ let count_iloads (p : Sir.prog) =
     p;
   !n
 
-let run_prog p = Spec_prof.Interp.run p
+let run_prog p = Spec_prof.Vm.run p
 
 (* The paper's Figure 2: redundancy elimination using data speculation.
    r31 = p; ... = *p; *q = ...; ... = *p

@@ -7,7 +7,7 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_str = Alcotest.(check string)
 
-let interp p = Spec_prof.Interp.run p
+let interp p = Spec_prof.Vm.run p
 
 let optimize ?(variant = Pipeline.Spec_heuristic) src =
   let prof = Pipeline.profile_of_source src in

@@ -39,7 +39,7 @@ let sr_only src =
   let stats = Spec_ssapre.Strength.run p in
   p, stats
 
-let interp p = Spec_prof.Interp.run p
+let interp p = Spec_prof.Vm.run p
 
 let test_basic_sr () =
   let src =

@@ -1,7 +1,7 @@
 (* Tests for the misspeculation stress layer: the splittable RNG, fault
    plans and injectors, ALAT interference, the stress sweep's
    correctness/determinism/degradation guarantees, and the pinned
-   [specpre-bench/7] JSON schema (golden check on the committed
+   [specpre-bench/8] JSON schema (golden check on the committed
    baselines and on a freshly emitted dump). *)
 
 open Spec_driver
@@ -264,7 +264,7 @@ let replace ~sub ~by s =
 
 let test_bench_json_schema_committed () =
   (* golden check: every committed BENCH_<date>.json baseline must parse
-     and validate against the pinned specpre-bench/7 schema *)
+     and validate against the pinned specpre-bench/8 schema *)
   let dir = ".." in
   let baselines =
     Sys.readdir dir |> Array.to_list
@@ -285,7 +285,7 @@ let test_bench_json_schema_committed () =
    validators without paying for a real throughput sweep *)
 let mini_engine_cells =
   [ { Experiments.e_wname = "art"; e_steps = 1000; e_insns = 2000;
-      e_ref_s = 0.01; e_tree_s = 0.004; e_vm_s = 0.001 } ]
+      e_ref_s = 0.01; e_vm_s = 0.001 } ]
 
 let mini_mdp_cells =
   [ { Experiments.md_wname = "art";
@@ -330,15 +330,17 @@ let test_bench_json_rejects_drift () =
     [ "renamed stress counter",
       replace ~sub:"\"check_misses\"" ~by:"\"cheks\"" dump;
       "unknown schema tag",
-      replace ~sub:"specpre-bench/7" ~by:"specpre-bench/9" dump;
+      replace ~sub:"specpre-bench/8" ~by:"specpre-bench/10" dump;
+      "two-engine schema tag",
+      replace ~sub:"specpre-bench/8" ~by:"specpre-bench/7" dump;
       "pre-shards schema tag",
-      replace ~sub:"specpre-bench/7" ~by:"specpre-bench/6" dump;
+      replace ~sub:"specpre-bench/8" ~by:"specpre-bench/6" dump;
       "pre-safety schema tag",
-      replace ~sub:"specpre-bench/7" ~by:"specpre-bench/5" dump;
+      replace ~sub:"specpre-bench/8" ~by:"specpre-bench/5" dump;
       "pre-engine schema tag",
-      replace ~sub:"specpre-bench/7" ~by:"specpre-bench/3" dump;
+      replace ~sub:"specpre-bench/8" ~by:"specpre-bench/3" dump;
       "pre-backend schema tag",
-      replace ~sub:"specpre-bench/7" ~by:"specpre-bench/2" dump;
+      replace ~sub:"specpre-bench/8" ~by:"specpre-bench/2" dump;
       "unknown safety verdict",
       replace ~sub:"\"verdict\":\"leaks\"" ~by:"\"verdict\":\"spooky\"" dump;
       "renamed safety counter",

@@ -15,7 +15,7 @@ let test_all_compile_and_run () =
   List.iter
     (fun w ->
       let p = Lower.compile (Workloads.train_source w) in
-      let r = Spec_prof.Interp.run p in
+      let r = Spec_prof.Vm.run p in
       check_bool
         (w.Workloads.name ^ " produces output")
         true
@@ -26,7 +26,7 @@ let test_deterministic () =
   List.iter
     (fun w ->
       let out () =
-        (Spec_prof.Interp.run (Lower.compile (Workloads.train_source w)))
+        (Spec_prof.Vm.run (Lower.compile (Workloads.train_source w)))
           .Spec_prof.Interp.output
       in
       check_str (w.Workloads.name ^ " deterministic") (out ()) (out ()))
@@ -36,11 +36,11 @@ let test_train_ref_differ () =
   List.iter
     (fun w ->
       let t =
-        (Spec_prof.Interp.run (Lower.compile (Workloads.train_source w)))
+        (Spec_prof.Vm.run (Lower.compile (Workloads.train_source w)))
           .Spec_prof.Interp.output
       in
       let r =
-        (Spec_prof.Interp.run (Lower.compile (Workloads.ref_source w)))
+        (Spec_prof.Vm.run (Lower.compile (Workloads.ref_source w)))
           .Spec_prof.Interp.output
       in
       check_bool (w.Workloads.name ^ " ref input differs from train") true
