@@ -9,25 +9,23 @@
     reloaded.  Entries are also lost to capacity eviction, which the
     ALAT-size ablation experiment measures, and — under a stress plan —
     to injected interference (periodic full flushes and random
-    invalidation; see {!Spec_stress.Faults}). *)
+    invalidation; see {!Spec_stress.Faults}).
 
-type entry = {
-  mutable tag_frame : int;   (* activation serial: models distinct
-                                physical registers under the register stack *)
-  mutable tag_reg : int;
-  mutable addr : int;
-  mutable valid : bool;
-}
+    Entry [i = set * assoc + way] lives in flat arrays.  At most one
+    valid entry carries a given (frame, reg) tag — [insert] drops the
+    old holder first — so a tag lookup is a scan for that entry. *)
 
 type t = {
-  sets : entry array array;      (* [n_sets][assoc] *)
-  n_sets : int;
+  n_sets : int;                  (* a power of two *)
   assoc : int;
+  tag_frame : int array;         (* activation serial: models distinct
+                                    physical registers under the register
+                                    stack *)
+  tag_reg : int array;
+  addr : int array;
+  valid : Bytes.t;
+  mutable n_live : int;
   mutable next_victim : int;
-  (* (frame, reg) -> the entry currently holding that tag.  Kept exact:
-     a mapping exists iff its entry is valid with that tag, so insert
-     and check are O(1) instead of scanning the whole table. *)
-  tags : (int * int, entry) Hashtbl.t;
   mutable faults : Spec_stress.Faults.injector option;
   mutable inserts : int;
   mutable store_invalidations : int;
@@ -35,33 +33,41 @@ type t = {
 }
 
 let create ?(entries = 32) ?(assoc = 2) () =
-  let n_sets = max 1 (entries / assoc) in
-  { sets =
-      Array.init n_sets (fun _ ->
-          Array.init assoc (fun _ ->
-              { tag_frame = -1; tag_reg = -1; addr = 0; valid = false }));
-    n_sets; assoc; next_victim = 0;
-    tags = Hashtbl.create (max 16 (n_sets * assoc));
-    faults = None;
+  let n_sets = if assoc > 0 then entries / assoc else 0 in
+  if n_sets < 1 || n_sets * assoc <> entries || n_sets land (n_sets - 1) <> 0
+  then
+    invalid_arg
+      (Printf.sprintf
+         "Alat.create: %d entries is not %d ways times a power of two"
+         entries assoc);
+  { n_sets; assoc;
+    tag_frame = Array.make entries (-1); tag_reg = Array.make entries (-1);
+    addr = Array.make entries 0; valid = Bytes.make entries '\000';
+    n_live = 0; next_victim = 0; faults = None;
     inserts = 0; store_invalidations = 0; capacity_evictions = 0 }
 
 let set_faults t inj = t.faults <- inj
 
-let set_index t addr = (addr lsr 3) land (t.n_sets - 1)
+let[@inline] is_valid t i = Bytes.unsafe_get t.valid i <> '\000'
 
-(* Drop [e]'s tag mapping if it is the current holder.  An invalid entry
-   can keep stale tag fields after the same tag was re-inserted
-   elsewhere, in which case the mapping belongs to the newer entry and
-   must survive. *)
-let untag t e =
-  match Hashtbl.find_opt t.tags (e.tag_frame, e.tag_reg) with
-  | Some e' when e' == e -> Hashtbl.remove t.tags (e.tag_frame, e.tag_reg)
-  | _ -> ()
+let invalidate t i =
+  Bytes.unsafe_set t.valid i '\000';
+  t.n_live <- t.n_live - 1
 
-let invalidate_entry t e =
-  if e.valid then begin
-    e.valid <- false;
-    untag t e
+(* The entry holding (frame, reg), or -1. *)
+let find t ~frame ~reg =
+  if t.n_live = 0 then -1
+  else begin
+    let n = Array.length t.tag_reg in
+    let i = ref 0 and found = ref (-1) in
+    while !found < 0 && !i < n do
+      let k = !i in
+      if Array.unsafe_get t.tag_reg k = reg
+         && Array.unsafe_get t.tag_frame k = frame && is_valid t k
+      then found := k;
+      i := k + 1
+    done;
+    !found
   end
 
 (* Injected interference: a full flush (context switch) empties the
@@ -70,23 +76,19 @@ let invalidate_entry t e =
    value that is current in memory — semantics are preserved. *)
 
 let flush_all t =
-  Array.iter (fun set -> Array.iter (invalidate_entry t) set) t.sets
+  for i = 0 to Array.length t.tag_reg - 1 do
+    if is_valid t i then invalidate t i
+  done
 
 let invalidate_random t rng =
-  let n = Hashtbl.length t.tags in
-  if n > 0 then begin
-    let k = Spec_stress.Srng.below rng n in
-    let i = ref 0 and victim = ref None in
-    Array.iter
-      (fun set ->
-        Array.iter
-          (fun e -> if e.valid then begin
-               if !i = k then victim := Some e;
-               incr i
-             end)
-          set)
-      t.sets;
-    match !victim with Some e -> invalidate_entry t e | None -> ()
+  if t.n_live > 0 then begin
+    (* the k-th live entry in set-then-way order *)
+    let k = ref (Spec_stress.Srng.below rng t.n_live) and i = ref (-1) in
+    while !k >= 0 do
+      incr i;
+      if is_valid t !i then decr k
+    done;
+    invalidate t !i
   end
 
 (** Advance injected interference to the machine clock (no-op without a
@@ -102,56 +104,51 @@ let interfere t ~now =
 (** Allocate an entry for an advanced load. *)
 let insert t ~frame ~reg ~addr =
   t.inserts <- t.inserts + 1;
-  (* an existing entry with the same register tag is replaced — found
-     through the tag index, not a table scan *)
-  (match Hashtbl.find_opt t.tags (frame, reg) with
-   | Some e -> invalidate_entry t e
-   | None -> ());
-  let set = t.sets.(set_index t addr) in
+  (* an existing entry with the same register tag is replaced *)
+  let old = find t ~frame ~reg in
+  if old >= 0 then invalidate t old;
+  let base = ((addr lsr 3) land (t.n_sets - 1)) * t.assoc in
+  let w = ref 0 in
+  while !w < t.assoc && is_valid t (base + !w) do incr w done;
   let victim =
-    let rec find i = if i >= t.assoc then None
-      else if not set.(i).valid then Some set.(i) else find (i + 1)
-    in
-    match find 0 with
-    | Some e -> e
-    | None ->
+    if !w < t.assoc then base + !w
+    else begin
       t.capacity_evictions <- t.capacity_evictions + 1;
-      t.next_victim <- (t.next_victim + 1) mod t.assoc;
-      set.(t.next_victim)
-  in
-  invalidate_entry t victim;
-  victim.tag_frame <- frame;
-  victim.tag_reg <- reg;
-  victim.addr <- addr;
-  victim.valid <- true;
-  Hashtbl.replace t.tags (frame, reg) victim
-
-let invalidate_overlaps t set ~addr ~bytes =
-  for w = 0 to t.assoc - 1 do
-    let e = set.(w) in
-    if e.valid && e.addr < addr + bytes
-       && addr < e.addr + Spec_ir.Types.cell_size
-    then begin
-      invalidate_entry t e;
-      t.store_invalidations <- t.store_invalidations + 1
+      let v = t.next_victim + 1 in
+      t.next_victim <- (if v = t.assoc then 0 else v);
+      invalidate t (base + t.next_victim);
+      base + t.next_victim
     end
-  done
+  in
+  Array.unsafe_set t.tag_frame victim frame;
+  Array.unsafe_set t.tag_reg victim reg;
+  Array.unsafe_set t.addr victim addr;
+  Bytes.unsafe_set t.valid victim '\001';
+  t.n_live <- t.n_live + 1
 
 (** A store to [addr] of [bytes] invalidates overlapping entries.  An
     overlapping entry starts in [(addr - cell_size, addr + bytes)], so
     only the sets of the cells that range touches are scanned; any
     [n_sets] consecutive cells already reach every set. *)
 let invalidate_store t ~addr ~bytes =
-  if Hashtbl.length t.tags > 0 then begin
-    let lo = (addr - Spec_ir.Types.cell_size + 1) asr 3 in
+  if t.n_live > 0 then begin
+    let cell = Spec_ir.Types.cell_size in
+    let lo = (addr - cell + 1) asr 3 in
     let hi = min ((addr + bytes - 1) asr 3) (lo + t.n_sets - 1) in
     for c = lo to hi do
-      invalidate_overlaps t t.sets.(c land (t.n_sets - 1)) ~addr ~bytes
+      let base = (c land (t.n_sets - 1)) * t.assoc in
+      for i = base to base + t.assoc - 1 do
+        let a = Array.unsafe_get t.addr i in
+        if is_valid t i && a < addr + bytes && addr < a + cell then begin
+          invalidate t i;
+          t.store_invalidations <- t.store_invalidations + 1
+        end
+      done
     done
   end
 
 (** Check load: does the entry for (frame, reg) survive? *)
-let check t ~frame ~reg = Hashtbl.mem t.tags (frame, reg)
+let check t ~frame ~reg = find t ~frame ~reg >= 0
 
 (** Live (valid) entry count — exposed for the stress tests. *)
-let live t = Hashtbl.length t.tags
+let live t = t.n_live

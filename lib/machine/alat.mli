@@ -7,29 +7,29 @@
     the ALAT-size ablation measures, and to injected interference when a
     stress plan is attached (see {!Spec_stress.Faults}).
 
-    Insert and check resolve the (frame, reg) tag through a hash index,
-    so advanced loads are O(1) rather than a scan of every entry. *)
-
-type entry = {
-  mutable tag_frame : int;
-  mutable tag_reg : int;
-  mutable addr : int;
-  mutable valid : bool;
-}
+    The table is a set of flat arrays indexed by [set * assoc + way].  A
+    register tag is found by scanning the (at most a few dozen) entries,
+    skipped outright when none is live, so [insert] and [check]
+    allocate nothing. *)
 
 type t = {
-  sets : entry array array;
-  n_sets : int;
+  n_sets : int;  (** a power of two *)
   assoc : int;
-  mutable next_victim : int;
-  tags : (int * int, entry) Hashtbl.t;
+  tag_frame : int array;
+  tag_reg : int array;
+  addr : int array;
+  valid : Bytes.t;
+  mutable n_live : int;  (** valid entries; {!live} *)
+  mutable next_victim : int;  (** round-robin way, shared by all sets *)
   mutable faults : Spec_stress.Faults.injector option;
   mutable inserts : int;
   mutable store_invalidations : int;
   mutable capacity_evictions : int;
 }
 
-(** [create ~entries ~assoc ()] — default 32 entries, 2-way. *)
+(** [create ~entries ~assoc ()] — default 32 entries, 2-way.  Raises
+    [Invalid_argument] unless [entries] is [assoc] times a power of two:
+    any other size would leave sets unreachable. *)
 val create : ?entries:int -> ?assoc:int -> unit -> t
 
 (** Attach (or clear) a fault injector; faults fire from {!interfere}. *)

@@ -1,22 +1,14 @@
-(** Shared machine-backend contract.
-
-    Everything two execution backends must agree on lives here: the
-    performance-counter record, the run {!result}, the {!config} knobs,
-    the resolved program representation and the resolver itself, and the
-    {!S} signature each core model implements.  The in-order EPIC core
-    ({!Inorder}) and the out-of-order core ({!Ooo}) both execute the
-    same {!rprog} in program order — identical architectural semantics,
-    so program output is byte-identical across backends by construction
-    — and differ only in the timing model behind the counters. *)
-
-open Spec_ir
+(** Shared machine contract: the core identity, the performance-counter
+    record, the run {!result} and the {!config} knobs.  The two timing
+    models share one functional walk ({!Machine}), so everything here is
+    common to both cores. *)
 
 exception Machine_error of string
 
 let error fmt = Fmt.kstr (fun s -> raise (Machine_error s)) fmt
 
 (* ------------------------------------------------------------------ *)
-(* Backend identity                                                    *)
+(* Core identity                                                       *)
 (* ------------------------------------------------------------------ *)
 
 type kind =
@@ -105,193 +97,3 @@ let default_config =
     rob_entries = 64; lsq_entries = 24; fetch_width = 4; retire_width = 4;
     alu_ports = 4; mem_ports = 2; br_penalty = 8; replay_penalty = 10;
     mdp = Mdp_store_set }
-
-(* ------------------------------------------------------------------ *)
-(* Resolved program                                                    *)
-(* ------------------------------------------------------------------ *)
-
-(** Builtin and user-call dispatch, decided at resolve time. *)
-type rtarget =
-  | Cmalloc of int                  (* allocation site *)
-  | Cprint_int
-  | Cprint_flt
-  | Cseed
-  | Crnd
-  | Cuser of int                    (* index into resolved functions *)
-  | Cunknown of string
-  | Cbad of string * int            (* ill-formed builtin call: name/arity *)
-
-type rinsn =
-  | RMovi_i of int * int
-  | RMovi_f of int * float
-  | RMov of int * int
-  | RLea_g of int * int             (* dst, global vid *)
-  | RLea_s of int * int             (* dst, frame address slot *)
-  | RLea_e of int * string          (* dst, local without a stack slot *)
-  | RLd of { dst : int; addr : int; fp : bool; kind : Spec_codegen.Itl.lkind }
-  | RSt of { src : int; addr : int; fp : bool }
-  | RAlu of Sir.binop * bool * int * int * int
-  | RUn of Sir.unop * bool * int * int
-  | RCall of { target : rtarget; args : int array; ret : int }
-
-type rterm =
-  | RTbr of int
-  | RTbc of int * int * int
-  | RTret_none
-  | RTret of int
-
-type rblock = { r_insns : rinsn array; r_term : rterm }
-
-type rformal =
-  | RFreg                                   (* register-only formal *)
-  | RFmem of { aslot : int; vid : int; bytes : int; fp : bool }
-
-type rfunc = {
-  rf_name : string;
-  rf_nregs : int;                   (* = max 1 mf_nregs, the frame size *)
-  rf_blocks : rblock array;
-  rf_mem_locals : (int * int * int) array;  (* (addr slot, vid, bytes) *)
-  rf_formals : rformal array;
-  rf_formal_regs : int array;       (* per-formal register, -1 if none *)
-  rf_n_addr : int;
-}
-
-type rprog = {
-  r_sir : Sir.prog;
-  rfuncs : rfunc array;
-  r_main : int;
-}
-
-let cell_bytes v = max Types.cell_size v.Symtab.vsize
-
-let resolve_func (mp : Spec_codegen.Itl.mprog) ~func_ix
-    (mf : Spec_codegen.Itl.mfunc) : rfunc =
-  let open Spec_codegen.Itl in
-  let syms = mp.mp_sir.Sir.syms in
-  let sf = Sir.find_func mp.mp_sir mf.mf_name in
-  let addr_slots : (int, int) Hashtbl.t = Hashtbl.create 8 in
-  let rf_mem_locals =
-    List.filter_map
-      (fun vid ->
-        if Symtab.is_mem syms vid then begin
-          let slot = Hashtbl.length addr_slots in
-          Hashtbl.replace addr_slots vid slot;
-          Some (slot, vid, cell_bytes (Symtab.var syms vid))
-        end
-        else None)
-      sf.Sir.flocals
-    |> Array.of_list
-  in
-  let rf_formals =
-    List.map
-      (fun vid ->
-        if Symtab.is_mem syms vid then begin
-          let slot = Hashtbl.length addr_slots in
-          Hashtbl.replace addr_slots vid slot;
-          let v = Symtab.var syms vid in
-          RFmem { aslot = slot; vid; bytes = cell_bytes v;
-                  fp = Types.is_fp v.Symtab.vty }
-        end
-        else RFreg)
-      sf.Sir.fformals
-    |> Array.of_list
-  in
-  let resolve_lea d vid =
-    let v = Symtab.var syms vid in
-    match v.Symtab.vstorage with
-    | Symtab.Sglobal -> RLea_g (d, vid)
-    | _ ->
-      (match Hashtbl.find_opt addr_slots vid with
-       | Some s -> RLea_s (d, s)
-       | None -> RLea_e (d, v.Symtab.vname))
-  in
-  let resolve_call ~callee ~args ~ret ~site =
-    let args = Array.of_list args in
-    let ret = match ret with Some r -> r | None -> -1 in
-    let n = Array.length args in
-    let builtin t =
-      if n = 1 then RCall { target = t; args; ret }
-      else RCall { target = Cbad (callee, n); args; ret }
-    in
-    match callee with
-    | "malloc" -> builtin (Cmalloc site)
-    | "print_int" -> builtin Cprint_int
-    | "print_flt" -> builtin Cprint_flt
-    | "seed" -> builtin Cseed
-    | "rnd" -> builtin Crnd
-    | name ->
-      let target =
-        match func_ix name with
-        | Some ix -> Cuser ix
-        | None -> Cunknown name
-      in
-      RCall { target; args; ret }
-  in
-  let resolve_insn = function
-    | Movi (d, Sir.Cint v) -> RMovi_i (d, v)
-    | Movi (d, Sir.Cflt v) -> RMovi_f (d, v)
-    | Mov (d, s) -> RMov (d, s)
-    | Lea (d, vid) -> resolve_lea d vid
-    | Ld { dst; addr; fp; kind } -> RLd { dst; addr; fp; kind }
-    | St { src; addr; fp } -> RSt { src; addr; fp }
-    | Alu (op, fp, d, a, b) -> RAlu (op, fp, d, a, b)
-    | Un (op, fp, d, s) -> RUn (op, fp, d, s)
-    | Call { callee; args; ret; site } -> resolve_call ~callee ~args ~ret ~site
-  in
-  let rf_blocks =
-    Array.map
-      (fun b ->
-        { r_insns = Array.of_list (List.map resolve_insn b.insns);
-          r_term =
-            (match b.mterm with
-             | Tbr t -> RTbr t
-             | Tbc (c, t, e) -> RTbc (c, t, e)
-             | Tret None -> RTret_none
-             | Tret (Some r) -> RTret r) })
-      mf.mf_blocks
-  in
-  { rf_name = mf.mf_name; rf_nregs = max 1 mf.mf_nregs; rf_blocks;
-    rf_mem_locals; rf_formals;
-    rf_formal_regs = Array.of_list mf.mf_formals;
-    rf_n_addr = Hashtbl.length addr_slots }
-
-(** Resolve a whole ITL program: one pass over the instructions. *)
-let resolve (mp : Spec_codegen.Itl.mprog) : rprog =
-  let open Spec_codegen.Itl in
-  let order = mp.mp_order in
-  let ix_of = Hashtbl.create 16 in
-  List.iteri (fun i name -> Hashtbl.replace ix_of name i) order;
-  let func_ix name = Hashtbl.find_opt ix_of name in
-  let rfuncs =
-    Array.of_list
-      (List.map
-         (fun name ->
-           resolve_func mp ~func_ix (Hashtbl.find mp.mp_funcs name))
-         order)
-  in
-  { r_sir = mp.mp_sir; rfuncs;
-    r_main = (match func_ix "main" with Some i -> i | None -> -1) }
-
-(* ------------------------------------------------------------------ *)
-(* Backend signature                                                   *)
-(* ------------------------------------------------------------------ *)
-
-(** What a core model must provide.  [faults] attaches a stress
-    injector (see {!Spec_stress.Faults}); capacity pressure is applied
-    by the caller through [config.alat_entries]. *)
-module type S = sig
-  val kind : kind
-
-  val run_resolved :
-    ?config:config -> ?faults:Spec_stress.Faults.injector -> rprog -> result
-
-  (** Resolve and run an ITL program from [main]. *)
-  val run :
-    ?config:config -> ?faults:Spec_stress.Faults.injector ->
-    Spec_codegen.Itl.mprog -> result
-
-  (** Convenience: lower an (out-of-SSA) SIR program and run it. *)
-  val run_sir :
-    ?config:config -> ?faults:Spec_stress.Faults.injector ->
-    Sir.prog -> result
-end

@@ -1,15 +1,20 @@
-(** Shared machine-backend contract: counters, config, the resolved
-    program representation and the {!S} signature each core model
-    implements.  See {!Machine} for the dispatching façade. *)
+(** Shared machine contract: the core identity, the counter record, the
+    run {!result} and the {!config} knobs.
 
-open Spec_ir
+    Both timing models — the in-order EPIC core and the out-of-order
+    core — run under one functional walk of the same flat code
+    ({!Mcode}, run by {!Machine}), so they agree on program output,
+    [insns] and ALAT traffic by construction and differ only in the
+    timing counters.  The out-of-order-only counters stay 0 on the
+    in-order core, and [rse_stall_cycles] stays 0 on the out-of-order
+    one. *)
 
 exception Machine_error of string
 
 (** Raise {!Machine_error} with a formatted message. *)
 val error : ('a, Format.formatter, unit, 'b) format4 -> 'a
 
-(** {1 Backend identity} *)
+(** {1 Core identity} *)
 
 type kind =
   | Inorder  (** the paper's EPIC model: scoreboard + ALAT *)
@@ -80,81 +85,3 @@ type config = {
 }
 
 val default_config : config
-
-(** {1 Resolved program} *)
-
-type rtarget =
-  | Cmalloc of int
-  | Cprint_int
-  | Cprint_flt
-  | Cseed
-  | Crnd
-  | Cuser of int
-  | Cunknown of string
-  | Cbad of string * int
-
-type rinsn =
-  | RMovi_i of int * int
-  | RMovi_f of int * float
-  | RMov of int * int
-  | RLea_g of int * int
-  | RLea_s of int * int
-  | RLea_e of int * string
-  | RLd of { dst : int; addr : int; fp : bool; kind : Spec_codegen.Itl.lkind }
-  | RSt of { src : int; addr : int; fp : bool }
-  | RAlu of Sir.binop * bool * int * int * int
-  | RUn of Sir.unop * bool * int * int
-  | RCall of { target : rtarget; args : int array; ret : int }
-
-type rterm =
-  | RTbr of int
-  | RTbc of int * int * int
-  | RTret_none
-  | RTret of int
-
-type rblock = { r_insns : rinsn array; r_term : rterm }
-
-type rformal =
-  | RFreg
-  | RFmem of { aslot : int; vid : int; bytes : int; fp : bool }
-
-type rfunc = {
-  rf_name : string;
-  rf_nregs : int;
-  rf_blocks : rblock array;
-  rf_mem_locals : (int * int * int) array;
-  rf_formals : rformal array;
-  rf_formal_regs : int array;
-  rf_n_addr : int;
-}
-
-type rprog = {
-  r_sir : Sir.prog;
-  rfuncs : rfunc array;
-  r_main : int;
-}
-
-(** Resolve a whole ITL program: one pass over the instructions. *)
-val resolve : Spec_codegen.Itl.mprog -> rprog
-
-(** {1 Backend signature} *)
-
-(** What a core model must provide.  [faults] attaches a stress
-    injector (see {!Spec_stress.Faults}); capacity pressure is applied
-    by the caller through [config.alat_entries]. *)
-module type S = sig
-  val kind : kind
-
-  val run_resolved :
-    ?config:config -> ?faults:Spec_stress.Faults.injector -> rprog -> result
-
-  (** Resolve and run an ITL program from [main]. *)
-  val run :
-    ?config:config -> ?faults:Spec_stress.Faults.injector ->
-    Spec_codegen.Itl.mprog -> result
-
-  (** Convenience: lower an (out-of-SSA) SIR program and run it. *)
-  val run_sir :
-    ?config:config -> ?faults:Spec_stress.Faults.injector ->
-    Sir.prog -> result
-end

@@ -1,14 +1,23 @@
 (** Two-level data-cache model with Itanium-flavoured latencies:
     integer loads hit L1 in 2 cycles; floating-point loads bypass L1 and
     hit L2 in 9 cycles (§5.2 of the paper states both numbers); misses go
-    to L2 and then memory. *)
+    to L2 and then memory.
+
+    Each level is true LRU over flat arrays: line [set * ways + way]
+    holds a tag and the level-wide time of its last touch, and a miss
+    evicts the way with the oldest stamp.  Every way starts with a
+    distinct stamp, so the order is the age permutation LRU keeps and
+    the victims are the same.  Touching the way a set touched last
+    leaves that order unchanged, so such a hit skips the stamp. *)
 
 type level = {
-  tags : int array array;        (* [sets][ways], -1 = invalid *)
-  lru : int array array;
-  n_sets : int;
+  tags : int array;              (* [sets * ways], -1 = invalid *)
+  stamps : int array;            (* last touch; larger = more recent *)
+  last : int array;              (* per set: the line touched last *)
+  set_mask : int;
   ways : int;
   line_bits : int;
+  mutable now : int;
   mutable hits : int;
   mutable misses : int;
 }
@@ -19,49 +28,53 @@ let mk_level ~size_kb ~ways ~line =
     bits line
   in
   let n_sets = size_kb * 1024 / line / ways in
-  { tags = Array.init n_sets (fun _ -> Array.make ways (-1));
-    lru = Array.init n_sets (fun _ -> Array.init ways (fun i -> i));
-    n_sets; ways; line_bits; hits = 0; misses = 0 }
+  if n_sets < 1 || n_sets land (n_sets - 1) <> 0 then
+    invalid_arg
+      (Printf.sprintf "Cache.create: %d KB in %d-way sets is not a power \
+                       of two sets" size_kb ways);
+  (* way 0 starts most recent and way [ways - 1] least, as the age
+     permutation [0 .. ways - 1] did *)
+  { tags = Array.make (n_sets * ways) (-1);
+    stamps = Array.init (n_sets * ways) (fun i -> ways - 1 - (i mod ways));
+    last = Array.init n_sets (fun s -> s * ways);
+    set_mask = n_sets - 1; ways; line_bits; now = ways; hits = 0;
+    misses = 0 }
 
-(* Runs on every simulated load and store: plain loops over the set, no
-   closures or escaping refs, so a probe allocates nothing. *)
-let probe lvl addr ~allocate =
+(* Runs on every simulated load and store; allocates nothing.  A miss
+   always allocates the line. *)
+let[@inline] probe lvl addr =
   let line = addr lsr lvl.line_bits in
-  let set = line mod lvl.n_sets in
-  let tags = lvl.tags.(set) and lru = lvl.lru.(set) in
-  let ways = lvl.ways in
-  (* the last matching way, should a tag ever appear twice *)
-  let hit = ref (-1) in
-  for i = 0 to ways - 1 do
-    if tags.(i) = line then hit := i
-  done;
-  let hit = !hit in
-  if hit >= 0 then begin
+  let set = line land lvl.set_mask in
+  let tags = lvl.tags in
+  if Array.unsafe_get tags (Array.unsafe_get lvl.last set) = line then begin
     lvl.hits <- lvl.hits + 1;
-    (* move to MRU *)
-    let age = lru.(hit) in
-    for i = 0 to ways - 1 do
-      if lru.(i) < age then lru.(i) <- lru.(i) + 1
-    done;
-    lru.(hit) <- 0;
     true
   end
   else begin
-    lvl.misses <- lvl.misses + 1;
-    if allocate then begin
-      (* evict the LRU way: the first of the oldest *)
-      let victim = ref 0 in
-      for i = 1 to ways - 1 do
-        if lru.(i) > lru.(!victim) then victim := i
+    let base = set * lvl.ways in
+    let stop = base + lvl.ways in
+    let i = ref base in
+    while !i < stop && Array.unsafe_get tags !i <> line do incr i done;
+    lvl.now <- lvl.now + 1;
+    if !i < stop then begin
+      lvl.hits <- lvl.hits + 1;
+      Array.unsafe_set lvl.stamps !i lvl.now;
+      Array.unsafe_set lvl.last set !i;
+      true
+    end
+    else begin
+      lvl.misses <- lvl.misses + 1;
+      let stamps = lvl.stamps in
+      let victim = ref base in
+      for j = base + 1 to stop - 1 do
+        if Array.unsafe_get stamps j < Array.unsafe_get stamps !victim then
+          victim := j
       done;
-      let victim = !victim in
-      tags.(victim) <- line;
-      for i = 0 to ways - 1 do
-        lru.(i) <- lru.(i) + 1
-      done;
-      lru.(victim) <- 0
-    end;
-    false
+      Array.unsafe_set tags !victim line;
+      Array.unsafe_set stamps !victim lvl.now;
+      Array.unsafe_set lvl.last set !victim;
+      false
+    end
   end
 
 type t = {
@@ -81,15 +94,15 @@ let create ?(l1_kb = 16) ?(l2_kb = 256) ?(lat_l1 = 2) ?(lat_l2 = 9)
 (** Load latency in cycles.  Floating-point loads bypass L1. *)
 let load_latency t ~fp addr =
   if fp then begin
-    if probe t.l2 addr ~allocate:true then t.lat_l2 else t.lat_mem
+    if probe t.l2 addr then t.lat_l2 else t.lat_mem
   end
-  else if probe t.l1 addr ~allocate:true then t.lat_l1
-  else if probe t.l2 addr ~allocate:true then t.lat_l2
+  else if probe t.l1 addr then t.lat_l1
+  else if probe t.l2 addr then t.lat_l2
   else t.lat_mem
 
 (** Stores allocate in both levels (write-allocate, fire-and-forget). *)
 let store t addr =
-  ignore (probe t.l1 addr ~allocate:true : bool);
-  ignore (probe t.l2 addr ~allocate:true : bool)
+  ignore (probe t.l1 addr : bool);
+  ignore (probe t.l2 addr : bool)
 
 let counts t = ((t.l1.hits, t.l1.misses), (t.l2.hits, t.l2.misses))

@@ -1,10 +1,9 @@
-(* Backend-interface suite (PR 6).
+(* Two-core suite.
 
-   The machine is now a backend interface ({!Backend.S}) with two core
-   models: the paper's in-order EPIC machine ({!Inorder}, the default
-   engine) and an out-of-order control ({!Ooo}: ROB + LSQ with a
-   memory-dependence predictor + checkpoint-restore analogues).  The
-   contract this suite enforces:
+   The machine runs one functional walk under two timing models: the
+   paper's in-order EPIC machine (the default) and an out-of-order
+   control (ROB + LSQ with a memory-dependence predictor +
+   checkpoint-restore analogues).  The contract this suite enforces:
 
    - dispatch parity: [Machine.run*] and [Machine.run*_on Inorder] are
      the same engine, and the in-order goldens of [test_engines.ml]
@@ -55,9 +54,7 @@ let test_backend_names () =
     (Machine.backend_of_string "vliw" = None)
 
 let test_default_engine_is_inorder () =
-  (* the façade's default engine must BE the in-order core: same module,
-     not a lookalike (kind comes from [include Inorder]) *)
-  check_bool "Machine.kind" true (Machine.kind = Machine.Inorder);
+  (* the default entry points run the in-order core *)
   let src = Spec_workloads.Workloads.train_source (find "art") in
   let r = Pipeline.compile_and_optimize src Pipeline.Base in
   let direct = Machine.run_sir r.Pipeline.prog in

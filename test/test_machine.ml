@@ -289,76 +289,185 @@ let test_alat_counter_pinning () =
 
 (* ---- rewritten hot paths against their former implementations ---- *)
 
-(* The full-table scan [Alat.invalidate_store] used to run, kept as the
-   reference for the set-indexed version. *)
-let ref_invalidate_store (t : Alat.t) ~addr ~bytes =
-  Array.iter
-    (fun set ->
+(* The tuple-keyed ALAT the flat-array one replaced: entry records, a
+   (frame, reg) -> entry hash index, and the full-table store scan that
+   preceded set-indexed invalidation — kept as the reference. *)
+module Ref_alat = struct
+  type entry = {
+    mutable tag_frame : int;
+    mutable tag_reg : int;
+    mutable addr : int;
+    mutable valid : bool;
+  }
+
+  type t = {
+    sets : entry array array;
+    n_sets : int;
+    assoc : int;
+    mutable next_victim : int;
+    tags : (int * int, entry) Hashtbl.t;
+    mutable inserts : int;
+    mutable store_invalidations : int;
+    mutable capacity_evictions : int;
+  }
+
+  let create ~entries =
+    let assoc = 2 in
+    let n_sets = max 1 (entries / assoc) in
+    { sets =
+        Array.init n_sets (fun _ ->
+            Array.init assoc (fun _ ->
+                { tag_frame = -1; tag_reg = -1; addr = 0; valid = false }));
+      n_sets; assoc; next_victim = 0; tags = Hashtbl.create 16;
+      inserts = 0; store_invalidations = 0; capacity_evictions = 0 }
+
+  let invalidate_entry t e =
+    if e.valid then begin
+      e.valid <- false;
+      match Hashtbl.find_opt t.tags (e.tag_frame, e.tag_reg) with
+      | Some e' when e' == e -> Hashtbl.remove t.tags (e.tag_frame, e.tag_reg)
+      | _ -> ()
+    end
+
+  let flush_all t =
+    Array.iter (fun set -> Array.iter (invalidate_entry t) set) t.sets
+
+  let invalidate_random t rng =
+    let n = Hashtbl.length t.tags in
+    if n > 0 then begin
+      let k = Spec_stress.Srng.below rng n in
+      let i = ref 0 and victim = ref None in
       Array.iter
-        (fun (e : Alat.entry) ->
-          if e.Alat.valid && e.Alat.addr < addr + bytes
-             && addr < e.Alat.addr + Spec_ir.Types.cell_size
-          then begin
-            e.Alat.valid <- false;
-            (match Hashtbl.find_opt t.Alat.tags (e.Alat.tag_frame, e.Alat.tag_reg) with
-             | Some e' when e' == e ->
-               Hashtbl.remove t.Alat.tags (e.Alat.tag_frame, e.Alat.tag_reg)
-             | _ -> ());
-            t.Alat.store_invalidations <- t.Alat.store_invalidations + 1
-          end)
-        set)
-    t.Alat.sets
+        (fun set ->
+          Array.iter
+            (fun e -> if e.valid then begin
+                 if !i = k then victim := Some e;
+                 incr i
+               end)
+            set)
+        t.sets;
+      match !victim with Some e -> invalidate_entry t e | None -> ()
+    end
+
+  let interfere t inj ~now =
+    Spec_stress.Faults.advance inj ~upto:now
+      ~flush:(fun () -> flush_all t)
+      ~invalidate:(fun rng -> invalidate_random t rng)
+
+  let insert t ~frame ~reg ~addr =
+    t.inserts <- t.inserts + 1;
+    (match Hashtbl.find_opt t.tags (frame, reg) with
+     | Some e -> invalidate_entry t e
+     | None -> ());
+    let set = t.sets.((addr lsr 3) land (t.n_sets - 1)) in
+    let victim =
+      let rec find i = if i >= t.assoc then None
+        else if not set.(i).valid then Some set.(i) else find (i + 1)
+      in
+      match find 0 with
+      | Some e -> e
+      | None ->
+        t.capacity_evictions <- t.capacity_evictions + 1;
+        t.next_victim <- (t.next_victim + 1) mod t.assoc;
+        set.(t.next_victim)
+    in
+    invalidate_entry t victim;
+    victim.tag_frame <- frame;
+    victim.tag_reg <- reg;
+    victim.addr <- addr;
+    victim.valid <- true;
+    Hashtbl.replace t.tags (frame, reg) victim
+
+  let invalidate_store t ~addr ~bytes =
+    Array.iter
+      (fun set ->
+        Array.iter
+          (fun e ->
+            if e.valid && e.addr < addr + bytes
+               && addr < e.addr + Spec_ir.Types.cell_size
+            then begin
+              invalidate_entry t e;
+              t.store_invalidations <- t.store_invalidations + 1
+            end)
+          set)
+      t.sets
+
+  let check t ~frame ~reg = Hashtbl.mem t.tags (frame, reg)
+  let live t = Hashtbl.length t.tags
+end
 
 type alat_op =
   | Ins of int * int * int         (* frame, reg, addr *)
   | Store of int * int             (* addr, bytes *)
   | Chk of int * int               (* frame, reg *)
+  | Tick of int                    (* advance injected faults *)
 
 let gen_alat_case =
   QCheck.Gen.(
-    let* entries = oneofl [ 2; 4; 6; 32 ] in
+    let* entries = oneofl [ 2; 4; 8; 32 ] in
+    let* seed = int_range 0 1000 in
+    let* flush_period = oneofl [ 0; 5; 17 ] in
+    let* inv_ppm = oneofl [ 0; 100_000; 400_000 ] in
     let addr = int_range 0 400 in      (* unaligned *)
     let op =
       frequency
         [ 4, map3 (fun f r a -> Ins (f, r, a)) (int_range 0 2) (int_range 0 7) addr;
           3, map2 (fun a b -> Store (a, b)) addr (int_range 1 16);
-          3, map2 (fun f r -> Chk (f, r)) (int_range 0 2) (int_range 0 7) ]
+          3, map2 (fun f r -> Chk (f, r)) (int_range 0 2) (int_range 0 7);
+          1, map (fun k -> Tick k) (int_range 1 8) ]
     in
     let* ops = list_size (int_range 1 200) op in
-    return (entries, ops))
+    let plan =
+      { (Spec_stress.Faults.null seed) with
+        Spec_stress.Faults.flush_period; inv_ppm }
+    in
+    return (entries, plan, ops))
 
-let print_alat_case (entries, ops) =
-  Printf.sprintf "entries=%d: %s" entries
+let print_alat_case (entries, plan, ops) =
+  Printf.sprintf "entries=%d faults=%s seed=%d: %s" entries
+    (Spec_stress.Faults.to_string plan) plan.Spec_stress.Faults.seed
     (String.concat "; "
        (List.map
           (function
             | Ins (f, r, a) -> Printf.sprintf "ins %d/%d@%d" f r a
             | Store (a, b) -> Printf.sprintf "st %d+%d" a b
-            | Chk (f, r) -> Printf.sprintf "chk %d/%d" f r)
+            | Chk (f, r) -> Printf.sprintf "chk %d/%d" f r
+            | Tick k -> Printf.sprintf "tick %d" k)
           ops))
 
-let prop_alat_set_indexed_store =
+let prop_alat_reference =
   QCheck.Test.make ~count:300
-    ~name:"ALAT set-indexed store invalidation = full scan"
+    ~name:"ALAT set-indexed store invalidation + faults = reference ALAT"
     (QCheck.make ~print:print_alat_case gen_alat_case)
-    (fun (entries, ops) ->
-      let fast = Alat.create ~entries () and slow = Alat.create ~entries () in
+    (fun (entries, plan, ops) ->
+      let inj () = Spec_stress.Faults.injector plan ~scope:[ "alat-ref" ] in
+      let fast = Alat.create ~entries () and slow = Ref_alat.create ~entries in
+      let slow_inj = inj () in
+      Alat.set_faults fast (Some (inj ()));
+      let now = ref 0 in
       List.for_all
-        (function
-          | Ins (frame, reg, addr) ->
-            Alat.insert fast ~frame ~reg ~addr;
-            Alat.insert slow ~frame ~reg ~addr;
-            true
-          | Store (addr, bytes) ->
-            Alat.invalidate_store fast ~addr ~bytes;
-            ref_invalidate_store slow ~addr ~bytes;
-            true
-          | Chk (frame, reg) ->
-            Alat.check fast ~frame ~reg = Alat.check slow ~frame ~reg)
+        (fun op ->
+          (match op with
+           | Ins (frame, reg, addr) ->
+             Alat.insert fast ~frame ~reg ~addr;
+             Ref_alat.insert slow ~frame ~reg ~addr;
+             true
+           | Store (addr, bytes) ->
+             Alat.invalidate_store fast ~addr ~bytes;
+             Ref_alat.invalidate_store slow ~addr ~bytes;
+             true
+           | Chk (frame, reg) ->
+             Alat.check fast ~frame ~reg = Ref_alat.check slow ~frame ~reg
+           | Tick k ->
+             now := !now + k;
+             Alat.interfere fast ~now:!now;
+             Ref_alat.interfere slow slow_inj ~now:!now;
+             true)
+          && Alat.live fast = Ref_alat.live slow)
         ops
-      && fast.Alat.store_invalidations = slow.Alat.store_invalidations
-      && fast.Alat.capacity_evictions = slow.Alat.capacity_evictions
-      && Alat.live fast = Alat.live slow)
+      && fast.Alat.inserts = slow.Ref_alat.inserts
+      && fast.Alat.store_invalidations = slow.Ref_alat.store_invalidations
+      && fast.Alat.capacity_evictions = slow.Ref_alat.capacity_evictions)
 
 (* The closure-based two-level cache [Cache.probe] used to be, kept as
    the reference for the loop version. *)
@@ -484,6 +593,6 @@ let suite =
     Alcotest.test_case "ALAT frame-tag collision" `Quick test_alat_frame_tag_collision;
     Alcotest.test_case "ALAT counter pinning" `Quick test_alat_counter_pinning;
     Alcotest.test_case "RSE accounting" `Quick test_rse_accounting;
-    QCheck_alcotest.to_alcotest prop_alat_set_indexed_store;
+    QCheck_alcotest.to_alcotest prop_alat_reference;
     QCheck_alcotest.to_alcotest prop_cache_probe_loops;
     QCheck_alcotest.to_alcotest prop_machine_differential ]
