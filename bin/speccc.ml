@@ -238,7 +238,7 @@ let faults_arg =
            ~doc:"misspeculation fault plan: comma-separated $(b,flush=K) \
                  (full ALAT flush every K time units), $(b,inv=PPM) \
                  (per-time-unit random entry invalidation), $(b,alat=N) \
-                 (shrink the machine ALAT to N entries), \
+                 (shrink the machine ALAT to N = 2, 4, 8, ... entries), \
                  $(b,adv=invert|drop:PPM|none) (adversarial speculation \
                  flags).  Deterministic for a given --stress-seed.")
 

@@ -36,7 +36,13 @@ let parse ~seed spec =
          let* n = int_of k v in Ok { plan with inv_ppm = n }
        | "alat" ->
          let* n = int_of k v in
-         if n <= 0 then Error "--faults: alat wants a positive entry count"
+         (* the machine's 2-way ALAT needs a power-of-two set count *)
+         let sets = n / 2 in
+         if sets = 0 || n <> 2 * sets || sets land (sets - 1) <> 0 then
+           Error
+             (Printf.sprintf
+                "--faults: alat wants 2 x a power of two entries (2, 4, 8, \
+                 ...), got %d" n)
          else Ok { plan with alat_entries = Some n }
        | "adv" ->
          (match v with

@@ -48,7 +48,9 @@ val is_null : plan -> bool
 
 (** Parse a [--faults] spec: comma-separated [flush=K], [inv=PPM],
     [alat=N], [adv=invert|drop:PPM|none].  Errors out with [Error msg]
-    on unknown keys or malformed values. *)
+    on unknown keys or malformed values, and on an [alat] size the
+    2-way machine ALAT cannot hold: [N] must be 2 times a power of
+    two. *)
 val parse : seed:int -> string -> (plan, string) result
 
 (** Render a plan back to the [--faults] syntax (inverse of {!parse}

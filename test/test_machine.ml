@@ -185,6 +185,54 @@ let test_rse_accounting () =
   check_bool "RSE spills cost cycles" true
     (r.Machine.perf.Machine.rse_stall_cycles > 0)
 
+(* A register operand outside its frame is rejected when the program is
+   lowered, on either core, naming the function and the register. *)
+let test_out_of_frame_register () =
+  let mp =
+    Spec_codegen.Codegen.lower
+      (Lower.compile "int main(){ print_int(1); return 0; }")
+  in
+  let main = Hashtbl.find mp.Spec_codegen.Itl.mp_funcs "main" in
+  let bad = main.Spec_codegen.Itl.mf_nregs + 3 in
+  let b0 = main.Spec_codegen.Itl.mf_blocks.(0) in
+  b0.Spec_codegen.Itl.insns <-
+    Spec_codegen.Itl.Movi (bad, Sir.Cint 1) :: b0.Spec_codegen.Itl.insns;
+  List.iter
+    (fun core ->
+      match Machine.run_on core mp with
+      | _ -> Alcotest.fail "an out-of-frame register must not run"
+      | exception Machine.Machine_error msg ->
+        let has sub =
+          let n = String.length sub in
+          let rec at i =
+            i + n <= String.length msg && (String.sub msg i n = sub || at (i + 1))
+          in
+          at 0
+        in
+        check_bool (msg ^ " names main") true (has "main");
+        check_bool (msg ^ " names the register") true
+          (has (Printf.sprintf "r%d" bad)))
+    Machine.all_backends
+
+(* An ALAT size that is not 2 ways x a power of two sets would leave
+   sets unreachable; it is refused rather than silently shrunk. *)
+let test_alat_sizes () =
+  List.iter
+    (fun entries ->
+      match Alat.create ~entries () with
+      | _ -> Alcotest.failf "entries=%d accepted" entries
+      | exception Invalid_argument _ -> ())
+    [ 0; 1; 3; 6; 10; 12; 24 ];
+  List.iter
+    (fun entries ->
+      let t = Alat.create ~entries () in
+      for i = 0 to 63 do
+        Alat.insert t ~frame:0 ~reg:i ~addr:(8 * i)
+      done;
+      check_int (Printf.sprintf "entries=%d all usable" entries)
+        (min entries 64) (Alat.live t))
+    [ 2; 4; 8; 16; 32; 128 ]
+
 (* ---- ALAT unit tests (direct table model, no machine run) ---- *)
 
 (* entries=4, assoc=2 -> two sets; set index is (addr lsr 3) land 1, so
@@ -593,6 +641,10 @@ let suite =
     Alcotest.test_case "ALAT frame-tag collision" `Quick test_alat_frame_tag_collision;
     Alcotest.test_case "ALAT counter pinning" `Quick test_alat_counter_pinning;
     Alcotest.test_case "RSE accounting" `Quick test_rse_accounting;
+    Alcotest.test_case "out-of-frame register is a machine error" `Quick
+      test_out_of_frame_register;
+    Alcotest.test_case "ALAT sizes are 2 x a power of two" `Quick
+      test_alat_sizes;
     QCheck_alcotest.to_alcotest prop_alat_reference;
     QCheck_alcotest.to_alcotest prop_cache_probe_loops;
     QCheck_alcotest.to_alcotest prop_machine_differential ]

@@ -64,7 +64,8 @@ let test_faults_parse_roundtrip () =
       match Faults.parse ~seed:1 bad with
       | Ok _ -> Alcotest.failf "accepted bad spec %S" bad
       | Error _ -> ())
-    [ "flush"; "flush=x"; "adv=maybe"; "bogus=1" ]
+    [ "flush"; "flush=x"; "adv=maybe"; "bogus=1"; "alat=1"; "alat=3";
+      "alat=6" ]
 
 let test_injector_gating () =
   (* adversarial-only plans have no runtime fault source: the zero point
