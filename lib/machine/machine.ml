@@ -168,6 +168,10 @@ let[@inline] st_f m addr v =
   end
   else Memory.store_flt m addr v
 
+let[@inline] load_reg m ints flts d addr fp spec =
+  if fp then flts.%{d} <- (if spec then ld_f_spec m addr else ld_f m addr)
+  else ints.%(d) <- (if spec then ld_i_spec m addr else ld_i m addr)
+
 (* ------------------------------------------------------------------ *)
 (* In-order hooks: scoreboarded issue                                  *)
 (* ------------------------------------------------------------------ *)
@@ -535,33 +539,14 @@ let ev_call st ready pl code off n =
     st.clock
   end
 
-(* Fetch redirects into a user callee ... *)
-let ev_enter st =
+(* A taken jump, a call into a user function or the return from it:
+   fetch redirects, [k] cycles. *)
+let redirect st k =
   if st.ooo then begin
     st.fslot <- 0;
-    st.fclock <- st.fclock + st.cfg.call_overhead
+    st.fclock <- st.fclock + k
   end
-  else st.clock <- st.clock + st.cfg.call_overhead
-
-(* ... and back; returns the cycle the returned value is ready. *)
-let ev_leave st =
-  if st.ooo then begin
-    st.fslot <- 0;
-    st.fclock <- st.fclock + 1;
-    st.ret_ready
-  end
-  else begin
-    st.clock <- st.clock + 1;
-    st.clock
-  end
-
-(* An unconditional branch: a one-cycle redirect. *)
-let ev_jump st =
-  if st.ooo then begin
-    st.fslot <- 0;
-    st.fclock <- st.fclock + 1
-  end
-  else st.clock <- st.clock + 1
+  else st.clock <- st.clock + k
 
 (* A conditional branch on register [c]; [bp] is its predictor index. *)
 let ev_branch st ready pl c taken bp =
@@ -707,31 +692,14 @@ let rec exec_func st fix (cints : int array) (cflts : float array)
     | 5 (* LEA_E d msg *) ->
       ev_def0 st ready pl code.%(p + 1);
       raise (Machine_error spool.(code.%(p + 2)))
-    | (6 | 7) as op (* LD d a site *) ->
+    | (6 | 7 | 8 | 9) as op (* LD, LD.S d a site *) ->
       let d = code.%(p + 1) and a = code.%(p + 2) in
       let addr = ints.%(a) in
-      ctrs.loads_plain <- ctrs.loads_plain + 1;
-      if op = 6 then begin
-        ignore (ev_load st ready pl a d code.%(p + 3) false addr : int);
-        ints.%(d) <- ld_i mem addr
-      end
-      else begin
-        ignore (ev_load st ready pl a d code.%(p + 3) true addr : int);
-        flts.%{d} <- ld_f mem addr
-      end;
-      pc := p + 4
-    | (8 | 9) as op (* LD.S d a site *) ->
-      let d = code.%(p + 1) and a = code.%(p + 2) in
-      let addr = ints.%(a) in
-      ctrs.loads_spec <- ctrs.loads_spec + 1;
-      if op = 8 then begin
-        ignore (ev_load st ready pl a d code.%(p + 3) false addr : int);
-        ints.%(d) <- ld_i_spec mem addr
-      end
-      else begin
-        ignore (ev_load st ready pl a d code.%(p + 3) true addr : int);
-        flts.%{d} <- ld_f_spec mem addr
-      end;
+      let fp = op land 1 = 1 and spec = op >= 8 in
+      if spec then ctrs.loads_spec <- ctrs.loads_spec + 1
+      else ctrs.loads_plain <- ctrs.loads_plain + 1;
+      ignore (ev_load st ready pl a d code.%(p + 3) fp addr : int);
+      load_reg mem ints flts d addr fp spec;
       pc := p + 4
     | (10 | 11 | 12 | 13) as op (* LD.A, LD.SA d a site *) ->
       let d = code.%(p + 1) and a = code.%(p + 2) in
@@ -740,8 +708,7 @@ let rec exec_func st fix (cints : int array) (cflts : float array)
       if spec then ctrs.loads_spec <- ctrs.loads_spec + 1
       else ctrs.loads_adv <- ctrs.loads_adv + 1;
       let now = ev_load st ready pl a d code.%(p + 3) fp addr in
-      if fp then flts.%{d} <- (if spec then ld_f_spec mem addr else ld_f mem addr)
-      else ints.%(d) <- (if spec then ld_i_spec mem addr else ld_i mem addr);
+      load_reg mem ints flts d addr fp spec;
       interfere st now;
       Alat.insert alat ~frame:serial ~reg:d ~addr;
       pc := p + 4
@@ -757,8 +724,7 @@ let rec exec_func st fix (cints : int array) (cflts : float array)
       else begin
         ctrs.check_misses <- ctrs.check_misses + 1;
         ev_access st ready pl a d code.%(p + 3) (op = 15) addr now;
-        if op = 14 then ints.%(d) <- ld_i mem addr
-        else flts.%{d} <- ld_f mem addr;
+        load_reg mem ints flts d addr (op = 15) false;
         (* re-arm: a reloading ld.c behaves like ld.a for later checks *)
         Alat.insert alat ~frame:serial ~reg:d ~addr
       end;
@@ -774,113 +740,47 @@ let rec exec_func st fix (cints : int array) (cflts : float array)
       if alat.Alat.n_live > 0 then
         Alat.invalidate_store alat ~addr ~bytes:Types.cell_size;
       pc := p + 4
-    | 18 (* ADD d a b *) ->
+    | ( 18 | 19 | 20 | 21 | 22 | 23 | 24 | 25 | 26 | 27 | 28 | 29 | 30 | 31
+      | 32 | 33 ) as op (* int ALU d a b *) ->
       let d = op2 st ready pl code p 1 in
-      ints.%(d) <- ints.%(code.%(p + 2)) + ints.%(code.%(p + 3));
+      let a = ints.%(code.%(p + 2)) and b = ints.%(code.%(p + 3)) in
+      ints.%(d) <-
+        (match op with
+         | 18 -> a + b
+         | 19 -> a - b
+         | 20 -> a * b
+         | 21 -> if b = 0 then error "machine: division by zero" else a / b
+         | 22 -> if b = 0 then error "machine: remainder by zero" else a mod b
+         | 23 -> a land b
+         | 24 -> a lor b
+         | 25 -> a lxor b
+         | 26 -> a lsl (b land 63)
+         | 27 -> a asr (b land 63)
+         | 28 -> Bool.to_int (a < b)
+         | 29 -> Bool.to_int (a <= b)
+         | 30 -> Bool.to_int (a > b)
+         | 31 -> Bool.to_int (a >= b)
+         | 32 -> Bool.to_int (a = b)
+         | _ -> Bool.to_int (a <> b));
       pc := p + 4
-    | 19 (* SUB *) ->
-      let d = op2 st ready pl code p 1 in
-      ints.%(d) <- ints.%(code.%(p + 2)) - ints.%(code.%(p + 3));
-      pc := p + 4
-    | 20 (* MUL *) ->
-      let d = op2 st ready pl code p 1 in
-      ints.%(d) <- ints.%(code.%(p + 2)) * ints.%(code.%(p + 3));
-      pc := p + 4
-    | 21 (* DIV *) ->
-      let d = op2 st ready pl code p 1 in
-      let b = ints.%(code.%(p + 3)) in
-      if b = 0 then error "machine: division by zero";
-      ints.%(d) <- ints.%(code.%(p + 2)) / b;
-      pc := p + 4
-    | 22 (* REM *) ->
-      let d = op2 st ready pl code p 1 in
-      let b = ints.%(code.%(p + 3)) in
-      if b = 0 then error "machine: remainder by zero";
-      ints.%(d) <- ints.%(code.%(p + 2)) mod b;
-      pc := p + 4
-    | 23 (* AND *) ->
-      let d = op2 st ready pl code p 1 in
-      ints.%(d) <- ints.%(code.%(p + 2)) land ints.%(code.%(p + 3));
-      pc := p + 4
-    | 24 (* OR *) ->
-      let d = op2 st ready pl code p 1 in
-      ints.%(d) <- ints.%(code.%(p + 2)) lor ints.%(code.%(p + 3));
-      pc := p + 4
-    | 25 (* XOR *) ->
-      let d = op2 st ready pl code p 1 in
-      ints.%(d) <- ints.%(code.%(p + 2)) lxor ints.%(code.%(p + 3));
-      pc := p + 4
-    | 26 (* SHL *) ->
-      let d = op2 st ready pl code p 1 in
-      ints.%(d) <- ints.%(code.%(p + 2)) lsl (ints.%(code.%(p + 3)) land 63);
-      pc := p + 4
-    | 27 (* SHR *) ->
-      let d = op2 st ready pl code p 1 in
-      ints.%(d) <- ints.%(code.%(p + 2)) asr (ints.%(code.%(p + 3)) land 63);
-      pc := p + 4
-    | 28 (* LT *) ->
-      let d = op2 st ready pl code p 1 in
-      ints.%(d) <- Bool.to_int (ints.%(code.%(p + 2)) < ints.%(code.%(p + 3)));
-      pc := p + 4
-    | 29 (* LE *) ->
-      let d = op2 st ready pl code p 1 in
-      ints.%(d) <- Bool.to_int (ints.%(code.%(p + 2)) <= ints.%(code.%(p + 3)));
-      pc := p + 4
-    | 30 (* GT *) ->
-      let d = op2 st ready pl code p 1 in
-      ints.%(d) <- Bool.to_int (ints.%(code.%(p + 2)) > ints.%(code.%(p + 3)));
-      pc := p + 4
-    | 31 (* GE *) ->
-      let d = op2 st ready pl code p 1 in
-      ints.%(d) <- Bool.to_int (ints.%(code.%(p + 2)) >= ints.%(code.%(p + 3)));
-      pc := p + 4
-    | 32 (* EQ *) ->
-      let d = op2 st ready pl code p 1 in
-      ints.%(d) <- Bool.to_int (ints.%(code.%(p + 2)) = ints.%(code.%(p + 3)));
-      pc := p + 4
-    | 33 (* NE *) ->
-      let d = op2 st ready pl code p 1 in
-      ints.%(d) <- Bool.to_int (ints.%(code.%(p + 2)) <> ints.%(code.%(p + 3)));
-      pc := p + 4
-    | 34 (* FADD *) ->
+    | (34 | 35 | 36 | 37) as op (* float ALU d a b *) ->
       let d = op2 st ready pl code p 4 in
-      flts.%{d} <- flts.%{code.%(p + 2)} +. flts.%{code.%(p + 3)};
+      let a = flts.%{code.%(p + 2)} and b = flts.%{code.%(p + 3)} in
+      flts.%{d} <-
+        (match op with 34 -> a +. b | 35 -> a -. b | 36 -> a *. b | _ -> a /. b);
       pc := p + 4
-    | 35 (* FSUB *) ->
-      let d = op2 st ready pl code p 4 in
-      flts.%{d} <- flts.%{code.%(p + 2)} -. flts.%{code.%(p + 3)};
-      pc := p + 4
-    | 36 (* FMUL *) ->
-      let d = op2 st ready pl code p 4 in
-      flts.%{d} <- flts.%{code.%(p + 2)} *. flts.%{code.%(p + 3)};
-      pc := p + 4
-    | 37 (* FDIV *) ->
-      let d = op2 st ready pl code p 4 in
-      flts.%{d} <- flts.%{code.%(p + 2)} /. flts.%{code.%(p + 3)};
-      pc := p + 4
-    | 38 (* FLT *) ->
+    | (38 | 39 | 40 | 41 | 42 | 43) as op (* float compare d a b *) ->
       let d = op2 st ready pl code p 1 in
-      ints.%(d) <- Bool.to_int (flts.%{code.%(p + 2)} < flts.%{code.%(p + 3)});
-      pc := p + 4
-    | 39 (* FLE *) ->
-      let d = op2 st ready pl code p 1 in
-      ints.%(d) <- Bool.to_int (flts.%{code.%(p + 2)} <= flts.%{code.%(p + 3)});
-      pc := p + 4
-    | 40 (* FGT *) ->
-      let d = op2 st ready pl code p 1 in
-      ints.%(d) <- Bool.to_int (flts.%{code.%(p + 2)} > flts.%{code.%(p + 3)});
-      pc := p + 4
-    | 41 (* FGE *) ->
-      let d = op2 st ready pl code p 1 in
-      ints.%(d) <- Bool.to_int (flts.%{code.%(p + 2)} >= flts.%{code.%(p + 3)});
-      pc := p + 4
-    | 42 (* FEQ *) ->
-      let d = op2 st ready pl code p 1 in
-      ints.%(d) <- Bool.to_int (flts.%{code.%(p + 2)} = flts.%{code.%(p + 3)});
-      pc := p + 4
-    | 43 (* FNE *) ->
-      let d = op2 st ready pl code p 1 in
-      ints.%(d) <- Bool.to_int (flts.%{code.%(p + 2)} <> flts.%{code.%(p + 3)});
+      let a = flts.%{code.%(p + 2)} and b = flts.%{code.%(p + 3)} in
+      ints.%(d) <-
+        Bool.to_int
+          (match op with
+           | 38 -> a < b
+           | 39 -> a <= b
+           | 40 -> a > b
+           | 41 -> a >= b
+           | 42 -> a = b
+           | _ -> a <> b);
       pc := p + 4
     | 44 (* FBAD d a b msg *) ->
       ignore (op2 st ready pl code p 4 : int);
@@ -908,11 +808,12 @@ let rec exec_func st fix (cints : int array) (cflts : float array)
     | 50 (* CALL fix n ret args *) ->
       let n = code.%(p + 2) and ret = code.%(p + 3) in
       ignore (ev_call st ready pl code (p + 4) n : int);
-      ev_enter st;
+      redirect st st.cfg.call_overhead;
       exec_func st code.%(p + 1) ints flts ready code (p + 4) n;
-      let t = ev_leave st in
+      redirect st 1;
       if ret >= 0 then begin
-        set_ret st ready pl ints ret t st.ret_i;
+        set_ret st ready pl ints ret
+          (if st.ooo then st.ret_ready else st.clock) st.ret_i;
         flts.%{ret} <- st.ret_f.%{0}
       end;
       pc := p + 4 + n
@@ -950,7 +851,7 @@ let rec exec_func st fix (cints : int array) (cflts : float array)
       raise (Machine_error spool.(code.%(p + 1)))
     | 57 (* BR pc *) ->
       ctrs.branches <- ctrs.branches + 1;
-      ev_jump st;
+      redirect st 1;
       pc := code.%(p + 1)
     | 58 (* BC c then else bp *) ->
       ctrs.branches <- ctrs.branches + 1;
