@@ -378,7 +378,9 @@ let lsq_load st t base site fp addr =
   let wait = ref base in
   let pred = st.pred.%(site) in
   if pred >= 0 && lo < n then begin
-    let j = ref (let j = st.stq_head - (n - lo) in if j < 0 then j + cap else j) in
+    (* the ring slot of store [lo] *)
+    let j = st.stq_head - (n - lo) in
+    let j = ref (if j < 0 then j + cap else j) in
     for _ = lo to n - 1 do
       let ar = st.stq_addr_ready.%(!j) in
       if ar > !wait then begin
@@ -498,7 +500,8 @@ let[@inline] ev_store st ready pl s a site addr =
     let t = dispatch st in
     let addr_rdy = rdy1 ready t a and data_rdy = rdy1 ready t s in
     let issue = port st.mem_free addr_rdy in
-    push_store st addr site issue (if data_rdy > issue then data_rdy else issue);
+    push_store st addr site issue
+      (if data_rdy > issue then data_rdy else issue);
     retire st issue false;
     t
   end
@@ -621,7 +624,9 @@ let rec exec_func st fix (cints : int array) (cflts : float array)
   let ints = Array.make nregs 0 and flts = Array.make nregs 0. in
   let ready = Array.make nregs 0 in
   let pl = if st.ooo then no_bytes else Bytes.make nregs '\000' in
-  let addrs = if f.Mcode.n_addr = 0 then no_ints else Array.make f.Mcode.n_addr 0 in
+  let addrs =
+    if f.Mcode.n_addr = 0 then no_ints else Array.make f.Mcode.n_addr 0
+  in
   let ctrs = st.ctrs in
   st.stacked_regs <- st.stacked_regs + nregs;
   if st.stacked_regs > ctrs.max_stacked_regs then
@@ -767,7 +772,11 @@ let rec exec_func st fix (cints : int array) (cflts : float array)
       let d = op2 st ready pl code p 4 in
       let a = flts.%{code.%(p + 2)} and b = flts.%{code.%(p + 3)} in
       flts.%{d} <-
-        (match op with 34 -> a +. b | 35 -> a -. b | 36 -> a *. b | _ -> a /. b);
+        (match op with
+         | 34 -> a +. b
+         | 35 -> a -. b
+         | 36 -> a *. b
+         | _ -> a /. b);
       pc := p + 4
     | (38 | 39 | 40 | 41 | 42 | 43) as op (* float compare d a b *) ->
       let d = op2 st ready pl code p 1 in
@@ -902,7 +911,8 @@ let run_resolved_on kind ?(config = default_config) ?faults (p : rprog) =
       ret_i = 0; ret_f = [| 0. |]; ret_ready = 0;
       clock = 0; slot = 0;
       fclock = 0; fslot = 0; seq = 0;
-      retq = Array.make (max 1 config.rob_entries) 0; rob_slot = 0; last_retire = 0;
+      retq = Array.make (max 1 config.rob_entries) 0; rob_slot = 0;
+      last_retire = 0;
       alu_free = Array.make (max 1 config.alu_ports) 0;
       mem_free = Array.make (max 1 config.mem_ports) 0;
       stq_addr = Array.make lsq min_int; stq_site = Array.make lsq (-1);
