@@ -32,8 +32,7 @@ let mk_level ~size_kb ~ways ~line =
     invalid_arg
       (Printf.sprintf "Cache.create: %d KB in %d-way sets is not a power \
                        of two sets" size_kb ways);
-  (* way 0 starts most recent and way [ways - 1] least, as the age
-     permutation [0 .. ways - 1] did *)
+  (* way 0 starts most recent and way [ways - 1] least recent *)
   { tags = Array.make (n_sets * ways) (-1);
     stamps = Array.init (n_sets * ways) (fun i -> ways - 1 - (i mod ways));
     last = Array.init n_sets (fun s -> s * ways);
