@@ -4,6 +4,8 @@
 
 type t
 
+(** Raises [Invalid_argument] unless each level's set count (size / 64-byte
+    lines / ways: 4-way L1, 8-way L2) is a power of two. *)
 val create :
   ?l1_kb:int -> ?l2_kb:int -> ?lat_l1:int -> ?lat_l2:int -> ?lat_mem:int ->
   unit -> t
