@@ -26,4 +26,5 @@ let () =
       ("fdo", Test_fdo.suite);
       ("backends", Test_backends.suite);
       ("service", Test_service.suite);
-      ("shard", Test_shard.suite) ]
+      ("shard", Test_shard.suite);
+      ("digests", Test_digests.suite) ]
