@@ -130,6 +130,8 @@ let assign_stmt ?(threshold = 0.) prog mode (s : Sir.stmt) =
 type perturbation = {
   prng : Spec_stress.Srng.t;
   padv : Spec_stress.Faults.adversary;
+  pseed : int;
+  ppath : string list;
   mutable flipped : int;
 }
 
@@ -137,9 +139,10 @@ let perturbation ~seed ~scope adv =
   match (adv : Spec_stress.Faults.adversary) with
   | Spec_stress.Faults.Adv_none -> None
   | _ ->
+    let ppath = "adversary" :: scope in
     Some
-      { prng = Spec_stress.Srng.of_path seed ("adversary" :: scope);
-        padv = adv; flipped = 0 }
+      { prng = Spec_stress.Srng.of_path seed ppath; padv = adv; pseed = seed;
+        ppath; flipped = 0 }
 
 let flipped p = p.flipped
 

@@ -26,6 +26,10 @@ val var_loc : Spec_ir.Symtab.t -> int -> Spec_ir.Loc.t
 type perturbation = {
   prng : Spec_stress.Srng.t;
   padv : Spec_stress.Faults.adversary;
+  pseed : int;
+  ppath : string list;
+      (** the label path [prng] was derived from; per-decision coins
+          (see [Spec_spec.Kills]) extend it *)
   mutable flipped : int;
 }
 

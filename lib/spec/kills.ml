@@ -61,8 +61,19 @@ let create ?(alias_threshold = 0.) ?adversary prog annot mode =
    definitely-aliasing pairs are attacked like profiled ones: forcing
    speculation across a known alias is the worst case the recovery path
    must absorb.  Every resulting [Kweak] is still guarded by a check
-   load, so outputs are preserved and only recovery cost grows. *)
-let attack ctx (v : verdict) : verdict =
+   load, so outputs are preserved and only recovery cost grows.
+
+   The drop coin of a (statement, load site) pair is a pure function of
+   the plan's seed and scope, the statement id and the site: Φ-insertion
+   and Rename may ask about one pair any number of times, in any order,
+   and always get the same verdict. *)
+let drop_coin (p : Flags.perturbation) (s : Sir.stmt) site ~ppm =
+  Spec_stress.Srng.chance
+    (Spec_stress.Srng.of_path p.Flags.pseed
+       (p.Flags.ppath @ [ "kill"; string_of_int s.Sir.sid; string_of_int site ]))
+    ~ppm
+
+let attack ctx (s : Sir.stmt) site (v : verdict) : verdict =
   match ctx.adversary with
   | None -> v
   | Some p ->
@@ -70,8 +81,7 @@ let attack ctx (v : verdict) : verdict =
      | Kstrong, Spec_stress.Faults.Adv_invert ->
        p.Flags.flipped <- p.Flags.flipped + 1;
        Kweak
-     | Kstrong, Spec_stress.Faults.Adv_drop ppm
-       when Spec_stress.Srng.chance p.Flags.prng ~ppm ->
+     | Kstrong, Spec_stress.Faults.Adv_drop ppm when drop_coin p s site ~ppm ->
        p.Flags.flipped <- p.Flags.flipped + 1;
        Kweak
      | v, _ -> v)
@@ -132,9 +142,9 @@ let classify ctx (tgt : target) (s : Sir.stmt) : verdict =
         | _ -> None
       in
       match definite_verdict with
-      | Some v -> attack ctx v
+      | Some v -> attack ctx s l v
       | None ->
-      attack ctx @@
+      attack ctx s l @@
       match ctx.mode with
       | Flags.Nonspec -> (
           match same_class_chi with Some _ -> Kstrong | None -> Knone)

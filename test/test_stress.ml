@@ -360,6 +360,74 @@ let test_bench_json_rejects_drift () =
       replace ~sub:"\"seed\":1" ~by:"\"seed\":\"one\"" dump;
       "truncated document", String.sub dump 0 (String.length dump - 4) ]
 
+(* ---- adversarial kill verdicts ---- *)
+
+(* Under [adv=drop] the coin for one (statement, load site) pair is a
+   pure function of the plan: the same pair gets the same verdict however
+   often, and in whatever order, the optimizer asks about it. *)
+let test_drop_coin_per_pair () =
+  let open Spec_ir in
+  let prog =
+    Lower.compile
+      "int A[16]; int main(){ int* q; q = A; int x; x = 0; \
+       for (int k = 0; k < 8; k++) { q[k] = k; x = x + q[k] + q[k + 1]; \
+       q[k + 1] = x; } print_int(x); return 0; }"
+  in
+  let info = Spec_alias.Annotate.run prog in
+  let f = Sir.find_func prog "main" in
+  let stmts = ref [] and sites = ref [] in
+  Vec.iter
+    (fun (b : Sir.bb) ->
+      List.iter
+        (fun (s : Sir.stmt) ->
+          stmts := s :: !stmts;
+          List.iter
+            (Sir.iter_subexprs (function
+              | Sir.Ilod (_, _, site) -> sites := site :: !sites
+              | _ -> ()))
+            (Sir.stmt_exprs s.Sir.kind))
+        b.Sir.stmts)
+    f.Sir.fblocks;
+  let kctx () =
+    let k =
+      Spec_spec.Kills.create
+        ?adversary:
+          (Spec_spec.Flags.perturbation ~seed:3 ~scope:[ "coin" ]
+             (Faults.Adv_drop 500_000))
+        prog info Spec_spec.Flags.Heuristic_spec
+    in
+    Vec.iter
+      (fun (b : Sir.bb) ->
+        List.iter
+          (fun (s : Sir.stmt) ->
+            match s.Sir.kind with
+            | Sir.Istr (_, a, _, site) ->
+              Spec_spec.Kills.register_site_addr k site a
+            | _ ->
+              List.iter
+                (Sir.iter_subexprs (function
+                  | Sir.Ilod (_, a, site) ->
+                    Spec_spec.Kills.register_site_addr k site a
+                  | _ -> ()))
+                (Sir.stmt_exprs s.Sir.kind))
+          b.Sir.stmts)
+      f.Sir.fblocks;
+    k
+  in
+  let pairs =
+    List.concat_map (fun s -> List.map (fun l -> (s, l)) !sites) !stmts
+  in
+  let ask k (s, l) = Spec_spec.Kills.classify k (Spec_spec.Kills.Tsite l) s in
+  let k1 = kctx () in
+  let first = List.map (ask k1) pairs in
+  let again = List.map (ask k1) pairs in
+  let k2 = kctx () in
+  let reversed = List.rev (List.map (ask k2) (List.rev pairs)) in
+  check_bool "repeated queries agree" true (first = again);
+  check_bool "query order does not matter" true (first = reversed);
+  check_bool "some strong verdict was dropped" true
+    (List.mem Spec_spec.Kills.Kweak first)
+
 let suite =
   [ Alcotest.test_case "srng determinism" `Quick test_srng_determinism;
     Alcotest.test_case "srng split independence" `Quick
@@ -381,4 +449,6 @@ let suite =
     Alcotest.test_case "bench JSON schema (stress section)" `Quick
       test_bench_json_schema_stress_section;
     Alcotest.test_case "bench JSON schema rejects drift" `Quick
-      test_bench_json_rejects_drift ]
+      test_bench_json_rejects_drift;
+    Alcotest.test_case "drop coin is per statement and site" `Quick
+      test_drop_coin_per_pair ]
