@@ -316,6 +316,14 @@ let p_refine =
           counters =
             [ "refined-sites", Hashtbl.length ctx.refinements ] }) }
 
+(* what SSAPRE changed, then the work it did *)
+let ssapre_counters (s : Ssapre.stats) (w : Ssapre.work) =
+  [ ("items", s.Ssapre.items); ("checks", s.Ssapre.checks);
+    ("reloads", s.Ssapre.reloads); ("saves", s.Ssapre.saves);
+    ("inserts", s.Ssapre.inserts); ("cspec-phis", s.Ssapre.cspec_phis);
+    ("kill-queries", w.Ssapre.queries); ("pushes", w.Ssapre.pushes);
+    ("pre-phis", w.Ssapre.phis); ("trace-steps", w.Ssapre.trace_steps) ]
+
 let p_ssapre =
   { pname = "ssapre";
     pdescr = "speculative SSAPRE (register promotion of loads)";
@@ -323,12 +331,13 @@ let p_ssapre =
       (fun ctx ->
         let info = annot ~refinements:ctx.refinements ctx.cache in
         let st = ref Ssapre.zero_stats in
+        let work = Ssapre.new_work () in
         Sir.iter_funcs
           (fun f ->
             let dom = dom_of ctx.cache f in
             st :=
               Ssapre.add_stats !st
-                (Ssapre.run_func ~dom ctx.prog info ctx.config f))
+                (Ssapre.run_func ~dom ~work ctx.prog info ctx.config f))
           ctx.prog;
         ctx.ssapre_total <- Ssapre.add_stats ctx.ssapre_total !st;
         (* run_func leaves functions in flat (non-SSA-maintained) form *)
@@ -341,10 +350,7 @@ let p_ssapre =
         { touched;
           invalidates = (if touched then [ Chi_mu ] else []);
           counters =
-            [ "items", s.Ssapre.items; "checks", s.Ssapre.checks;
-              "reloads", s.Ssapre.reloads; "saves", s.Ssapre.saves;
-              "inserts", s.Ssapre.inserts;
-              "cspec-phis", s.Ssapre.cspec_phis ] }) }
+            ssapre_counters s work }) }
 
 let p_out_of_ssa =
   { pname = "out-of-ssa";
@@ -675,20 +681,16 @@ let round_task ~verify_each ~dom_cached ~annot_info ~config (view : Sir.prog)
   in
   let st =
     sp.step "ssapre" (fun () ->
+        let work = Ssapre.new_work () in
         let st =
-          Ssapre.run_func ~dom ~formals:bt.Spec_ssa.Build_ssa.formals_v1 view
-            annot_info config f
+          Ssapre.run_func ~dom ~formals:bt.Spec_ssa.Build_ssa.formals_v1 ~work
+            view annot_info config f
         in
         let touched =
           st.Ssapre.checks + st.Ssapre.reloads + st.Ssapre.saves
           + st.Ssapre.inserts > 0
         in
-        ( touched,
-          [ ("items", st.Ssapre.items); ("checks", st.Ssapre.checks);
-            ("reloads", st.Ssapre.reloads); ("saves", st.Ssapre.saves);
-            ("inserts", st.Ssapre.inserts);
-            ("cspec-phis", st.Ssapre.cspec_phis) ],
-          st ))
+        (touched, ssapre_counters st work, st))
   in
   (* run_func leaves the function flat: CFG checks only from here on *)
   check "ssapre" ~ssa_dom:None;

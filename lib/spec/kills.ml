@@ -33,7 +33,8 @@ type ctx = {
   prog : Sir.prog;
   annot : Spec_alias.Annotate.info;
   mode : Flags.mode;
-  addr_key : (int, string) Hashtbl.t;  (* istore/iload site -> address key *)
+  site_addr : (int, Sir.expr) Hashtbl.t;  (* istore/iload site -> address *)
+  addr_key : (int, string) Hashtbl.t;     (* its key, built when first read *)
   alias_threshold : float;
       (** degree-of-likeliness knob: an alias relation observed in at most
           this fraction of a site's profiled executions is still treated
@@ -49,8 +50,8 @@ let create ?(alias_threshold = 0.) ?adversary prog annot mode =
   let adversary =
     match mode with Flags.Nonspec -> None | _ -> adversary
   in
-  { prog; annot; mode; addr_key = Hashtbl.create 64; alias_threshold;
-    adversary }
+  { prog; annot; mode; site_addr = Hashtbl.create 64;
+    addr_key = Hashtbl.create 16; alias_threshold; adversary }
 
 (* Adversarial corruption of a may-alias policy verdict: likely aliases
    are downgraded to unlikely (always under [Adv_invert], with the given
@@ -86,18 +87,23 @@ let attack ctx (s : Sir.stmt) site (v : verdict) : verdict =
        Kweak
      | v, _ -> v)
 
-(* Deversioned textual address key for heuristic rule 1 ("identical address
-   expression"). *)
-let key_of_addr ctx (a : Sir.expr) =
-  let syms = ctx.prog.Sir.syms in
-  let dv = Sir.map_expr_uses (fun v -> (Symtab.orig syms v).Symtab.vid) a in
-  Pp.expr_to_string syms dv
-
+(* Heuristic rule 1 ("identical address expression") compares the
+   deversioned text of two sites' addresses.  Only that policy reads the
+   keys, so a site's key is built the first time it is asked for. *)
 let register_site_addr ctx site (a : Sir.expr) =
-  if not (Hashtbl.mem ctx.addr_key site) then
-    Hashtbl.replace ctx.addr_key site (key_of_addr ctx a)
+  if not (Hashtbl.mem ctx.site_addr site) then
+    Hashtbl.replace ctx.site_addr site a
 
-let site_addr_key ctx site = Hashtbl.find_opt ctx.addr_key site
+let site_addr_key ctx site =
+  match Hashtbl.find_opt ctx.addr_key site with
+  | Some _ as k -> k
+  | None -> (
+      match Hashtbl.find_opt ctx.site_addr site with
+      | None -> None
+      | Some a ->
+        let k = Pp.expr_key ctx.prog.Sir.syms a in
+        Hashtbl.replace ctx.addr_key site k;
+        Some k)
 
 let chi_on ctx (s : Sir.stmt) v =
   let syms = ctx.prog.Sir.syms in
@@ -213,3 +219,130 @@ let classify_leaf ctx (v_orig : int) (s : Sir.stmt) : verdict =
     match chi_on ctx s v_orig with
     | Some c -> if c.Sir.chi_spec then Kstrong else Kweak
     | None -> Knone
+
+(* ------------------------------------------------------------------ *)
+(* Kill keys                                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* A sparse Rename files every candidate under the keys below and asks a
+   statement only about the live candidates filed under the statement's
+   strong keys.  The two key lists of a statement mirror [classify]'s
+   case split:
+
+   - every candidate the statement can kill strongly (before the
+     adversary acts) is filed under one of its strong keys;
+   - every live candidate filed under one of its weak keys gets a weak
+     or strong verdict from it, never [Knone].
+
+   Classes are split by whether the load has a definite target, because
+   a store with a definite target disambiguates exactly those loads. *)
+type key =
+  | Kvar of int
+  | Kclass of int * bool
+  | Kempty of int * bool
+  | Krule1 of int * bool * string
+  | Kloc of Loc.t
+  | Kdef of Loc.t
+
+let target_keys ctx (tgt : target) =
+  match tgt with
+  | Tpure | Tvar _ -> ([], [])
+  | Tsite l ->
+    let syms = ctx.prog.Sir.syms in
+    let dl = Spec_alias.Annotate.site_definite ctx.annot l in
+    let d = dl <> None in
+    let strong = match dl with Some b -> [ Kdef b ] | None -> [] in
+    let locs =
+      match ctx.mode with
+      | Flags.Profile_spec prof -> Profile.locs_at prof l
+      | Flags.Nonspec | Flags.Heuristic_spec -> Loc.Set.empty
+    in
+    let strong =
+      Loc.Set.fold (fun x acc -> Kloc x :: acc) locs strong
+    in
+    match Spec_alias.Annotate.site_virtual ctx.annot l with
+    | None -> (strong, [])
+    | Some vv ->
+      let c = (Symtab.orig syms vv).Symtab.vid in
+      let strong =
+        match ctx.mode with
+        | Flags.Nonspec -> Kclass (c, d) :: strong
+        | Flags.Heuristic_spec -> (
+            Kclass (c, d)
+            :: (match site_addr_key ctx l with
+                | Some k -> Krule1 (c, d, k) :: strong
+                | None -> strong))
+        | Flags.Profile_spec _ ->
+          if Loc.Set.is_empty locs then Kempty (c, d) :: strong
+          else Kclass (c, d) :: strong
+      in
+      (strong, [ Kclass (c, d) ])
+
+let stmt_keys ctx (s : Sir.stmt) =
+  let syms = ctx.prog.Sir.syms in
+  let strong = ref [] and weak = ref [] in
+  let add r k = r := k :: !r in
+  let def =
+    match Sir.stmt_def s.Sir.kind with
+    | Some v -> (Symtab.orig syms v).Symtab.vid
+    | None -> -1
+  in
+  if def >= 0 then add strong (Kvar def);
+  let sdef =
+    match s.Sir.kind with
+    | Sir.Istr (_, _, _, site) -> Spec_alias.Annotate.site_definite ctx.annot site
+    | _ -> None
+  in
+  (match sdef with Some a -> add strong (Kdef a) | None -> ());
+  (* a store with a definite target decides definite-target loads by
+     location alone *)
+  let subs = match sdef with Some _ -> [ false ] | None -> [ false; true ] in
+  let each r mk = List.iter (fun d -> add r (mk d)) subs in
+  let locs_added = ref false in
+  let add_locs locs =
+    if not !locs_added then begin
+      locs_added := true;
+      Loc.Set.iter (fun x -> add strong (Kloc x)) locs
+    end
+  in
+  let seen = ref [] in
+  List.iter
+    (fun (c : Sir.chi) ->
+      let v = c.Sir.chi_var in
+      if not (List.mem v !seen) then begin
+        seen := v :: !seen;
+        (* as an operand variable *)
+        if v <> def then add (if c.Sir.chi_spec then strong else weak) (Kvar v);
+        (* as the alias class of a load *)
+        match ctx.mode, s.Sir.kind with
+        | Flags.Nonspec, _ -> each strong (fun d -> Kclass (v, d))
+        | Flags.Heuristic_spec, Sir.Call _ -> each strong (fun d -> Kclass (v, d))
+        | Flags.Heuristic_spec, Sir.Istr (_, _, _, site) ->
+          (match site_addr_key ctx site with
+           | Some k -> each strong (fun d -> Krule1 (v, d, k))
+           | None -> ());
+          each weak (fun d -> Kclass (v, d))
+        | Flags.Heuristic_spec, (Sir.Stid _ | Sir.Snop) ->
+          each weak (fun d -> Kclass (v, d))
+        | Flags.Profile_spec prof, kind -> (
+            each strong (fun d -> Kempty (v, d));
+            match kind with
+            | Sir.Istr (_, _, _, site) ->
+              let store_locs = Profile.locs_at prof site in
+              if Loc.Set.is_empty store_locs || ctx.alias_threshold < 0. then
+                each strong (fun d -> Kclass (v, d))
+              else add_locs store_locs;
+              each weak (fun d -> Kclass (v, d))
+            | Sir.Call { csite; _ } ->
+              add_locs (Profile.call_mod_locs prof csite);
+              each weak (fun d -> Kclass (v, d))
+            | Sir.Stid (x, _) when Symtab.is_mem syms x ->
+              each weak (fun d -> Kclass (v, d))
+            | Sir.Stid _ | Sir.Snop -> ())
+      end)
+    s.Sir.chis;
+  (match ctx.mode, s.Sir.kind with
+   | Flags.Profile_spec _, Sir.Stid (x, _) when Symtab.is_mem syms x ->
+     add strong (Kloc (Loc.Lvar (Symtab.orig syms x).Symtab.vid))
+   | _ -> ());
+  (!strong, !weak)

@@ -36,10 +36,12 @@ val create :
   Flags.mode ->
   ctx
 
-(** Record the (deversioned, textual) address expression of a site, for
-    heuristic rule 1's identical-address-syntax test. *)
+(** Record the address expression of a site, for heuristic rule 1's
+    identical-address-syntax test; the first registration wins. *)
 val register_site_addr : ctx -> int -> Spec_ir.Sir.expr -> unit
 
+(** The deversioned text of a registered site's address
+    ([Spec_ir.Pp.expr_key]), built when first asked for. *)
 val site_addr_key : ctx -> int -> string option
 
 (** Memory effect of a statement on a candidate with the given target.
@@ -49,3 +51,28 @@ val classify : ctx -> target -> Spec_ir.Sir.stmt -> verdict
 (** Effect of a statement on an operand variable (by original id): strong
     on direct redefinition or flagged χ, weak on an unflagged χ. *)
 val classify_leaf : ctx -> int -> Spec_ir.Sir.stmt -> verdict
+
+(** Kill keys index the candidates a statement can affect, so that a
+    sparse Rename need not ask every statement about every candidate:
+    an operand variable, an alias class (its virtual variable), split by
+    whether the load has a definite target; under the profile policy the
+    class's loads without profiled locations, and each profiled location;
+    under the heuristic policy a class's loads with one rule-1 address
+    key; and a definite target. *)
+type key =
+  | Kvar of int
+  | Kclass of int * bool
+  | Kempty of int * bool
+  | Krule1 of int * bool * string
+  | Kloc of Spec_ir.Loc.t
+  | Kdef of Spec_ir.Loc.t
+
+(** [(strong, weak)] keys of a candidate's memory value; its operand
+    variables are filed under [Kvar] by the caller. *)
+val target_keys : ctx -> target -> key list * key list
+
+(** [(strong, weak)] keys of a statement.  Every candidate the statement
+    can kill strongly (before any adversary acts) is filed under one of
+    [strong]; every live candidate filed under one of [weak] gets a weak
+    or strong verdict from it. *)
+val stmt_keys : ctx -> Spec_ir.Sir.stmt -> key list * key list

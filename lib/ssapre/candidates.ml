@@ -1,59 +1,131 @@
-(** PRE candidate expressions and their lexical keys.
+(** PRE candidate expressions and their interned keys.
 
     SSAPRE works one lexically-identified expression at a time.  A
     candidate is a *maximal first-order* expression: an indirect load whose
     address is pure (no memory access), a direct load of a memory-resident
     variable, or (when arithmetic PRE is enabled) a maximal pure arithmetic
     subtree.  Loads nested inside other loads become candidates in a later
-    round, after the inner load has been PREed into a temporary. *)
+    round, after the inner load has been PREed into a temporary.
+
+    Keys are small ints handed out by a per-function interner that
+    hash-conses deversioned expression shapes bottom-up, computing purity
+    and constness on the way, so one pass over an expression finds its
+    candidates and their keys. *)
 
 open Spec_ir
 
-(** Pure expressions touch no memory: constants, addresses, and
-    register-resident variable reads. *)
-let rec is_pure syms (e : Sir.expr) =
-  match e with
-  | Sir.Const _ | Sir.Lda _ -> true
-  | Sir.Lod v -> not (Symtab.is_mem syms v)
-  | Sir.Unop (_, _, x) -> is_pure syms x
-  | Sir.Binop (_, _, a, b) -> is_pure syms a && is_pure syms b
-  | Sir.Ilod _ -> false
+(* One expression node with its children already interned.  Two
+   occurrences get the same key exactly when their shapes agree: loads
+   and addresses by variable (a load by its original variable), an
+   indirect load by type and address (not by site), a unary operator by
+   operator, a binary one by operator and type, and a float constant by
+   its bits. *)
+type shape =
+  | Sint of int
+  | Sflt of int64
+  | Slod of int
+  | Slda of int
+  | Silod of Types.ty * int
+  | Sunop of Sir.unop * int
+  | Sbinop of Sir.binop * Types.ty * int * int
 
-let rec is_const = function
-  | Sir.Const _ -> true
-  | Sir.Unop (_, _, x) -> is_const x
-  | Sir.Binop (_, _, a, b) -> is_const a && is_const b
-  | Sir.Lod _ | Sir.Lda _ | Sir.Ilod _ -> false
+module Shapes = Hashtbl.Make (struct
+  type t = shape
+  let equal (a : t) b = a = b
+  let hash = Hashtbl.hash
+end)
 
-(** Deversioned lexical key: two occurrences with the same key denote the
-    same static expression. *)
-let key_of syms (e : Sir.expr) =
-  let dv = Sir.map_expr_uses (fun v -> (Symtab.orig syms v).Symtab.vid) e in
-  let buf = Buffer.create 32 in
-  let rec go = function
-    | Sir.Const (Sir.Cint i) -> Buffer.add_string buf ("#" ^ string_of_int i)
-    | Sir.Const (Sir.Cflt f) -> Buffer.add_string buf ("#f" ^ string_of_float f)
-    | Sir.Lod v -> Buffer.add_string buf ("v" ^ string_of_int v)
-    | Sir.Lda v -> Buffer.add_string buf ("&" ^ string_of_int v)
-    | Sir.Ilod (t, a, _) ->
-      Buffer.add_string buf ("*[" ^ Types.to_string t ^ "]");
-      Buffer.add_char buf '(';
-      go a;
-      Buffer.add_char buf ')'
-    | Sir.Unop (o, _, x) ->
-      Buffer.add_string buf (Pp.unop_str o);
-      Buffer.add_char buf '(';
-      go x;
-      Buffer.add_char buf ')'
-    | Sir.Binop (o, t, a, b) ->
-      Buffer.add_char buf '(';
-      go a;
-      Buffer.add_string buf (Pp.binop_str o ^ Types.to_string t);
-      go b;
-      Buffer.add_char buf ')'
+type t = {
+  syms : Symtab.t;
+  arith_pre : bool;
+  codes : int Shapes.t;
+      (* shape -> key lsl 2 lor (pure lsl 1) lor const *)
+}
+
+let create syms ~arith_pre = { syms; arith_pre; codes = Shapes.create 64 }
+
+let key code = code lsr 2
+let pure code = code land 2 <> 0
+let const code = code land 1 <> 0
+
+let node t shape ~pure ~const =
+  match Shapes.find_opt t.codes shape with
+  | Some c -> c
+  | None ->
+    let c =
+      (Shapes.length t.codes lsl 2)
+      lor (if pure then 2 else 0)
+      lor (if const then 1 else 0)
+    in
+    Shapes.add t.codes shape c;
+    c
+
+(* Intern [e] bottom-up.  [acc] holds the maximal candidates found so far,
+   latest first; a node that is itself a candidate replaces whatever its
+   subtree added, so candidates come out in pre-order. *)
+let rec walk t acc (e : Sir.expr) =
+  let below = !acc in
+  let found target code =
+    acc := (key code, target, e) :: below;
+    code
   in
-  go dv;
-  Buffer.contents buf
+  match e with
+  | Sir.Const (Sir.Cint i) -> node t (Sint i) ~pure:true ~const:true
+  | Sir.Const (Sir.Cflt f) ->
+    node t (Sflt (Int64.bits_of_float f)) ~pure:true ~const:true
+  | Sir.Lda v -> node t (Slda v) ~pure:true ~const:false
+  | Sir.Lod v ->
+    let o = (Symtab.orig t.syms v).Symtab.vid in
+    let mem = Symtab.is_mem t.syms v in
+    let c = node t (Slod o) ~pure:(not mem) ~const:false in
+    if mem then found (Spec_spec.Kills.Tvar o) c else c
+  | Sir.Ilod (ty, a, site) ->
+    let ca = walk t acc a in
+    let c = node t (Silod (ty, key ca)) ~pure:false ~const:false in
+    if pure ca then found (Spec_spec.Kills.Tsite site) c else c
+  | Sir.Unop (o, _, x) ->
+    let cx = walk t acc x in
+    node t (Sunop (o, key cx)) ~pure:(pure cx) ~const:(const cx)
+  | Sir.Binop (o, ty, a, b) ->
+    let ca = walk t acc a in
+    let cb = walk t acc b in
+    let p = pure ca && pure cb and k = const ca && const cb in
+    let c = node t (Sbinop (o, ty, key ca, key cb)) ~pure:p ~const:k in
+    if t.arith_pre && p && not k then found Spec_spec.Kills.Tpure c else c
+
+let candidates t e =
+  let acc = ref [] in
+  ignore (walk t acc e : int);
+  List.rev !acc
+
+let key_of t e = key (walk t (ref []) e)
+
+let iter_candidates t f e =
+  List.iter (fun (k, target, c) -> f k target c) (candidates t e)
+
+let rewrite_candidates t f e =
+  match candidates t e with
+  | [] -> e
+  | cands ->
+    (* the top-down rebuild meets the maximal candidates in the order the
+       bottom-up walk listed them *)
+    let pending = ref cands in
+    let rec go e =
+      match !pending with
+      | (k, _, c) :: rest when c == e -> (
+          pending := rest;
+          match f k e with Some e' -> e' | None -> e)
+      | _ -> (
+          match e with
+          | Sir.Const _ | Sir.Lod _ | Sir.Lda _ -> e
+          | Sir.Ilod (ty, a, s) -> Sir.Ilod (ty, go a, s)
+          | Sir.Unop (o, ty, x) -> Sir.Unop (o, ty, go x)
+          | Sir.Binop (o, ty, a, b) ->
+            let a' = go a in
+            let b' = go b in
+            Sir.Binop (o, ty, a', b'))
+    in
+    go e
 
 (** Deversioned original-variable leaves of an expression. *)
 let leaves syms (e : Sir.expr) =
@@ -64,58 +136,3 @@ let leaves syms (e : Sir.expr) =
       if not (List.mem ov !acc) then acc := ov :: !acc)
     e;
   List.sort compare !acc
-
-(** Is [e] a candidate (at the top of its subtree)? *)
-let classify syms ~arith_pre (e : Sir.expr) : Spec_spec.Kills.target option =
-  match e with
-  | Sir.Ilod (_, a, site) when is_pure syms a ->
-    Some (Spec_spec.Kills.Tsite site)
-  | Sir.Lod v when Symtab.is_mem syms v ->
-    Some (Spec_spec.Kills.Tvar (Symtab.orig syms v).Symtab.vid)
-  | Sir.Binop (_, _, a, b)
-    when arith_pre && is_pure syms e && not (is_const e)
-         && not (is_const a && is_const b) ->
-    Some Spec_spec.Kills.Tpure
-  | _ -> None
-
-(** Visit the maximal candidate subexpressions of [e] in deterministic
-    (pre-order, left-to-right) order.  [f key target expr] is called for
-    each; non-candidates are descended into. *)
-let rec iter_candidates syms ~arith_pre f (e : Sir.expr) =
-  match classify syms ~arith_pre e with
-  | Some target -> f (key_of syms e) target e
-  | None -> (
-      match e with
-      | Sir.Const _ | Sir.Lod _ | Sir.Lda _ -> ()
-      | Sir.Ilod (_, a, _) -> iter_candidates syms ~arith_pre f a
-      | Sir.Unop (_, _, x) -> iter_candidates syms ~arith_pre f x
-      | Sir.Binop (_, _, a, b) ->
-        iter_candidates syms ~arith_pre f a;
-        iter_candidates syms ~arith_pre f b)
-
-(** Rewrite the maximal candidates of [e]: [f key idx expr] returns
-    [Some e'] to replace the [idx]-th candidate with key [key], or [None]
-    to keep it.  Traversal order matches {!iter_candidates}; [idx] counts
-    candidates *with the same key* within one enclosing statement, tracked
-    by the caller-supplied counter table. *)
-let rewrite_candidates syms ~arith_pre (counts : (string, int) Hashtbl.t) f e =
-  let rec go e =
-    match classify syms ~arith_pre e with
-    | Some _ ->
-      let key = key_of syms e in
-      let idx =
-        match Hashtbl.find_opt counts key with Some i -> i | None -> 0
-      in
-      Hashtbl.replace counts key (idx + 1);
-      (match f key idx e with Some e' -> e' | None -> e)
-    | None -> (
-        match e with
-        | Sir.Const _ | Sir.Lod _ | Sir.Lda _ -> e
-        | Sir.Ilod (t, a, s) -> Sir.Ilod (t, go a, s)
-        | Sir.Unop (o, t, x) -> Sir.Unop (o, t, go x)
-        | Sir.Binop (o, t, a, b) ->
-          let a' = go a in
-          let b' = go b in
-          Sir.Binop (o, t, a', b'))
-  in
-  go e

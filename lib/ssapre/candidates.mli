@@ -1,35 +1,34 @@
-(** PRE candidate expressions and their lexical keys.
+(** PRE candidate expressions and their interned keys.
 
     A candidate is a maximal first-order expression: an indirect load with
     a pure address, a direct load of a memory-resident variable, or (when
     arithmetic PRE is on) a maximal pure arithmetic subtree.  Loads nested
     inside other loads become candidates in a later pipeline round. *)
 
-(** Pure expressions touch no memory. *)
-val is_pure : Spec_ir.Symtab.t -> Spec_ir.Sir.expr -> bool
+(** A per-function interner: deversioned expression shapes to small-int
+    keys.  Equal keys = the same static expression: loads match by
+    original variable, indirect loads by type and address (not site),
+    unary operators by operator, binary ones by operator and type, float
+    constants by their bits. *)
+type t
 
-val is_const : Spec_ir.Sir.expr -> bool
+val create : Spec_ir.Symtab.t -> arith_pre:bool -> t
 
-(** Deversioned lexical key: equal keys = same static expression. *)
-val key_of : Spec_ir.Symtab.t -> Spec_ir.Sir.expr -> string
+(** The key of an expression (candidate or not). *)
+val key_of : t -> Spec_ir.Sir.expr -> int
 
 (** Deversioned original-variable leaves, sorted. *)
 val leaves : Spec_ir.Symtab.t -> Spec_ir.Sir.expr -> int list
 
-(** Candidate classification of a (sub)expression at its root. *)
-val classify :
-  Spec_ir.Symtab.t -> arith_pre:bool -> Spec_ir.Sir.expr ->
-  Spec_spec.Kills.target option
-
-(** Visit maximal candidates in deterministic preorder. *)
+(** Visit the maximal candidates of an expression in deterministic
+    pre-order: [f key target candidate]. *)
 val iter_candidates :
-  Spec_ir.Symtab.t -> arith_pre:bool ->
-  (string -> Spec_spec.Kills.target -> Spec_ir.Sir.expr -> unit) ->
+  t -> (int -> Spec_spec.Kills.target -> Spec_ir.Sir.expr -> unit) ->
   Spec_ir.Sir.expr -> unit
 
-(** Rewrite maximal candidates; traversal matches {!iter_candidates} and
-    the per-key occurrence counter is threaded through [counts]. *)
+(** Rewrite the maximal candidates, visited in {!iter_candidates} order:
+    [f key candidate] returns [Some e'] to replace it, [None] to keep
+    it. *)
 val rewrite_candidates :
-  Spec_ir.Symtab.t -> arith_pre:bool -> (string, int) Hashtbl.t ->
-  (string -> int -> Spec_ir.Sir.expr -> Spec_ir.Sir.expr option) ->
+  t -> (int -> Spec_ir.Sir.expr -> Spec_ir.Sir.expr option) ->
   Spec_ir.Sir.expr -> Spec_ir.Sir.expr

@@ -52,15 +52,14 @@ type real_occ = {
   ro_place : place;
   ro_idx : int;                    (* nth same-key candidate in the place *)
   ro_expr : Sir.expr;
-  mutable ro_cls : int;
   mutable ro_def : def option;
-  mutable ro_weaks : Sir.stmt list;
+  mutable ro_weak : Sir.stmt option;
+      (* the latest weak update crossed since [ro_def], if any *)
   mutable ro_used : bool;
 }
 
 and phi_occ = {
   po_bb : int;
-  po_cls : int;
   po_opnds : opnd array;
   mutable po_ds : bool;
   mutable po_cba : bool;
@@ -74,7 +73,7 @@ and opnd = {
   mutable op_def : def option;        (* None = bottom *)
   mutable op_has_real_use : bool;
   mutable op_expr : Sir.expr option;  (* insertion expression at pred end *)
-  mutable op_weaks : Sir.stmt list;
+  mutable op_weak : Sir.stmt option;  (* latest weak update on this edge *)
   mutable op_insert : bool;
 }
 
@@ -82,29 +81,34 @@ and def = Dreal of real_occ | Dphi of phi_occ
 
 type item = {
   it_id : int;                           (* dense index, creation order *)
-  it_key : string;
+  it_key : int;                          (* [Candidates] key *)
   it_proto : Sir.expr;                   (* deversioned representative *)
   it_target : Kills.target;
   it_leaves : int list;                  (* orig ids of pure leaves *)
   mutable it_reals : real_occ list;      (* reverse collection order *)
-  it_phis : (int, phi_occ) Hashtbl.t;    (* bb -> phi *)
-  mutable it_next_cls : int;
+  mutable it_phis : (int, phi_occ) Hashtbl.t option;  (* bb -> phi *)
+  mutable it_strong : int list;          (* kill keys that may kill it *)
+  mutable it_weak : int list;            (* kill keys whose weak updates reach it *)
   mutable it_temp : int;                 (* temp var id, -1 until created *)
   mutable it_has_checks : bool;
 }
-
-type stack_entry =
-  | Ebot
-  | Ereal of { cls : int; occ : real_occ; weaks : Sir.stmt list }
-  | Ephi of { cls : int; phi : phi_occ; weaks : Sir.stmt list }
 
 (* ------------------------------------------------------------------ *)
 (* Per-function context                                                *)
 (* ------------------------------------------------------------------ *)
 
+type work = {
+  mutable queries : int;
+  mutable pushes : int;
+  mutable phis : int;
+  mutable trace_steps : int;
+}
+
+let new_work () = { queries = 0; pushes = 0; phis = 0; trace_steps = 0 }
+
 type vdef =
   | Vphi of Sir.phi * int
-  | Vchi of Sir.stmt * Sir.chi
+  | Vchi of Sir.stmt * Sir.chi * int
   | Vdirect
   | Vnone
 
@@ -114,11 +118,14 @@ type fctx = {
   dom : Dom.t;
   cfg : config;
   kctx : Kills.ctx;
-  items : (string, item) Hashtbl.t;
+  cands : Candidates.t;
+  items : (int, item) Hashtbl.t;
   mutable item_list : item list;
   (* occurrences grouped by statement id / terminator block *)
   stmt_occs : (int, (item * real_occ) list) Hashtbl.t;
   term_occs : (int, (item * real_occ) list) Hashtbl.t;
+  (* block -> the item phis placed there *)
+  mutable bphis : (item * phi_occ) list array;
   (* version vid -> its definition; dense over the post-rename symtab *)
   mutable vdefs : vdef array;
   (* versions current at block ends, dense rows over the interned proto
@@ -132,6 +139,7 @@ type fctx = {
   mutable stats_saves : int;
   mutable stats_inserts : int;
   mutable stats_cspec_phis : int;
+  work : work;
 }
 
 let syms_of ctx = ctx.prog.Sir.syms
@@ -150,16 +158,42 @@ let get_item ctx key target expr =
       { it_id = Hashtbl.length ctx.items; it_key = key; it_proto = proto;
         it_target = target;
         it_leaves = Candidates.leaves syms expr; it_reals = [];
-        it_phis = Hashtbl.create 4; it_next_cls = 0; it_temp = -1;
+        it_phis = None; it_strong = []; it_weak = []; it_temp = -1;
         it_has_checks = false }
     in
     Hashtbl.replace ctx.items key it;
     ctx.item_list <- it :: ctx.item_list;
     it
 
+(* The rank of the next candidate with [key] in one statement or
+   terminator; [counts] is that place's (key, count) list. *)
+let next_idx counts key =
+  let i = match List.assoc_opt key !counts with Some i -> i | None -> 0 in
+  counts := (key, i + 1) :: !counts;
+  i
+
 let collect_occurrences ctx =
-  let syms = syms_of ctx in
-  let arith_pre = ctx.cfg.arith_pre in
+  let register e =
+    Sir.iter_subexprs
+      (function
+        | Sir.Ilod (_, a, site) -> Kills.register_site_addr ctx.kctx site a
+        | _ -> ())
+      e
+  in
+  let collect (b : Sir.bb) place counts tbl id e =
+    Candidates.iter_candidates ctx.cands
+      (fun key target c ->
+        let it = get_item ctx key target c in
+        let occ =
+          { ro_bb = b.Sir.bid; ro_place = place; ro_idx = next_idx counts key;
+            ro_expr = c; ro_def = None; ro_weak = None; ro_used = false }
+        in
+        it.it_reals <- occ :: it.it_reals;
+        let cur = match Hashtbl.find_opt tbl id with Some l -> l | None -> [] in
+        (* prepended; reversed once collection is complete *)
+        Hashtbl.replace tbl id ((it, occ) :: cur))
+      e
+  in
   Vec.iter
     (fun (b : Sir.bb) ->
       List.iter
@@ -168,64 +202,19 @@ let collect_occurrences ctx =
           (match s.Sir.kind with
            | Sir.Istr (_, a, _, site) -> Kills.register_site_addr ctx.kctx site a
            | _ -> ());
-          List.iter
-            (Sir.iter_subexprs (function
-              | Sir.Ilod (_, a, site) -> Kills.register_site_addr ctx.kctx site a
-              | _ -> ()))
-            (Sir.stmt_exprs s.Sir.kind);
+          let exprs = Sir.stmt_exprs s.Sir.kind in
+          List.iter register exprs;
           if s.Sir.mark = Sir.Mnone then begin
-            let counts = Hashtbl.create 4 in
-            List.iter
-              (Candidates.iter_candidates syms ~arith_pre (fun key target e ->
-                   let idx =
-                     match Hashtbl.find_opt counts key with
-                     | Some i -> i | None -> 0
-                   in
-                   Hashtbl.replace counts key (idx + 1);
-                   let it = get_item ctx key target e in
-                   let occ =
-                     { ro_bb = b.Sir.bid; ro_place = Pstmt s; ro_idx = idx;
-                       ro_expr = e; ro_cls = -1; ro_def = None; ro_weaks = [];
-                       ro_used = false }
-                   in
-                   it.it_reals <- occ :: it.it_reals;
-                   let cur =
-                     match Hashtbl.find_opt ctx.stmt_occs s.Sir.sid with
-                     | Some l -> l | None -> []
-                   in
-                   (* prepended; reversed once collection is complete *)
-                   Hashtbl.replace ctx.stmt_occs s.Sir.sid ((it, occ) :: cur)))
-              (Sir.stmt_exprs s.Sir.kind)
+            let counts = ref [] in
+            List.iter (collect b (Pstmt s) counts ctx.stmt_occs s.Sir.sid) exprs
           end)
         b.Sir.stmts;
       (* terminator occurrences *)
-      let counts = Hashtbl.create 4 in
+      let counts = ref [] in
       List.iter
         (fun e ->
-          Sir.iter_subexprs
-            (function
-              | Sir.Ilod (_, a, site) -> Kills.register_site_addr ctx.kctx site a
-              | _ -> ())
-            e;
-          Candidates.iter_candidates syms ~arith_pre
-            (fun key target sub ->
-              let idx =
-                match Hashtbl.find_opt counts key with Some i -> i | None -> 0
-              in
-              Hashtbl.replace counts key (idx + 1);
-              let it = get_item ctx key target sub in
-              let occ =
-                { ro_bb = b.Sir.bid; ro_place = Pterm; ro_idx = idx;
-                  ro_expr = sub; ro_cls = -1; ro_def = None; ro_weaks = [];
-                  ro_used = false }
-              in
-              it.it_reals <- occ :: it.it_reals;
-              let cur =
-                match Hashtbl.find_opt ctx.term_occs b.Sir.bid with
-                | Some l -> l | None -> []
-              in
-              Hashtbl.replace ctx.term_occs b.Sir.bid ((it, occ) :: cur))
-            e)
+          register e;
+          collect b Pterm counts ctx.term_occs b.Sir.bid e)
         (Sir.term_exprs b.Sir.term))
     ctx.func.Sir.fblocks;
   ctx.item_list <- List.rev ctx.item_list;
@@ -246,12 +235,12 @@ let build_version_def ctx =
            | Some v -> vdefs.(v) <- Vdirect
            | None -> ());
           List.iter
-            (fun (c : Sir.chi) -> vdefs.(c.Sir.chi_lhs) <- Vchi (s, c))
+            (fun (c : Sir.chi) ->
+              vdefs.(c.Sir.chi_lhs) <- Vchi (s, c, b.Sir.bid))
             s.Sir.chis)
         b.Sir.stmts)
     ctx.func.Sir.fblocks;
   ctx.vdefs <- vdefs
-
 (* Intern the variables the items' prototype expressions read; only their
    block-end versions are ever queried (by [assign_phi_opnds]). *)
 let intern_proto_vars ctx =
@@ -340,22 +329,102 @@ let version_at_end ctx bid orig =
 
 (* ---- step 1: Phi insertion ---- *)
 
-(* Phi insertion with one dense worklist per item.  The result set is
+(* Control speculation may make a Φ with no real occurrence behind it
+   "safe" (see [cspec_allowed]) when the frequencies of a join's
+   predecessors add up to less than [cspec_ratio] of the join's own.
+   Pruning such Φs could change what their users decide, so a function
+   with any such join keeps every Φ. *)
+let cspec_prone ctx =
+  ctx.cfg.control_spec
+  && (ctx.cfg.cspec_always
+      || Vec.exists
+           (fun (b : Sir.bb) ->
+             b.Sir.preds <> []
+             && b.Sir.freq > 0.
+             && List.fold_left
+                  (fun acc p -> acc +. (Sir.block ctx.func p).Sir.freq)
+                  0. b.Sir.preds
+                < ctx.cfg.cspec_ratio *. b.Sir.freq)
+           ctx.func.Sir.fblocks)
+
+(* Rank of every block's strongly connected component, sinks first: an
+   edge never leads to a higher rank, so a block reaches only blocks of
+   rank at most its own. *)
+let scc_ranks (f : Sir.func) =
+  let n = Sir.n_blocks f in
+  let index = Array.make n (-1) and low = Array.make n 0 in
+  let on_stack = Bytes.make n '\000' in
+  let rank = Array.make n 0 in
+  let stack = ref [] and next = ref 0 and nscc = ref 0 in
+  let rec visit v =
+    index.(v) <- !next;
+    low.(v) <- !next;
+    incr next;
+    stack := v :: !stack;
+    Bytes.set on_stack v '\001';
+    List.iter
+      (fun w ->
+        if index.(w) < 0 then begin
+          visit w;
+          low.(v) <- min low.(v) low.(w)
+        end
+        else if Bytes.get on_stack w = '\001' then
+          low.(v) <- min low.(v) index.(w))
+      (Sir.succs (Sir.block f v));
+    if low.(v) = index.(v) then begin
+      let rec pop () =
+        match !stack with
+        | w :: rest ->
+          stack := rest;
+          Bytes.set on_stack w '\000';
+          rank.(w) <- !nscc;
+          if w <> v then pop ()
+        | [] -> assert false
+      in
+      pop ();
+      incr nscc
+    end
+  in
+  for v = 0 to n - 1 do
+    if index.(v) < 0 then visit v
+  done;
+  rank
+
+(* Phi insertion with one dense worklist per item.  The reference set is
 
      E ∪ DF+(occ_blocks ∪ E)
 
    where E is the set of phi blocks reached by the Appendix-A traces
    (definition chains followed *through* speculative weak updates).
    Since iterated dominance frontiers distribute over union this equals
-   the reference formulation DF+(occ) ∪ E ∪ DF+(E).  One queue plus two
-   flag rows ([queued] = ever enqueued, [has] = in the result) replace
-   the per-item association lists; the traces all run before the DF
-   propagation, so [has] doubles as the trace-visited set. *)
+   the formulation DF+(occ) ∪ E ∪ DF+(E).  One queue plus two flag rows
+   ([queued] = ever enqueued, [has] = in the result) replace per-item
+   association lists; the traces all run before the DF propagation, so
+   [has] doubles as the trace-visited set.
+
+   Only the Φs a real occurrence of the item can reach are created.  A
+   Φ no real occurrence feeds never becomes WillBeAvail (clearing Later
+   needs an operand with a real use), and its users decide the same way
+   whether an operand is ⊥ or such a Φ: both are inserted at, both count
+   as "needs insertion" for control speculation, and both make a
+   non-downsafe user unavailable.  So the traces stop at blocks no
+   occurrence can reach — everything further up a definition chain
+   reaches the block it defines for, so it cannot be reached either —
+   and the occurrence blocks' reach is over-approximated by SCC rank.
+   The Φs dropped this way, and the Φs in the dominance frontiers of
+   the dropped trace blocks, all lie outside the reach of every
+   occurrence or are fed by no occurrence, and the Rename stack at their
+   blocks then reads ⊥ or a Φ just as unavailable.  [cspec_prone]
+   functions keep every Φ. *)
 let insert_phis ctx =
   let nb = Sir.n_blocks ctx.func in
   let queue = Scratch.take_ints nb in
   let queued = Scratch.take_bytes nb in
   let has = Scratch.take_bytes nb in
+  let rank = if cspec_prone ctx then None else Some (scc_ranks ctx.func) in
+  (* chi versions already traced for the current item *)
+  let seen = Array.make (Array.length ctx.vdefs) (-1) in
+  let bphis = Array.make nb [] in
   List.iter
     (fun (it : item) ->
       let tail = ref 0 in
@@ -372,25 +441,40 @@ let insert_phis ctx =
           enqueue b
         end
       in
+      let reach =
+        match rank with
+        | None -> max_int
+        | Some r ->
+          List.fold_left (fun m (o : real_occ) -> max m r.(o.ro_bb)) (-1)
+            it.it_reals
+      in
+      let reachable b =
+        match rank with None -> true | Some r -> r.(b) <= reach
+      in
       (* Appendix A: trace a version's definition through speculative weak
          updates; phi blocks reached join the result (and the queue). *)
       let rec trace v =
+        ctx.work.trace_steps <- ctx.work.trace_steps + 1;
         match ctx.vdefs.(v) with
         | Vnone | Vdirect -> ()
         | Vphi (p, bb) ->
-          if Bytes.unsafe_get has bb = '\000' then begin
+          if reachable bb && Bytes.unsafe_get has bb = '\000' then begin
             add_result bb;
             Array.iter trace p.Sir.phi_args
           end
-        | Vchi (s, c) ->
-          let weak =
-            match it.it_target with
-            | Kills.Tsite _ when Symtab.is_virtual (syms_of ctx) c.Sir.chi_var
-              ->
-              Kills.classify ctx.kctx it.it_target s = Kills.Kweak
-            | _ -> not c.Sir.chi_spec
-          in
-          if weak then trace c.Sir.chi_rhs
+        | Vchi (s, c, bb) ->
+          if reachable bb && seen.(v) <> it.it_id then begin
+            seen.(v) <- it.it_id;
+            let weak =
+              match it.it_target with
+              | Kills.Tsite _ when Symtab.is_virtual (syms_of ctx) c.Sir.chi_var
+                ->
+                ctx.work.queries <- ctx.work.queries + 1;
+                Kills.classify ctx.kctx it.it_target s = Kills.Kweak
+              | _ -> not c.Sir.chi_spec
+            in
+            if weak then trace c.Sir.chi_rhs
+          end
       in
       (* occurrence blocks seed the DF propagation but are not results *)
       List.iter (fun (o : real_occ) -> enqueue o.ro_bb) it.it_reals;
@@ -419,22 +503,29 @@ let insert_phis ctx =
       (* create phis in queue (= discovery) order: deterministic *)
       for i = 0 to !tail - 1 do
         let bb = queue.(i) in
-        if Bytes.unsafe_get has bb = '\001'
-           && not (Hashtbl.mem it.it_phis bb)
-        then begin
+        if Bytes.unsafe_get has bb = '\001' then begin
           let n = List.length (Sir.block ctx.func bb).Sir.preds in
           if n > 0 then begin
             let phi =
-              { po_bb = bb; po_cls = it.it_next_cls;
+              { po_bb = bb;
                 po_opnds =
                   Array.init n (fun _ ->
                       { op_def = None; op_has_real_use = false;
-                        op_expr = None; op_weaks = []; op_insert = false });
+                        op_expr = None; op_weak = None; op_insert = false });
                 po_ds = true; po_cba = true; po_later = true;
                 po_wba = false; po_cspec = false; po_live = false }
             in
-            it.it_next_cls <- it.it_next_cls + 1;
-            Hashtbl.replace it.it_phis bb phi
+            let tbl =
+              match it.it_phis with
+              | Some t -> t
+              | None ->
+                let t = Hashtbl.create 4 in
+                it.it_phis <- Some t;
+                t
+            in
+            Hashtbl.replace tbl bb phi;
+            bphis.(bb) <- (it, phi) :: bphis.(bb);
+            ctx.work.phis <- ctx.work.phis + 1
           end
         end
       done;
@@ -444,78 +535,181 @@ let insert_phis ctx =
         Bytes.unsafe_set has b '\000'
       done)
     ctx.item_list;
+  ctx.bphis <- bphis;
   Scratch.give_ints queue;
   Scratch.give_bytes queued;
   Scratch.give_bytes has
 
 (* ---- step 2: rename (event-driven walk) ---- *)
 
+(* Rename walks the dominator tree keeping, per item, only the top of its
+   SSAPRE stack; an undo log restores tops (and everything below) when
+   the walk leaves a block.
+
+   Kills are sparse.  Every item is filed under its kill keys
+   ([Kills.target_keys] plus its operand variables), and a statement
+   asks [Kills.classify] only about the live items filed under its
+   strong keys ([Kills.stmt_keys]); each key keeps the list of items
+   that became live since it last visited them, so a class killed
+   wholesale touches each item once per revival.  A weak verdict pushes
+   nothing: the statement is recorded as the latest weak update of each
+   of its weak keys (or of the item itself, when an adversary turned a
+   strong verdict weak), with the walk's clock.  Code motion reads only
+   whether an occurrence's or operand's weak list is empty and what its
+   head is; both follow from the latest record newer than the stack top.
+
+   The clock ticks before a block's Φs, before a statement's occurrences
+   and again before its kills, so a kill's records are newer than the
+   occurrences of its own statement and no newer than the entries its
+   strong verdicts push. *)
+
+type entry = Ebot | Ereal of real_occ | Ephi of phi_occ
+
+type undo =
+  | Utop of int * entry * int       (* item, previous top and its time *)
+  | Uown of int * int * Sir.stmt    (* item, previous own weak update *)
+  | Uweak of int * int * Sir.stmt   (* kill key, previous weak update *)
+  | Ulive of int * int list         (* kill key, previous live list *)
+
+let no_stmt =
+  { Sir.sid = -1; kind = Sir.Snop; mus = []; chis = []; mark = Sir.Mnone;
+    check_of = -1; deopt = None }
+
 let rename ctx =
   let items = Array.of_list ctx.item_list in
   let n_items = Array.length items in
-  let stacks : stack_entry list array = Array.make n_items [] in
-  (* [it_id] is the item's creation rank, which is exactly its index in
-     [item_list] (and hence [items]) — no keyed lookup needed *)
-  let idx_of (it : item) = it.it_id in
-  let new_cls it =
-    let c = it.it_next_cls in
-    it.it_next_cls <- c + 1;
-    c
+  let keys : (Kills.key, int) Hashtbl.t = Hashtbl.create 64 in
+  let key_id k =
+    match Hashtbl.find_opt keys k with
+    | Some i -> i
+    | None ->
+      let i = Hashtbl.length keys in
+      Hashtbl.add keys k i;
+      i
+  in
+  Array.iter
+    (fun it ->
+      let strong, weak = Kills.target_keys ctx.kctx it.it_target in
+      let leaves = List.map (fun v -> Kills.Kvar v) it.it_leaves in
+      it.it_strong <- List.map key_id (leaves @ strong);
+      it.it_weak <- List.map key_id (leaves @ weak))
+    items;
+  let n_keys = Hashtbl.length keys in
+  let top = Array.make n_items Ebot and top_at = Array.make n_items 0 in
+  let own_at = Array.make n_items 0 and own_by = Array.make n_items no_stmt in
+  let weak_at = Array.make n_keys 0 and weak_by = Array.make n_keys no_stmt in
+  let live = Array.make n_keys [] in
+  let asked = Array.make n_items 0 in        (* clock of the last verdict *)
+  let listed = Array.make n_items 0 in       (* pass of the last list scan *)
+  let pass = ref 0 in
+  let clock = ref 0 in
+  let log = ref [] in
+  let set_top i e =
+    log := Utop (i, top.(i), top_at.(i)) :: !log;
+    top.(i) <- e;
+    top_at.(i) <- !clock;
+    ctx.work.pushes <- ctx.work.pushes + 1
+  in
+  let set_live k l =
+    log := Ulive (k, live.(k)) :: !log;
+    live.(k) <- l
+  in
+  (* push a live entry; an item coming back to life joins the live lists
+     of its strong keys *)
+  let push_live i e =
+    let revived = top.(i) = Ebot in
+    set_top i e;
+    if revived then List.iter (fun k -> set_live k (i :: live.(k))) items.(i).it_strong
+  in
+  let latest_weak i =
+    let at = ref own_at.(i) and by = ref own_by.(i) in
+    List.iter
+      (fun k ->
+        if weak_at.(k) > !at then begin
+          at := weak_at.(k);
+          by := weak_by.(k)
+        end)
+      items.(i).it_weak;
+    if !at > top_at.(i) then Some !by else None
   in
   let process_occ (it : item) (occ : real_occ) =
-    let i = idx_of it in
-    (match stacks.(i) with
-     | [] | Ebot :: _ ->
-       occ.ro_cls <- new_cls it;
+    let i = it.it_id in
+    (match top.(i) with
+     | Ebot ->
        occ.ro_def <- None;
-       occ.ro_weaks <- [];
-       stacks.(i) <- Ereal { cls = occ.ro_cls; occ; weaks = [] } :: stacks.(i)
-     | Ereal { cls; occ = d; weaks } :: _ ->
-       occ.ro_cls <- cls;
+       occ.ro_weak <- None
+     | Ereal d ->
        occ.ro_def <- Some (Dreal d);
-       occ.ro_weaks <- weaks;
-       (* the occurrence re-establishes the value: checks cover the weaks *)
-       stacks.(i) <- Ereal { cls; occ; weaks = [] } :: stacks.(i)
-     | Ephi { cls; phi; weaks } :: _ ->
-       occ.ro_cls <- cls;
-       occ.ro_def <- Some (Dphi phi);
-       occ.ro_weaks <- weaks;
-       stacks.(i) <- Ereal { cls; occ; weaks = [] } :: stacks.(i))
+       occ.ro_weak <- latest_weak i
+     | Ephi p ->
+       occ.ro_def <- Some (Dphi p);
+       occ.ro_weak <- latest_weak i);
+    (* the occurrence re-establishes the value: checks cover the weaks *)
+    push_live i (Ereal occ)
   in
   let seed_not_downsafe i =
-    match stacks.(i) with
-    | Ephi { phi; _ } :: _ -> phi.po_ds <- false
-    | _ -> ()
+    match top.(i) with Ephi phi -> phi.po_ds <- false | _ -> ()
+  in
+  let verdict (it : item) s =
+    ctx.work.queries <- ctx.work.queries + 1;
+    let leaf =
+      List.fold_left
+        (fun acc leaf -> Kills.worst acc (Kills.classify_leaf ctx.kctx leaf s))
+        Kills.Knone it.it_leaves
+    in
+    if leaf = Kills.Kstrong then leaf
+    else Kills.worst leaf (Kills.classify ctx.kctx it.it_target s)
+  in
+  (* ask [s] about the live items of one strong key, dropping the dead
+     and duplicate entries from its list *)
+  let visit s k =
+    incr pass;
+    let changed = ref false in
+    let kept =
+      List.filter
+        (fun i ->
+          let keep =
+            listed.(i) <> !pass
+            && top.(i) <> Ebot
+            && begin
+              listed.(i) <- !pass;
+              if asked.(i) <> !clock then begin
+                asked.(i) <- !clock;
+                match verdict items.(i) s with
+                | Kills.Kstrong ->
+                  seed_not_downsafe i;
+                  set_top i Ebot
+                | Kills.Kweak ->
+                  log := Uown (i, own_at.(i), own_by.(i)) :: !log;
+                  own_at.(i) <- !clock;
+                  own_by.(i) <- s
+                | Kills.Knone -> ()
+              end;
+              top.(i) <> Ebot
+            end
+          in
+          if not keep then changed := true;
+          keep)
+        live.(k)
+    in
+    if !changed then set_live k kept
   in
   let process_kills (s : Sir.stmt) =
-    Array.iteri
-      (fun i it ->
-        match stacks.(i) with
-        | [] | Ebot :: _ -> ()
-        | (Ereal _ | Ephi _) :: _ ->
-          let leaf_verdict =
-            List.fold_left
-              (fun acc leaf ->
-                Kills.worst acc (Kills.classify_leaf ctx.kctx leaf s))
-              Kills.Knone it.it_leaves
-          in
-          let mem_verdict = Kills.classify ctx.kctx it.it_target s in
-          (match Kills.worst leaf_verdict mem_verdict with
-           | Kills.Knone -> ()
-           | Kills.Kstrong ->
-             seed_not_downsafe i;
-             stacks.(i) <- Ebot :: stacks.(i)
-           | Kills.Kweak ->
-             (match stacks.(i) with
-              | Ereal { cls; occ; weaks } :: _ ->
-                stacks.(i) <- Ereal { cls; occ; weaks = s :: weaks } :: stacks.(i)
-              | Ephi { cls; phi; weaks } :: _ ->
-                stacks.(i) <- Ephi { cls; phi; weaks = s :: weaks } :: stacks.(i)
-              | _ -> ())))
-      items
+    let strong, weak = Kills.stmt_keys ctx.kctx s in
+    List.iter
+      (fun k -> match Hashtbl.find_opt keys k with Some k -> visit s k | None -> ())
+      strong;
+    List.iter
+      (fun k ->
+        match Hashtbl.find_opt keys k with
+        | Some k ->
+          log := Uweak (k, weak_at.(k), weak_by.(k)) :: !log;
+          weak_at.(k) <- !clock;
+          weak_by.(k) <- s
+        | None -> ())
+      weak
   in
   let assign_phi_opnds bid =
-    let b = Sir.block ctx.func bid in
     List.iter
       (fun succ ->
         let sb = Sir.block ctx.func succ in
@@ -528,69 +722,90 @@ let rename ctx =
           idx 0 sb.Sir.preds
         in
         if pred_index >= 0 then
-          Array.iteri
-            (fun i it ->
-              match Hashtbl.find_opt it.it_phis succ with
-              | None -> ()
-              | Some phi ->
-                let op = phi.po_opnds.(pred_index) in
-                (* capture the insertion expression: leaf versions current
-                   at the end of this predecessor *)
-                let expr_here =
-                  Sir.map_expr_uses
-                    (fun ov -> version_at_end ctx bid ov)
-                    it.it_proto
-                in
-                op.op_expr <- Some expr_here;
-                (match stacks.(i) with
-                 | [] | Ebot :: _ ->
-                   op.op_def <- None
-                 | Ereal { occ; weaks; _ } :: _ ->
-                   op.op_def <- Some (Dreal occ);
-                   op.op_has_real_use <- true;
-                   op.op_weaks <- weaks
-                 | Ephi { phi = p'; weaks; _ } :: _ ->
-                   op.op_def <- Some (Dphi p');
-                   op.op_has_real_use <- false;
-                   op.op_weaks <- weaks))
-            items)
-      (Sir.succs b)
+          List.iter
+            (fun ((it : item), phi) ->
+              let op = phi.po_opnds.(pred_index) in
+              (* capture the insertion expression: leaf versions current
+                 at the end of this predecessor *)
+              op.op_expr <-
+                Some
+                  (Sir.map_expr_uses
+                     (fun ov -> version_at_end ctx bid ov)
+                     it.it_proto);
+              let i = it.it_id in
+              match top.(i) with
+              | Ebot -> op.op_def <- None
+              | Ereal occ ->
+                op.op_def <- Some (Dreal occ);
+                op.op_has_real_use <- true;
+                op.op_weak <- latest_weak i
+              | Ephi p' ->
+                op.op_def <- Some (Dphi p');
+                op.op_has_real_use <- false;
+                op.op_weak <- latest_weak i)
+            ctx.bphis.(succ))
+      (Sir.succs (Sir.block ctx.func bid))
+  in
+  let undo = function
+    | Utop (i, e, at) ->
+      top.(i) <- e;
+      top_at.(i) <- at
+    | Uown (i, at, s) ->
+      own_at.(i) <- at;
+      own_by.(i) <- s
+    | Uweak (k, at, s) ->
+      weak_at.(k) <- at;
+      weak_by.(k) <- s
+    | Ulive (k, l) -> live.(k) <- l
   in
   let rec walk bid =
-    let saved = Array.copy stacks in
+    let mark = !log in
     let b = Sir.block ctx.func bid in
-    (* item phis at this block start new classes *)
-    Array.iteri
-      (fun i it ->
-        match Hashtbl.find_opt it.it_phis bid with
-        | Some phi ->
-          stacks.(i) <- Ephi { cls = phi.po_cls; phi; weaks = [] } :: stacks.(i)
-        | None -> ())
-      items;
+    (* item phis at this block start new values *)
+    incr clock;
+    List.iter (fun ((it : item), phi) -> push_live it.it_id (Ephi phi))
+      ctx.bphis.(bid);
     List.iter
       (fun (s : Sir.stmt) ->
+        incr clock;
         (match Hashtbl.find_opt ctx.stmt_occs s.Sir.sid with
          | Some occs -> List.iter (fun (it, occ) -> process_occ it occ) occs
          | None -> ());
+        incr clock;
         process_kills s)
       b.Sir.stmts;
+    incr clock;
     (match Hashtbl.find_opt ctx.term_occs bid with
      | Some occs -> List.iter (fun (it, occ) -> process_occ it occ) occs
      | None -> ());
     (match b.Sir.term with
      | Sir.Tret _ ->
        (* exposed at exit: phis on top without a real use are not downsafe *)
-       Array.iteri (fun i _ -> seed_not_downsafe i) items
+       for i = 0 to n_items - 1 do
+         seed_not_downsafe i
+       done
      | Sir.Tgoto _ | Sir.Tcond _ -> ());
     assign_phi_opnds bid;
     List.iter walk ctx.dom.Dom.children.(bid);
-    Array.blit saved 0 stacks 0 n_items
+    while !log != mark do
+      match !log with
+      | u :: rest ->
+        undo u;
+        log := rest
+      | [] -> assert false
+    done
   in
   walk Sir.entry_bid
 
 (* ---- steps 3-4: DownSafety, CanBeAvail, Later ---- *)
 
-let iter_phis it f = Hashtbl.iter (fun _ p -> f p) it.it_phis
+(* An item's Φs in hash-table order.  The order is observable: the final
+   WillBeAvail loop of [availability] decides a Φ's operand insertions
+   while Φs it visits later still read WillBeAvail = false. *)
+let iter_phis it f =
+  match it.it_phis with
+  | Some t -> Hashtbl.iter (fun _ p -> f p) t
+  | None -> ()
 
 let downsafety ctx =
   List.iter
@@ -751,10 +966,9 @@ let new_temp ctx (it : item) =
   end;
   it.it_temp
 
-type action = Asave | Areload | Acheck of Sir.stmt list
+type action = Asave | Areload | Acheck of Sir.stmt
 
 let code_motion ctx =
-  let syms = syms_of ctx in
   (* 1. decide reloads and mark used defs *)
   let transforms : (item * real_occ * action) list ref = ref [] in
   List.iter
@@ -765,11 +979,11 @@ let code_motion ctx =
             (match occ.ro_def with
              | Some d -> mark_def_used d
              | None -> ());
-            if occ.ro_weaks <> [] then begin
+            match occ.ro_weak with
+            | Some w ->
               it.it_has_checks <- true;
-              transforms := (it, occ, Acheck occ.ro_weaks) :: !transforms
-            end
-            else transforms := (it, occ, Areload) :: !transforms
+              transforms := (it, occ, Acheck w) :: !transforms
+            | None -> transforms := (it, occ, Areload) :: !transforms
           end)
         it.it_reals)
     ctx.item_list;
@@ -780,7 +994,7 @@ let code_motion ctx =
           if p.po_live && p.po_wba then
             Array.iter
               (fun op ->
-                if (not op.op_insert) && op.op_weaks <> [] then
+                if (not op.op_insert) && op.op_weak <> None then
                   it.it_has_checks <- true)
               p.po_opnds))
     ctx.item_list;
@@ -818,11 +1032,11 @@ let code_motion ctx =
     !transforms;
   (* 4. apply rewrites *)
   let apply_in_exprs rewrites map_exprs =
-    (* rewrites: (key, idx) -> (item, action); returns pre-statements *)
+    (* rewrites: ((key, idx), (item, action)); returns pre-statements *)
     let pre = ref [] in
-    let counts = Hashtbl.create 4 in
-    let rewrite key idx e =
-      match Hashtbl.find_opt rewrites (key, idx) with
+    let counts = ref [] in
+    let rewrite key e =
+      match List.assoc_opt (key, next_idx counts key) rewrites with
       | None -> None
       | Some (it, action) ->
         let t = new_temp ctx it in
@@ -833,21 +1047,20 @@ let code_motion ctx =
            pre := s :: !pre;
            ctx.stats_saves <- ctx.stats_saves + 1
          | Areload -> ctx.stats_reloads <- ctx.stats_reloads + 1
-         | Acheck weaks ->
+         | Acheck w ->
            let s = Sir.new_stmt ctx.prog (Sir.Stid (t, e)) in
            s.Sir.mark <- Sir.Mchk;
-           (match weaks with
-            | w :: _ -> s.Sir.check_of <- w.Sir.sid
-            | [] -> ());
+           s.Sir.check_of <- w.Sir.sid;
            pre := s :: !pre;
            ctx.stats_checks <- ctx.stats_checks + 1;
            ctx.stats_reloads <- ctx.stats_reloads + 1);
         Some (Sir.Lod t)
     in
-    map_exprs (fun e ->
-        Candidates.rewrite_candidates syms ~arith_pre:ctx.cfg.arith_pre counts
-          rewrite e);
+    map_exprs (Candidates.rewrite_candidates ctx.cands rewrite);
     List.rev !pre
+  in
+  let rewrites_of ts =
+    List.map (fun (it, occ, action) -> ((it.it_key, occ.ro_idx), (it, action))) ts
   in
   Vec.iter
     (fun (b : Sir.bb) ->
@@ -858,13 +1071,8 @@ let code_motion ctx =
             match Hashtbl.find_opt by_stmt s.Sir.sid with
             | None -> [ s ]
             | Some ts ->
-              let rewrites = Hashtbl.create 4 in
-              List.iter
-                (fun (it, occ, action) ->
-                  Hashtbl.replace rewrites (it.it_key, occ.ro_idx) (it, action))
-                ts;
               let pre =
-                apply_in_exprs rewrites (fun f ->
+                apply_in_exprs (rewrites_of ts) (fun f ->
                     s.Sir.kind <- Sir.map_stmt_exprs f s.Sir.kind)
               in
               pre @ [ s ])
@@ -873,13 +1081,8 @@ let code_motion ctx =
       (match Hashtbl.find_opt by_term b.Sir.bid with
        | None -> ()
        | Some ts ->
-         let rewrites = Hashtbl.create 4 in
-         List.iter
-           (fun (it, occ, action) ->
-             Hashtbl.replace rewrites (it.it_key, occ.ro_idx) (it, action))
-           ts;
          let pre =
-           apply_in_exprs rewrites (fun f ->
+           apply_in_exprs (rewrites_of ts) (fun f ->
                b.Sir.term <- Sir.map_term_exprs f b.Sir.term)
          in
          b.Sir.stmts <- b.Sir.stmts @ pre))
@@ -915,14 +1118,13 @@ let code_motion ctx =
                   in
                   emit mark (-1)
                 end
-                else if op.op_weaks <> [] then begin
-                  (* value passed a weak update on this path: validate *)
-                  let check_of =
-                    match op.op_weaks with w :: _ -> w.Sir.sid | [] -> -1
-                  in
-                  emit Sir.Mchk check_of;
-                  ctx.stats_checks <- ctx.stats_checks + 1
-                end)
+                else
+                  match op.op_weak with
+                  | Some w ->
+                    (* value passed a weak update on this path: validate *)
+                    emit Sir.Mchk w.Sir.sid;
+                    ctx.stats_checks <- ctx.stats_checks + 1
+                  | None -> ())
               b.Sir.preds
           end))
     ctx.item_list
@@ -951,7 +1153,7 @@ let add_stats a b =
 (** Run one SSAPRE pass over a function already in HSSA form with
     speculation flags assigned.  The function is left in "flat" form:
     callers must run [Spec_ssa.Out_of_ssa] before executing it. *)
-let run_func ?dom ?formals (prog : Sir.prog)
+let run_func ?dom ?formals ?(work = new_work ()) (prog : Sir.prog)
     (annot : Spec_alias.Annotate.info) (cfg : config) (f : Sir.func) : stats =
   let dom = match dom with Some d -> d | None -> Dom.compute f in
   let ns = Symtab.count prog.Sir.syms in
@@ -961,13 +1163,14 @@ let run_func ?dom ?formals (prog : Sir.prog)
     { prog; func = f; dom; cfg;
       kctx = Kills.create ~alias_threshold:cfg.alias_threshold
           ?adversary:cfg.adversary prog annot cfg.mode;
+      cands = Candidates.create prog.Sir.syms ~arith_pre:cfg.arith_pre;
       items = Hashtbl.create 16; item_list = [];
       stmt_occs = Hashtbl.create 64; term_occs = Hashtbl.create 16;
-      vdefs = [||];
+      bphis = [||]; vdefs = [||];
       ev_index; ev_origs = Scratch.take_ints (max ns 1); ev_n = 0;
       ev_rows = [||];
       stats_checks = 0; stats_reloads = 0; stats_saves = 0;
-      stats_inserts = 0; stats_cspec_phis = 0 }
+      stats_inserts = 0; stats_cspec_phis = 0; work }
   in
   collect_occurrences ctx;
   build_version_def ctx;

@@ -35,15 +35,28 @@ type stats = {
 val zero_stats : stats
 val add_stats : stats -> stats -> stats
 
+(** The work SSAPRE runs did: deterministic counts that grow with the
+    size of the function, not with the speed of the host. *)
+type work = {
+  mutable queries : int;      (** kill verdicts asked of [Spec_spec.Kills] *)
+  mutable pushes : int;       (** Rename stack entries pushed *)
+  mutable phis : int;         (** expression Phis created *)
+  mutable trace_steps : int;  (** definition-chain steps of Phi-insertion *)
+}
+
+val new_work : unit -> work
+
 (** Run one SSAPRE pass over a function in HSSA form with speculation
     flags assigned.  Leaves the function in "flat" (non-SSA-maintained)
     form: run [Spec_ssa.Out_of_ssa] before executing it.  [dom] supplies
     a (possibly cached) dominator tree for the function's current CFG;
     when absent one is computed.  [formals] is [Spec_ssa.Build_ssa]'s
     formal-to-entry-version mapping ([formals_v1]); when absent the
-    symbol table is scanned for the entry versions instead. *)
+    symbol table is scanned for the entry versions instead.  [work], when
+    given, accumulates the run's work counters. *)
 val run_func :
   ?dom:Spec_cfg.Dom.t ->
   ?formals:(int * int) list ->
+  ?work:work ->
   Spec_ir.Sir.prog -> Spec_alias.Annotate.info -> config -> Spec_ir.Sir.func ->
   stats

@@ -64,10 +64,7 @@ let expr_is_invariant prog defs e =
     e;
   !ok
 
-let addr_key prog e =
-  let syms = prog.Sir.syms in
-  Pp.expr_to_string syms
-    (Sir.map_expr_uses (fun v -> (Symtab.orig syms v).Symtab.vid) e)
+let addr_key prog e = Pp.expr_key prog.Sir.syms e
 
 (* defs of register variables inside the loop (for invariance) *)
 let loop_defs prog (f : Sir.func) body =

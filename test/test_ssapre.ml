@@ -307,6 +307,75 @@ let prop_differential =
           out.Spec_prof.Interp.output = baseline.Spec_prof.Interp.output)
         [ Pipeline.Base; Pipeline.Spec_heuristic; Pipeline.Spec_profile prof ])
 
+(* ---- float constants are distinct candidates ---- *)
+
+(* [x = a * 0.1; y = a * 0.10000000000001] are two expressions: a key
+   that rendered float constants to twelve significant digits made them
+   one, so [y] reused [x] and the program printed 0 instead of 39. *)
+let test_float_constants_distinct () =
+  let src = In_channel.with_open_text "float_keys.c" In_channel.input_all in
+  let expected =
+    (Spec_prof.Interp_ref.run (Lower.compile src)).Spec_prof.Interp_ref.output
+  in
+  check_str "the oracle sees the difference" "39\n" expected;
+  let prof = Pipeline.profile_of_source src in
+  List.iter
+    (fun (name, v) ->
+      let r = Pipeline.compile_and_optimize ~edge_profile:(Some prof) src v in
+      let p = r.Pipeline.prog in
+      check_str (name ^ " on the vm") expected
+        (Spec_prof.Vm.run p).Spec_prof.Interp.output;
+      List.iter
+        (fun (core, kind) ->
+          check_str (name ^ " on the " ^ core ^ " core") expected
+            (Spec_machine.Machine.run_sir_on kind p).Spec_machine.Machine.output)
+        [ ("in-order", Spec_machine.Machine.Inorder);
+          ("out-of-order", Spec_machine.Machine.Ooo) ])
+    [ ("noopt", Pipeline.Noopt); ("base", Pipeline.Base);
+      ("heuristic", Pipeline.Spec_heuristic);
+      ("profile", Pipeline.Spec_profile prof);
+      ("aggressive", Pipeline.Aggressive) ]
+
+(* ---- SSAPRE's work scales with the function ---- *)
+
+(* The SSAPRE pass's work counters on the probe of [n] lines. *)
+let probe_work variant n =
+  let r =
+    Pipeline.compile_and_optimize ~edge_profile:None (Ssapre_probe.source n)
+      variant
+  in
+  match
+    List.find_opt
+      (fun ps -> ps.Passes.ps_pass = "ssapre")
+      r.Pipeline.report.Passes.rp_passes
+  with
+  | None -> Alcotest.fail "no ssapre pass ran"
+  | Some ps ->
+    List.map
+      (fun k ->
+        match List.assoc_opt k ps.Passes.ps_counters with
+        | Some v -> (k, v)
+        | None -> Alcotest.failf "ssapre reports no %s counter" k)
+      [ "items"; "kill-queries"; "pushes"; "pre-phis"; "trace-steps" ]
+
+(* Doubling the probe may grow each counter at most 2.5x: all loads and
+   stores share one alias class, so work that follows statements x
+   candidates (or every Phi each occurrence's trace passes) grows 4x. *)
+let test_probe_scaling () =
+  let n = 100 in
+  List.iter
+    (fun (vname, v) ->
+      let small = probe_work v n and large = probe_work v (2 * n) in
+      List.iter
+        (fun (k, a) ->
+          let b = List.assoc k large in
+          check_bool
+            (Printf.sprintf "%s %s: %d at n=%d, %d at n=%d" vname k a n b (2 * n))
+            true
+            (float_of_int b <= 2.5 *. float_of_int (max a 1)))
+        small)
+    [ ("base", Pipeline.Base); ("heuristic", Pipeline.Spec_heuristic) ]
+
 let suite =
   [ Alcotest.test_case "fig2 nonspec keeps load" `Quick test_fig2_nonspec_keeps_load;
     Alcotest.test_case "fig2 heuristic check" `Quick test_fig2_heuristic_inserts_check;
@@ -320,4 +389,7 @@ let suite =
     Alcotest.test_case "arith PRE" `Quick test_arith_pre;
     Alcotest.test_case "call blocks heuristic spec" `Quick test_call_blocks_heuristic_speculation;
     Alcotest.test_case "profile spec across call" `Quick test_profile_speculates_across_call;
+    Alcotest.test_case "float constants are distinct candidates" `Quick
+      test_float_constants_distinct;
+    Alcotest.test_case "probe work grows linearly" `Quick test_probe_scaling;
     QCheck_alcotest.to_alcotest prop_differential ]

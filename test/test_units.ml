@@ -184,7 +184,7 @@ let test_candidates () =
     Lower.compile
       "int g; int main(){ int* q; q = &g; int x; x = *q + g * 2; return x; }"
   in
-  let syms = p.Sir.syms in
+  let cands = Spec_ssapre.Candidates.create p.Sir.syms ~arith_pre:true in
   let f = Sir.find_func p "main" in
   let found = ref [] in
   Vec.iter
@@ -192,7 +192,7 @@ let test_candidates () =
       List.iter
         (fun (s : Sir.stmt) ->
           List.iter
-            (Spec_ssapre.Candidates.iter_candidates syms ~arith_pre:true
+            (Spec_ssapre.Candidates.iter_candidates cands
                (fun key tgt _ -> found := (key, tgt) :: !found))
             (Sir.stmt_exprs s.Sir.kind))
         b.Sir.stmts)
@@ -212,13 +212,10 @@ let test_candidates () =
   check_bool "found an iload candidate" true (List.mem "site" kinds);
   check_bool "found a scalar candidate" true (List.mem "var" kinds)
 
-let test_candidate_keys_stable () =
-  let p =
-    Lower.compile
-      "int main(int n){ int* q; q = (int*)malloc(64); \
-       int x; x = q[3]; int y; y = q[3]; return x + y; }"
-  in
-  let syms = p.Sir.syms in
+(* the interned keys of every candidate in [main], in statement order *)
+let candidate_keys ~arith_pre src =
+  let p = Lower.compile src in
+  let cands = Spec_ssapre.Candidates.create p.Sir.syms ~arith_pre in
   let f = Sir.find_func p "main" in
   let keys = ref [] in
   Vec.iter
@@ -226,14 +223,74 @@ let test_candidate_keys_stable () =
       List.iter
         (fun (s : Sir.stmt) ->
           List.iter
-            (Spec_ssapre.Candidates.iter_candidates syms ~arith_pre:false
+            (Spec_ssapre.Candidates.iter_candidates cands
                (fun key _ _ -> keys := key :: !keys))
             (Sir.stmt_exprs s.Sir.kind))
         b.Sir.stmts)
     f.Sir.fblocks;
-  (match !keys with
-   | [ k1; k2 ] -> check_str "same lexical key for q[3] twice" k1 k2
-   | ks -> Alcotest.failf "expected 2 candidates, got %d" (List.length ks))
+  List.rev !keys
+
+let test_candidate_keys_stable () =
+  match
+    candidate_keys ~arith_pre:false
+      "int main(int n){ int* q; q = (int*)malloc(64); \
+       int x; x = q[3]; int y; y = q[3]; return x + y; }"
+  with
+  | [ k1; k2 ] -> check_int "same key for q[3] twice" k1 k2
+  | ks -> Alcotest.failf "expected 2 candidates, got %d" (List.length ks)
+
+(* Float constants are keyed by their bits: two that agree to twelve
+   significant digits are still different expressions. *)
+let test_candidate_keys_float_bits () =
+  match
+    candidate_keys ~arith_pre:true
+      "int main(){ float a; float x; float y; a = (float)rnd(5); \
+       x = a * 0.1; y = a * 0.10000000000001; \
+       print_flt(x); print_flt(y); return 0; }"
+  with
+  | [ kx; ky ] ->
+    check_bool "a * 0.1 and a * 0.10000000000001 get different keys" true
+      (kx <> ky)
+  | ks -> Alcotest.failf "expected 2 candidates, got %d" (List.length ks)
+
+(* ---- the Format-free expression printer ---- *)
+
+(* [Pp.expr_to_string] builds the text of [Pp.pp_expr] without Format;
+   address keys depend on the two agreeing exactly. *)
+let test_expr_text_matches_pp () =
+  let n = ref 0 in
+  List.iter
+    (fun (w : Spec_workloads.Workloads.workload) ->
+      let src = Spec_workloads.Workloads.train_source w in
+      List.iter
+        (fun (p : Sir.prog) ->
+          let syms = p.Sir.syms in
+          let check e =
+            incr n;
+            check_str "expression text"
+              (Fmt.str "%a" (Pp.pp_expr syms) e)
+              (Pp.expr_to_string syms e)
+          in
+          Sir.iter_funcs
+            (fun f ->
+              Vec.iter
+                (fun (b : Sir.bb) ->
+                  List.iter
+                    (fun (s : Sir.stmt) ->
+                      List.iter (Sir.iter_subexprs check)
+                        (Sir.stmt_exprs s.Sir.kind))
+                    b.Sir.stmts;
+                  List.iter (Sir.iter_subexprs check) (Sir.term_exprs b.Sir.term))
+                f.Sir.fblocks)
+            p)
+        [ Lower.compile src;
+          (Spec_driver.Pipeline.compile_and_optimize src
+             Spec_driver.Pipeline.Spec_heuristic).Spec_driver.Pipeline.prog ])
+    Spec_workloads.Workloads.all;
+  check_bool "expressions compared" true (!n > 1000);
+  check_str "float constants print as %g" "(x + 1e-05)"
+    (Pp.expr_string (Symtab.create ()) (fun _ -> "x")
+       (Sir.Binop (Sir.Add, Types.Tflt, Sir.Lod 0, Sir.Const (Sir.Cflt 0.00001))))
 
 let suite =
   [ Alcotest.test_case "vec" `Quick test_vec;
@@ -248,4 +305,8 @@ let suite =
     Alcotest.test_case "cache latencies" `Quick test_cache_latencies;
     Alcotest.test_case "cache store allocates" `Quick test_cache_store_allocates;
     Alcotest.test_case "candidates" `Quick test_candidates;
-    Alcotest.test_case "candidate keys" `Quick test_candidate_keys_stable ]
+    Alcotest.test_case "candidate keys" `Quick test_candidate_keys_stable;
+    Alcotest.test_case "candidate keys: float constants by bits" `Quick
+      test_candidate_keys_float_bits;
+    Alcotest.test_case "expression text without Format" `Quick
+      test_expr_text_matches_pp ]
