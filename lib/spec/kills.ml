@@ -244,6 +244,29 @@ type key =
   | Kloc of Loc.t
   | Kdef of Loc.t
 
+module Key_tbl = Hashtbl.Make (struct
+  type t = key
+
+  let equal (a : key) b =
+    match a, b with
+    | Kvar x, Kvar y -> x = y
+    | Kclass (x, d), Kclass (y, e) | Kempty (x, d), Kempty (y, e) ->
+      x = y && d = e
+    | Krule1 (x, d, k), Krule1 (y, e, l) -> x = y && d = e && String.equal k l
+    | Kloc a, Kloc b | Kdef a, Kdef b -> Loc.equal a b
+    | (Kvar _ | Kclass _ | Kempty _ | Krule1 _ | Kloc _ | Kdef _), _ -> false
+
+  let loc_code = function Loc.Lvar x -> 2 * x | Loc.Lheap x -> (2 * x) + 1
+
+  let hash = function
+    | Kvar v -> 8 * v
+    | Kclass (v, d) -> (16 * v) + if d then 9 else 1
+    | Kempty (v, d) -> (16 * v) + if d then 10 else 2
+    | Krule1 (v, d, k) -> (16 * (v + Hashtbl.hash k)) + if d then 11 else 3
+    | Kloc l -> (8 * loc_code l) + 4
+    | Kdef l -> (8 * loc_code l) + 5
+end)
+
 let target_keys ctx (tgt : target) =
   match tgt with
   | Tpure | Tvar _ -> ([], [])

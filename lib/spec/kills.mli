@@ -67,6 +67,8 @@ type key =
   | Kloc of Spec_ir.Loc.t
   | Kdef of Spec_ir.Loc.t
 
+module Key_tbl : Hashtbl.S with type key = key
+
 (** [(strong, weak)] keys of a candidate's memory value; its operand
     variables are filed under [Kvar] by the caller. *)
 val target_keys : ctx -> target -> key list * key list

@@ -8,9 +8,9 @@
     round, after the inner load has been PREed into a temporary.
 
     Keys are small ints handed out by a per-function interner that
-    hash-conses deversioned expression shapes bottom-up, computing purity
-    and constness on the way, so one pass over an expression finds its
-    candidates and their keys. *)
+    hash-conses deversioned expression shapes.  One bottom-up pass over
+    an expression computes purity and constness and finds its maximal
+    candidates; only those are interned. *)
 
 open Spec_ir
 
@@ -31,90 +31,104 @@ type shape =
 
 module Shapes = Hashtbl.Make (struct
   type t = shape
-  let equal (a : t) b = a = b
-  let hash = Hashtbl.hash
+
+  let equal (a : t) b =
+    match a, b with
+    | Sint x, Sint y | Slod x, Slod y | Slda x, Slda y -> x = y
+    | Sflt x, Sflt y -> Int64.equal x y
+    | Silod (t, x), Silod (u, y) -> x = y && Types.equal t u
+    | Sunop (o, x), Sunop (p, y) -> x = y && o = p
+    | Sbinop (o, t, x, y), Sbinop (p, u, v, w) ->
+      x = v && y = w && o = p && Types.equal t u
+    | (Sint _ | Sflt _ | Slod _ | Slda _ | Silod _ | Sunop _ | Sbinop _), _ ->
+      false
+
+  (* children are keys: small ints, so mix them arithmetically *)
+  let hash = function
+    | Sint i -> 8 * i
+    | Sflt b -> (8 * Hashtbl.hash b) + 1
+    | Slod v -> (8 * v) + 2
+    | Slda v -> (8 * v) + 3
+    | Silod (t, a) -> (8 * ((31 * a) + Hashtbl.hash t)) + 4
+    | Sunop (o, x) -> (8 * ((31 * x) + Hashtbl.hash o)) + 5
+    | Sbinop (o, t, a, b) ->
+      (8 * ((961 * a) + (31 * b) + Hashtbl.hash (o, t))) + 6
 end)
 
 type t = {
   syms : Symtab.t;
   arith_pre : bool;
-  codes : int Shapes.t;
-      (* shape -> key lsl 2 lor (pure lsl 1) lor const *)
+  keys : int Shapes.t;
 }
 
-let create syms ~arith_pre = { syms; arith_pre; codes = Shapes.create 64 }
+let create syms ~arith_pre = { syms; arith_pre; keys = Shapes.create 64 }
 
-let key code = code lsr 2
-let pure code = code land 2 <> 0
-let const code = code land 1 <> 0
-
-let node t shape ~pure ~const =
-  match Shapes.find_opt t.codes shape with
-  | Some c -> c
+let node t shape =
+  match Shapes.find_opt t.keys shape with
+  | Some k -> k
   | None ->
-    let c =
-      (Shapes.length t.codes lsl 2)
-      lor (if pure then 2 else 0)
-      lor (if const then 1 else 0)
-    in
-    Shapes.add t.codes shape c;
-    c
+    let k = Shapes.length t.keys in
+    Shapes.add t.keys shape k;
+    k
 
-(* Intern [e] bottom-up.  [acc] holds the maximal candidates found so far,
-   latest first; a node that is itself a candidate replaces whatever its
-   subtree added, so candidates come out in pre-order. *)
-let rec walk t acc (e : Sir.expr) =
-  let below = !acc in
-  let found target code =
-    acc := (key code, target, e) :: below;
-    code
-  in
+let rec key_of t (e : Sir.expr) =
   match e with
-  | Sir.Const (Sir.Cint i) -> node t (Sint i) ~pure:true ~const:true
-  | Sir.Const (Sir.Cflt f) ->
-    node t (Sflt (Int64.bits_of_float f)) ~pure:true ~const:true
-  | Sir.Lda v -> node t (Slda v) ~pure:true ~const:false
-  | Sir.Lod v ->
-    let o = (Symtab.orig t.syms v).Symtab.vid in
-    let mem = Symtab.is_mem t.syms v in
-    let c = node t (Slod o) ~pure:(not mem) ~const:false in
-    if mem then found (Spec_spec.Kills.Tvar o) c else c
-  | Sir.Ilod (ty, a, site) ->
-    let ca = walk t acc a in
-    let c = node t (Silod (ty, key ca)) ~pure:false ~const:false in
-    if pure ca then found (Spec_spec.Kills.Tsite site) c else c
-  | Sir.Unop (o, _, x) ->
-    let cx = walk t acc x in
-    node t (Sunop (o, key cx)) ~pure:(pure cx) ~const:(const cx)
+  | Sir.Const (Sir.Cint i) -> node t (Sint i)
+  | Sir.Const (Sir.Cflt f) -> node t (Sflt (Int64.bits_of_float f))
+  | Sir.Lda v -> node t (Slda v)
+  | Sir.Lod v -> node t (Slod (Symtab.orig t.syms v).Symtab.vid)
+  | Sir.Ilod (ty, a, _) -> node t (Silod (ty, key_of t a))
+  | Sir.Unop (o, _, x) -> node t (Sunop (o, key_of t x))
   | Sir.Binop (o, ty, a, b) ->
-    let ca = walk t acc a in
-    let cb = walk t acc b in
-    let p = pure ca && pure cb and k = const ca && const cb in
-    let c = node t (Sbinop (o, ty, key ca, key cb)) ~pure:p ~const:k in
-    if t.arith_pre && p && not k then found Spec_spec.Kills.Tpure c else c
+    let ka = key_of t a in
+    node t (Sbinop (o, ty, ka, key_of t b))
+
+(* Purity (bit 1) and constness (bit 0) of [e], bottom-up.  [acc] holds
+   the maximal candidates found so far, latest first; a node that is
+   itself a candidate replaces whatever its subtree added, so candidates
+   come out in pre-order.  Only candidates are interned, once each. *)
+let rec scan t acc (e : Sir.expr) =
+  let below = !acc in
+  match e with
+  | Sir.Const _ -> 3
+  | Sir.Lda _ -> 2
+  | Sir.Lod v ->
+    if Symtab.is_mem t.syms v then begin
+      acc := (Spec_spec.Kills.Tvar (Symtab.orig t.syms v).Symtab.vid, e) :: below;
+      0
+    end
+    else 2
+  | Sir.Ilod (_, a, site) ->
+    if scan t acc a land 2 <> 0 then acc := (Spec_spec.Kills.Tsite site, e) :: below;
+    0
+  | Sir.Unop (_, _, x) -> scan t acc x
+  | Sir.Binop (_, _, a, b) ->
+    let fa = scan t acc a in
+    let f = fa land scan t acc b in
+    (* pure and not constant *)
+    if t.arith_pre && f = 2 then acc := (Spec_spec.Kills.Tpure, e) :: below;
+    f
 
 let candidates t e =
   let acc = ref [] in
-  ignore (walk t acc e : int);
+  ignore (scan t acc e : int);
   List.rev !acc
 
-let key_of t e = key (walk t (ref []) e)
-
 let iter_candidates t f e =
-  List.iter (fun (k, target, c) -> f k target c) (candidates t e)
+  List.iter (fun (target, c) -> f (key_of t c) target c) (candidates t e)
 
 let rewrite_candidates t f e =
   match candidates t e with
   | [] -> e
   | cands ->
     (* the top-down rebuild meets the maximal candidates in the order the
-       bottom-up walk listed them *)
+       bottom-up scan listed them *)
     let pending = ref cands in
     let rec go e =
       match !pending with
-      | (k, _, c) :: rest when c == e -> (
+      | (_, c) :: rest when c == e -> (
           pending := rest;
-          match f k e with Some e' -> e' | None -> e)
+          match f (key_of t e) e with Some e' -> e' | None -> e)
       | _ -> (
           match e with
           | Sir.Const _ | Sir.Lod _ | Sir.Lda _ -> e

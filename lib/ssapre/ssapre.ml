@@ -108,7 +108,8 @@ let new_work () = { queries = 0; pushes = 0; phis = 0; trace_steps = 0 }
 
 type vdef =
   | Vphi of Sir.phi * int
-  | Vchi of Sir.stmt * Sir.chi * int
+  | Vchi of { stmt : Sir.stmt; chi : Sir.chi; bb : int;
+             mutable traced_by : int (* last item whose trace passed *) }
   | Vdirect
   | Vnone
 
@@ -126,8 +127,10 @@ type fctx = {
   term_occs : (int, (item * real_occ) list) Hashtbl.t;
   (* block -> the item phis placed there *)
   mutable bphis : (item * phi_occ) list array;
-  (* version vid -> its definition; dense over the post-rename symtab *)
+  (* version vid -> its definition, dense over [vdef_lo ..] (the
+     function's own versions); everything below is defined elsewhere *)
   mutable vdefs : vdef array;
+  mutable vdef_lo : int;
   (* versions current at block ends, dense rows over the interned proto
      variables: ev_rows.(bb * ev_n + slot), -1 = version 0 (the original) *)
   ev_index : int array;            (* orig vid -> slot, or -1; pooled *)
@@ -173,12 +176,15 @@ let next_idx counts key =
   i
 
 let collect_occurrences ctx =
+  (* only heuristic rule 1 reads site addresses *)
+  let rule1 = ctx.cfg.mode = Flags.Heuristic_spec in
   let register e =
-    Sir.iter_subexprs
-      (function
-        | Sir.Ilod (_, a, site) -> Kills.register_site_addr ctx.kctx site a
-        | _ -> ())
-      e
+    if rule1 then
+      Sir.iter_subexprs
+        (function
+          | Sir.Ilod (_, a, site) -> Kills.register_site_addr ctx.kctx site a
+          | _ -> ())
+        e
   in
   let collect (b : Sir.bb) place counts tbl id e =
     Candidates.iter_candidates ctx.cands
@@ -200,7 +206,8 @@ let collect_occurrences ctx =
         (fun (s : Sir.stmt) ->
           (* register istore address keys for heuristic rule 1 *)
           (match s.Sir.kind with
-           | Sir.Istr (_, a, _, site) -> Kills.register_site_addr ctx.kctx site a
+           | Sir.Istr (_, a, _, site) when rule1 ->
+             Kills.register_site_addr ctx.kctx site a
            | _ -> ());
           let exprs = Sir.stmt_exprs s.Sir.kind in
           List.iter register exprs;
@@ -222,25 +229,37 @@ let collect_occurrences ctx =
   Hashtbl.filter_map_inplace (fun _ l -> Some (List.rev l)) ctx.stmt_occs;
   Hashtbl.filter_map_inplace (fun _ l -> Some (List.rev l)) ctx.term_occs
 
+(* The versions a function defines were allocated after everything else
+   in its symbol table, so the table spans only their id range. *)
 let build_version_def ctx =
-  let vdefs = Array.make (Symtab.count (syms_of ctx)) Vnone in
+  let defs = ref [] and lo = ref (Symtab.count (syms_of ctx)) in
+  let def v d =
+    defs := (v, d) :: !defs;
+    if v < !lo then lo := v
+  in
   Vec.iter
     (fun (b : Sir.bb) ->
-      List.iter
-        (fun (p : Sir.phi) -> vdefs.(p.Sir.phi_lhs) <- Vphi (p, b.Sir.bid))
+      List.iter (fun (p : Sir.phi) -> def p.Sir.phi_lhs (Vphi (p, b.Sir.bid)))
         b.Sir.phis;
       List.iter
         (fun (s : Sir.stmt) ->
           (match Sir.stmt_def s.Sir.kind with
-           | Some v -> vdefs.(v) <- Vdirect
+           | Some v -> def v Vdirect
            | None -> ());
           List.iter
             (fun (c : Sir.chi) ->
-              vdefs.(c.Sir.chi_lhs) <- Vchi (s, c, b.Sir.bid))
+              def c.Sir.chi_lhs
+                (Vchi { stmt = s; chi = c; bb = b.Sir.bid; traced_by = -1 }))
             s.Sir.chis)
         b.Sir.stmts)
     ctx.func.Sir.fblocks;
-  ctx.vdefs <- vdefs
+  let lo = !lo in
+  let vdefs = Array.make (Symtab.count (syms_of ctx) - lo) Vnone in
+  List.iter (fun (v, d) -> vdefs.(v - lo) <- d) (List.rev !defs);
+  ctx.vdefs <- vdefs;
+  ctx.vdef_lo <- lo
+
+let vdef ctx v = if v < ctx.vdef_lo then Vnone else ctx.vdefs.(v - ctx.vdef_lo)
 (* Intern the variables the items' prototype expressions read; only their
    block-end versions are ever queried (by [assign_phi_opnds]). *)
 let intern_proto_vars ctx =
@@ -422,8 +441,6 @@ let insert_phis ctx =
   let queued = Scratch.take_bytes nb in
   let has = Scratch.take_bytes nb in
   let rank = if cspec_prone ctx then None else Some (scc_ranks ctx.func) in
-  (* chi versions already traced for the current item *)
-  let seen = Array.make (Array.length ctx.vdefs) (-1) in
   let bphis = Array.make nb [] in
   List.iter
     (fun (it : item) ->
@@ -455,16 +472,16 @@ let insert_phis ctx =
          updates; phi blocks reached join the result (and the queue). *)
       let rec trace v =
         ctx.work.trace_steps <- ctx.work.trace_steps + 1;
-        match ctx.vdefs.(v) with
+        match vdef ctx v with
         | Vnone | Vdirect -> ()
         | Vphi (p, bb) ->
           if reachable bb && Bytes.unsafe_get has bb = '\000' then begin
             add_result bb;
             Array.iter trace p.Sir.phi_args
           end
-        | Vchi (s, c, bb) ->
-          if reachable bb && seen.(v) <> it.it_id then begin
-            seen.(v) <- it.it_id;
+        | Vchi ({ stmt = s; chi = c; bb; _ } as d) ->
+          if reachable bb && d.traced_by <> it.it_id then begin
+            d.traced_by <- it.it_id;
             let weak =
               match it.it_target with
               | Kills.Tsite _ when Symtab.is_virtual (syms_of ctx) c.Sir.chi_var
@@ -578,13 +595,13 @@ let no_stmt =
 let rename ctx =
   let items = Array.of_list ctx.item_list in
   let n_items = Array.length items in
-  let keys : (Kills.key, int) Hashtbl.t = Hashtbl.create 64 in
+  let keys = Kills.Key_tbl.create 64 in
   let key_id k =
-    match Hashtbl.find_opt keys k with
+    match Kills.Key_tbl.find_opt keys k with
     | Some i -> i
     | None ->
-      let i = Hashtbl.length keys in
-      Hashtbl.add keys k i;
+      let i = Kills.Key_tbl.length keys in
+      Kills.Key_tbl.add keys k i;
       i
   in
   Array.iter
@@ -594,7 +611,7 @@ let rename ctx =
       it.it_strong <- List.map key_id (leaves @ strong);
       it.it_weak <- List.map key_id (leaves @ weak))
     items;
-  let n_keys = Hashtbl.length keys in
+  let n_keys = Kills.Key_tbl.length keys in
   let top = Array.make n_items Ebot and top_at = Array.make n_items 0 in
   let own_at = Array.make n_items 0 and own_by = Array.make n_items no_stmt in
   let weak_at = Array.make n_keys 0 and weak_by = Array.make n_keys no_stmt in
@@ -697,11 +714,14 @@ let rename ctx =
   let process_kills (s : Sir.stmt) =
     let strong, weak = Kills.stmt_keys ctx.kctx s in
     List.iter
-      (fun k -> match Hashtbl.find_opt keys k with Some k -> visit s k | None -> ())
+      (fun k ->
+        match Kills.Key_tbl.find_opt keys k with
+        | Some k -> visit s k
+        | None -> ())
       strong;
     List.iter
       (fun k ->
-        match Hashtbl.find_opt keys k with
+        match Kills.Key_tbl.find_opt keys k with
         | Some k ->
           log := Uweak (k, weak_at.(k), weak_by.(k)) :: !log;
           weak_at.(k) <- !clock;
@@ -1014,8 +1034,10 @@ let code_motion ctx =
   let by_term : (int, (item * real_occ * action) list) Hashtbl.t =
     Hashtbl.create 16
   in
+  let touched = Bytes.make (Sir.n_blocks ctx.func) '\000' in
   List.iter
     (fun ((_, occ, _) as t) ->
+      Bytes.set touched occ.ro_bb '\001';
       match occ.ro_place with
       | Pstmt s ->
         let cur =
@@ -1064,6 +1086,7 @@ let code_motion ctx =
   in
   Vec.iter
     (fun (b : Sir.bb) ->
+      if Bytes.get touched b.Sir.bid = '\001' then begin
       (* statement rewrites *)
       b.Sir.stmts <-
         List.concat_map
@@ -1085,7 +1108,8 @@ let code_motion ctx =
            apply_in_exprs (rewrites_of ts) (fun f ->
                b.Sir.term <- Sir.map_term_exprs f b.Sir.term)
          in
-         b.Sir.stmts <- b.Sir.stmts @ pre))
+         b.Sir.stmts <- b.Sir.stmts @ pre)
+      end)
     ctx.func.Sir.fblocks;
   (* 5. phi-operand insertions and edge checks *)
   List.iter
@@ -1166,21 +1190,23 @@ let run_func ?dom ?formals ?(work = new_work ()) (prog : Sir.prog)
       cands = Candidates.create prog.Sir.syms ~arith_pre:cfg.arith_pre;
       items = Hashtbl.create 16; item_list = [];
       stmt_occs = Hashtbl.create 64; term_occs = Hashtbl.create 16;
-      bphis = [||]; vdefs = [||];
+      bphis = [||]; vdefs = [||]; vdef_lo = 0;
       ev_index; ev_origs = Scratch.take_ints (max ns 1); ev_n = 0;
       ev_rows = [||];
       stats_checks = 0; stats_reloads = 0; stats_saves = 0;
       stats_inserts = 0; stats_cspec_phis = 0; work }
   in
   collect_occurrences ctx;
-  build_version_def ctx;
-  intern_proto_vars ctx;
-  build_end_versions ?formals ctx;
-  insert_phis ctx;
-  rename ctx;
-  downsafety ctx;
-  availability ctx;
-  code_motion ctx;
+  if ctx.item_list <> [] then begin
+    build_version_def ctx;
+    intern_proto_vars ctx;
+    build_end_versions ?formals ctx;
+    insert_phis ctx;
+    rename ctx;
+    downsafety ctx;
+    availability ctx;
+    code_motion ctx
+  end;
   Scratch.give_ints ctx.ev_index;
   Scratch.give_ints ctx.ev_origs;
   Scratch.give_ints ctx.ev_rows;
