@@ -50,7 +50,7 @@ let create ?(alias_threshold = 0.) ?adversary prog annot mode =
   let adversary =
     match mode with Flags.Nonspec -> None | _ -> adversary
   in
-  { prog; annot; mode; site_addr = Hashtbl.create 64;
+  { prog; annot; mode; site_addr = Hashtbl.create 16;
     addr_key = Hashtbl.create 16; alias_threshold; adversary }
 
 (* Adversarial corruption of a may-alias policy verdict: likely aliases
@@ -317,53 +317,55 @@ let stmt_keys ctx (s : Sir.stmt) =
     | _ -> None
   in
   (match sdef with Some a -> add strong (Kdef a) | None -> ());
-  (* a store with a definite target decides definite-target loads by
-     location alone *)
-  let subs = match sdef with Some _ -> [ false ] | None -> [ false; true ] in
-  let each r mk = List.iter (fun d -> add r (mk d)) subs in
-  let locs_added = ref false in
-  let add_locs locs =
-    if not !locs_added then begin
-      locs_added := true;
-      Loc.Set.iter (fun x -> add strong (Kloc x)) locs
-    end
-  in
-  let seen = ref [] in
-  List.iter
-    (fun (c : Sir.chi) ->
-      let v = c.Sir.chi_var in
-      if not (List.mem v !seen) then begin
-        seen := v :: !seen;
-        (* as an operand variable *)
-        if v <> def then add (if c.Sir.chi_spec then strong else weak) (Kvar v);
-        (* as the alias class of a load *)
-        match ctx.mode, s.Sir.kind with
-        | Flags.Nonspec, _ -> each strong (fun d -> Kclass (v, d))
-        | Flags.Heuristic_spec, Sir.Call _ -> each strong (fun d -> Kclass (v, d))
-        | Flags.Heuristic_spec, Sir.Istr (_, _, _, site) ->
-          (match site_addr_key ctx site with
-           | Some k -> each strong (fun d -> Krule1 (v, d, k))
-           | None -> ());
-          each weak (fun d -> Kclass (v, d))
-        | Flags.Heuristic_spec, (Sir.Stid _ | Sir.Snop) ->
-          each weak (fun d -> Kclass (v, d))
-        | Flags.Profile_spec prof, kind -> (
-            each strong (fun d -> Kempty (v, d));
-            match kind with
-            | Sir.Istr (_, _, _, site) ->
-              let store_locs = Profile.locs_at prof site in
-              if Loc.Set.is_empty store_locs || ctx.alias_threshold < 0. then
-                each strong (fun d -> Kclass (v, d))
-              else add_locs store_locs;
-              each weak (fun d -> Kclass (v, d))
-            | Sir.Call { csite; _ } ->
-              add_locs (Profile.call_mod_locs prof csite);
-              each weak (fun d -> Kclass (v, d))
-            | Sir.Stid (x, _) when Symtab.is_mem syms x ->
-              each weak (fun d -> Kclass (v, d))
-            | Sir.Stid _ | Sir.Snop -> ())
-      end)
-    s.Sir.chis;
+  if s.Sir.chis <> [] then begin
+    (* a store with a definite target decides definite-target loads by
+       location alone *)
+    let subs = match sdef with Some _ -> [ false ] | None -> [ false; true ] in
+    let each r mk = List.iter (fun d -> add r (mk d)) subs in
+    let locs_added = ref false in
+    let add_locs locs =
+      if not !locs_added then begin
+        locs_added := true;
+        Loc.Set.iter (fun x -> add strong (Kloc x)) locs
+      end
+    in
+    let seen = ref [] in
+    List.iter
+      (fun (c : Sir.chi) ->
+        let v = c.Sir.chi_var in
+        if not (List.mem v !seen) then begin
+          seen := v :: !seen;
+          (* as an operand variable *)
+          if v <> def then add (if c.Sir.chi_spec then strong else weak) (Kvar v);
+          (* as the alias class of a load *)
+          match ctx.mode, s.Sir.kind with
+          | Flags.Nonspec, _ -> each strong (fun d -> Kclass (v, d))
+          | Flags.Heuristic_spec, Sir.Call _ -> each strong (fun d -> Kclass (v, d))
+          | Flags.Heuristic_spec, Sir.Istr (_, _, _, site) ->
+            (match site_addr_key ctx site with
+             | Some k -> each strong (fun d -> Krule1 (v, d, k))
+             | None -> ());
+            each weak (fun d -> Kclass (v, d))
+          | Flags.Heuristic_spec, (Sir.Stid _ | Sir.Snop) ->
+            each weak (fun d -> Kclass (v, d))
+          | Flags.Profile_spec prof, kind -> (
+              each strong (fun d -> Kempty (v, d));
+              match kind with
+              | Sir.Istr (_, _, _, site) ->
+                let store_locs = Profile.locs_at prof site in
+                if Loc.Set.is_empty store_locs || ctx.alias_threshold < 0. then
+                  each strong (fun d -> Kclass (v, d))
+                else add_locs store_locs;
+                each weak (fun d -> Kclass (v, d))
+              | Sir.Call { csite; _ } ->
+                add_locs (Profile.call_mod_locs prof csite);
+                each weak (fun d -> Kclass (v, d))
+              | Sir.Stid (x, _) when Symtab.is_mem syms x ->
+                each weak (fun d -> Kclass (v, d))
+              | Sir.Stid _ | Sir.Snop -> ())
+        end)
+      s.Sir.chis
+  end;
   (match ctx.mode, s.Sir.kind with
    | Flags.Profile_spec _, Sir.Stid (x, _) when Symtab.is_mem syms x ->
      add strong (Kloc (Loc.Lvar (Symtab.orig syms x).Symtab.vid))
