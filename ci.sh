@@ -133,4 +133,10 @@ echo "== sharded traffic-replay smoke (--traffic --shards 2 --quick) =="
 dune exec bench/main.exe -- --traffic --shards 2 --quick --jobs 2 --json \
   --json-file shard-smoke.json > /dev/null
 
+echo "== paired A/B runner smoke (bench/ab.sh HEAD --pairs 1) =="
+# One pair of 0.1-second build runs of the working tree against HEAD:
+# the runner must build both sides, parse every end-to-end metric and
+# remove its worktree.  One pair never yields a verdict.
+sh bench/ab.sh HEAD --pairs 1 --seconds 0.1
+
 echo "== ci ok =="
