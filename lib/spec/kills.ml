@@ -34,7 +34,8 @@ type ctx = {
   annot : Spec_alias.Annotate.info;
   mode : Flags.mode;
   site_addr : (int, Sir.expr) Hashtbl.t;  (* istore/iload site -> address *)
-  addr_key : (int, string) Hashtbl.t;     (* its key, built when first read *)
+  addr_key : (int, int) Hashtbl.t;        (* its key's id, built when read *)
+  key_ids : (string, int) Hashtbl.t;      (* address key -> id *)
   alias_threshold : float;
       (** degree-of-likeliness knob: an alias relation observed in at most
           this fraction of a site's profiled executions is still treated
@@ -51,7 +52,8 @@ let create ?(alias_threshold = 0.) ?adversary prog annot mode =
     match mode with Flags.Nonspec -> None | _ -> adversary
   in
   { prog; annot; mode; site_addr = Hashtbl.create 16;
-    addr_key = Hashtbl.create 16; alias_threshold; adversary }
+    addr_key = Hashtbl.create 16; key_ids = Hashtbl.create 16;
+    alias_threshold; adversary }
 
 (* Adversarial corruption of a may-alias policy verdict: likely aliases
    are downgraded to unlikely (always under [Adv_invert], with the given
@@ -88,8 +90,9 @@ let attack ctx (s : Sir.stmt) site (v : verdict) : verdict =
      | v, _ -> v)
 
 (* Heuristic rule 1 ("identical address expression") compares the
-   deversioned text of two sites' addresses.  Only that policy reads the
-   keys, so a site's key is built the first time it is asked for. *)
+   deversioned text of two sites' addresses, interned as ints.  Only that
+   policy reads the keys, so a site's key is built the first time it is
+   asked for. *)
 let register_site_addr ctx site (a : Sir.expr) =
   if not (Hashtbl.mem ctx.site_addr site) then
     Hashtbl.replace ctx.site_addr site a
@@ -101,7 +104,15 @@ let site_addr_key ctx site =
       match Hashtbl.find_opt ctx.site_addr site with
       | None -> None
       | Some a ->
-        let k = Pp.expr_key ctx.prog.Sir.syms a in
+        let text = Pp.expr_key ctx.prog.Sir.syms a in
+        let k =
+          match Hashtbl.find_opt ctx.key_ids text with
+          | Some k -> k
+          | None ->
+            let k = Hashtbl.length ctx.key_ids in
+            Hashtbl.replace ctx.key_ids text k;
+            k
+        in
         Hashtbl.replace ctx.addr_key site k;
         Some k)
 
@@ -240,7 +251,7 @@ type key =
   | Kvar of int
   | Kclass of int * bool
   | Kempty of int * bool
-  | Krule1 of int * bool * string
+  | Krule1 of int * bool * int
   | Kloc of Loc.t
   | Kdef of Loc.t
 
@@ -252,7 +263,7 @@ module Key_tbl = Hashtbl.Make (struct
     | Kvar x, Kvar y -> x = y
     | Kclass (x, d), Kclass (y, e) | Kempty (x, d), Kempty (y, e) ->
       x = y && d = e
-    | Krule1 (x, d, k), Krule1 (y, e, l) -> x = y && d = e && String.equal k l
+    | Krule1 (x, d, k), Krule1 (y, e, l) -> x = y && d = e && k = l
     | Kloc a, Kloc b | Kdef a, Kdef b -> Loc.equal a b
     | (Kvar _ | Kclass _ | Kempty _ | Krule1 _ | Kloc _ | Kdef _), _ -> false
 
@@ -262,7 +273,7 @@ module Key_tbl = Hashtbl.Make (struct
     | Kvar v -> 8 * v
     | Kclass (v, d) -> (16 * v) + if d then 9 else 1
     | Kempty (v, d) -> (16 * v) + if d then 10 else 2
-    | Krule1 (v, d, k) -> (16 * (v + Hashtbl.hash k)) + if d then 11 else 3
+    | Krule1 (v, d, k) -> (16 * ((31 * v) + k)) + if d then 11 else 3
     | Kloc l -> (8 * loc_code l) + 4
     | Kdef l -> (8 * loc_code l) + 5
 end)

@@ -40,9 +40,9 @@ val create :
     identical-address-syntax test; the first registration wins. *)
 val register_site_addr : ctx -> int -> Spec_ir.Sir.expr -> unit
 
-(** The deversioned text of a registered site's address
-    ([Spec_ir.Pp.expr_key]), built when first asked for. *)
-val site_addr_key : ctx -> int -> string option
+(** A registered site's rule-1 key: equal keys = equal deversioned
+    address text ([Spec_ir.Pp.expr_key]), built when first asked for. *)
+val site_addr_key : ctx -> int -> int option
 
 (** Memory effect of a statement on a candidate with the given target.
     Operand (leaf) redefinitions are the caller's concern. *)
@@ -63,7 +63,7 @@ type key =
   | Kvar of int
   | Kclass of int * bool
   | Kempty of int * bool
-  | Krule1 of int * bool * string
+  | Krule1 of int * bool * int
   | Kloc of Spec_ir.Loc.t
   | Kdef of Spec_ir.Loc.t
 

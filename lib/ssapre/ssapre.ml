@@ -10,6 +10,12 @@
     loads (ld.a).  Control speculation permits insertion at non-downsafe
     Φs when the edge profile says the insertion paths are cold.
 
+    The work follows occurrences and kills, not statements × candidates:
+    candidates are interned as ints, Rename asks a statement only about
+    the live items filed under its kill keys and records weak updates
+    lazily, and Φ-insertion creates only the Φs a real occurrence can
+    reach (DESIGN.md §3.11).
+
     The engine processes one function at a time, assuming HSSA form with
     χ/μ lists and speculation flags assigned.  Its rewrites deliberately
     produce "flat" (non-SSA-maintained) temporaries; the pipeline
@@ -72,7 +78,7 @@ and phi_occ = {
 and opnd = {
   mutable op_def : def option;        (* None = bottom *)
   mutable op_has_real_use : bool;
-  mutable op_expr : Sir.expr option;  (* insertion expression at pred end *)
+  mutable op_reached : bool;          (* Rename reached this edge *)
   mutable op_weak : Sir.stmt option;  (* latest weak update on this edge *)
   mutable op_insert : bool;
 }
@@ -86,7 +92,7 @@ type item = {
   it_target : Kills.target;
   it_leaves : int list;                  (* orig ids of pure leaves *)
   mutable it_reals : real_occ list;      (* reverse collection order *)
-  mutable it_phis : (int, phi_occ) Hashtbl.t option;  (* bb -> phi *)
+  mutable it_phis : phi_occ list;        (* see [iter_phis] for the order *)
   mutable it_strong : int list;          (* kill keys that may kill it *)
   mutable it_weak : int list;            (* kill keys whose weak updates reach it *)
   mutable it_temp : int;                 (* temp var id, -1 until created *)
@@ -161,7 +167,7 @@ let get_item ctx key target expr =
       { it_id = Hashtbl.length ctx.items; it_key = key; it_proto = proto;
         it_target = target;
         it_leaves = Candidates.leaves syms expr; it_reals = [];
-        it_phis = None; it_strong = []; it_weak = []; it_temp = -1;
+        it_phis = []; it_strong = []; it_weak = []; it_temp = -1;
         it_has_checks = false }
     in
     Hashtbl.replace ctx.items key it;
@@ -186,7 +192,8 @@ let collect_occurrences ctx =
           | _ -> ())
         e
   in
-  let collect (b : Sir.bb) place counts tbl id e =
+  (* the occurrences of one place, prepended to [occs] *)
+  let collect (b : Sir.bb) place counts occs e =
     Candidates.iter_candidates ctx.cands
       (fun key target c ->
         let it = get_item ctx key target c in
@@ -195,11 +202,10 @@ let collect_occurrences ctx =
             ro_expr = c; ro_def = None; ro_weak = None; ro_used = false }
         in
         it.it_reals <- occ :: it.it_reals;
-        let cur = match Hashtbl.find_opt tbl id with Some l -> l | None -> [] in
-        (* prepended; reversed once collection is complete *)
-        Hashtbl.replace tbl id ((it, occ) :: cur))
+        occs := (it, occ) :: !occs)
       e
   in
+  let file tbl id occs = if occs <> [] then Hashtbl.replace tbl id (List.rev occs) in
   Vec.iter
     (fun (b : Sir.bb) ->
       List.iter
@@ -212,22 +218,22 @@ let collect_occurrences ctx =
           let exprs = Sir.stmt_exprs s.Sir.kind in
           List.iter register exprs;
           if s.Sir.mark = Sir.Mnone then begin
-            let counts = ref [] in
-            List.iter (collect b (Pstmt s) counts ctx.stmt_occs s.Sir.sid) exprs
+            let counts = ref [] and occs = ref [] in
+            List.iter (collect b (Pstmt s) counts occs) exprs;
+            file ctx.stmt_occs s.Sir.sid !occs
           end)
         b.Sir.stmts;
       (* terminator occurrences *)
-      let counts = ref [] in
+      let counts = ref [] and occs = ref [] in
       List.iter
         (fun e ->
           register e;
-          collect b Pterm counts ctx.term_occs b.Sir.bid e)
-        (Sir.term_exprs b.Sir.term))
+          collect b Pterm counts occs e)
+        (Sir.term_exprs b.Sir.term);
+      file ctx.term_occs b.Sir.bid !occs)
     ctx.func.Sir.fblocks;
   ctx.item_list <- List.rev ctx.item_list;
-  List.iter (fun it -> it.it_reals <- List.rev it.it_reals) ctx.item_list;
-  Hashtbl.filter_map_inplace (fun _ l -> Some (List.rev l)) ctx.stmt_occs;
-  Hashtbl.filter_map_inplace (fun _ l -> Some (List.rev l)) ctx.term_occs
+  List.iter (fun it -> it.it_reals <- List.rev it.it_reals) ctx.item_list
 
 (* The versions a function defines were allocated after everything else
    in its symbol table, so the table spans only their id range. *)
@@ -381,15 +387,20 @@ let scc_ranks (f : Sir.func) =
     incr next;
     stack := v :: !stack;
     Bytes.set on_stack v '\001';
-    List.iter
-      (fun w ->
-        if index.(w) < 0 then begin
-          visit w;
-          low.(v) <- min low.(v) low.(w)
-        end
-        else if Bytes.get on_stack w = '\001' then
-          low.(v) <- min low.(v) index.(w))
-      (Sir.succs (Sir.block f v));
+    let edge w =
+      if index.(w) < 0 then begin
+        visit w;
+        low.(v) <- min low.(v) low.(w)
+      end
+      else if Bytes.get on_stack w = '\001' then
+        low.(v) <- min low.(v) index.(w)
+    in
+    (match (Sir.block f v).Sir.term with
+     | Sir.Tgoto w -> edge w
+     | Sir.Tcond (_, t, e) ->
+       edge t;
+       if e <> t then edge e
+     | Sir.Tret _ -> ());
     if low.(v) = index.(v) then begin
       let rec pop () =
         match !stack with
@@ -518,6 +529,7 @@ let insert_phis ctx =
         List.iter add_result ctx.dom.Dom.df.(x)
       done;
       (* create phis in queue (= discovery) order: deterministic *)
+      let tbl = ref None in
       for i = 0 to !tail - 1 do
         let bb = queue.(i) in
         if Bytes.unsafe_get has bb = '\001' then begin
@@ -528,24 +540,28 @@ let insert_phis ctx =
                 po_opnds =
                   Array.init n (fun _ ->
                       { op_def = None; op_has_real_use = false;
-                        op_expr = None; op_weak = None; op_insert = false });
+                        op_reached = false; op_weak = None;
+                        op_insert = false });
                 po_ds = true; po_cba = true; po_later = true;
                 po_wba = false; po_cspec = false; po_live = false }
             in
-            let tbl =
-              match it.it_phis with
+            let t =
+              match !tbl with
               | Some t -> t
               | None ->
                 let t = Hashtbl.create 4 in
-                it.it_phis <- Some t;
+                tbl := Some t;
                 t
             in
-            Hashtbl.replace tbl bb phi;
+            Hashtbl.replace t bb phi;
             bphis.(bb) <- (it, phi) :: bphis.(bb);
             ctx.work.phis <- ctx.work.phis + 1
           end
         end
       done;
+      (match !tbl with
+       | Some t -> it.it_phis <- List.rev (Hashtbl.fold (fun _ p l -> p :: l) t [])
+       | None -> ());
       for i = 0 to !tail - 1 do
         let b = queue.(i) in
         Bytes.unsafe_set queued b '\000';
@@ -621,6 +637,7 @@ let rename ctx =
   let pass = ref 0 in
   let clock = ref 0 in
   let log = ref [] in
+  let live_top i = match top.(i) with Ebot -> false | Ereal _ | Ephi _ -> true in
   let set_top i e =
     log := Utop (i, top.(i), top_at.(i)) :: !log;
     top.(i) <- e;
@@ -634,7 +651,7 @@ let rename ctx =
   (* push a live entry; an item coming back to life joins the live lists
      of its strong keys *)
   let push_live i e =
-    let revived = top.(i) = Ebot in
+    let revived = not (live_top i) in
     set_top i e;
     if revived then List.iter (fun k -> set_live k (i :: live.(k))) items.(i).it_strong
   in
@@ -687,7 +704,7 @@ let rename ctx =
         (fun i ->
           let keep =
             listed.(i) <> !pass
-            && top.(i) <> Ebot
+            && live_top i
             && begin
               listed.(i) <- !pass;
               if asked.(i) <> !clock then begin
@@ -702,7 +719,7 @@ let rename ctx =
                   own_by.(i) <- s
                 | Kills.Knone -> ()
               end;
-              top.(i) <> Ebot
+              live_top i
             end
           in
           if not keep then changed := true;
@@ -745,13 +762,7 @@ let rename ctx =
           List.iter
             (fun ((it : item), phi) ->
               let op = phi.po_opnds.(pred_index) in
-              (* capture the insertion expression: leaf versions current
-                 at the end of this predecessor *)
-              op.op_expr <-
-                Some
-                  (Sir.map_expr_uses
-                     (fun ov -> version_at_end ctx bid ov)
-                     it.it_proto);
+              op.op_reached <- true;
               let i = it.it_id in
               match top.(i) with
               | Ebot -> op.op_def <- None
@@ -819,13 +830,11 @@ let rename ctx =
 
 (* ---- steps 3-4: DownSafety, CanBeAvail, Later ---- *)
 
-(* An item's Φs in hash-table order.  The order is observable: the final
+(* An item's Φs in the iteration order of a hash table from block to Φ
+   filled in creation order.  The order is observable: the final
    WillBeAvail loop of [availability] decides a Φ's operand insertions
    while Φs it visits later still read WillBeAvail = false. *)
-let iter_phis it f =
-  match it.it_phis with
-  | Some t -> Hashtbl.iter (fun _ p -> f p) t
-  | None -> ()
+let iter_phis it f = List.iter f it.it_phis
 
 let downsafety ctx =
   List.iter
@@ -1121,9 +1130,14 @@ let code_motion ctx =
               (fun i pred ->
                 let op = p.po_opnds.(i) in
                 let emit mark check_of =
-                  match op.op_expr with
-                  | None -> ()
-                  | Some e ->
+                  if op.op_reached then begin
+                    (* the insertion expression: leaf versions current at
+                       the end of this predecessor *)
+                    let e =
+                      Sir.map_expr_uses
+                        (fun ov -> version_at_end ctx pred ov)
+                        it.it_proto
+                    in
                     let t = new_temp ctx it in
                     let s = Sir.new_stmt ctx.prog (Sir.Stid (t, e)) in
                     s.Sir.mark <- mark;
@@ -1131,6 +1145,7 @@ let code_motion ctx =
                     let pb = Sir.block ctx.func pred in
                     pb.Sir.stmts <- pb.Sir.stmts @ [ s ];
                     ctx.stats_inserts <- ctx.stats_inserts + 1
+                  end
                 in
                 if op.op_insert then begin
                   let mark =
