@@ -3,10 +3,6 @@
 
 open Sir
 
-let pp_const fmt = function
-  | Cint i -> Fmt.int fmt i
-  | Cflt f -> Fmt.pf fmt "%g" f
-
 let binop_str = function
   | Add -> "+" | Sub -> "-" | Mul -> "*" | Div -> "/" | Rem -> "%"
   | Lt -> "<" | Le -> "<=" | Gt -> ">" | Ge -> ">=" | Eq -> "==" | Ne -> "!="
@@ -17,14 +13,55 @@ let unop_str = function
 
 let pp_var syms fmt v = Fmt.string fmt (Symtab.name syms v)
 
-let rec pp_expr syms fmt = function
-  | Const c -> pp_const fmt c
-  | Lod v -> pp_var syms fmt v
-  | Ilod (t, a, s) -> Fmt.pf fmt "*{%a@@%d}(%a)" Types.pp t s (pp_expr syms) a
-  | Lda v -> Fmt.pf fmt "&%a" (pp_var syms) v
-  | Unop (o, _, e) -> Fmt.pf fmt "%s(%a)" (unop_str o) (pp_expr syms) e
+(* Expressions print into a buffer, not through Format: address keys
+   (heuristic rule 1, store promotion) print one per memory reference.
+   [use] names the variable a load reads. *)
+let rec add_ty buf = function
+  | Types.Tint -> Buffer.add_string buf "int"
+  | Types.Tflt -> Buffer.add_string buf "float"
+  | Types.Tptr t -> add_ty buf t; Buffer.add_char buf '*'
+  | Types.Tvoid -> Buffer.add_string buf "void"
+
+let rec add_expr syms use buf = function
+  | Const (Cint i) -> Buffer.add_string buf (string_of_int i)
+  | Const (Cflt f) -> Buffer.add_string buf (Printf.sprintf "%g" f)
+  | Lod v -> Buffer.add_string buf (use v)
+  | Ilod (t, a, s) ->
+    Buffer.add_string buf "*{";
+    add_ty buf t;
+    Buffer.add_char buf '@';
+    Buffer.add_string buf (string_of_int s);
+    Buffer.add_string buf "}(";
+    add_expr syms use buf a;
+    Buffer.add_char buf ')'
+  | Lda v -> Buffer.add_char buf '&'; Buffer.add_string buf (Symtab.name syms v)
+  | Unop (o, _, e) ->
+    Buffer.add_string buf (unop_str o);
+    Buffer.add_char buf '(';
+    add_expr syms use buf e;
+    Buffer.add_char buf ')'
   | Binop (o, _, a, b) ->
-    Fmt.pf fmt "(%a %s %a)" (pp_expr syms) a (binop_str o) (pp_expr syms) b
+    Buffer.add_char buf '(';
+    add_expr syms use buf a;
+    Buffer.add_char buf ' ';
+    Buffer.add_string buf (binop_str o);
+    Buffer.add_char buf ' ';
+    add_expr syms use buf b;
+    Buffer.add_char buf ')'
+
+let expr_string syms use e =
+  let buf = Buffer.create 32 in
+  add_expr syms use buf e;
+  Buffer.contents buf
+
+let expr_to_string syms e = expr_string syms (Symtab.name syms) e
+
+(** Deversioned address key: the text of [expr_to_string] with every
+    load naming its original variable. *)
+let expr_key syms e =
+  expr_string syms (fun v -> (Symtab.orig syms v).Symtab.vname) e
+
+let pp_expr syms fmt e = Fmt.string fmt (expr_to_string syms e)
 
 let pp_mu syms fmt m =
   Fmt.pf fmt "mu%s(%a)" (if m.mu_spec then "s" else "") (pp_var syms) m.mu_opnd
@@ -110,53 +147,4 @@ let pp_prog fmt p =
 
 let func_to_string syms f = Fmt.str "%a" (pp_func syms) f
 let prog_to_string p = Fmt.str "%a" pp_prog p
-(* The text of [pp_expr], built without Format: address keys (heuristic
-   rule 1, store promotion) print one per memory reference.  [use] names
-   the variable a load reads; [expr_key] passes the name of its
-   original, which is the text [pp_expr] prints for the deversioned
-   expression. *)
-let rec add_ty buf = function
-  | Types.Tint -> Buffer.add_string buf "int"
-  | Types.Tflt -> Buffer.add_string buf "float"
-  | Types.Tptr t -> add_ty buf t; Buffer.add_char buf '*'
-  | Types.Tvoid -> Buffer.add_string buf "void"
-
-let rec add_expr syms use buf = function
-  | Const (Cint i) -> Buffer.add_string buf (string_of_int i)
-  | Const (Cflt f) -> Buffer.add_string buf (Printf.sprintf "%g" f)
-  | Lod v -> Buffer.add_string buf (use v)
-  | Ilod (t, a, s) ->
-    Buffer.add_string buf "*{";
-    add_ty buf t;
-    Buffer.add_char buf '@';
-    Buffer.add_string buf (string_of_int s);
-    Buffer.add_string buf "}(";
-    add_expr syms use buf a;
-    Buffer.add_char buf ')'
-  | Lda v -> Buffer.add_char buf '&'; Buffer.add_string buf (Symtab.name syms v)
-  | Unop (o, _, e) ->
-    Buffer.add_string buf (unop_str o);
-    Buffer.add_char buf '(';
-    add_expr syms use buf e;
-    Buffer.add_char buf ')'
-  | Binop (o, _, a, b) ->
-    Buffer.add_char buf '(';
-    add_expr syms use buf a;
-    Buffer.add_char buf ' ';
-    Buffer.add_string buf (binop_str o);
-    Buffer.add_char buf ' ';
-    add_expr syms use buf b;
-    Buffer.add_char buf ')'
-
-let expr_string syms use e =
-  let buf = Buffer.create 32 in
-  add_expr syms use buf e;
-  Buffer.contents buf
-
-let expr_to_string syms e = expr_string syms (Symtab.name syms) e
-
-(** Deversioned address key: the text of [expr_to_string] after every
-    variable use is replaced by its original variable. *)
-let expr_key syms e =
-  expr_string syms (fun v -> (Symtab.orig syms v).Symtab.vname) e
 let stmt_to_string syms s = Fmt.str "%a" (pp_stmt syms) s

@@ -14,9 +14,6 @@ type t
 
 val create : Spec_ir.Symtab.t -> arith_pre:bool -> t
 
-(** The key of an expression (candidate or not). *)
-val key_of : t -> Spec_ir.Sir.expr -> int
-
 (** Deversioned original-variable leaves, sorted. *)
 val leaves : Spec_ir.Symtab.t -> Spec_ir.Sir.expr -> int list
 

@@ -253,45 +253,6 @@ let test_candidate_keys_float_bits () =
       (kx <> ky)
   | ks -> Alcotest.failf "expected 2 candidates, got %d" (List.length ks)
 
-(* ---- the Format-free expression printer ---- *)
-
-(* [Pp.expr_to_string] builds the text of [Pp.pp_expr] without Format;
-   address keys depend on the two agreeing exactly. *)
-let test_expr_text_matches_pp () =
-  let n = ref 0 in
-  List.iter
-    (fun (w : Spec_workloads.Workloads.workload) ->
-      let src = Spec_workloads.Workloads.train_source w in
-      List.iter
-        (fun (p : Sir.prog) ->
-          let syms = p.Sir.syms in
-          let check e =
-            incr n;
-            check_str "expression text"
-              (Fmt.str "%a" (Pp.pp_expr syms) e)
-              (Pp.expr_to_string syms e)
-          in
-          Sir.iter_funcs
-            (fun f ->
-              Vec.iter
-                (fun (b : Sir.bb) ->
-                  List.iter
-                    (fun (s : Sir.stmt) ->
-                      List.iter (Sir.iter_subexprs check)
-                        (Sir.stmt_exprs s.Sir.kind))
-                    b.Sir.stmts;
-                  List.iter (Sir.iter_subexprs check) (Sir.term_exprs b.Sir.term))
-                f.Sir.fblocks)
-            p)
-        [ Lower.compile src;
-          (Spec_driver.Pipeline.compile_and_optimize src
-             Spec_driver.Pipeline.Spec_heuristic).Spec_driver.Pipeline.prog ])
-    Spec_workloads.Workloads.all;
-  check_bool "expressions compared" true (!n > 1000);
-  check_str "float constants print as %g" "(x + 1e-05)"
-    (Pp.expr_string (Symtab.create ()) (fun _ -> "x")
-       (Sir.Binop (Sir.Add, Types.Tflt, Sir.Lod 0, Sir.Const (Sir.Cflt 0.00001))))
-
 let suite =
   [ Alcotest.test_case "vec" `Quick test_vec;
     Alcotest.test_case "types" `Quick test_types;
@@ -307,6 +268,4 @@ let suite =
     Alcotest.test_case "candidates" `Quick test_candidates;
     Alcotest.test_case "candidate keys" `Quick test_candidate_keys_stable;
     Alcotest.test_case "candidate keys: float constants by bits" `Quick
-      test_candidate_keys_float_bits;
-    Alcotest.test_case "expression text without Format" `Quick
-      test_expr_text_matches_pp ]
+      test_candidate_keys_float_bits ]
