@@ -576,8 +576,8 @@ let insert_phis ctx =
 (* ---- step 2: rename (event-driven walk) ---- *)
 
 (* Rename walks the dominator tree keeping, per item, only the top of its
-   SSAPRE stack; an undo log restores tops (and everything below) when
-   the walk leaves a block.
+   SSAPRE stack; an undo log restores the tops, weak records and live
+   lists when the walk leaves a block.
 
    Kills are sparse.  Every item is filed under its kill keys
    ([Kills.target_keys] plus its operand variables), and a statement
@@ -604,6 +604,7 @@ type undo =
   | Uweak of int * int * Sir.stmt   (* kill key, previous weak update *)
   | Ulive of int * int list         (* kill key, previous live list *)
 
+(* placeholder for "no weak update yet"; read only when a time says so *)
 let no_stmt =
   { Sir.sid = -1; kind = Sir.Snop; mus = []; chis = []; mark = Sir.Mnone;
     check_of = -1; deopt = None }
