@@ -40,10 +40,6 @@ val create :
     identical-address-syntax test; the first registration wins. *)
 val register_site_addr : ctx -> int -> Spec_ir.Sir.expr -> unit
 
-(** A registered site's rule-1 key: equal keys = equal deversioned
-    address text ([Spec_ir.Pp.expr_key]), built when first asked for. *)
-val site_addr_key : ctx -> int -> int option
-
 (** Memory effect of a statement on a candidate with the given target.
     Operand (leaf) redefinitions are the caller's concern. *)
 val classify : ctx -> target -> Spec_ir.Sir.stmt -> verdict
