@@ -51,8 +51,8 @@ sh test/ci_fdo.sh _build/default/bin/speccc.exe test/smoke.c test/smoke.sprof
 
 echo "== execution-engine smoke (vm cache miss, then hit) =="
 # A cold compile through the compile cache must miss and store, and a
-# warm one must hit — executing bytecode deserialized from the cached
-# artifact — and print the same output.  The vm must reproduce the
+# warm one must hit — executing bytecode lowered from the cached
+# program — and print the same output.  The vm must reproduce the
 # machine's output on every pipeline variant.  A recursive kernel whose
 # every activation arms the semantic ALAT then runs under injected
 # faults and must print its unoptimized output.
@@ -71,7 +71,8 @@ echo "== compile-service smoke (daemon + client + drift recompile) =="
 # Start the compile daemon on a private socket and drive it through the
 # client subcommands: cold compile, warm compile (byte-identical),
 # report-profile past the drift threshold (background recompile +
-# artifact swap), stats, clean shutdown.
+# artifact swap), stats, a malformed compile that must be refused
+# without killing the daemon, clean shutdown.
 sh test/ci_service.sh _build/default/bin/speccc.exe "$tmp"
 
 echo "== sharded-service smoke (serve --shards 2 + client storm) =="

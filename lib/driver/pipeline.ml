@@ -52,9 +52,8 @@ type result = {
       (** true when the optimized program came out of the compile cache
           (the report is then empty: no passes ran) *)
   vm : Vmcode.program Lazy.t;
-      (** threaded-code lowering of [prog] for the vm engine; already
-          forced on a cache hit whose artifact carried valid bytecode
-          (the [specart/4] vm section), lowered on demand otherwise *)
+      (** threaded-code lowering of [prog] for the vm engine, lowered on
+          first use; the compile cache stores only [prog] *)
   safety : Spec_safety.Taint.report option;
       (** speculative-taint report over the optimized program, present
           when the compile ran with [~safety:true] *)
@@ -168,45 +167,33 @@ let optimize ?(rounds = 3) ?(config = None) ?(edge_profile = None)
 (* Compile cache (persistent FDO)                                      *)
 (* ------------------------------------------------------------------ *)
 
-(** Cached-compile artifact: the optimized program, its SSAPRE totals,
-    the cold compile's pass report (kept as provenance — a warm compile
-    runs zero passes, so its own report is empty), and the threaded-code
-    bytecode lowered from the program, so a warm compile hands the vm
-    engine a ready-to-dispatch program. *)
+(** Cached-compile artifact: the optimized program and its SSAPRE
+    totals.  A warm compile runs no passes, so its report is empty, and
+    lowers the bytecode from [a_prog] only when something executes it. *)
 type artifact = {
   a_stats : Ssapre.stats;
-  a_report_json : string;
   a_prog : Sir.prog;
-  a_vm : Vmcode.program option;
-      (** [None] when the artifact's vm section failed to deserialize —
-          the program itself is still good; the caller lowers fresh *)
 }
 
 (* /2: the fused parallel pipeline renames temporaries after their
    committed ids and renumbers segment-allocated statement ids, so
    optimized programs differ textually from /1 artifacts.
-   /3: a [vm] section carrying the specvm/1 bytecode.
+   /3: a [vm] section carrying the serialized bytecode.
    /4: the program section is specsir/2 (secret bits + deoptimization
-   descriptors), the vm section specvm/2, and the cache key includes
-   the deopt flag — a deopt compile pins variables and attaches
-   descriptors, so its output differs from a plain compile's. *)
-let artifact_version = "specart/4"
+   descriptors), the vm section gained descriptor tables, and the cache
+   key includes the deopt flag — a deopt compile pins variables and
+   attaches descriptors, so its output differs from a plain compile's.
+   /5: no vm or report section; the specsir/2 text follows the stats
+   line verbatim and runs to the end of the file, so its own version
+   tag and [end] line frame it. *)
+let artifact_version = "specart/5"
 
 let write_artifact (r : result) : string =
-  let buf = Buffer.create 65536 in
-  Printf.bprintf buf "%s\n" artifact_version;
   let s = r.stats in
-  Printf.bprintf buf "stats %d %d %d %d %d %d\n" s.Ssapre.checks
-    s.Ssapre.reloads s.Ssapre.saves s.Ssapre.inserts s.Ssapre.cspec_phis
-    s.Ssapre.items;
-  Printf.bprintf buf "report %s\n"
-    (Spec_fdo.Textio.quote (Passes.report_to_json r.report));
-  Printf.bprintf buf "prog %s\n"
-    (Spec_fdo.Textio.quote (Spec_fdo.Sir_io.write r.prog));
-  Printf.bprintf buf "vm %s\n"
-    (Spec_fdo.Textio.quote (Spec_fdo.Vm_io.to_text (Lazy.force r.vm)));
-  Buffer.add_string buf "end\n";
-  Buffer.contents buf
+  Printf.sprintf "%s\nstats %d %d %d %d %d %d\n%s" artifact_version
+    s.Ssapre.checks s.Ssapre.reloads s.Ssapre.saves s.Ssapre.inserts
+    s.Ssapre.cspec_phis s.Ssapre.items
+    (Spec_fdo.Sir_io.write r.prog)
 
 let read_artifact (s : string) : (artifact, string) Stdlib.result =
   let open Spec_fdo in
@@ -220,27 +207,10 @@ let read_artifact (s : string) : (artifact, string) Stdlib.result =
     let inserts = Textio.int_tok lx in
     let cspec_phis = Textio.int_tok lx in
     let items = Textio.int_tok lx in
-    Textio.expect lx "report";
-    let a_report_json = Textio.token lx in
-    Textio.expect lx "prog";
-    let prog_text = Textio.token lx in
-    Textio.expect lx "vm";
-    let vm_text = Textio.token lx in
-    Textio.expect lx "end";
-    if not (Textio.at_eof lx) then Textio.fail lx "trailing data";
-    (match Spec_fdo.Sir_io.read prog_text with
-     | Ok a_prog ->
-       let a_vm =
-         (* a corrupt vm section doesn't poison the artifact: the
-            program deserialized fine, so fall back to fresh lowering *)
-         match Spec_fdo.Vm_io.of_text ~src:a_prog vm_text with
-         | Ok v -> Some v
-         | Error _ -> None
-       in
-       Ok { a_stats =
-              { Ssapre.checks; reloads; saves; inserts; cspec_phis; items };
-            a_report_json; a_prog; a_vm }
-     | Error e -> Error e)
+    let a_prog = Sir_io.read_from lx in
+    Ok { a_stats =
+           { Ssapre.checks; reloads; saves; inserts; cspec_phis; items };
+         a_prog }
   with Textio.Error msg -> Error msg
 
 (* Everything that determines the optimized output goes into the key:
@@ -306,11 +276,6 @@ let compile_and_optimize ?(rounds = 3) ?(config = None) ?(edge_profile = None)
      | Some data ->
        (match read_artifact data with
         | Ok a ->
-          let vm =
-            match a.a_vm with
-            | Some v -> Lazy.from_val v
-            | None -> lazy (Vmcode.compile a.a_prog)
-          in
           let sr =
             (* warm hits re-run the (cheap) checker over the
                deserialized program rather than persisting the report *)
@@ -320,8 +285,8 @@ let compile_and_optimize ?(rounds = 3) ?(config = None) ?(edge_profile = None)
             else None
           in
           { prog = a.a_prog; stats = a.a_stats; variant;
-            report = Passes.empty_report (); from_cache = true; vm;
-            safety = sr }
+            report = Passes.empty_report (); from_cache = true;
+            vm = lazy (Vmcode.compile a.a_prog); safety = sr }
         | Error _ ->
           (* corrupt artifact: recount as a miss and recompile over it *)
           let st = Spec_fdo.Cache.stats c in

@@ -30,9 +30,9 @@ type result = {
       (** true when the optimized program came out of the compile cache
           (the report is then empty: no passes ran) *)
   vm : Spec_prof.Vmcode.program Lazy.t;
-      (** threaded-code lowering of [prog] for the vm engine; already
-          forced on a cache hit whose artifact carried valid bytecode
-          (the [specart/4] vm section), lowered on demand otherwise *)
+      (** threaded-code lowering of [prog] for the vm engine, lowered on
+          first use — on a cache hit too: the artifact holds only the
+          program *)
   safety : Spec_safety.Taint.report option;
       (** speculative-taint report over the optimized program, present
           when the compile ran with [~safety:true] *)
@@ -74,16 +74,13 @@ val optimize :
   variant ->
   result
 
-(** Cached-compile artifact ([specart/4]): the optimized program, its
-    SSAPRE totals, the cold compile's pass report as provenance, and the
-    threaded-code bytecode so a warm compile skips vm lowering. *)
+(** Cached-compile artifact ([specart/5]): the optimized program and
+    its SSAPRE totals.  On disk: a version line, a [stats] line, then
+    the {!Spec_fdo.Sir_io} text to the end of the file, whose own [end]
+    line makes a truncated artifact fail to read. *)
 type artifact = {
   a_stats : Spec_ssapre.Ssapre.stats;
-  a_report_json : string;
   a_prog : Spec_ir.Sir.prog;
-  a_vm : Spec_prof.Vmcode.program option;
-      (** [None] when the vm section failed to deserialize; the caller
-          lowers fresh from [a_prog] *)
 }
 
 val artifact_version : string

@@ -3,16 +3,17 @@
     A generic blob store: keys are hex digests computed by the caller
     (the driver hashes source text, pipeline variant, merged-profile
     digest and compiler schema version — see [Pipeline.cache_key]); the
-    value is an opaque artifact string ([specart/1], assembled by the
-    driver from a serialized program plus its stats).  Content
-    addressing makes invalidation automatic: any input change produces a
-    different key, and stale entries are simply never looked up again
-    until evicted.
+    value is an opaque artifact string (a serialized program plus its
+    stats, assembled by [Pipeline.write_artifact]).  Content addressing
+    makes invalidation automatic: any input change produces a different
+    key, and stale entries are simply never looked up again until
+    evicted.
 
     Writes are atomic (temp file + rename) so a crashed compile never
-    leaves a truncated artifact behind; unreadable entries are treated
-    as misses.  An optional entry cap evicts least-recently-used
-    artifacts by mtime — lookups touch their entry's mtime. *)
+    leaves a truncated artifact behind, and a failed write removes its
+    temp file; unreadable entries are treated as misses.  An optional
+    entry cap evicts least-recently-used artifacts by mtime — lookups
+    touch their entry's mtime. *)
 
 type stats = {
   mutable hits : int;
@@ -101,6 +102,8 @@ let evict t ~keep =
         aged
     end
 
+(* As [Store.save] writes: a failed flush raises before the rename, and
+   any failure removes the temp file, which eviction would never see. *)
 let store t key data =
   let path = path_of t key in
   let tmp =
@@ -108,10 +111,12 @@ let store t key data =
       (Printf.sprintf ".tmp.%d.%s" (Unix.getpid ()) key)
   in
   let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc data);
-  Sys.rename tmp path;
+  (match output_string oc data; close_out oc; Sys.rename tmp path with
+   | () -> ()
+   | exception e ->
+     close_out_noerr oc;
+     (try Sys.remove tmp with Sys_error _ -> ());
+     raise e);
   t.stats.stores <- t.stats.stores + 1;
   evict t ~keep:key
 

@@ -22,7 +22,8 @@ val stats_to_string : t -> string
 (** Look up an artifact; counts a hit or miss, refreshes mtime on hit. *)
 val find : t -> string -> string option
 
-(** Store an artifact under a key (atomic; then evicts past the cap). *)
+(** Store an artifact under a key (atomic; then evicts past the cap).
+    A failed write raises [Sys_error] and leaves no temp file behind. *)
 val store : t -> string -> string -> unit
 
 (** Number of artifacts currently on disk. *)

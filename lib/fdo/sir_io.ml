@@ -9,17 +9,16 @@
     {!Textio}); no [Marshal], so artifacts are stable across OCaml
     versions and safe to inspect.
 
-    [specsir/2] adds the speculative-safety metadata: per-variable
-    [secret] contract bits and per-check deoptimization descriptors.
-    Old [specsir/1] text still reads, degrading soundly: every variable
-    is public (the checker reports the program as unannotated) and no
-    check carries a descriptor (recovery falls back to the reload
-    path). *)
+    [specsir/2] carries the speculative-safety metadata too:
+    per-variable [secret] contract bits and per-check deoptimization
+    descriptors, from which {!Spec_prof.Interp.compile} rebuilds the
+    vm's descriptor tables on a cache hit.  Only [specsir/2] reads: the
+    version feeds the compile-cache key, so text of any other version is
+    never looked up. *)
 
 open Spec_ir
 
 let version = "specsir/2"
-let version_v1 = "specsir/1"
 
 let q = Textio.quote
 
@@ -269,21 +268,19 @@ let rec read_expr lx : Sir.expr =
 
 let read_ints lx n = List.init n (fun _ -> Textio.int_tok lx)
 
-let read_stmt ~v2 lx : Sir.stmt =
+let read_stmt lx : Sir.stmt =
   Textio.expect lx "stmt";
   let sid = Textio.int_tok lx in
   let mark = mark_of_tag lx (Textio.token lx) in
   let check_of = Textio.int_tok lx in
   let deopt =
-    if not v2 then None
-    else
-      match Textio.token lx with
-      | "-" -> None
-      | "d" ->
-        let target = Textio.int_tok lx in
-        let n = Textio.int_tok lx in
-        Some { Sir.dp_target = target; dp_vars = read_ints lx n }
-      | w -> Textio.fail lx (Printf.sprintf "bad deopt tag %S" w)
+    match Textio.token lx with
+    | "-" -> None
+    | "d" ->
+      let target = Textio.int_tok lx in
+      let n = Textio.int_tok lx in
+      Some { Sir.dp_target = target; dp_vars = read_ints lx n }
+    | w -> Textio.fail lx (Printf.sprintf "bad deopt tag %S" w)
   in
   let nmus = Textio.int_tok lx in
   let nchis = Textio.int_tok lx in
@@ -334,7 +331,7 @@ let read_stmt ~v2 lx : Sir.stmt =
   in
   { Sir.sid; kind; mus; chis; mark; check_of; deopt }
 
-let read_block ~v2 lx : Sir.bb =
+let read_block lx : Sir.bb =
   Textio.expect lx "block";
   let bid = Textio.int_tok lx in
   let freq = Textio.float_tok lx in
@@ -353,7 +350,7 @@ let read_block ~v2 lx : Sir.bb =
         { Sir.phi_var = var; phi_lhs = lhs; phi_args = args;
           phi_live = live })
   in
-  let stmts = List.init nstmts (fun _ -> read_stmt ~v2 lx) in
+  let stmts = List.init nstmts (fun _ -> read_stmt lx) in
   let term =
     Textio.expect lx "term";
     match Textio.token lx with
@@ -369,7 +366,7 @@ let read_block ~v2 lx : Sir.bb =
   in
   { Sir.bid; phis; stmts; term; preds; freq }
 
-let read_func ~v2 lx : Sir.func =
+let read_func lx : Sir.func =
   Textio.expect lx "func";
   let fret = ty_of_string lx (Textio.token lx) in
   let nformals = Textio.int_tok lx in
@@ -378,70 +375,63 @@ let read_func ~v2 lx : Sir.func =
   let flocals = read_ints lx nlocals in
   let nblocks = Textio.int_tok lx in
   let fname = Textio.token lx in
-  let blocks = List.init nblocks (fun _ -> read_block ~v2 lx) in
+  let blocks = List.init nblocks (fun _ -> read_block lx) in
   { Sir.fname; fret; fformals;
     fblocks = Vec.of_list Sir.dummy_bb blocks; flocals }
 
-(** Parse what {!write} emits.  [specsir/1] input (no contracts, no
-    deopt descriptors) is accepted and degrades soundly. *)
+(** Parse what {!write} emits, from [lx]'s position to the end of its
+    input.  Raises [Textio.Error] on the first offending token. *)
+let read_from lx : Sir.prog =
+  Textio.expect lx version;
+  let p = Sir.create_prog () in
+  Textio.expect lx "vars";
+  let nvars = Textio.int_tok lx in
+  for vid = 0 to nvars - 1 do
+    Textio.expect lx "v";
+    let storage = storage_of_tag lx (Textio.token lx) in
+    let vver = Textio.int_tok lx in
+    let vorig = Textio.int_tok lx in
+    let addr = Textio.bool_tok lx in
+    let size = Textio.int_tok lx in
+    let arr = Textio.bool_tok lx in
+    let secret = Textio.bool_tok lx in
+    let ty = ty_of_string lx (Textio.token lx) in
+    let elt = ty_of_string lx (Textio.token lx) in
+    let vfunc = match Textio.token lx with "-" -> None | f -> Some f in
+    let name = Textio.token lx in
+    Vec.push p.Sir.syms.Symtab.vars
+      { Symtab.vid; vname = name; vty = ty; vstorage = storage; vfunc;
+        vsize = size; velt = elt; varray = arr; vaddr_taken = addr;
+        vsecret = secret; vorig; vver }
+  done;
+  Textio.expect lx "globals";
+  let ng = Textio.int_tok lx in
+  p.Sir.globals <- read_ints lx ng;
+  Textio.expect lx "sites";
+  let nsites = Textio.int_tok lx in
+  for _ = 1 to nsites do
+    Textio.expect lx "site";
+    let id = Textio.int_tok lx in
+    let kind = site_kind_of_tag lx (Textio.token lx) in
+    let line = Textio.int_tok lx in
+    let func = Textio.token lx in
+    Hashtbl.replace p.Sir.sites id
+      { Sir.si_id = id; si_kind = kind; si_func = func; si_line = line }
+  done;
+  Textio.expect lx "next";
+  p.Sir.next_site <- Textio.int_tok lx;
+  p.Sir.next_stmt <- Textio.int_tok lx;
+  p.Sir.next_label <- Textio.int_tok lx;
+  Textio.expect lx "funcs";
+  let nfuncs = Textio.int_tok lx in
+  for _ = 1 to nfuncs do
+    let f = read_func lx in
+    Hashtbl.replace p.Sir.funcs f.Sir.fname f;
+    p.Sir.func_order <- p.Sir.func_order @ [ f.Sir.fname ]
+  done;
+  Textio.expect lx "end";
+  if not (Textio.at_eof lx) then Textio.fail lx "trailing data after end";
+  p
+
 let read (s : string) : (Sir.prog, string) result =
-  let lx = Textio.make s in
-  try
-    let v2 =
-      match Textio.token lx with
-      | w when w = version -> true
-      | w when w = version_v1 -> false
-      | w ->
-        Textio.fail lx
-          (Printf.sprintf "expected %S or %S, got %S" version version_v1 w)
-    in
-    let p = Sir.create_prog () in
-    Textio.expect lx "vars";
-    let nvars = Textio.int_tok lx in
-    for vid = 0 to nvars - 1 do
-      Textio.expect lx "v";
-      let storage = storage_of_tag lx (Textio.token lx) in
-      let vver = Textio.int_tok lx in
-      let vorig = Textio.int_tok lx in
-      let addr = Textio.bool_tok lx in
-      let size = Textio.int_tok lx in
-      let arr = Textio.bool_tok lx in
-      let secret = if v2 then Textio.bool_tok lx else false in
-      let ty = ty_of_string lx (Textio.token lx) in
-      let elt = ty_of_string lx (Textio.token lx) in
-      let vfunc = match Textio.token lx with "-" -> None | f -> Some f in
-      let name = Textio.token lx in
-      Vec.push p.Sir.syms.Symtab.vars
-        { Symtab.vid; vname = name; vty = ty; vstorage = storage; vfunc;
-          vsize = size; velt = elt; varray = arr; vaddr_taken = addr;
-          vsecret = secret; vorig; vver }
-    done;
-    Textio.expect lx "globals";
-    let ng = Textio.int_tok lx in
-    p.Sir.globals <- read_ints lx ng;
-    Textio.expect lx "sites";
-    let nsites = Textio.int_tok lx in
-    for _ = 1 to nsites do
-      Textio.expect lx "site";
-      let id = Textio.int_tok lx in
-      let kind = site_kind_of_tag lx (Textio.token lx) in
-      let line = Textio.int_tok lx in
-      let func = Textio.token lx in
-      Hashtbl.replace p.Sir.sites id
-        { Sir.si_id = id; si_kind = kind; si_func = func; si_line = line }
-    done;
-    Textio.expect lx "next";
-    p.Sir.next_site <- Textio.int_tok lx;
-    p.Sir.next_stmt <- Textio.int_tok lx;
-    p.Sir.next_label <- Textio.int_tok lx;
-    Textio.expect lx "funcs";
-    let nfuncs = Textio.int_tok lx in
-    for _ = 1 to nfuncs do
-      let f = read_func ~v2 lx in
-      Hashtbl.replace p.Sir.funcs f.Sir.fname f;
-      p.Sir.func_order <- p.Sir.func_order @ [ f.Sir.fname ]
-    done;
-    Textio.expect lx "end";
-    if not (Textio.at_eof lx) then Textio.fail lx "trailing data after end";
-    Ok p
-  with Textio.Error msg -> Error msg
+  try Ok (read_from (Textio.make s)) with Textio.Error msg -> Error msg

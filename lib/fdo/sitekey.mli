@@ -19,7 +19,7 @@ val to_string : t -> string
 val kind_tag : Spec_ir.Sir.site_kind -> string
 val kind_of_tag : string -> Spec_ir.Sir.site_kind option
 
-(** Operator spellings, shared with the [specsir/1] serializer. *)
+(** Operator spellings, shared with the [specsir/2] serializer. *)
 val binop_tag : Spec_ir.Sir.binop -> string
 val unop_tag : Spec_ir.Sir.unop -> string
 

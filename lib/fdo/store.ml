@@ -715,15 +715,16 @@ let summary (t : t) : string =
 
 (* Written to a temp file in the same directory and renamed over
    [path], as the compile cache stores artifacts: a crash mid-write
-   leaves the old store intact, never a truncated one. *)
+   leaves the old store intact, never a truncated one, and a failed
+   write or rename removes the temp file. *)
 let save path t =
   let tmp =
     Filename.concat (Filename.dirname path)
       (Printf.sprintf ".tmp.%d.%s" (Unix.getpid ()) (Filename.basename path))
   in
   let oc = open_out_bin tmp in
-  match output_string oc (write t); close_out oc with
-  | () -> Sys.rename tmp path
+  match output_string oc (write t); close_out oc; Sys.rename tmp path with
+  | () -> ()
   | exception e ->
     close_out_noerr oc;
     (try Sys.remove tmp with Sys_error _ -> ());

@@ -1,5 +1,6 @@
 (** Token-level reader/writer helpers shared by the FDO on-disk formats
-    ([specprof/1] profile stores, [specsir/1] cached artifacts).
+    ([specprof/1] profile stores, [specsir/2] programs inside cached
+    artifacts).
 
     Both formats are deterministic whitespace-separated token streams: a
     token is either a bare word (no whitespace, never starts with ['"'])

@@ -38,11 +38,7 @@
     optionally a load-value observation after every load) and turns
     load/ALU fusion off so every access is a separate load.  The
     instrumentation opcodes spend no fuel and no steps, and ordinary
-    lowering never emits them, so cached bytecode never contains them.
-
-    The module also serializes bytecode ([specvm/1]) for the
-    content-addressed compile cache, so a warm compile skips lowering
-    entirely. *)
+    lowering never emits them. *)
 
 module I = Interp
 

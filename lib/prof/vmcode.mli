@@ -8,16 +8,17 @@
     speculation-classification decision is made once, in
     {!Interp.compile}.
 
-    The opcode numbering is private to this module and {!Vm} — the
-    serialized form ([specvm/2], {!Spec_fdo.Vm_io}) carries raw code
-    words, so the two files must stay in sync; the differential suites
-    catch any mismatch immediately.
+    The opcode numbering is private to this module and {!Vm}, so the
+    two files must stay in sync; the differential suites catch any
+    mismatch immediately.  Bytecode never leaves the process: the
+    compile cache stores the optimized SIR, and a cache hit lowers it
+    here again on first execution, which costs less than reading a
+    stored copy did.
 
     {!profile} is the profiling lowering of the same program: the same
     emitter adds instrumentation opcodes that write dense counters
     (see {!Vm.profile}).  They spend no steps and no fuel, and
-    {!compile}/{!of_compiled} never emit them, so cached bytecode never
-    contains them. *)
+    {!compile}/{!of_compiled} never emit them. *)
 
 type func = {
   vname : string;

@@ -176,6 +176,12 @@ let counters t =
 
 let ppm_of_rate r = int_of_float (r *. 1_000_000. +. 0.5)
 
+(* The reply to a compile that raised: on malformed source the frontend
+   does; anything else is an internal failure of the pipeline. *)
+let compile_error = function
+  | Spec_ir.Ast.Frontend_error _ as e -> "frontend: " ^ Printexc.to_string e
+  | e -> "compile: " ^ Printexc.to_string e
+
 (* Resolve a compile request against the unit's accumulated evidence.
    Profile mode binds the store to the freshly lowered source —
    exactly what `speccc --profile-in` does — so stale evidence drops
@@ -205,8 +211,7 @@ let plan_of t ~unit_name ~mode ~rounds ~strength src =
        finish (Pipeline.Spec_profile prof) (Some prof)
          (Some (Store.digest u.u_store))
          (ppm_of_rate (Store.match_rate mr))
-     | exception e ->
-       Error (Printf.sprintf "frontend: %s" (Printexc.to_string e)))
+     | exception e -> Error (compile_error e))
   | m -> Error (Printf.sprintf "unknown mode %S" m)
 
 (* The routing key of a request, before any shard-local state is
@@ -407,15 +412,19 @@ let drain_recompiles t =
          with
          | Error m -> log t "recompile %s failed: %s" name m
          | Ok plan ->
-           let r =
-             run_compile t ~rounds:u.u_rounds ~strength:u.u_strength ~plan
-               src
-           in
-           u.u_current <- Some r;
-           u.u_snapshot <- u.u_store;
-           t.c_recompiles <- t.c_recompiles + 1;
-           log t "recompile %s: key=%s from_cache=%b" name plan.p_key
-             r.Pipeline.from_cache))
+           (match
+              run_compile t ~rounds:u.u_rounds ~strength:u.u_strength ~plan
+                src
+            with
+            | exception e ->
+              t.c_errors <- t.c_errors + 1;
+              log t "recompile %s failed: %s" name (compile_error e)
+            | r ->
+              u.u_current <- Some r;
+              u.u_snapshot <- u.u_store;
+              t.c_recompiles <- t.c_recompiles + 1;
+              log t "recompile %s: key=%s from_cache=%b" name plan.p_key
+                r.Pipeline.from_cache)))
     q
 
 let quiesce t = if not (has_inflight t) then drain_recompiles t
@@ -423,7 +432,10 @@ let quiesce t = if not (has_inflight t) then drain_recompiles t
 (* Land the oldest in-flight compile and answer all of its waiters, in
    submission order.  The creator's tag records how the compile was
    actually satisfied (cold pipeline run or warm cache hit); joiners
-   keep the joined/parked tag fixed at submission. *)
+   keep the joined/parked tag fixed at submission.  A compile that
+   raises (malformed source in a mode that lowers it only here) answers
+   every waiter with an error; the flight is already gone from the
+   registry, so a later request for the key compiles again. *)
 let complete_one t : (int * Proto.response) list =
   match Queue.take_opt t.flight_q with
   | None -> []
@@ -434,54 +446,60 @@ let complete_one t : (int * Proto.response) list =
       | None -> assert false (* queue and registry are one-to-one *)
     in
     Hashtbl.remove t.inflight key;
-    let r =
+    match
       run_compile t ~rounds:fl.fl_rounds ~strength:fl.fl_strength
         ~plan:fl.fl_plan fl.fl_src
-    in
-    (* a profile-fed compile is the point the artifact catches up with
-       the evidence its plan bound: reset the drift baseline to the
-       snapshot fixed at submission *)
-    (match fl.fl_plan.p_variant with
-     | Pipeline.Spec_profile _ ->
-       let u = unit_state t fl.fl_unit in
-       u.u_current <- Some r;
-       u.u_snapshot <- fl.fl_snapshot
-     | _ -> ());
-    let creator_tag =
-      if r.Pipeline.from_cache then begin
-        t.c_warm <- t.c_warm + 1;
-        Proto.Warm
-      end
-      else begin
-        t.c_cold <- t.c_cold + 1;
-        Proto.Cold
-      end
-    in
-    log t "compile %s: %s key=%s waiters=%d" fl.fl_unit
-      (match creator_tag with Proto.Cold -> "cold" | _ -> "warm")
-      key
-      (List.length fl.fl_waiters);
-    let prog_text = Spec_ir.Pp.prog_to_string r.Pipeline.prog in
-    let out = lazy (vm_output r) in
-    let plan = fl.fl_plan in
-    List.rev_map
-      (fun w ->
-        let served =
-          match w.w_kind with
-          | Wcreator -> creator_tag
-          | Wjoined -> Proto.Joined
-          | Wparked -> Proto.Parked
-        in
-        ( w.w_id,
-          Proto.Compiled
-            { Proto.cr_served = served;
-              cr_key = plan.p_key;
-              cr_digest =
-                (match plan.p_digest with Some d -> d | None -> "-");
-              cr_match_ppm = plan.p_match_ppm;
-              cr_prog = prog_text;
-              cr_output = (if w.w_exec then Lazy.force out else "") } ))
-      fl.fl_waiters
+    with
+    | exception e ->
+      let msg = compile_error e in
+      t.c_errors <- t.c_errors + List.length fl.fl_waiters;
+      log t "compile %s: failed key=%s: %s" fl.fl_unit key msg;
+      List.rev_map (fun w -> (w.w_id, Proto.Error msg)) fl.fl_waiters
+    | r ->
+      (* a profile-fed compile is the point the artifact catches up with
+         the evidence its plan bound: reset the drift baseline to the
+         snapshot fixed at submission *)
+      (match fl.fl_plan.p_variant with
+       | Pipeline.Spec_profile _ ->
+         let u = unit_state t fl.fl_unit in
+         u.u_current <- Some r;
+         u.u_snapshot <- fl.fl_snapshot
+       | _ -> ());
+      let creator_tag =
+        if r.Pipeline.from_cache then begin
+          t.c_warm <- t.c_warm + 1;
+          Proto.Warm
+        end
+        else begin
+          t.c_cold <- t.c_cold + 1;
+          Proto.Cold
+        end
+      in
+      log t "compile %s: %s key=%s waiters=%d" fl.fl_unit
+        (match creator_tag with Proto.Cold -> "cold" | _ -> "warm")
+        key
+        (List.length fl.fl_waiters);
+      let prog_text = Spec_ir.Pp.prog_to_string r.Pipeline.prog in
+      let out = lazy (vm_output r) in
+      let plan = fl.fl_plan in
+      List.rev_map
+        (fun w ->
+          let served =
+            match w.w_kind with
+            | Wcreator -> creator_tag
+            | Wjoined -> Proto.Joined
+            | Wparked -> Proto.Parked
+          in
+          ( w.w_id,
+            Proto.Compiled
+              { Proto.cr_served = served;
+                cr_key = plan.p_key;
+                cr_digest =
+                  (match plan.p_digest with Some d -> d | None -> "-");
+                cr_match_ppm = plan.p_match_ppm;
+                cr_prog = prog_text;
+                cr_output = (if w.w_exec then Lazy.force out else "") } ))
+        fl.fl_waiters
 
 (* ---- the synchronous facade ---- *)
 

@@ -6,9 +6,10 @@
 
     {2 Request handling}
 
-    [compile] requests are answered from {!Spec_fdo.Cache} when warm —
-    including the pre-forced vm bytecode of a [specart/3] artifact —
-    and otherwise run through {!Spec_driver.Pipeline.compile_and_optimize}
+    [compile] requests are answered from {!Spec_fdo.Cache} when warm
+    (the cached program is lowered to vm bytecode only if the request
+    executes it) and otherwise run through
+    {!Spec_driver.Pipeline.compile_and_optimize}
     (whose per-function portion fans out on the {!Spec_driver.Parpool}
     domain pool).  Requests for the same cache key are deduplicated
     through a single-flight registry that {e persists across select

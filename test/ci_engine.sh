@@ -2,9 +2,9 @@
 # @ci smoke for the threaded-code vm: run a kernel through the
 # content-addressed compile cache twice — the cold compile must miss and
 # store, the warm one must hit and print the same output, so the
-# executed bytecode came straight out of the cached artifact.  `speccc
-# stats` then checks the vm against the machine on every pipeline
-# variant.  The third argument is a recursive kernel whose every
+# bytecode lowered from the cached program runs like the cold build's.
+# `speccc stats` then checks the vm against the machine on every
+# pipeline variant.  The third argument is a recursive kernel whose every
 # activation arms the semantic ALAT: it runs under injected faults, with
 # dead frames' entries reclaimed, and must print what the unoptimized
 # program prints.
@@ -21,7 +21,7 @@ cold="$("$speccc" run --cache-dir "$work/cache" "$src" 2> "$work/cold.err")"
 warm="$("$speccc" run --cache-dir "$work/cache" "$src" 2> "$work/warm.err")"
 
 [ "$cold" = "$warm" ] || {
-  echo "engine ci: cached-bytecode vm output differs from the cold run" >&2
+  echo "engine ci: warm vm output differs from the cold run" >&2
   echo "cold: $cold" >&2; echo "warm: $warm" >&2
   exit 1
 }

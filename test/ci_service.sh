@@ -4,8 +4,10 @@
 # (byte-identical output), a profile-mode compile registering the unit
 # in the FDO loop, report-profile past the drift threshold (must
 # trigger a background recompile), a profile-mode compile served from
-# the swapped artifact, stats — then shut it down cleanly and check the
-# daemon exited zero with no protocol errors recorded.
+# the swapped artifact, stats (no protocol errors so far), then a
+# compile of malformed source, which must be refused while the daemon
+# keeps serving and counts exactly that one error — then shut it down
+# cleanly and check the daemon exited zero.
 set -eu
 
 speccc="$1"
@@ -78,6 +80,28 @@ grep -q "^errors 0$" "$work/stats.out" || {
 }
 grep -q "^recompiles 1$" "$work/stats.out" || {
   echo "service ci: expected exactly one drift recompile:" >&2
+  cat "$work/stats.out" >&2
+  exit 1
+}
+
+# Malformed source in a stateless mode is lowered only inside the
+# compile: the client must get an error, and the daemon must live on.
+printf 'int main() { int x; x = ; return 0; }\n' > "$work/bad.c"
+if "$speccc" client compile --socket "$sock" --unit bad -m base \
+  "$work/bad.c" > "$work/bad.out" 2> "$work/bad.err"; then
+  echo "service ci: malformed source compiled without an error" >&2
+  exit 1
+fi
+"$speccc" client compile --socket "$sock" --unit smoke -m base \
+  "$src" > "$work/after.out" 2> "$work/after.err"
+grep -q "served: warm" "$work/after.err" || {
+  echo "service ci: compile after a malformed one was not served warm:" >&2
+  cat "$work/bad.err" "$work/after.err" >&2
+  exit 1
+}
+"$speccc" client stats --socket "$sock" > "$work/stats.out"
+grep -q "^errors 1$" "$work/stats.out" || {
+  echo "service ci: expected exactly one error, for the malformed compile:" >&2
   cat "$work/stats.out" >&2
   exit 1
 }

@@ -9,10 +9,9 @@
      and every counter (steps, mem_loads, mem_stores, branches, calls,
      check_stmts, check_reloads) must agree exactly.
 
-   - The compile-cache artifact carries the vm bytecode: a warm hit
-     executes bytecode deserialized from disk (no re-lowering), and a
-     corrupted vm section degrades to fresh lowering, never to a stale
-     or wrong program.
+   - The compile-cache artifact carries the optimized program only: a
+     warm hit lowers its bytecode on first use, and that bytecode is
+     the cold compile's, field by field, on every kernel and variant.
 
    - [Machine]: every perf counter plus the program's return value must
      match the goldens below, which were captured from the seed
@@ -202,13 +201,13 @@ let golden_workload w () =
       "aggressive", b.Experiments.aggressive ]
 
 (* ------------------------------------------------------------------ *)
-(* vm bytecode in the compile-cache artifact                           *)
+(* vm bytecode lowered from the compile-cache artifact                 *)
 (* ------------------------------------------------------------------ *)
 
 let fresh_dir tag =
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "specvm-test-%d-%s" (Unix.getpid ()) tag)
+      (Printf.sprintf "specengines-test-%d-%s" (Unix.getpid ()) tag)
   in
   (match Sys.readdir dir with
    | files -> Array.iter (fun f -> Sys.remove (Filename.concat dir f)) files
@@ -227,22 +226,34 @@ int main(){
 }
 |}
 
-let replace ~sub ~by s =
-  let ls = String.length s and lsub = String.length sub in
-  let buf = Buffer.create ls in
-  let i = ref 0 in
-  while !i <= ls - lsub do
-    if String.sub s !i lsub = sub then begin
-      Buffer.add_string buf by;
-      i := !i + lsub
-    end
-    else begin
-      Buffer.add_char buf s.[!i];
-      incr i
-    end
-  done;
-  Buffer.add_string buf (String.sub s !i (ls - !i));
-  Buffer.contents buf
+(* Everything the vm reads from a lowered program, descriptor tables
+   in pc order; floats by their bits *)
+let check_same_bytecode label (a : Vmcode.program) (b : Vmcode.program) =
+  let fbits p = Array.map Int64.bits_of_float p.Vmcode.fpool in
+  Alcotest.(check int) (label ^ ": vmain") a.Vmcode.vmain b.Vmcode.vmain;
+  Alcotest.(check bool) (label ^ ": fpool") true (fbits a = fbits b);
+  Alcotest.(check (array string)) (label ^ ": spool") a.Vmcode.spool
+    b.Vmcode.spool;
+  Alcotest.(check int) (label ^ ": function count")
+    (Array.length a.Vmcode.vfuncs) (Array.length b.Vmcode.vfuncs);
+  let deopt f =
+    List.sort compare
+      (Hashtbl.fold (fun pc d acc -> (pc, d) :: acc) f.Vmcode.vdeopt [])
+  in
+  Array.iter2
+    (fun (f : Vmcode.func) (g : Vmcode.func) ->
+      let l = label ^ "/" ^ f.Vmcode.vname in
+      Alcotest.(check string) (l ^ ": name") f.Vmcode.vname g.Vmcode.vname;
+      Alcotest.(check (array int)) (l ^ ": vcode") f.Vmcode.vcode
+        g.Vmcode.vcode;
+      Alcotest.(check int) (l ^ ": n_regs") f.Vmcode.n_regs g.Vmcode.n_regs;
+      Alcotest.(check int) (l ^ ": n_addr") f.Vmcode.n_addr g.Vmcode.n_addr;
+      Alcotest.(check bool) (l ^ ": vformals") true
+        (f.Vmcode.vformals = g.Vmcode.vformals);
+      Alcotest.(check bool) (l ^ ": vmem_locals") true
+        (f.Vmcode.vmem_locals = g.Vmcode.vmem_locals);
+      Alcotest.(check bool) (l ^ ": vdeopt") true (deopt f = deopt g))
+    a.Vmcode.vfuncs b.Vmcode.vfuncs
 
 let vm_cache_roundtrip () =
   let c = Spec_fdo.Cache.create (fresh_dir "roundtrip") in
@@ -255,59 +266,67 @@ let vm_cache_roundtrip () =
   in
   Alcotest.(check bool) "uncached vm is lowered on demand" false
     (Lazy.is_val uncached.Pipeline.vm);
-  (* storing the artifact serializes — and therefore forces — the
-     bytecode on the cold path *)
+  (* the artifact holds the program only: storing it lowers nothing *)
   let cold = compile () in
   Alcotest.(check bool) "cold is not from cache" false
     cold.Pipeline.from_cache;
-  Alcotest.(check bool) "cold store forces the bytecode" true
+  Alcotest.(check bool) "cold store leaves the bytecode unlowered" false
     (Lazy.is_val cold.Pipeline.vm);
   let cold_vm = Vm.run_program (Lazy.force cold.Pipeline.vm) in
   let warm = compile () in
   Alcotest.(check bool) "warm is from cache" true warm.Pipeline.from_cache;
-  (* the artifact carried valid bytecode, so the warm vm is pre-forced:
-     no lowering happened on the hit path *)
-  Alcotest.(check bool) "warm vm comes straight from the artifact" true
+  Alcotest.(check bool) "warm vm is lowered on demand" false
     (Lazy.is_val warm.Pipeline.vm);
   let warm_vm = Vm.run_program (Lazy.force warm.Pipeline.vm) in
   check_vs_oracle "vm-cache/warm" warm_vm (Interp_ref.run warm.Pipeline.prog);
   Alcotest.(check string) "warm vm output matches cold vm"
-    cold_vm.Interp.output warm_vm.Interp.output
-
-let vm_cache_corrupt_section () =
-  let dir = fresh_dir "corrupt-vm" in
-  let c = Spec_fdo.Cache.create dir in
-  let cold =
-    Pipeline.compile_and_optimize ~cache:c vm_cache_src Pipeline.Base
+    cold_vm.Interp.output warm_vm.Interp.output;
+  (* every kernel's train source under base, heuristic and profile, plus
+     one deopt compile: what a hit lowers is what the cold compile
+     lowered *)
+  let roundtrip label ?(deopt = false) ?edge_profile ?profile_digest src
+      variant =
+    let compile () =
+      Pipeline.compile_and_optimize ~cache:c ~deopt ?edge_profile
+        ?profile_digest src variant
+    in
+    let cold = compile () in
+    let warm = compile () in
+    Alcotest.(check bool) (label ^ ": cold misses") false
+      cold.Pipeline.from_cache;
+    Alcotest.(check bool) (label ^ ": warm hits") true
+      warm.Pipeline.from_cache;
+    check_same_bytecode label (Lazy.force cold.Pipeline.vm)
+      (Lazy.force warm.Pipeline.vm);
+    warm
   in
-  ignore (Vm.run_program (Lazy.force cold.Pipeline.vm) : Interp.result);
-  (* mangle only the vm section's version tag behind the cache's back:
-     the artifact as a whole still parses, so the entry still hits, but
-     the bytecode must be rejected and re-lowered from the program *)
-  (match Sys.readdir dir with
-   | [| f |] ->
-     let path = Filename.concat dir f in
-     let ic = open_in_bin path in
-     let blob = really_input_string ic (in_channel_length ic) in
-     close_in ic;
-     let mangled = replace ~sub:"specvm/2" ~by:"specvm/9" blob in
-     Alcotest.(check bool) "mangle changed the artifact" false
-       (mangled = blob);
-     let oc = open_out_bin path in
-     output_string oc mangled;
-     close_out oc
-   | _ -> Alcotest.fail "expected exactly one artifact");
+  List.iter
+    (fun w ->
+      let src = Spec_workloads.Workloads.train_source w in
+      let prog, prof, _ = Pipeline.train src in
+      let digest =
+        Spec_fdo.Store.(digest (of_profile prog prof))
+      in
+      List.iter
+        (fun (vname, edge_profile, profile_digest, variant) ->
+          ignore
+            (roundtrip (wname w ^ "/" ^ vname) ?edge_profile ?profile_digest
+               src variant
+             : Pipeline.result))
+        [ "base", None, None, Pipeline.Base;
+          "heuristic", None, None, Pipeline.Spec_heuristic;
+          "profile", Some (Some prof), Some digest,
+          Pipeline.Spec_profile prof ])
+    Spec_workloads.Workloads.all;
+  let cipher = Spec_workloads.Workloads.train_source (find "cipher") in
   let warm =
-    Pipeline.compile_and_optimize ~cache:c vm_cache_src Pipeline.Base
+    roundtrip "cipher/heuristic+deopt" ~deopt:true cipher
+      Pipeline.Spec_heuristic
   in
-  Alcotest.(check bool) "mangled vm section still hits" true
-    warm.Pipeline.from_cache;
-  Alcotest.(check bool) "rejected bytecode falls back to lazy lowering"
-    false
-    (Lazy.is_val warm.Pipeline.vm);
-  check_vs_oracle "vm-cache/relowered"
-    (Vm.run_program (Lazy.force warm.Pipeline.vm))
-    (Interp_ref.run warm.Pipeline.prog)
+  Alcotest.(check bool) "deopt compile carries descriptor tables" true
+    (Array.exists
+       (fun f -> Hashtbl.length f.Vmcode.vdeopt > 0)
+       (Lazy.force warm.Pipeline.vm).Vmcode.vfuncs)
 
 (* ------------------------------------------------------------------ *)
 (* --jobs determinism                                                  *)
@@ -333,9 +352,7 @@ let suite =
   [ Alcotest.test_case "parpool: order + nested fan-out" `Quick pool_order;
     Alcotest.test_case "parpool: exception propagation" `Quick pool_exn;
     Alcotest.test_case "vm artifact cache round trip" `Quick
-      vm_cache_roundtrip;
-    Alcotest.test_case "vm artifact corrupt section re-lowers" `Quick
-      vm_cache_corrupt_section ]
+      vm_cache_roundtrip ]
   @ List.map
       (fun w ->
         Alcotest.test_case

@@ -333,43 +333,6 @@ let test_sir_io_safety_roundtrip () =
       (Spec_safety.Spectct.to_string (Spec_safety.Taint.check back));
     check_str "write is a fixpoint" text (Sir_io.write back)
 
-(* drop the [i]th whitespace token of [line]; safety metadata occupies
-   fixed early fields, ahead of any quoted token, so this is exact *)
-let drop_tok i line =
-  String.split_on_char ' ' line
-  |> List.filteri (fun j _ -> j <> i)
-  |> String.concat " "
-
-let test_sir_io_v1_degrades () =
-  (* rebuild a [specsir/1] document from a /2 one: drop the version
-     bump, every per-variable secret bit (token 7 of each [v] line) and
-     every statement's deopt token (token 4, "-" on a no-deopt compile).
-     Old artifacts must still load, as all-public and descriptor-free *)
-  let r = Pipeline.compile_and_optimize cipher_src Pipeline.Base in
-  check_bool "v2 program carries secrets" true (n_secret r.Pipeline.prog > 0);
-  let v1 =
-    Sir_io.write r.Pipeline.prog
-    |> String.split_on_char '\n'
-    |> List.map (fun line ->
-           if line = "specsir/2" then "specsir/1"
-           else if String.length line > 2 && String.sub line 0 2 = "v " then
-             drop_tok 7 line
-           else if String.length line > 5 && String.sub line 0 5 = "stmt "
-           then drop_tok 4 line
-           else line)
-    |> String.concat "\n"
-  in
-  match Sir_io.read v1 with
-  | Error e -> Alcotest.fail ("specsir/1 read failed: " ^ e)
-  | Ok back ->
-    check_int "every variable degrades to public" 0 (n_secret back);
-    check_int "no descriptors" 0 (Spec_safety.Deopt.count back);
-    check_str "checker refuses to claim anything" "unannotated"
-      (Spec_safety.Taint.verdict_str
-         (Spec_safety.Taint.check back).Spec_safety.Taint.rp_verdict);
-    check_str "degraded program still runs identically"
-      (interp_output r.Pipeline.prog) (interp_output back)
-
 let test_sir_io_rejects_drift () =
   let r = Pipeline.compile_and_optimize ~deopt:true cipher_src Pipeline.Base in
   let text = Sir_io.write r.Pipeline.prog in
@@ -401,9 +364,6 @@ let test_artifact_roundtrip () =
   | Error e -> Alcotest.fail ("artifact read failed: " ^ e)
   | Ok a ->
     check_bool "stats preserved" true (a.Pipeline.a_stats = r.Pipeline.stats);
-    check_str "report preserved"
-      (Passes.report_to_json r.Pipeline.report)
-      a.Pipeline.a_report_json;
     check_str "program preserved"
       (Pp.prog_to_string r.Pipeline.prog)
       (Pp.prog_to_string a.Pipeline.a_prog)
@@ -443,7 +403,18 @@ let test_store_save_atomic () =
   (match Store.load path with
    | Ok back -> check_bool "reads back equal" true (Store.equal store back)
    | Error e -> Alcotest.fail ("saved store unreadable: " ^ e));
-  Sys.remove path
+  Sys.remove path;
+  (* a save whose rename fails (a directory squats on the path) raises
+     and takes its temp file with it *)
+  Unix.mkdir path 0o755;
+  (match Store.save path store with
+   | () -> Alcotest.fail "saved over a directory"
+   | exception Sys_error _ -> ());
+  Unix.rmdir path;
+  check_bool "no temp file left after a failed save" true
+    (Array.for_all
+       (fun f -> not (String.starts_with ~prefix:".tmp." f))
+       (Sys.readdir dir))
 
 let total_pass_runs (r : Passes.report) =
   List.fold_left (fun acc ps -> acc + ps.Passes.ps_runs) 0 r.Passes.rp_passes
@@ -498,28 +469,65 @@ let test_cache_pipeline_hit () =
 let test_cache_corrupt_artifact () =
   let dir = fresh_dir "corrupt" in
   let c = Cache.create dir in
-  let cold =
+  let compile () =
     Pipeline.compile_and_optimize ~cache:c base_src Pipeline.Base
   in
-  (* truncate the stored artifact behind the cache's back *)
-  (match Sys.readdir dir with
-   | [| f |] ->
-     let oc = open_out (Filename.concat dir f) in
-     output_string oc "specart/1 stats";
-     close_out oc
-   | _ -> Alcotest.fail "expected exactly one artifact");
-  let again =
-    Pipeline.compile_and_optimize ~cache:c base_src Pipeline.Base
+  let cold = compile () in
+  let path =
+    match Sys.readdir dir with
+    | [| f |] -> Filename.concat dir f
+    | _ -> Alcotest.fail "expected exactly one artifact"
   in
-  check_bool "corrupt artifact recompiles" false again.Pipeline.from_cache;
-  check_str "recompiled program identical"
-    (Pp.prog_to_string cold.Pipeline.prog)
-    (Pp.prog_to_string again.Pipeline.prog);
-  (* and the overwrite repaired the entry *)
-  let warm =
-    Pipeline.compile_and_optimize ~cache:c base_src Pipeline.Base
-  in
-  check_bool "repaired entry hits" true warm.Pipeline.from_cache
+  let entry = In_channel.with_open_bin path In_channel.input_all in
+  let n = String.length entry in
+  (* the stats line sits between the first two newlines; the program
+     text runs from the second to the end, its [end] line last *)
+  let stats_at = String.index entry '\n' + 1 in
+  let sir_at = String.index_from entry stats_at '\n' + 1 in
+  check_str "the program text follows the stats line" Sir_io.version
+    (String.sub entry sir_at (String.length Sir_io.version));
+  check_str "the program text ends the entry" "\nend\n"
+    (String.sub entry (n - 5) 5);
+  (* rewrite the stored entry behind the cache's back: an older-format
+     stub, then truncations of the real entry *)
+  List.iter
+    (fun (what, blob) ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc blob);
+      let again = compile () in
+      check_bool (what ^ ": recompiles") false again.Pipeline.from_cache;
+      check_str (what ^ ": recompiled program identical")
+        (Pp.prog_to_string cold.Pipeline.prog)
+        (Pp.prog_to_string again.Pipeline.prog);
+      (* and the overwrite repaired the entry *)
+      check_bool (what ^ ": repaired entry hits") true
+        (compile ()).Pipeline.from_cache)
+    [ "older format", "specart/1 stats";
+      "cut in the stats line",
+      String.sub entry 0 ((stats_at + sir_at) / 2);
+      "cut in the program text",
+      String.sub entry 0 ((sir_at + n) / 2);
+      "cut before the end line", String.sub entry 0 (n - 4) ]
+
+(* A store that cannot land (here a directory squats on the entry's
+   path, so the rename fails) raises and leaves no temp file: temp
+   names do not end in [.sart], so nothing would ever evict one *)
+let test_cache_store_failure () =
+  let dir = fresh_dir "store-fail" in
+  let c = Cache.create dir in
+  let key = "abc123" in
+  let squat = Filename.concat dir (key ^ ".sart") in
+  Unix.mkdir squat 0o755;
+  Fun.protect
+    ~finally:(fun () -> Unix.rmdir squat)
+    (fun () ->
+      (match Cache.store c key "payload" with
+       | () -> Alcotest.fail "store over a directory succeeded"
+       | exception Sys_error _ -> ());
+      check_bool "no temp file left" true
+        (Array.for_all
+           (fun f -> not (String.starts_with ~prefix:".tmp." f))
+           (Sys.readdir dir));
+      check_int "failed store not counted" 0 (Cache.stats c).Cache.stores)
 
 let test_cache_profile_needs_digest () =
   let c = Cache.create (fresh_dir "digest") in
@@ -589,8 +597,6 @@ let suite =
     Alcotest.test_case "sir_io round trip" `Quick test_sir_io_roundtrip;
     Alcotest.test_case "sir_io safety metadata round trip" `Quick
       test_sir_io_safety_roundtrip;
-    Alcotest.test_case "sir_io reads specsir/1 all-public" `Quick
-      test_sir_io_v1_degrades;
     Alcotest.test_case "sir_io rejects drift" `Quick
       test_sir_io_rejects_drift;
     Alcotest.test_case "artifact round trip" `Quick test_artifact_roundtrip;
@@ -599,6 +605,8 @@ let suite =
     Alcotest.test_case "cache pipeline hit" `Quick test_cache_pipeline_hit;
     Alcotest.test_case "cache corrupt artifact" `Quick
       test_cache_corrupt_artifact;
+    Alcotest.test_case "cache store failure leaves no temp file" `Quick
+      test_cache_store_failure;
     Alcotest.test_case "profile compiles need a digest" `Quick
       test_cache_profile_needs_digest;
     Alcotest.test_case "bench json fdo section" `Quick

@@ -195,8 +195,9 @@ let test_artifact_preserves_deopt () =
   check_bool "cold build carries descriptors" true (d_cold > 0);
   check_int "descriptors survive the artifact" d_cold
     (Deopt.count warm.Pipeline.prog);
-  (* the cached bytecode must carry them too, refunds included: a warm
-     vm run under forced faults must replay the cold one exactly *)
+  (* the bytecode lowered from the cached program must carry them too,
+     refunds included: a warm vm run under forced faults must replay
+     the cold one exactly *)
   check_int "vm descriptor tables survive the artifact"
     (vm_deopt_entries (Lazy.force cold.Pipeline.vm))
     (vm_deopt_entries (Lazy.force warm.Pipeline.vm));

@@ -424,6 +424,35 @@ let test_differential_profile () =
   check_str "warm profile program identical" cold.Proto.cr_prog
     warm.Proto.cr_prog
 
+(* ---- malformed source ---- *)
+
+(* Stateless modes lower the source only when the flight lands, so a
+   frontend error surfaces inside the compile: every waiter gets an
+   error reply, the flight is dropped, and the daemon keeps serving *)
+let test_malformed_compile () =
+  let t = daemon "malformed" in
+  let bad = compile_req "int main() { int x; x = ; return 0; }\n" in
+  let is_frontend_error = function
+    | Proto.Error m -> String.starts_with ~prefix:"frontend: " m
+    | _ -> false
+  in
+  let resps = Daemon.handle_batch t [ bad; bad ] in
+  check_bool "creator and joiner both refused" true
+    (List.for_all is_frontend_error resps);
+  check_int "each refusal counted" 2 (counter t "errors");
+  check_int "flight dropped" 0 (counter t "inflight");
+  check_bool "a later request compiles again" true
+    (is_frontend_error (Daemon.handle t bad));
+  check_int "and is counted again" 3 (counter t "errors");
+  let good = compile_req ~exec:true src_a in
+  let cold = compiled (Daemon.handle t good) in
+  check_bool "next request served cold" true
+    (cold.Proto.cr_served = Proto.Cold);
+  check_str "next request runs" (vm_out (offline src_a "base"))
+    cold.Proto.cr_output;
+  check_bool "and its repeat warm" true
+    ((compiled (Daemon.handle t good)).Proto.cr_served = Proto.Warm)
+
 (* ---- single-flight ---- *)
 
 let test_single_flight () =
@@ -649,6 +678,8 @@ let suite =
       test_differential_modes;
     Alcotest.test_case "differential: profile mode" `Quick
       test_differential_profile;
+    Alcotest.test_case "malformed compile is refused, not fatal" `Quick
+      test_malformed_compile;
     Alcotest.test_case "single-flight dedup" `Quick test_single_flight;
     Alcotest.test_case "mixed-key storm" `Quick test_mixed_key_storm;
     Alcotest.test_case "report order independence" `Quick
