@@ -158,9 +158,76 @@ let prop_profile_consistent =
       let prof, _ = Profiler.profile p in
       flow_conserved p prof && site_counts_bounded prof)
 
+(* [profile_digests.txt] pins the profiles of programs beyond the
+   kernels: 100 programs from each fuzz generator at the seeds
+   [test_digests.ml] uses, the SSAPRE probe at two sizes,
+   [alat_frames.c], and [prof_paths.c], which takes the reference paths
+   the kernels never take.  A row gives the store digest of the
+   program's profile and the load-reuse counts of its unoptimized
+   lowering, or the error a run raised.  On a mismatch the test writes
+   the recomputed table to [profile_digests.actual] in the build's test
+   directory. *)
+let profile_programs () =
+  let file name = (name, In_channel.with_open_bin name In_channel.input_all) in
+  List.concat_map
+    (fun (gname, gen) ->
+      List.init 100 (fun i ->
+          ( Printf.sprintf "fuzz/%s/%d" gname (i + 1),
+            QCheck.Gen.generate1 ~rand:(Random.State.make [| i + 1 |]) gen )))
+    [ ("program", Test_fuzz.gen_program);
+      ("control", Test_fuzz.gen_control);
+      ("recursive", Test_fuzz.gen_recursive) ]
+  @ List.map
+      (fun n -> (Printf.sprintf "probe/%d" n, Ssapre_probe.source n))
+      [ 12; 24 ]
+  @ [ file "alat_frames.c"; file "prof_paths.c" ]
+
+let profile_row (label, src) =
+  let guard f =
+    try f ()
+    with e ->
+      "raised "
+      ^ String.map (fun c -> if c = '\n' then ' ' else c) (Printexc.to_string e)
+  in
+  let digest =
+    guard (fun () ->
+        let prog = Lower.compile src in
+        let prof, _ = Profiler.profile prog in
+        Spec_fdo.Store.digest (Spec_fdo.Store.of_profile prog prof))
+  in
+  let reuse =
+    guard (fun () ->
+        let lr, _ = Load_reuse.analyse (Lower.compile src) in
+        Printf.sprintf "%d %d" lr.Load_reuse.total_loads
+          lr.Load_reuse.reused_loads)
+  in
+  String.concat " " [ label; digest; reuse ]
+
+let test_profile_digests () =
+  let actual = List.map profile_row (profile_programs ()) in
+  let golden =
+    In_channel.with_open_bin "profile_digests.txt" In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (( <> ) "")
+  in
+  if actual <> golden then begin
+    Out_channel.with_open_bin "profile_digests.actual" (fun oc ->
+        List.iter (fun l -> output_string oc (l ^ "\n")) actual);
+    let moved = List.filter (fun l -> not (List.mem l golden)) actual in
+    let label l = List.hd (String.split_on_char ' ' l) in
+    Alcotest.failf
+      "%d of %d profile rows moved (%d golden rows), e.g. %s; the \
+       recomputed table is in profile_digests.actual"
+      (List.length moved) (List.length actual) (List.length golden)
+      (String.concat ", "
+         (List.map label (List.filteri (fun i _ -> i < 20) moved)))
+  end
+
 let suite =
   [ Alcotest.test_case "store digests match hook-era profiles" `Quick
       test_store_digests;
     Alcotest.test_case "load-reuse counts match hook-era runs" `Quick
       test_reuse_counts;
+    Alcotest.test_case "profile digests of generated programs" `Quick
+      test_profile_digests;
     QCheck_alcotest.to_alcotest prop_profile_consistent ]
