@@ -8,7 +8,8 @@ int total;
      references;
    - a call site that recursion re-opens while it is open;
    - one indirect site that alternates between two heap objects, a
-     global array and a local array;
+     global array and a local array, and returns to a heap object right
+     after the local array;
    - a pointer that steps from one allocation into the next, and past
      the top of the heap.
    test/profile_digests.txt pins this program's profile. */
@@ -38,19 +39,22 @@ int nest(int n, int* p) {
 }
 
 /* the store and the load through q see both heap objects, the global
-   array and the local array in turn */
+   array and the local array, and the first heap object again right
+   after the local array */
 int alternate(int rounds) {
   int i;
+  int k;
   int s;
   int mine[4];
   int* q;
   s = 0;
   i = 0;
   while (i < rounds) {
-    if (i % 4 == 0) q = objs[0];
-    else if (i % 4 == 1) q = objs[1];
-    else if (i % 4 == 2) q = tab;
-    else q = mine;
+    k = i % 6;
+    if (k == 0 || k == 2) q = objs[0];
+    else if (k == 1) q = mine;
+    else if (k == 4) q = objs[1];
+    else q = tab;
     q[(i + 1) % 4] = s + i;
     s = s + q[i % 4];
     i = i + 1;
