@@ -15,12 +15,15 @@
 # For every end-to-end metric of BENCHMARK.json it prints each side's
 # median [lower quartile, upper quartile], how many pairs the change won
 # and a verdict.  The verdict is "better" or "worse" only when one side
-# won at least 9 in 10 of the pairs, over at least 3 pairs, and the
+# won at least 9 in 10 of the pairs, over at least 10 pairs, and the
 # medians differ by more than the base's interquartile range; otherwise
-# it is "unresolved".  It also prints failed/attempted ops per side and
-# where the vm's and the in-order machine's dispatch loops
-# (Vm.exec_func, Machine.exec_func) sit modulo 64 bytes in each binary:
-# a delta that follows that residue follows code placement.
+# it is "unresolved".  With fewer pairs a clean sweep is too likely on
+# noise alone (3 of 3 happens 1 time in 4 per metric), so every verdict
+# reads "unresolved" and a closing note says the pair count is below 10.
+# It also prints failed/attempted ops per side and where the vm's and
+# the in-order machine's dispatch loops (Vm.exec_func,
+# Machine.exec_func) sit modulo 64 bytes in each binary: a delta that
+# follows that residue follows code placement.
 #
 # Exit status: 0, or 1 when any metric reads "worse", or 2 on a usage,
 # build or run error.
@@ -179,7 +182,7 @@ awk -v pairs="$pairs" '
       iqr = quant(sb, n, 0.75) - quant(sb, n, 0.25)
       gap = cmed - bmed; if (gap < 0) gap = -gap
       verdict = "unresolved"
-      if (n >= 3 && gap > iqr) {
+      if (n >= 10 && gap > iqr) {
         improved = (better[name] == "higher") ? cmed > bmed : cmed < bmed
         if (improved && wins >= 0.9 * n) verdict = "better"
         else if (!improved && losses >= 0.9 * n) { verdict = "worse"; worse = 1 }
@@ -189,5 +192,6 @@ awk -v pairs="$pairs" '
         sprintf("%.4g [%.4g, %.4g]", cmed, quant(sc, n, 0.25), quant(sc, n, 0.75)),
         wins, n, verdict
     }
+    if (pairs < 10) printf "no verdict: %d pairs, fewer than the 10 a verdict needs\n", pairs
     exit worse
   }' "$work/metrics" "$results"
