@@ -8,7 +8,10 @@
     same assumption the type-based alias analysis makes).
 
     The memory also resolves addresses to abstract memory locations (LOCs)
-    for the alias profiler. *)
+    for the alias profiler.  Globals and heap allocations never change
+    owner during a run, so they are kept as one table of extents sorted
+    by address; stack cells change owner as frames come and go and are
+    kept per cell. *)
 
 open Spec_ir
 
@@ -22,12 +25,14 @@ type t = {
   flts : float array;
   size : int;                          (* in bytes *)
   (* LOC resolution *)
-  data_locs : int array;               (* data cell index -> var id *)
   mutable stack_locs : int array;      (* stack cell index -> var id, -1 none *)
-  mutable heap_allocs : (int * int * int) array;
-      (* (start addr, byte length, alloc site), sorted by start *)
-  mutable heap_n : int;
-  mutable heap_last : int;             (* heap_allocs index [owner] last hit *)
+  mutable obj_lo : int array;
+      (* start addresses of the globals, then of the heap allocations:
+         ascending, since both are laid out upwards and the heap sits
+         above the data segment *)
+  mutable obj_hi : int array;          (* object index -> end address *)
+  mutable obj_owner : int array;       (* var id, or -2 - alloc site *)
+  mutable n_obj : int;
   mutable sp : int;                    (* next free stack address *)
   mutable hp : int;                    (* next free heap address *)
   global_addr : (int, int) Hashtbl.t;  (* var id -> address *)
@@ -39,7 +44,6 @@ type t = {
      used to dominate short engine runs. *)
   mutable hw_low : int;                (* written cells below the heap *)
   mutable hw_heap : int;               (* written cells >= heap_cell0 *)
-  mutable data_hw : int;               (* data_locs cells used by layout *)
   mutable stack_hw : int;              (* exclusive bound of stack_locs use *)
 }
 
@@ -93,23 +97,34 @@ let scrub (m : t) =
   Array.fill m.flts 0 m.hw_low 0.;
   Array.fill m.ints heap_cell0 (m.hw_heap - heap_cell0) 0;
   Array.fill m.flts heap_cell0 (m.hw_heap - heap_cell0) 0.;
-  Array.fill m.data_locs 0 m.data_hw (-1);
   Array.fill m.stack_locs 0 m.stack_hw (-1);
-  m.heap_n <- 0;
+  m.n_obj <- 0;
   m.sp <- stack_base;
   m.hp <- heap_base;
   Hashtbl.reset m.global_addr;
   m.hw_low <- 0;
   m.hw_heap <- heap_cell0;
-  m.data_hw <- 0;
   m.stack_hw <- 0
+
+(* append the object [\[lo, hi)] owned by [owner] to the extent table *)
+let add_obj m lo hi owner =
+  let n = m.n_obj in
+  if n = Array.length m.obj_lo then begin
+    let grow a = Array.append a (Array.make n 0) in
+    m.obj_lo <- grow m.obj_lo;
+    m.obj_hi <- grow m.obj_hi;
+    m.obj_owner <- grow m.obj_owner
+  end;
+  m.obj_lo.(n) <- lo;
+  m.obj_hi.(n) <- hi;
+  m.obj_owner.(n) <- owner;
+  m.n_obj <- n + 1
 
 (** Create a memory image with the program's globals laid out in the data
     segment.  [heap_bytes] bounds heap allocation. *)
 let create ?(heap_bytes = 24 * 1024 * 1024) (p : Sir.prog) : t =
   let size = heap_base + heap_bytes in
   let cells = size / Types.cell_size in
-  let data_cells = (stack_base - data_base) / Types.cell_size in
   let stack_cells = (stack_limit - stack_base) / Types.cell_size in
   let m =
     match take_pooled size with
@@ -118,17 +133,16 @@ let create ?(heap_bytes = 24 * 1024 * 1024) (p : Sir.prog) : t =
       { ints = Array.make cells 0;
         flts = Array.make cells 0.;
         size;
-        data_locs = Array.make data_cells (-1);
         stack_locs = Array.make stack_cells (-1);
-        heap_allocs = Array.make 64 (0, 0, 0);
-        heap_n = 0;
-        heap_last = 0;
+        obj_lo = Array.make 64 0;
+        obj_hi = Array.make 64 0;
+        obj_owner = Array.make 64 0;
+        n_obj = 0;
         sp = stack_base;
         hp = heap_base;
         global_addr = Hashtbl.create 16;
         hw_low = 0;
         hw_heap = heap_cell0;
-        data_hw = 0;
         stack_hw = 0 }
   in
   let next = ref data_base in
@@ -136,14 +150,11 @@ let create ?(heap_bytes = 24 * 1024 * 1024) (p : Sir.prog) : t =
     (fun g ->
       let v = Symtab.var p.Sir.syms g in
       Hashtbl.replace m.global_addr g !next;
-      let cells_used = max 1 (v.Symtab.vsize / Types.cell_size) in
-      for c = 0 to cells_used - 1 do
-        m.data_locs.((!next - data_base) / Types.cell_size + c) <- g
-      done;
-      next := !next + cells_used * Types.cell_size)
+      let bytes = max 1 (v.Symtab.vsize / Types.cell_size) * Types.cell_size in
+      if !next + bytes > stack_base then fault "data segment overflow";
+      add_obj m !next (!next + bytes) g;
+      next := !next + bytes)
     p.Sir.globals;
-  m.data_hw <- (!next - data_base) / Types.cell_size;
-  if !next > stack_base then fault "data segment overflow";
   m
 
 let check m addr what =
@@ -228,55 +239,53 @@ let malloc m ~site bytes =
   let addr = m.hp in
   if addr + bytes > m.size then fault "heap exhausted";
   m.hp <- m.hp + bytes;
-  if m.heap_n = Array.length m.heap_allocs then begin
-    let a = Array.make (2 * m.heap_n) (0, 0, 0) in
-    Array.blit m.heap_allocs 0 a 0 m.heap_n;
-    m.heap_allocs <- a
-  end;
-  m.heap_allocs.(m.heap_n) <- (addr, bytes, site);
-  m.heap_n <- m.heap_n + 1;
+  add_obj m addr m.hp (-2 - site);
   addr
 
 (* ---- LOC resolution ---- *)
 
-(* Allocation site of the heap object holding [addr], encoded as for
-   [owner].  The allocation found last is tried before the binary
-   search; its range is re-checked, so a stale index is harmless. *)
-let heap_owner m addr =
-  let i = m.heap_last in
-  let start, len, site =
-    if i < m.heap_n then m.heap_allocs.(i) else (0, 0, 0)
-  in
-  if addr >= start && addr < start + len then -2 - site
-  else begin
-    let lo = ref 0 and hi = ref (m.heap_n - 1) and found = ref (-1) in
-    while !lo <= !hi do
-      let mid = (!lo + !hi) / 2 in
-      let start, len, site = m.heap_allocs.(mid) in
-      if addr < start then hi := mid - 1
-      else if addr >= start + len then lo := mid + 1
-      else begin
-        found := -2 - site;
-        m.heap_last <- mid;
-        lo := !hi + 1
-      end
-    done;
-    !found
-  end
+type found = {
+  mutable owner : int;
+  mutable lo : int;
+  mutable hi : int;
+}
 
-(** What [addr] belongs to, without allocating: a variable id ([>= 0]),
-    [-2 - site] for a heap object allocated at [site], or [-1]. *)
-let owner m addr =
-  if addr >= data_base && addr < stack_base then
-    m.data_locs.(cell (addr - data_base))
-  else if addr >= stack_base && addr < stack_limit then
-    m.stack_locs.(cell (addr - stack_base))
-  else if addr >= heap_base && addr < m.hp then heap_owner m addr
-  else -1
+let found () = { owner = -1; lo = 0; hi = 0 }
+
+(** Resolve [addr] into [f]: its owner — a variable id ([>= 0]),
+    [-2 - site] for a heap allocation made at [site], or [-1] — and
+    [\[f.lo, f.hi)], the extent of a global or heap allocation holding
+    it, or an empty range for a stack cell or an unowned address. *)
+let resolve m addr f =
+  if addr >= stack_base && addr < stack_limit then begin
+    f.owner <- m.stack_locs.(cell (addr - stack_base));
+    f.lo <- 0;
+    f.hi <- 0
+  end
+  else begin
+    (* the last object starting at or below [addr] *)
+    let lo = ref 0 and hi = ref (m.n_obj - 1) in
+    while !lo <= !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if m.obj_lo.(mid) <= addr then lo := mid + 1 else hi := mid - 1
+    done;
+    let i = !hi in
+    if i >= 0 && addr < m.obj_hi.(i) then begin
+      f.owner <- m.obj_owner.(i);
+      f.lo <- m.obj_lo.(i);
+      f.hi <- m.obj_hi.(i)
+    end
+    else begin
+      f.owner <- -1;
+      f.lo <- 0;
+      f.hi <- 0
+    end
+  end
 
 (** Resolve an address to its abstract memory location. *)
 let loc_of_addr m addr : Loc.t option =
-  let o = owner m addr in
-  if o >= 0 then Some (Loc.Lvar o)
-  else if o = -1 then None
-  else Some (Loc.Lheap (-2 - o))
+  let f = found () in
+  resolve m addr f;
+  if f.owner >= 0 then Some (Loc.Lvar f.owner)
+  else if f.owner = -1 then None
+  else Some (Loc.Lheap (-2 - f.owner))

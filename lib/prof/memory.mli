@@ -8,6 +8,13 @@
     it was written — the same assumption the type-based alias analysis
     makes).
 
+    The memory also resolves an address to what it belongs to, for the
+    alias profiler ({!resolve}).  Globals and heap allocations keep
+    their owner for the whole run, so they sit in one table of extents
+    sorted by address, searched by bisection; stack cells change owner
+    as frames are pushed and popped, so the stack keeps an owner per
+    cell.
+
     The record type is exposed (rather than abstract) deliberately: the
     threaded-code engine ({!Vm}) inlines the bounds check and the cell
     array access in its dispatch loop, falling back to the checked
@@ -30,12 +37,13 @@ type t = {
   flts : float array;
   size : int;                          (* in bytes *)
   (* LOC resolution *)
-  data_locs : int array;               (* data cell index -> var id *)
   mutable stack_locs : int array;      (* stack cell index -> var id, -1 none *)
-  mutable heap_allocs : (int * int * int) array;
-      (* (start addr, byte length, alloc site), sorted by start *)
-  mutable heap_n : int;
-  mutable heap_last : int;             (* heap_allocs index [owner] last hit *)
+  mutable obj_lo : int array;
+      (* start addresses of the globals, then of the heap allocations,
+         ascending *)
+  mutable obj_hi : int array;          (* object index -> end address *)
+  mutable obj_owner : int array;       (* var id, or -2 - alloc site *)
+  mutable n_obj : int;
   mutable sp : int;                    (* next free stack address *)
   mutable hp : int;                    (* next free heap address *)
   global_addr : (int, int) Hashtbl.t;  (* var id -> address *)
@@ -44,7 +52,6 @@ type t = {
      heap sits 16 MB into the address space *)
   mutable hw_low : int;                (* written cells below the heap *)
   mutable hw_heap : int;               (* written cells in the heap *)
-  mutable data_hw : int;               (* data_locs cells used by layout *)
   mutable stack_hw : int;              (* exclusive bound of stack_locs use *)
 }
 
@@ -83,12 +90,28 @@ val pop_frame : t -> int -> unit
 
 val malloc : t -> site:int -> int -> int
 
-(** What an address belongs to, without allocating: a variable id
-    ([>= 0]), [-2 - site] for a heap object allocated at [site], or
-    [-1] for nothing.  A one-entry cache of the last heap object found
-    sits in front of the heap's binary search. *)
-val owner : t -> int -> int
+(** What an address belongs to, as {!resolve} finds it. *)
+type found = {
+  mutable owner : int;
+      (** a variable id ([>= 0]), [-2 - site] for a heap allocation
+          made at [site], or [-1] for nothing *)
+  mutable lo : int;
+  mutable hi : int;
+      (** [\[lo, hi)] is the extent of the global or heap allocation
+          that holds the address.  Those objects keep their owner for
+          the rest of the run, so a caller may take any address inside
+          the extent to belong to [owner] without asking again.  The
+          range is empty ([lo = hi]) for a stack cell, whose owner
+          changes when its frame pops, and for an unowned address. *)
+}
 
-(** Resolve an address to its abstract memory location ({!owner} as a
-    LOC). *)
+(** A fresh {!found}, for {!resolve} to fill. *)
+val found : unit -> found
+
+(** [resolve m addr f] fills [f] with what [addr] belongs to, without
+    allocating. *)
+val resolve : t -> int -> found -> unit
+
+(** Resolve an address to its abstract memory location ({!resolve}'s
+    owner as a LOC). *)
 val loc_of_addr : t -> int -> Loc.t option

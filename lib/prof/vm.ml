@@ -39,11 +39,19 @@ type recorder = {
   site_hits : int array array;
   site_n : int array;
   site_last : int array;
+  cache_lo : int array;
+  cache_hi : int array;
+  cache_loc : int array;
   call_mod : Bytes.t;
   call_ref : Bytes.t;
   open_count : int array;
   open_slots : int array;
   mutable n_open : int;
+  mutable epoch : int;
+  mod_stamp : int array;
+  ref_stamp : int array;
+  mutable lookups : int;
+  found : Memory.found;
   mutable ref_addr : int;
   mutable loads : int;
   mutable reused : int;
@@ -58,7 +66,8 @@ let recorder (lay : V.layout) n_funcs =
   let n_refs = Array.length lay.V.ref_sites in
   let n_calls = Array.length lay.V.call_sites in
   let n_classes = Array.length lay.V.classes in
-  let bits = n_calls * Array.length lay.V.locs in
+  let n_locs = Array.length lay.V.locs in
+  let bits = n_calls * n_locs in
   { lay;
     entries = Array.make n_funcs 0;
     invocations = 0;
@@ -68,11 +77,19 @@ let recorder (lay : V.layout) n_funcs =
     site_hits = Array.make n_refs [||];
     site_n = Array.make n_refs 0;
     site_last = Array.make n_refs (-1);
+    cache_lo = Array.make n_refs 0;
+    cache_hi = Array.make n_refs 0;
+    cache_loc = Array.make n_refs (-1);
     call_mod = Bytes.make bits '\000';
     call_ref = Bytes.make bits '\000';
     open_count = Array.make n_calls 0;
     open_slots = Array.make n_calls 0;
     n_open = 0;
+    epoch = 0;
+    mod_stamp = Array.make n_locs (-1);
+    ref_stamp = Array.make n_locs (-1);
+    lookups = 0;
+    found = Memory.found ();
     ref_addr = 0;
     loads = 0;
     reused = 0;
@@ -174,10 +191,20 @@ let[@inline] glob_addr st g =
 
 (* ---- profile recording ---- *)
 (* Nothing here allocates per access (a site's LOC table grows at most
-   a few times per run). *)
+   a few times per run), and a reference event is O(1) in the common
+   case: a direct reference carries its LOC id from the lowering, an
+   indirect one whose address falls in the object its slot saw last
+   reuses that object's LOC, and a LOC already marked under the current
+   set of open call sites is not marked again.  None of this is inlined
+   into [exec_func]'s loop: the profile opcodes call it. *)
 
-let loc_id pr (m : Memory.t) addr =
-  let o = Memory.owner m addr in
+(* LOC id of what [addr] belongs to; leaves the owning object's extent
+   in [pr.found] *)
+let lookup pr (m : Memory.t) addr =
+  pr.lookups <- pr.lookups + 1;
+  let f = pr.found in
+  Memory.resolve m addr f;
+  let o = f.Memory.owner in
   if o >= 0 then pr.lay.V.loc_of_vid.(o)
   else if o = -1 then -1
   else pr.lay.V.loc_of_heap_site.(-2 - o)
@@ -206,23 +233,81 @@ let site_loc pr r loc =
     pr.site_last.(r) <- !j
   end
 
-(* a memory reference: [r] is the indirect reference's slot (-1 for a
-   direct one); the LOC joins the mod or ref set of every open call
-   site *)
-let record_ref st r store addr =
-  let pr = st.pr in
-  pr.ref_addr <- addr;
-  let loc = loc_id pr st.mem addr in
-  if r >= 0 then begin
-    pr.ref_counts.(r) <- pr.ref_counts.(r) + 1;
-    if loc >= 0 then site_loc pr r loc
-  end;
-  if loc >= 0 && pr.n_open > 0 then begin
+(* [loc] joins the mod (a store) or ref set of every open call slot.
+   The open set changes only where [epoch] moves, and marks only ever
+   set bits, so a LOC stamped with the current epoch is marked under
+   every open slot already *)
+let mark pr store loc =
+  let stamp = if store <> 0 then pr.mod_stamp else pr.ref_stamp in
+  if stamp.(loc) <> pr.epoch then begin
+    stamp.(loc) <- pr.epoch;
     let bits = if store <> 0 then pr.call_mod else pr.call_ref in
     let nl = Array.length pr.lay.V.locs in
     for i = 0 to pr.n_open - 1 do
       Bytes.unsafe_set bits ((pr.open_slots.(i) * nl) + loc) '\001'
     done
+  end
+
+(* a direct reference to the variable with LOC id [loc] *)
+let[@inline never] record_direct pr store loc addr =
+  pr.ref_addr <- addr;
+  if loc >= 0 && pr.n_open > 0 then mark pr store loc
+
+(* a reference through a pointer, at reference slot [r] (-1: none).
+   The slot caches the extent and LOC of the global or heap object its
+   last address fell in; those never change owner during a run.  A
+   stack address always takes the lookup, and every lookup that does
+   not refill the cache clears it, so a cached LOC is always the one at
+   the slot's [site_last] *)
+let[@inline never] record_indirect st r store addr =
+  let pr = st.pr in
+  pr.ref_addr <- addr;
+  let loc =
+    if r < 0 then lookup pr st.mem addr
+    else begin
+      pr.ref_counts.(r) <- pr.ref_counts.(r) + 1;
+      if addr >= pr.cache_lo.(r) && addr < pr.cache_hi.(r) then begin
+        let hits = pr.site_hits.(r) and j = pr.site_last.(r) in
+        hits.(j) <- hits.(j) + 1;
+        pr.cache_loc.(r)
+      end
+      else begin
+        let loc = lookup pr st.mem addr in
+        let f = pr.found in
+        if loc >= 0 then begin
+          site_loc pr r loc;
+          pr.cache_lo.(r) <- f.Memory.lo;
+          pr.cache_hi.(r) <- f.Memory.hi;
+          pr.cache_loc.(r) <- loc
+        end
+        else begin
+          pr.cache_lo.(r) <- 0;
+          pr.cache_hi.(r) <- 0
+        end;
+        loc
+      end
+    end
+  in
+  if loc >= 0 && pr.n_open > 0 then mark pr store loc
+
+(* call slot [k] opens; [open_slots] holds each open slot once,
+   outermost first: calls nest, so a slot whose last activation closes
+   is on top *)
+let[@inline never] cs_push pr k =
+  let c = pr.open_count.(k) in
+  if c = 0 then begin
+    pr.open_slots.(pr.n_open) <- k;
+    pr.n_open <- pr.n_open + 1;
+    pr.epoch <- pr.epoch + 1
+  end;
+  pr.open_count.(k) <- c + 1
+
+let[@inline never] cs_pop pr k =
+  let c = pr.open_count.(k) - 1 in
+  pr.open_count.(k) <- c;
+  if c = 0 then begin
+    pr.n_open <- pr.n_open - 1;
+    pr.epoch <- pr.epoch + 1
   end
 
 (* load-reuse observation of the value just loaded from the address of
@@ -1091,17 +1176,17 @@ let rec exec_func st fix (ai : int array) (af : float array) : unit =
       ec.(e) <- ec.(e) + 1;
       loop (Array.unsafe_get code (pc + 2))
     | 124 (* MREF_G *) ->
-      record_ref st (Array.unsafe_get code (pc + 1))
-        (Array.unsafe_get code (pc + 2))
+      record_direct st.pr (Array.unsafe_get code (pc + 2))
+        (Array.unsafe_get code (pc + 1))
         (glob_addr st (Array.unsafe_get code (pc + 3)));
       loop (pc + 4)
     | 125 (* MREF_S *) ->
-      record_ref st (Array.unsafe_get code (pc + 1))
-        (Array.unsafe_get code (pc + 2))
+      record_direct st.pr (Array.unsafe_get code (pc + 2))
+        (Array.unsafe_get code (pc + 1))
         (Array.unsafe_get addrs (Array.unsafe_get code (pc + 3)));
       loop (pc + 4)
     | 126 (* MREF_R *) ->
-      record_ref st (Array.unsafe_get code (pc + 1))
+      record_indirect st (Array.unsafe_get code (pc + 1))
         (Array.unsafe_get code (pc + 2))
         (Array.unsafe_get ints (Array.unsafe_get code (pc + 3)));
       loop (pc + 4)
@@ -1114,23 +1199,10 @@ let rec exec_func st fix (ai : int array) (af : float array) : unit =
         (Array.unsafe_get flts (Array.unsafe_get code (pc + 2)));
       loop (pc + 3)
     | 129 (* CS_PUSH *) ->
-      (* [open_slots] holds each open call slot once, outermost first:
-         calls nest, so a slot whose last activation closes is on top *)
-      let pr = st.pr in
-      let k = Array.unsafe_get code (pc + 1) in
-      let c = pr.open_count.(k) in
-      if c = 0 then begin
-        pr.open_slots.(pr.n_open) <- k;
-        pr.n_open <- pr.n_open + 1
-      end;
-      pr.open_count.(k) <- c + 1;
+      cs_push st.pr (Array.unsafe_get code (pc + 1));
       loop (pc + 2)
     | 130 (* CS_POP *) ->
-      let pr = st.pr in
-      let k = Array.unsafe_get code (pc + 1) in
-      let c = pr.open_count.(k) - 1 in
-      pr.open_count.(k) <- c;
-      if c = 0 then pr.n_open <- pr.n_open - 1;
+      cs_pop st.pr (Array.unsafe_get code (pc + 1));
       loop (pc + 2)
     | op -> error "vm: corrupt bytecode (opcode %d at %d in %s)" op pc
               vf.V.vname

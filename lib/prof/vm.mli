@@ -44,6 +44,13 @@ type recorder = private {
   site_hits : int array array;    (** matching observation counts *)
   site_n : int array;             (** used prefix of each LOC table *)
   site_last : int array;          (** index of the slot's last LOC *)
+  cache_lo : int array;
+  cache_hi : int array;
+      (** reference slot → extent [\[lo, hi)] of the global or heap
+          object its last address fell in; empty after a stack or
+          unowned address *)
+  cache_loc : int array;
+      (** that object's LOC id, the one at the slot's [site_last] *)
   call_mod : Bytes.t;
       (** byte [k * n_locs + l] is nonzero iff LOC [l] was stored to
           while call slot [k] was open *)
@@ -51,6 +58,17 @@ type recorder = private {
   open_count : int array;         (** call slot → open activations *)
   open_slots : int array;         (** distinct open call slots *)
   mutable n_open : int;
+  mutable epoch : int;
+      (** moves whenever the set of open call slots changes *)
+  mod_stamp : int array;
+      (** LOC id → epoch in which it last joined the open slots' mod
+          sets *)
+  ref_stamp : int array;          (** same, for the ref sets *)
+  mutable lookups : int;
+      (** reference events resolved through {!Memory.resolve}: indirect
+          references whose address left the object their slot cached,
+          stack addresses included *)
+  found : Memory.found;           (** {!Memory.resolve}'s last answer *)
   mutable ref_addr : int;         (** address of the latest reference *)
   mutable loads : int;            (** load-value observations *)
   mutable reused : int;           (** of which potential reuses *)
@@ -64,7 +82,15 @@ type recorder = private {
 (** Run profile-mode bytecode ({!Vmcode.profile}) from [main], counting
     into a fresh recorder.  The profile opcodes spend no steps and no
     fuel: the result is the one {!run_program} returns for the plain
-    lowering. *)
+    lowering.
+
+    A reference event costs O(1) in the common case.  A direct
+    reference carries its variable's LOC id from the lowering.  An
+    indirect one looks its address up in {!Memory} only when the
+    address leaves the global or heap object its slot saw last; stack
+    addresses, whose owner changes as frames pop, are always looked up.
+    A LOC joins the mod/ref sets of the open call slots only once per
+    change of the open set. *)
 val profile :
   ?fuel:int -> ?heap_bytes:int ->
   Vmcode.program -> Vmcode.layout -> Interp.result * recorder

@@ -36,9 +36,11 @@
     one counter per CFG edge, a memory-reference event before every
     load and store, call-site open/close around user calls, and
     optionally a load-value observation after every load) and turns
-    load/ALU fusion off so every access is a separate load.  The
-    instrumentation opcodes spend no fuel and no steps, and ordinary
-    lowering never emits them. *)
+    load/ALU fusion off so every access is a separate load.  A direct
+    reference's event carries its variable's LOC id, so the vm never
+    looks up its address; an indirect one carries its reference slot.
+    The instrumentation opcodes spend no fuel and no steps, and
+    ordinary lowering never emits them. *)
 
 module I = Interp
 
@@ -178,10 +180,11 @@ let op_call_unknown = 121 (* s      — calls++; raise Invalid_argument *)
 (* profile mode only (see [profile]); none of these spends steps *)
 let op_entry = 122      (* f        — function f entered *)
 let op_edge = 123       (* e L      — count CFG edge e, jump to L *)
-let op_mref_g = 124     (* r w g    — reference to global g; r = reference
-                                      slot (-1: direct), w = 1 for a store *)
-let op_mref_s = 125     (* r w a    — via frame addr slot a *)
-let op_mref_r = 126     (* r w a    — via ints.(a) *)
+let op_mref_g = 124     (* l w g    — reference to global g, whose LOC id
+                                      is l; w = 1 for a store *)
+let op_mref_s = 125     (* l w a    — to the frame variable behind addr
+                                      slot a, whose LOC id is l *)
+let op_mref_r = 126     (* r w a    — via ints.(a); r = reference slot *)
 let op_ldv_i = 127      (* c d      — ints.(d) was just loaded, class c *)
 let op_ldv_f = 128      (* c d *)
 let op_cs_push = 129    (* k        — call slot k opens *)
@@ -267,6 +270,8 @@ type prof = {
   site_text : (int, string) Hashtbl.t;   (* site -> printed address *)
   mutable fix : int;                     (* function being lowered *)
   mutable fname : string;
+  loc_of_vid : int array;                (* var id -> LOC id, -1 if none *)
+  mutable slot_locs : int array;         (* addr slot -> LOC id, -1 *)
   edge_ids : (int * int * int) interner;
   ref_slots : int interner;
   call_slots : int interner;
@@ -315,14 +320,31 @@ let err em msg = e2 em op_err (spool_ix em.pools msg)
 
 let no_slot_err em name = err em (Fmt.str "no stack slot for %s" name)
 
-(* profile mode: the memory-reference event right before an access;
-   [site] is an indirect reference's site, -1 for a direct one *)
-let mref em op ~site ~store src =
+(* profile mode: the memory-reference event right before an access.  A
+   direct reference to global [g] or to the frame variable behind
+   address slot [s] carries that variable's LOC id; an indirect one
+   through [ints.(sa)] carries the reference slot of its [site] *)
+let mref em op ~store arg src =
+  e4 em op arg (if store then 1 else 0) src
+
+let mref_glob em ~store g =
+  match em.prof with
+  | None -> ()
+  | Some p -> mref em op_mref_g ~store p.loc_of_vid.(g) g
+
+let mref_slot em ~store s =
+  match em.prof with
+  | None -> ()
+  | Some p ->
+    let loc = if s < Array.length p.slot_locs then p.slot_locs.(s) else -1 in
+    mref em op_mref_s ~store loc s
+
+let mref_ind em ~store ~site sa =
   match em.prof with
   | None -> ()
   | Some p ->
     let slot = if site < 0 then -1 else intern p.ref_slots site in
-    e4 em op slot (if store then 1 else 0) src
+    mref em op_mref_r ~store slot sa
 
 (* profile mode with values: the load just performed into [dst], in its
    load-reuse equivalence class — the variable, or the printed address
@@ -344,18 +366,18 @@ let load_value em ~fp dst (which : [ `Site of int | `Var of int ]) =
 let direct_load em ~fp dst (vr : I.vref) vid =
   match vr with
   | I.Rglob g ->
-    mref em op_mref_g ~site:(-1) ~store:false g;
+    mref_glob em ~store:false g;
     e3 em (if fp then op_ldg_f else op_ldg_i) dst g;
     load_value em ~fp dst (`Var vid)
   | I.Rslot s ->
-    mref em op_mref_s ~site:(-1) ~store:false s;
+    mref_slot em ~store:false s;
     e3 em (if fp then op_lds_f else op_lds_i) dst s;
     load_value em ~fp dst (`Var vid)
   | I.Rnone n -> no_slot_err em n
 
 (* load through the address in slot [sa] *)
 let indirect_load em ~fp ~spec dst sa ~site which =
-  mref em op_mref_r ~site ~store:false sa;
+  mref_ind em ~store:false ~site sa;
   let op =
     match fp, spec with
     | false, false -> op_iload_i | false, true -> op_iload_si
@@ -534,17 +556,17 @@ let lower_stmt em (s : I.cstmt) =
     let v = slot_i em 0 e in
     (match vr with
      | I.Rglob g ->
-       mref em op_mref_g ~site:(-1) ~store:true g; e3 em op_stg_i g v
+       mref_glob em ~store:true g; e3 em op_stg_i g v
      | I.Rslot s ->
-       mref em op_mref_s ~site:(-1) ~store:true s; e3 em op_sts_i s v
+       mref_slot em ~store:true s; e3 em op_sts_i s v
      | I.Rnone n -> no_slot_err em n)
   | I.CSstorev_f { vr; e } ->
     let v = slot_f em 0 e in
     (match vr with
      | I.Rglob g ->
-       mref em op_mref_g ~site:(-1) ~store:true g; e3 em op_stg_f g v
+       mref_glob em ~store:true g; e3 em op_stg_f g v
      | I.Rslot s ->
-       mref em op_mref_s ~site:(-1) ~store:true s; e3 em op_sts_f s v
+       mref_slot em ~store:true s; e3 em op_sts_f s v
      | I.Rnone n -> no_slot_err em n)
   | I.CSchk_ilod { tvid; slot; fp; a; dd; _ } ->
     let sa = slot_i em 0 a in
@@ -570,7 +592,7 @@ let lower_stmt em (s : I.cstmt) =
     (* the store's operands are all evaluated before its reference
        event, so store fusion survives profile mode *)
     let sa = slot_i em 0 a in
-    let store () = mref em op_mref_r ~site ~store:true sa in
+    let store () = mref_ind em ~store:true ~site sa in
     (match e with
      | I.Iconst i -> store (); e3 em op_ist_ii sa i
      | I.Ibin (Spec_ir.Sir.Add, x, I.Iconst i) ->
@@ -589,7 +611,7 @@ let lower_stmt em (s : I.cstmt) =
   | I.CSistr_f { a; e; site } ->
     let sa = slot_i em 0 a in
     let v = slot_f em 1 e in
-    mref em op_mref_r ~site ~store:true sa;
+    mref_ind em ~store:true ~site sa;
     e3 em op_ist_f sa v
   | I.CScall { target; args; ret_slot; ret_fp; csite } ->
     let rfp = if ret_fp then 1 else 0 in
@@ -806,8 +828,10 @@ let site_texts (p : Spec_ir.Sir.prog) =
   tbl
 
 (* LOC ids: every variable the memory image can name (globals, then
-   memory-resident locals and formals), then every allocation site *)
-let loc_table (p : Spec_ir.Sir.prog) (vfuncs : func array) heap_sites =
+   memory-resident locals and formals), then every allocation site.  The
+   variables are numbered before lowering, so that a direct reference
+   can carry its LOC id *)
+let var_locs (p : Spec_ir.Sir.prog) (cfuncs : I.cfunc array) =
   let nsyms = Spec_ir.Symtab.count p.Spec_ir.Sir.syms in
   let loc_of_vid = Array.make nsyms (-1) in
   let locs = ref [] and n = ref 0 in
@@ -820,30 +844,47 @@ let loc_table (p : Spec_ir.Sir.prog) (vfuncs : func array) heap_sites =
   in
   List.iter add_var p.Spec_ir.Sir.globals;
   Array.iter
-    (fun vf ->
-      Array.iter (fun (_, vid, _) -> add_var vid) vf.vmem_locals;
+    (fun (cf : I.cfunc) ->
+      Array.iter (fun (_, vid, _) -> add_var vid) cf.I.mem_locals;
       Array.iter
         (function I.Fm_mem { vid; _ } -> add_var vid | I.Fm_reg _ -> ())
-        vf.vformals)
-    vfuncs;
-  let max_site = Array.fold_left max (-1) heap_sites in
-  let loc_of_heap_site = Array.make (max_site + 1) (-1) in
+        cf.I.formals)
+    cfuncs;
+  (List.rev !locs, loc_of_vid)
+
+(* LOC id of the variable behind each of [cf]'s address slots, pushed in
+   [Vm.exec_func]'s order: locals, then formals *)
+let slot_locs loc_of_vid (cf : I.cfunc) =
+  let n =
+    Array.fold_left (fun n (slot, _, _) -> max n (slot + 1)) cf.I.n_addr
+      cf.I.mem_locals
+  in
+  let n =
+    Array.fold_left
+      (fun n -> function
+        | I.Fm_mem { aslot; _ } -> max n (aslot + 1)
+        | I.Fm_reg _ -> n)
+      n cf.I.formals
+  in
+  let a = Array.make n (-1) in
+  Array.iter (fun (slot, vid, _) -> a.(slot) <- loc_of_vid.(vid))
+    cf.I.mem_locals;
   Array.iter
-    (fun s ->
-      loc_of_heap_site.(s) <- !n;
-      locs := Spec_ir.Loc.Lheap s :: !locs;
-      incr n)
-    heap_sites;
-  (Array.of_list (List.rev !locs), loc_of_vid, loc_of_heap_site)
+    (function
+      | I.Fm_mem { aslot; vid; _ } -> a.(aslot) <- loc_of_vid.(vid)
+      | I.Fm_reg _ -> ())
+    cf.I.formals;
+  a
 
 (** Profile-mode lowering of a fresh (unspeculated) program, with the
     layout its dense ids index. *)
 let profile ?(values = false) (p : Spec_ir.Sir.prog) : program * layout =
   let comp = I.compile p in
+  let var_locs, loc_of_vid = var_locs p comp.I.cfuncs in
   let prof =
     { values;
       site_text = (if values then site_texts p else Hashtbl.create 1);
-      fix = 0; fname = "";
+      fix = 0; fname = ""; loc_of_vid; slot_locs = [||];
       edge_ids = interner (); ref_slots = interner ();
       call_slots = interner (); heap_sites = interner ();
       classes = interner () }
@@ -854,16 +895,24 @@ let profile ?(values = false) (p : Spec_ir.Sir.prog) : program * layout =
       (fun fix (cf : I.cfunc) ->
         prof.fix <- fix;
         prof.fname <- cf.I.cname;
+        prof.slot_locs <- slot_locs loc_of_vid cf;
         lower_func ~prof pools cf)
       comp.I.cfuncs
   in
-  let locs, loc_of_vid, loc_of_heap_site =
-    loc_table p vfuncs (interned prof.heap_sites)
+  let heap_sites = interned prof.heap_sites in
+  let n_vars = List.length var_locs in
+  let loc_of_heap_site =
+    Array.make (Array.fold_left max (-1) heap_sites + 1) (-1)
+  in
+  Array.iteri (fun i s -> loc_of_heap_site.(s) <- n_vars + i) heap_sites;
+  let heap_locs =
+    Array.map (fun s -> Spec_ir.Loc.Lheap s) heap_sites
   in
   ( assemble comp pools vfuncs,
     { edges = interned prof.edge_ids;
       ref_sites = interned prof.ref_slots;
       call_sites = interned prof.call_slots;
-      locs; loc_of_vid; loc_of_heap_site;
+      locs = Array.append (Array.of_list var_locs) heap_locs;
+      loc_of_vid; loc_of_heap_site;
       classes = interned prof.classes } )
 

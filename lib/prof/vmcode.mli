@@ -68,7 +68,8 @@ type layout = {
     conditional, compare-and-branch fusion kept), a memory-reference
     event before every load and store of a memory variable or through a
     pointer (formal spills excluded, as in the pinned hook-era
-    profiles), and
+    profiles; a direct reference's event carries the variable's LOC
+    id), and
     call-site open/close around every user call.  Load/ALU fusion is
     off.  With [values], every load is followed by a load-value
     observation for {!Load_reuse}.  The program must be unspeculated:

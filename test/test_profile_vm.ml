@@ -113,6 +113,34 @@ let test_reuse_counts () =
       check_int (w.W.name ^ " reuses") reused lr.Load_reuse.reused_loads)
     W.all
 
+(* A direct reference never asks [Memory] what its address belongs to,
+   and an indirect one asks only when its address leaves the global or
+   heap object its site saw last (stack addresses always ask).  So the
+   lookups stay a small share of the indirect reference executions: at
+   most a quarter on every kernel input, and a twentieth over the ten
+   train inputs. *)
+let test_lookups_bounded () =
+  let lookups = ref 0 and refs = ref 0 in
+  List.iter
+    (fun (w : W.workload) ->
+      List.iter
+        (fun (tag, params) ->
+          let vp, lay = Vmcode.profile (Lower.compile (w.W.source params)) in
+          let _, pr = Vm.profile vp lay in
+          let n = Array.fold_left ( + ) 0 pr.Vm.ref_counts in
+          if 4 * pr.Vm.lookups > n then
+            Alcotest.failf "%s/%s: %d lookups for %d indirect references"
+              w.W.name tag pr.Vm.lookups n;
+          if tag = "train" then begin
+            lookups := !lookups + pr.Vm.lookups;
+            refs := !refs + n
+          end)
+        (inputs w))
+    W.all;
+  if 20 * !lookups > !refs then
+    Alcotest.failf "train inputs: %d lookups for %d indirect references"
+      !lookups !refs
+
 (* every block that ends in a goto or a conditional is left exactly as
    often as it is entered (its in-edges, plus the function's entries for
    the entry block) *)
@@ -230,4 +258,6 @@ let suite =
       test_reuse_counts;
     Alcotest.test_case "profile digests of generated programs" `Quick
       test_profile_digests;
+    Alcotest.test_case "few reference events look up their address" `Quick
+      test_lookups_bounded;
     QCheck_alcotest.to_alcotest prop_profile_consistent ]

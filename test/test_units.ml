@@ -103,7 +103,48 @@ let test_memory_stack_and_heap () =
   check_bool "second allocation site" true
     (Spec_prof.Memory.loc_of_addr m h2 = Some (Loc.Lheap 9));
   check_bool "past-the-heap unresolved" true
-    (Spec_prof.Memory.loc_of_addr m (h2 + 64) = None)
+    (Spec_prof.Memory.loc_of_addr m (h2 + 64) = None);
+  (* every object resolves from its first cell to its last, and the cell
+     past its end belongs to the next object or to nothing; globals and
+     heap allocations report their extent, stack cells an empty one *)
+  let module M = Spec_prof.Memory in
+  let m, p = mk_mem () in
+  let f = M.found () in
+  let extent addr =
+    M.resolve m addr f;
+    (f.M.owner, f.M.lo, f.M.hi)
+  in
+  let g, h = match p.Sir.globals with [ g; h ] -> (g, h) | _ -> assert false in
+  let ga = M.global_addr m g and ha = M.global_addr m h in
+  check_bool "global extent" true (extent ga = (g, ga, ga + 8));
+  check_bool "array first cell" true (extent ha = (h, ha, ha + 32));
+  check_bool "array last cell" true (extent (ha + 24) = (h, ha, ha + 32));
+  check_bool "past the last global" true (M.loc_of_addr m (ha + 32) = None);
+  let a = M.push_frame_var m 100 16 in
+  check_bool "stack extent is empty" true (extent (a + 8) = (100, 0, 0));
+  (* 1,000 allocations of 1 to 5 cells from 7 sites, some of their byte
+     counts rounded up to a whole cell *)
+  let allocs =
+    List.init 1000 (fun i ->
+        let cells = 1 + (i mod 5) and site = i mod 7 in
+        let bytes = (cells * 8) - (i mod 3) in
+        (M.malloc m ~site bytes, cells, site))
+  in
+  List.iteri
+    (fun i (addr, cells, site) ->
+      let last = addr + ((cells - 1) * 8) and past = addr + (cells * 8) in
+      let obj = (-2 - site, addr, past) in
+      if extent addr <> obj || extent last <> obj then
+        Alcotest.failf "allocation %d does not resolve to its extent" i;
+      let next =
+        match List.nth_opt allocs (i + 1) with
+        | Some (_, _, s) -> Some (Loc.Lheap s)
+        | None -> None
+      in
+      if M.loc_of_addr m past <> next then
+        Alcotest.failf "the cell past allocation %d resolves wrongly" i)
+    allocs;
+  check_bool "unowned heap cell" true (extent (m.M.hp + 8) = (-1, 0, 0))
 
 (* ---- ALAT ---- *)
 
