@@ -51,7 +51,6 @@ type recorder = {
   mod_stamp : int array;
   ref_stamp : int array;
   mutable lookups : int;
-  found : Memory.found;
   mutable ref_addr : int;
   mutable loads : int;
   mutable reused : int;
@@ -89,7 +88,6 @@ let recorder (lay : V.layout) n_funcs =
     mod_stamp = Array.make n_locs (-1);
     ref_stamp = Array.make n_locs (-1);
     lookups = 0;
-    found = Memory.found ();
     ref_addr = 0;
     loads = 0;
     reused = 0;
@@ -110,6 +108,7 @@ type state = {
   vp : V.program;
   mem : Memory.t;
   pr : recorder;         (* profile-mode counters *)
+  found : Memory.found;  (* the recorder's last lookup *)
   ctrs : I.counters;
   out : Buffer.t;
   globals : int array;   (* orig vid -> data-segment address, -1 if none *)
@@ -199,11 +198,11 @@ let[@inline] glob_addr st g =
    into [exec_func]'s loop: the profile opcodes call it. *)
 
 (* LOC id of what [addr] belongs to; leaves the owning object's extent
-   in [pr.found] *)
-let lookup pr (m : Memory.t) addr =
+   in [st.found] *)
+let lookup st addr =
+  let pr = st.pr and f = st.found in
   pr.lookups <- pr.lookups + 1;
-  let f = pr.found in
-  Memory.resolve m addr f;
+  Memory.resolve st.mem addr f;
   let o = f.Memory.owner in
   if o >= 0 then pr.lay.V.loc_of_vid.(o)
   else if o = -1 then -1
@@ -254,16 +253,16 @@ let[@inline never] record_direct pr store loc addr =
   if loc >= 0 && pr.n_open > 0 then mark pr store loc
 
 (* a reference through a pointer, at reference slot [r] (-1: none).
-   The slot caches the extent and LOC of the global or heap object its
-   last address fell in; those never change owner during a run.  A
-   stack address always takes the lookup, and every lookup that does
-   not refill the cache clears it, so a cached LOC is always the one at
-   the slot's [site_last] *)
+   The slot caches the extent and LOC of the object its last address
+   fell in.  Globals and heap allocations keep their owner for the
+   whole run; a stack cell's extent is empty, so a stack address always
+   takes the lookup.  Every lookup rewrites the cache, which keeps the
+   cached LOC the one at the slot's [site_last] *)
 let[@inline never] record_indirect st r store addr =
   let pr = st.pr in
   pr.ref_addr <- addr;
   let loc =
-    if r < 0 then lookup pr st.mem addr
+    if r < 0 then lookup st addr
     else begin
       pr.ref_counts.(r) <- pr.ref_counts.(r) + 1;
       if addr >= pr.cache_lo.(r) && addr < pr.cache_hi.(r) then begin
@@ -272,8 +271,8 @@ let[@inline never] record_indirect st r store addr =
         pr.cache_loc.(r)
       end
       else begin
-        let loc = lookup pr st.mem addr in
-        let f = pr.found in
+        let loc = lookup st addr in
+        let f = st.found in
         if loc >= 0 then begin
           site_loc pr r loc;
           pr.cache_lo.(r) <- f.Memory.lo;
@@ -1359,7 +1358,7 @@ let run_with ~pr ~fuel ?faults ?recover ~heap_bytes (p : V.program)
     (fun g -> globals.(g) <- Memory.global_addr mem g)
     p.V.vsrc.Sir.globals;
   let st =
-    { vp = p; mem; pr;
+    { vp = p; mem; pr; found = Memory.found ();
       ctrs = { I.steps = 0; mem_loads = 0; mem_stores = 0; branches = 0;
                calls = 0; check_stmts = 0; check_reloads = 0; deopts = 0 };
       out = Buffer.create 256; globals; rng = 88172645463325252; fuel;

@@ -68,7 +68,6 @@ type recorder = private {
       (** reference events resolved through {!Memory.resolve}: indirect
           references whose address left the object their slot cached,
           stack addresses included *)
-  found : Memory.found;           (** {!Memory.resolve}'s last answer *)
   mutable ref_addr : int;         (** address of the latest reference *)
   mutable loads : int;            (** load-value observations *)
   mutable reused : int;           (** of which potential reuses *)

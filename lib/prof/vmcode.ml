@@ -335,9 +335,7 @@ let mref_glob em ~store g =
 let mref_slot em ~store s =
   match em.prof with
   | None -> ()
-  | Some p ->
-    let loc = if s < Array.length p.slot_locs then p.slot_locs.(s) else -1 in
-    mref em op_mref_s ~store loc s
+  | Some p -> mref em op_mref_s ~store p.slot_locs.(s) s
 
 let mref_ind em ~store ~site sa =
   match em.prof with
@@ -852,21 +850,9 @@ let var_locs (p : Spec_ir.Sir.prog) (cfuncs : I.cfunc array) =
     cfuncs;
   (List.rev !locs, loc_of_vid)
 
-(* LOC id of the variable behind each of [cf]'s address slots, pushed in
-   [Vm.exec_func]'s order: locals, then formals *)
+(* LOC id of the variable behind each of [cf]'s address slots *)
 let slot_locs loc_of_vid (cf : I.cfunc) =
-  let n =
-    Array.fold_left (fun n (slot, _, _) -> max n (slot + 1)) cf.I.n_addr
-      cf.I.mem_locals
-  in
-  let n =
-    Array.fold_left
-      (fun n -> function
-        | I.Fm_mem { aslot; _ } -> max n (aslot + 1)
-        | I.Fm_reg _ -> n)
-      n cf.I.formals
-  in
-  let a = Array.make n (-1) in
+  let a = Array.make cf.I.n_addr (-1) in
   Array.iter (fun (slot, vid, _) -> a.(slot) <- loc_of_vid.(vid))
     cf.I.mem_locals;
   Array.iter
