@@ -192,6 +192,6 @@ awk -v pairs="$pairs" '
         sprintf("%.4g [%.4g, %.4g]", cmed, quant(sc, n, 0.25), quant(sc, n, 0.75)),
         wins, n, verdict
     }
-    if (pairs < 10) printf "no verdict: %d pairs, fewer than the 10 a verdict needs\n", pairs
+    if (pairs < 10) printf "no verdict: %d of the 10 pairs a verdict needs\n", pairs
     exit worse
   }' "$work/metrics" "$results"
