@@ -10,7 +10,11 @@
     ALAT-operation clock.  Observable behaviour — output, return value,
     and every counter — is identical to {!Interp_ref} on every run that
     terminates; [test/test_engines.ml] and [test/test_fuzz.ml] enforce
-    this differentially across workloads, variants and fault plans. *)
+    this differentially across workloads, variants and fault plans.
+
+    The same loop runs profile-mode bytecode ({!profile}) into a dense
+    {!recorder}; a memory-reference event there costs O(1) in the
+    common case, with no address lookup for a direct reference. *)
 
 type result = Interp.result
 
