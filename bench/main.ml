@@ -74,7 +74,6 @@ let stress_seed = ref 1
 let fdo = ref false
 let compile_bench = ref false
 let traffic = ref false
-let svc_shards = ref 1
 let backends : Machine.backend list ref = ref [ Machine.Inorder ]
 
 let both_backends () = List.length !backends > 1
@@ -596,22 +595,6 @@ let traffic_cell () =
     traffic_cell_tbl := Some cell;
     cell
 
-(** Memoized sharded replay ([--shards n], n > 1): the same seeded
-    request stream against an n-wide key-routed topology, still
-    byte-diffed per request against the in-process offline arm. *)
-let shards_cell_tbl : Spec_service.Traffic.cell option ref = ref None
-
-let shards_cell () =
-  match !shards_cell_tbl with
-  | Some cell -> cell
-  | None ->
-    let cell =
-      Spec_service.Traffic.run_traffic_replay ~quick:!quick ~seed:1
-        ~shards:!svc_shards ()
-    in
-    shards_cell_tbl := Some cell;
-    cell
-
 let table_traffic () =
   section
     "Compile service: deterministic traffic replay over a unix socket";
@@ -628,28 +611,7 @@ let table_traffic () =
     c.t_p50_ms c.t_p99_ms c.t_rps c.t_wall_s c.t_seed;
   Printf.printf
     "(every daemon-served compile was byte-identical to a direct \
-     in-process compile)\n";
-  if !svc_shards > 1 then begin
-    section
-      (Printf.sprintf
-         "Compile service: same replay against %d key-routed shards"
-         !svc_shards);
-    let c = shards_cell () in
-    Printf.printf
-      "shard | requests | cold | warm | joined | parked | reports | \
-       recompiles | p50 ms | p99 ms\n";
-    List.iter
-      (fun s ->
-        Printf.printf
-          "%5d | %8d | %4d | %4d | %6d | %6d | %7d | %10d | %6.3f | %6.3f\n"
-          s.s_shard s.s_requests s.s_cold s.s_warm s.s_joined s.s_parked
-          s.s_reports s.s_recompiles s.s_p50_ms s.s_p99_ms)
-      c.t_per_shard;
-    Printf.printf
-      "aggregate: p50 %.3f ms  p99 %.3f ms  throughput %.1f req/s  \
-       (%.2f s replay, 0 divergences from the unsharded oracle)\n"
-      c.t_p50_ms c.t_p99_ms c.t_rps c.t_wall_s
-  end
+     in-process compile)\n"
 
 (* ------------------------------------------------------------------ *)
 (* Machine-readable bench dump (--json)                                *)
@@ -715,11 +677,6 @@ let json_dump () =
       Some (Spec_service.Traffic.to_json (traffic_cell ()))
     else None
   in
-  let shards_blob =
-    if (!traffic || List.mem "traffic" !tables) && !svc_shards > 1 then
-      Some (Spec_service.Traffic.shards_to_json (shards_cell ()))
-    else None
-  in
   let wall = Unix.gettimeofday () -. t0 in
   let out =
     Bench_json.dump ~date:(date_string ())
@@ -731,7 +688,7 @@ let json_dump () =
       ?backends:backends_blob ?engines:engines_blob ?mdp:mdp_blob
       ?stress:stress_blob ?fdo:fdo_blob
       ?compile:compile_blob ?safety:safety_blob ?service:service_blob
-      ?shards:shards_blob blobs
+      blobs
   in
   print_string out;
   match !json_file with
@@ -782,7 +739,7 @@ let known_tables =
    the value is missing *)
 let known_args =
   "--quick, --full, --jobs N, --table NAME, --micro, --stress, \
-   --stress-seed N, --fdo, --compile-bench, --traffic, --shards N, \
+   --stress-seed N, --fdo, --compile-bench, --traffic, \
    --backend inorder|ooo|both, --json, --json-file PATH"
 
 let () =
@@ -796,13 +753,6 @@ let () =
     | "--fdo" :: rest -> fdo := true; parse rest
     | "--compile-bench" :: rest -> compile_bench := true; parse rest
     | "--traffic" :: rest -> traffic := true; parse rest
-    | "--shards" :: n :: rest ->
-      (match int_of_string_opt n with
-       | Some n when n >= 1 -> svc_shards := n
-       | _ ->
-         Printf.eprintf "--shards expects a positive integer, got %s\n" n;
-         exit 2);
-      parse rest
     | "--stress-seed" :: n :: rest ->
       (match int_of_string_opt n with
        | Some n -> stress_seed := n

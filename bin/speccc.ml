@@ -222,7 +222,19 @@ let recover_plan recover src =
   | `Reload -> None
   | `Deopt -> Some (Spec_safety.Deopt.make_plan (Lower.compile src))
 
-let open_cache dir = Option.map (fun d -> Spec_fdo.Cache.create d) dir
+(* A cache directory that is not a directory, or cannot be created, is
+   a usage error: name the flag and exit 2, as a bad --decay does. *)
+let cache_or_exit dir =
+  let fail reason =
+    Printf.eprintf "speccc: --cache-dir %s: %s\n" dir reason;
+    exit 2
+  in
+  match Spec_fdo.Cache.create dir with
+  | c -> c
+  | exception Invalid_argument _ -> fail "not a directory"
+  | exception Unix.Unix_error (e, _, _) -> fail (Unix.error_message e)
+
+let open_cache dir = Option.map cache_or_exit dir
 
 let report_cache cache =
   match cache with
@@ -688,30 +700,26 @@ let serve_cmd =
     Arg.(value & flag
          & info [ "verbose" ] ~doc:"log every request to stderr")
   in
-  let shards =
-    Arg.(value & opt int 1
-         & info [ "shards" ] ~docv:"N"
-             ~doc:"run N daemon cores behind one router, each owning a \
-                   disjoint slice of the compile cache and profile \
-                   stores; requests route by cache-key / unit-digest \
-                   prefix, stats and shutdown fan out (default 1)")
-  in
-  let action socket cache_dir max_entries decay drift verbose shards jobs =
+  let action socket cache_dir max_entries decay drift verbose jobs =
     set_jobs jobs;
     if decay < 0. || decay > 1. then begin
       Printf.eprintf "speccc: --decay must be in [0, 1]\n";
       exit 2
     end;
-    if shards < 1 then begin
-      Printf.eprintf "speccc: --shards must be at least 1\n";
-      exit 2
-    end;
+    (match max_entries with
+     | Some n when n < 1 ->
+       Printf.eprintf "speccc: --max-entries must be at least 1\n";
+       exit 2
+     | _ -> ());
+    (* before the socket is bound: a bad cache directory leaves no
+       socket file behind *)
+    ignore (cache_or_exit cache_dir : Spec_fdo.Cache.t);
     let cfg =
       { Service.Daemon.sv_cache_dir = cache_dir;
         sv_max_entries = max_entries; sv_lambda = decay; sv_drift = drift;
         sv_verbose = verbose }
     in
-    Service.Shard.serve ~shards cfg ~socket;
+    Service.Server.serve cfg ~socket;
     0
   in
   Cmd.v
@@ -720,11 +728,10 @@ let serve_cmd =
              cache (cold misses run the pipeline on the domain pool, \
              deduplicated through a single-flight registry that \
              persists across wakeups), merge reported profiles online \
-             with decay, recompile units in the background when their \
-             evidence drifts, and with --shards N route requests \
-             across N cores each owning a disjoint cache/store slice")
+             with decay, and recompile units in the background when \
+             their evidence drifts")
     Term.(const action $ socket_arg $ cache_dir $ max_entries $ decay
-          $ drift $ verbose $ shards $ jobs_arg)
+          $ drift $ verbose $ jobs_arg)
 
 let client_rpc socket req =
   match Service.Client.with_client socket (fun c -> Service.Client.rpc c req) with
@@ -846,9 +853,8 @@ let client_stats_cmd =
   in
   Cmd.v
     (Cmd.info "stats"
-       ~doc:"print the service's request/cache/FDO counters: the shard \
-             count, the aggregate under plain names, then one \
-             shard<i>.<name> row per shard per counter")
+       ~doc:"print the service's request, cache and FDO counters, one \
+             name-value row each")
     Term.(const action $ socket_arg)
 
 let client_shutdown_cmd =

@@ -68,27 +68,36 @@ sh test/ci_safety.sh _build/default/bin/speccc.exe \
   test/safety_smoke.c test/safety_ct.c
 
 echo "== compile-service smoke (daemon + client + drift recompile) =="
-# Start the compile daemon on a private socket and drive it through the
-# client subcommands: cold compile, warm compile (byte-identical),
-# report-profile past the drift threshold (background recompile +
-# artifact swap), stats, a malformed compile that must be refused
-# without killing the daemon, clean shutdown.
+# Start the compile daemon on a private socket: three concurrent
+# same-key clients must cost exactly one cold compile (cross-wakeup
+# single flight), then drive it through the client subcommands: cold
+# compile, warm compile (byte-identical), report-profile past the drift
+# threshold (background recompile + artifact swap), stats, a malformed
+# compile that must be refused without killing the daemon, clean
+# shutdown.
 sh test/ci_service.sh _build/default/bin/speccc.exe "$tmp"
-
-echo "== sharded-service smoke (serve --shards 2 + client storm) =="
-# Start a 2-shard topology and storm it: three concurrent same-key
-# clients must cost exactly one cold compile (cross-wakeup
-# single-flight), a mixed-key round must go cold then warm with
-# byte-identical programs, and the aggregated stats (shard count,
-# per-shard rows summing to the aggregate, zero errors) must be sane
-# through a clean shutdown.
-sh test/ci_shard.sh _build/default/bin/speccc.exe "$tmp"
 
 echo "== bench harness argument check =="
 # An unknown flag must fail the harness, not run the default sweep: the
-# removed engine option is the likeliest leftover.
+# removed engine and shards options are the likeliest leftovers.  The
+# removed serve option must fail before the daemon binds its socket.
 if dune exec bench/main.exe -- --engine vm > /dev/null 2>&1; then
   echo "bench/main.exe accepted an unknown flag" >&2
+  exit 1
+fi
+if dune exec bench/main.exe -- --traffic --shards 2 > /dev/null 2>&1; then
+  echo "bench/main.exe accepted the removed --shards flag" >&2
+  exit 1
+fi
+sock="$(mktemp -u -t speccc-ci-XXXXXX.sock)"
+if _build/default/bin/speccc.exe serve --shards 2 --socket "$sock" \
+  > /dev/null 2>&1; then
+  echo "speccc serve accepted the removed --shards flag" >&2
+  exit 1
+fi
+if [ -e "$sock" ]; then
+  echo "speccc serve --shards left a socket file behind" >&2
+  rm -f "$sock"
   exit 1
 fi
 
@@ -125,14 +134,6 @@ echo "== traffic-replay smoke (--traffic --quick --jobs 2) =="
 # kept as an artifact.
 dune exec bench/main.exe -- --traffic --quick --jobs 2 --json \
   --json-file traffic-smoke.json > /dev/null
-
-echo "== sharded traffic-replay smoke (--traffic --shards 2 --quick) =="
-# The same replay against a 2-shard topology: requests route by
-# cache-key/unit prefix, the offline mirror still byte-checks every
-# answer (hard-fail on divergence), and the JSON artifact gains the
-# per-shard + aggregate "shards" section.
-dune exec bench/main.exe -- --traffic --shards 2 --quick --jobs 2 --json \
-  --json-file shard-smoke.json > /dev/null
 
 echo "== paired A/B runner smoke (bench/ab.sh HEAD --pairs 1) =="
 # One pair of 0.1-second build runs of the working tree against HEAD:

@@ -22,10 +22,9 @@
       verdict per (workload, speculative variant) plus the recovery-cost
       comparison (check misses recovered by reloading vs by
       deoptimizing, under one forced interference plan);
-    - [/7] added the sharded compile service: the [service] section's
-      required [parked] counter and the optional [shards] section — one
-      row per shard, [per_shard] holding exactly [shards] rows and
-      [divergences] pinned at 0;
+    - [/7] added the [service] section's required [parked] counter,
+      and a section for an in-process multi-core router, since removed
+      ({!validate} skips it like any section it does not know);
     - [/8] (current) has one interpreter engine: variant rows lose their
       [engine] label, and the [engines] section compares the
       tree-walking oracle with the vm only ([tree_wall_s],
@@ -323,14 +322,14 @@ let safety_json ~seed (cells : Experiments.safety_cell list) =
 
 (** Assemble the top-level dump.  [workloads] are pre-rendered
     {!workload_json} blobs; [engines], [mdp], [stress], [fdo],
-    [compile], [service] and [shards] are pre-rendered section blobs —
-    the first five from the emitters above, [service] and [shards]
-    from [Spec_service.Traffic.to_json]/[shards_to_json] (the service
-    library sits above this one, so its emitters live there; the
-    validators below still pin the sections' shapes).  [date] is
-    supplied by the caller (the library stays clock-free). *)
+    [compile] and [service] are pre-rendered section blobs — the first
+    five from the emitters above, [service] from
+    [Spec_service.Traffic.to_json] (the service library sits above this
+    one, so its emitter lives there; the validator below still pins the
+    section's shape).  [date] is supplied by the caller (the library
+    stays clock-free). *)
 let dump ~date ~inputs ~jobs ~harness_wall_s ?pre_pr2_quick_wall_s ?backends
-    ?engines ?mdp ?stress ?fdo ?compile ?safety ?service ?shards
+    ?engines ?mdp ?stress ?fdo ?compile ?safety ?service
     (workloads : string list) =
   let buf = Buffer.create 65536 in
   Printf.bprintf buf
@@ -385,11 +384,6 @@ let dump ~date ~inputs ~jobs ~harness_wall_s ?pre_pr2_quick_wall_s ?backends
   (match service with
    | Some s ->
      Buffer.add_string buf ",\"service\":";
-     Buffer.add_string buf s
-   | None -> ());
-  (match shards with
-   | Some s ->
-     Buffer.add_string buf ",\"shards\":";
      Buffer.add_string buf s
    | None -> ());
   Buffer.add_string buf "}\n";
@@ -792,61 +786,14 @@ let validate_service v =
           "service.divergences must be 0: the replay hard-fails on any \
            daemon-vs-offline divergence"))
 
-(* One shard's row of the sharded traffic replay. *)
-let validate_shard_cell i v =
-  let path = [ Printf.sprintf "shards.per_shard[%d]" i ] in
-  let f = as_obj path "shard cell" v in
-  List.iter
-    (fun name -> ignore (field path name `Int f))
-    [ "shard"; "requests"; "cold"; "warm"; "joined"; "parked"; "reports";
-      "recompiles"; "cache_hit_ppm"; "drift_ppm_max" ];
-  List.iter
-    (fun name -> ignore (field path name `Num f))
-    [ "p50_ms"; "p99_ms" ];
-  match List.assoc_opt "shard" f with
-  | Some (Int s) when s = i -> ()
-  | _ ->
-    raise
-      (Invalid
-         (Printf.sprintf "shards.per_shard[%d].shard must be %d" i i))
-
-(* The sharded traffic replay ([--traffic --shards n]). *)
-let validate_shards v =
-  let path = [ "shards" ] in
-  let f = as_obj path "shards" v in
-  List.iter
-    (fun name -> ignore (field path name `Int f))
-    [ "seed"; "shards"; "requests"; "units"; "divergences" ];
-  List.iter
-    (fun name -> ignore (field path name `Num f))
-    [ "p50_ms"; "p99_ms"; "wall_s"; "throughput_rps" ];
-  (match List.assoc_opt "divergences" f with
-   | Some (Int 0) -> ()
-   | _ ->
-     raise
-       (Invalid
-          "shards.divergences must be 0: the sharded replay hard-fails on \
-           any byte-level divergence from the unsharded oracle"));
-  let n =
-    match List.assoc_opt "shards" f with
-    | Some (Int n) when n >= 1 -> n
-    | _ -> raise (Invalid "shards.shards must be a positive integer")
-  in
-  let rows = as_arr (field path "per_shard" `Arr f) in
-  if List.length rows <> n then
-    raise
-      (Invalid
-         (Printf.sprintf "shards.per_shard: expected %d rows, got %d" n
-            (List.length rows)));
-  List.iteri validate_shard_cell rows
-
 (** Validate a parsed dump against the [specpre-bench/8] schema.  The
     [backends], [engines], [mdp], [stress], [fdo], [compile],
-    [safety], [service] and [shards] sections are optional (present
-    only when the corresponding sweep ran) but fully pinned when
-    present.  Older schema tags — including [specpre-bench/7], whose
-    variant rows carried an [engine] label and whose [engines] section
-    had a tree column — are rejected. *)
+    [safety] and [service] sections are optional (present only when
+    the corresponding sweep ran) but fully pinned when present; a
+    section of any other name is skipped.  Older schema tags —
+    including [specpre-bench/7], whose variant rows carried an [engine]
+    label and whose [engines] section had a tree column — are
+    rejected. *)
 let validate (v : json) : (unit, string) result =
   try
     let f = as_obj [] "bench dump" v in
@@ -911,9 +858,6 @@ let validate (v : json) : (unit, string) result =
     (match List.assoc_opt "service" f with
      | None -> ()
      | Some sv -> validate_service sv);
-    (match List.assoc_opt "shards" f with
-     | None -> ()
-     | Some sv -> validate_shards sv);
     Ok ()
   with Invalid msg -> Error msg
 

@@ -72,7 +72,7 @@ val dump :
   ?pre_pr2_quick_wall_s:float -> ?backends:string -> ?engines:string ->
   ?mdp:string -> ?stress:string ->
   ?fdo:string -> ?compile:string -> ?safety:string -> ?service:string ->
-  ?shards:string -> string list -> string
+  string list -> string
 
 (** {1 Parsing} *)
 
@@ -92,10 +92,9 @@ val parse : string -> (json, string) result
 (** Validate a parsed dump against the pinned [specpre-bench/8] shape:
     every field name and type of the top level, workload entries,
     variant counters, metrics, pass reports, and (when present) the
-    [backends], [engines], [mdp], [stress], [fdo], [compile],
-    [safety], [service] and [shards] sections ([shards.per_shard] must
-    hold exactly [shards.shards] rows).  Older schema tags are
-    rejected. *)
+    [backends], [engines], [mdp], [stress], [fdo], [compile], [safety]
+    and [service] sections.  Sections of any other name are skipped.
+    Older schema tags are rejected. *)
 val validate : json -> (unit, string) result
 
 (** Parse and validate in one step. *)

@@ -234,6 +234,16 @@ let cache_key ~rounds ~strength ~deopt ~(config : Ssapre.config) ~variant
   in
   Digest.to_hex (Digest.string fp)
 
+(* Store a fresh compile in the cache.  A cache directory that vanished
+   or cannot be written costs later compiles their warm hit, not this
+   one its answer: the failure is counted and the result returned. *)
+let store_artifact c key r =
+  match Spec_fdo.Cache.store c key (write_artifact r) with
+  | () -> ()
+  | exception Sys_error _ ->
+    let st = Spec_fdo.Cache.stats c in
+    st.Spec_fdo.Cache.store_failures <- st.Spec_fdo.Cache.store_failures + 1
+
 (** Convenience: compile source and optimize.
 
     With [cache], look the compile up in the content-addressed cache
@@ -293,11 +303,11 @@ let compile_and_optimize ?(rounds = 3) ?(config = None) ?(edge_profile = None)
           st.Spec_fdo.Cache.hits <- st.Spec_fdo.Cache.hits - 1;
           st.Spec_fdo.Cache.misses <- st.Spec_fdo.Cache.misses + 1;
           let r = cold () in
-          Spec_fdo.Cache.store c key (write_artifact r);
+          store_artifact c key r;
           r)
      | None ->
        let r = cold () in
-       Spec_fdo.Cache.store c key (write_artifact r);
+       store_artifact c key r;
        r)
   | _ -> cold ()
 

@@ -106,7 +106,10 @@ val cache_key :
     every pass (the result carries [from_cache = true] and an empty
     report).  [profile_digest] must identify the profile evidence
     whenever a profile feeds the compile; profile-fed compiles without
-    it, and any adversarially perturbed compile, bypass the cache. *)
+    it, and any adversarially perturbed compile, bypass the cache.  A
+    cold result that cannot be stored ([Sys_error] from
+    {!Spec_fdo.Cache.store}) is still returned; the failure is counted
+    in the cache's [store_failures]. *)
 val compile_and_optimize :
   ?rounds:int ->
   ?config:Spec_ssapre.Ssapre.config option ->

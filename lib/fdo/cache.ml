@@ -20,6 +20,7 @@ type stats = {
   mutable misses : int;
   mutable stores : int;
   mutable evictions : int;
+  mutable store_failures : int;
 }
 
 type t = {
@@ -36,7 +37,9 @@ let create ?max_entries dir =
   else if not (Sys.is_directory dir) then
     invalid_arg (Printf.sprintf "Cache.create: %s is not a directory" dir);
   { dir; max_entries;
-    stats = { hits = 0; misses = 0; stores = 0; evictions = 0 } }
+    stats =
+      { hits = 0; misses = 0; stores = 0; evictions = 0; store_failures = 0 }
+  }
 
 let stats t = t.stats
 
@@ -69,9 +72,13 @@ let find t key =
     t.stats.misses <- t.stats.misses + 1;
     None
 
+(* A directory that vanished or cannot be read holds no entries. *)
 let entries t =
-  Sys.readdir t.dir |> Array.to_list
-  |> List.filter (fun f -> Filename.check_suffix f ".sart")
+  match Sys.readdir t.dir with
+  | files ->
+    Array.to_list files
+    |> List.filter (fun f -> Filename.check_suffix f ".sart")
+  | exception Sys_error _ -> []
 
 (* Drop oldest entries (by mtime) until we are back under the cap.
    [keep] is the key just written, never evicted. *)
@@ -121,39 +128,6 @@ let store t key data =
   evict t ~keep:key
 
 let length t = List.length (entries t)
-
-(* ---- sharding helpers ---- *)
-
-(* Key-prefix partition: fold the leading hex digits so every key maps
-   to a stable shard index — the same key lands on the same shard
-   across daemon restarts (no dependence on [Hashtbl.hash] internals).
-   Eight digits are enough to spread MD5 keys evenly; shorter keys
-   fold what they have. *)
-let shard_of_key ~shards key =
-  if shards < 1 then invalid_arg "Cache.shard_of_key: shards < 1";
-  if not (valid_key key) then
-    invalid_arg "Cache.shard_of_key: malformed key";
-  let n = min 8 (String.length key) in
-  let acc = ref 0 in
-  for i = 0 to n - 1 do
-    let v =
-      match key.[i] with
-      | '0' .. '9' as c -> Char.code c - Char.code '0'
-      | c -> Char.code c - Char.code 'a' + 10
-    in
-    acc := ((!acc * 16) + v) mod shards
-  done;
-  !acc
-
-(* A shard's slice of a cache directory: [dir/shard-<i>].  The parent
-   directory is created on demand so [create (shard_dir dir i)] works
-   on a fresh path. *)
-let shard_dir dir i =
-  if i < 0 then invalid_arg "Cache.shard_dir: negative shard";
-  if not (Sys.file_exists dir) then Unix.mkdir dir 0o755
-  else if not (Sys.is_directory dir) then
-    invalid_arg (Printf.sprintf "Cache.shard_dir: %s is not a directory" dir);
-  Filename.concat dir (Printf.sprintf "shard-%d" i)
 
 let stats_to_string t =
   Printf.sprintf "hits %d  misses %d  stores %d  evictions %d"

@@ -8,6 +8,9 @@ type stats = {
   mutable misses : int;
   mutable stores : int;
   mutable evictions : int;
+  mutable store_failures : int;
+      (** failed {!store}s its caller chose to survive (the compile
+          pipeline counts them here and still answers) *)
 }
 
 type t
@@ -26,19 +29,6 @@ val find : t -> string -> string option
     A failed write raises [Sys_error] and leaves no temp file behind. *)
 val store : t -> string -> string -> unit
 
-(** Number of artifacts currently on disk. *)
+(** Number of artifacts currently on disk; 0 when the directory has
+    vanished or cannot be read. *)
 val length : t -> int
-
-(** Stable key-prefix partition: which of [shards] slices owns a hex
-    key.  Deterministic across restarts (folds the leading hex digits;
-    never [Hashtbl.hash]), total over valid keys, and uniform enough
-    for MD5 keys.  The compile service routes cache-keyed requests with
-    this. *)
-val shard_of_key : shards:int -> string -> int
-
-(** [shard_dir dir i] is shard [i]'s slice of cache directory [dir]
-    ([dir/shard-<i>]); creates [dir] itself on demand so
-    [create (shard_dir dir i)] works on a fresh path.  Distinct shards
-    get disjoint directories, so their artifact sets are disjoint by
-    construction. *)
-val shard_dir : string -> int -> string

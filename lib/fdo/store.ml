@@ -378,14 +378,6 @@ let write (t : t) : string =
 
 let digest t = Digest.to_hex (Digest.string (write t))
 
-(* Which of [shards] slices owns a unit's profile store.  A unit's
-   whole store must live on one shard (binding evidence to a program
-   needs every site key of the unit together), so the partition is by
-   unit name, hashed through MD5 and folded with the same stable
-   key-prefix rule the compile cache uses. *)
-let shard_of_unit ~shards name =
-  Cache.shard_of_key ~shards (Digest.to_hex (Digest.string name))
-
 (* ------------------------------------------------------------------ *)
 (* Reader                                                              *)
 (* ------------------------------------------------------------------ *)

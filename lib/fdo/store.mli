@@ -78,12 +78,6 @@ val write : t -> string
 (** MD5 hex of {!write} — the profile component of compile-cache keys. *)
 val digest : t -> string
 
-(** Stable partition of compilation units across [shards] shards: MD5
-    of the unit name folded with {!Cache.shard_of_key}'s prefix rule.
-    A unit's whole store lives on one shard ({!bind} needs every site
-    key of the unit together); deterministic across restarts. *)
-val shard_of_unit : shards:int -> string -> int
-
 (** Parse what {!write} emits; rejects unknown versions and records. *)
 val read : string -> (t, string) result
 

@@ -2,8 +2,8 @@
    content-addressed cache, a cross-wakeup single-flight registry for
    cold compiles, and the online FDO loop (report -> decayed merge ->
    drift -> background recompile + swap).  The core is a deterministic
-   state machine — no sockets; the socket router (including the
-   single-shard case) lives in shard.ml.  See daemon.mli. *)
+   state machine — no sockets; the select loop that drives it lives in
+   server.ml.  See daemon.mli. *)
 
 open Spec_driver
 module Store = Spec_fdo.Store
@@ -169,6 +169,7 @@ let counters t =
     "cache_misses", cs.Cache.misses;
     "cache_stores", cs.Cache.stores;
     "cache_evictions", cs.Cache.evictions;
+    "cache_store_failures", cs.Cache.store_failures;
     "cache_hit_ppm", hit_ppm;
     "cache_length", Cache.length t.tcache;
     "store_drift_ppm_max", drift_ppm_max;
@@ -214,45 +215,6 @@ let plan_of t ~unit_name ~mode ~rounds ~strength src =
      | exception e -> Error (compile_error e))
   | m -> Error (Printf.sprintf "unknown mode %S" m)
 
-(* The routing key of a request, before any shard-local state is
-   consulted — what the shard router partitions on.  Non-profile
-   compile modes are pure functions of the request, so they route by
-   their full content-addressed cache key; profile compiles and
-   reports depend on (and mutate) the unit's accumulated store, so
-   they route by unit; stats and shutdown fan out. *)
-type route =
-  | Rkey of string
-  | Runit of string
-  | Rall
-
-let static_key ~mode ~rounds ~strength src =
-  let finish variant =
-    let config =
-      Spec_ssapre.Ssapre.default_config (Pipeline.mode_of_variant variant)
-    in
-    Some
-      (Pipeline.cache_key ~rounds ~strength ~deopt:false ~config ~variant
-         ~edge_profile:false ~profile_digest:None src)
-  in
-  match mode with
-  | "none" -> finish Pipeline.Noopt
-  | "base" -> finish Pipeline.Base
-  | "heuristic" -> finish Pipeline.Spec_heuristic
-  | "aggressive" -> finish Pipeline.Aggressive
-  | _ -> None
-
-let route_of (req : Proto.request) : route =
-  match req with
-  | Proto.Compile c ->
-    (match
-       static_key ~mode:c.Proto.cq_mode ~rounds:c.Proto.cq_rounds
-         ~strength:c.Proto.cq_strength c.Proto.cq_src
-     with
-     | Some key -> Rkey key
-     | None -> Runit c.Proto.cq_unit)
-  | Proto.Report_profile { rq_unit; _ } -> Runit rq_unit
-  | Proto.Stats | Proto.Shutdown -> Rall
-
 let run_compile t ~rounds ~strength ~(plan : plan) src =
   match plan.p_prof with
   | Some prof ->
@@ -279,6 +241,11 @@ type submitted =
   | Parked_on of string
 
 let begin_wakeup t = t.epoch <- t.epoch + 1
+
+let refuse t msg =
+  t.c_requests <- t.c_requests + 1;
+  t.c_errors <- t.c_errors + 1;
+  Proto.Error msg
 
 let has_inflight t = not (Queue.is_empty t.flight_q)
 
@@ -338,11 +305,10 @@ let submit t ~id (req : Proto.request) : submitted =
       t.c_errors <- t.c_errors + 1;
       Immediate (Proto.Error m)
     | Ok plan ->
-      (* Only profile-mode compiles touch unit FDO state: stateless
-         modes route by cache key in the sharded topology, so letting
-         them record unit sources would scatter a unit's state across
-         key-routed cores and make [--shards n] diverge from
-         [--shards 1]. *)
+      (* Only profile-mode compiles touch unit FDO state: the unit's
+         source is what a drift-triggered recompile reruns, and that
+         recompile is a profile compile, so a stateless-mode request
+         must not replace it. *)
       let snapshot =
         if c.Proto.cq_mode = "profile" then begin
           let u = unit_state t c.Proto.cq_unit in
@@ -507,7 +473,7 @@ let complete_one t : (int * Proto.response) list =
    land every flight, run queued recompiles, and hand the responses
    back in request order.  Same-key requests within the batch dedupe
    as creator + joined; the parked tag only appears when wakeups are
-   interleaved by the caller (the socket router, or the registry
+   interleaved by the caller (the socket server, or the registry
    tests) via submit/complete_one directly. *)
 let handle_batch t reqs =
   begin_wakeup t;

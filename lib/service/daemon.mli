@@ -1,8 +1,7 @@
 (** The compile service daemon core: a deterministic state machine
     that serves optimized programs out of the content-addressed
     compile cache and closes the paper's FDO loop online.  No sockets
-    here — the select-loop router (sharded, or [--shards 1]) lives in
-    {!Shard}.
+    here — the select loop that drives the core lives in {!Server}.
 
     {2 Request handling}
 
@@ -67,7 +66,7 @@ val handle : t -> Proto.request -> Proto.response
 
 (** {2 Incremental interface}
 
-    What the socket router drives: submission and completion are
+    What the socket server drives: submission and completion are
     decoupled, so same-key requests arriving between completions —
     i.e. in later select wakeups — park on the existing flight
     instead of compiling again. *)
@@ -86,8 +85,14 @@ val begin_wakeup : t -> unit
 (** Submit one request under a caller-chosen waiter id (returned with
     the response by {!complete_one}).  Reports, stats, shutdown and
     malformed requests are answered immediately; well-formed compiles
-    always go through the registry. *)
+    always go through the registry.  Only [profile] compiles record
+    the unit's source for drift-triggered recompiles. *)
 val submit : t -> id:int -> Proto.request -> submitted
+
+(** The error reply to a line that never became a request (undecodable
+    or oversized), counted under [requests] and [errors] like any
+    refused request. *)
+val refuse : t -> string -> Proto.response
 
 (** Whether any flight is pending. *)
 val has_inflight : t -> bool
@@ -104,33 +109,17 @@ val complete_one : t -> (int * Proto.response) list
     empty (responses first, maintenance second). *)
 val quiesce : t -> unit
 
-(** {2 Routing}
-
-    How the shard router partitions requests — exposed from the core
-    so router and daemon can never disagree on key derivation. *)
-
-type route =
-  | Rkey of string   (** by content-addressed cache key (stateless modes) *)
-  | Runit of string  (** by compilation unit (profile compiles, reports) *)
-  | Rall             (** fan out to every shard (stats, shutdown) *)
-
-(** The cache key of a compile request whose mode is a pure function
-    of the request ([none]/[base]/[heuristic]/[aggressive]); [None]
-    for [profile] (whose key depends on the unit's accumulated
-    evidence) and unknown modes. *)
-val static_key :
-  mode:string -> rounds:int -> strength:bool -> string -> string option
-
-val route_of : Proto.request -> route
-
 (** {2 Introspection} *)
 
 (** Monotonic counters: requests, cold, warm, joined, parked, reports,
-    recompiles, errors, units, inflight, plus cache
-    hit/miss/store/eviction/hit-ppm/length, [store_drift_ppm_max] —
-    the worst per-unit drift from its compiled snapshot in ppm — and
-    [store_invalid] — the number of unit stores failing
-    {!Spec_fdo.Store.validate}, 0 on a healthy daemon. *)
+    recompiles, errors, units, inflight; the cache's hits, misses,
+    stores, evictions, [cache_store_failures] (artifacts that could
+    not be written: the compile is still answered, and a cache
+    directory that vanished reads as empty), hit rate in ppm and
+    length; [store_drift_ppm_max], the worst per-unit drift from its
+    compiled snapshot in ppm; and [store_invalid], the number of unit
+    stores failing {!Spec_fdo.Store.validate}, 0 on a healthy
+    daemon. *)
 val counters : t -> (string * int) list
 
 (** True once a [shutdown] request was handled. *)

@@ -1,9 +1,8 @@
-(* Deterministic traffic replay against a live daemon (optionally a
-   sharded topology).  See traffic.mli. *)
+(* Deterministic traffic replay against a live daemon.  See
+   traffic.mli. *)
 
 open Spec_driver
 module Store = Spec_fdo.Store
-module Cache = Spec_fdo.Cache
 module Srng = Spec_stress.Srng
 module W = Spec_workloads.Workloads
 
@@ -11,24 +10,8 @@ exception Divergence of string
 
 let div fmt = Printf.ksprintf (fun m -> raise (Divergence m)) fmt
 
-type shard_cell = {
-  s_shard : int;
-  s_requests : int;
-  s_cold : int;
-  s_warm : int;
-  s_joined : int;
-  s_parked : int;
-  s_reports : int;
-  s_recompiles : int;
-  s_cache_hit_ppm : int;
-  s_drift_ppm_max : int;
-  s_p50_ms : float;
-  s_p99_ms : float;
-}
-
 type cell = {
   t_seed : int;
-  t_shards : int;
   t_requests : int;
   t_units : int;
   t_cold : int;
@@ -43,7 +26,6 @@ type cell = {
   t_p99_ms : float;
   t_wall_s : float;
   t_rps : float;
-  t_per_shard : shard_cell list;
 }
 
 (* ---- per-unit fixtures ---- *)
@@ -142,19 +124,12 @@ let percentile sorted p =
   if n = 0 then 0.
   else sorted.(min (n - 1) (int_of_float (p *. float_of_int (n - 1) +. 0.5)))
 
-let percentile_of_list l p =
-  let a = Array.of_list l in
-  Array.sort compare a;
-  percentile a p
-
 let counter kvs name =
   match List.assoc_opt name kvs with
   | Some v -> v
   | None -> div "daemon stats reply lacks counter %S" name
 
-let run_traffic_replay ?(quick = false) ?(seed = 1) ?requests ?(shards = 1)
-    () =
-  if shards < 1 then invalid_arg "run_traffic_replay: shards < 1";
+let run_traffic_replay ?(quick = false) ?(seed = 1) ?requests () =
   let n_requests =
     match requests with Some n -> n | None -> if quick then 250 else 1200
   in
@@ -168,7 +143,7 @@ let run_traffic_replay ?(quick = false) ?(seed = 1) ?requests ?(shards = 1)
   (* server on a private socket + cache *)
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "speccc-traffic-%d-%d" shards (Unix.getpid ()))
+      (Printf.sprintf "speccc-traffic-%d" (Unix.getpid ()))
   in
   (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
   let socket = Filename.concat dir "svc.sock" in
@@ -176,20 +151,16 @@ let run_traffic_replay ?(quick = false) ?(seed = 1) ?requests ?(shards = 1)
   let cfg =
     { (Daemon.default_config ~cache_dir) with Daemon.sv_drift = 0.3 }
   in
-  let server = Shard.spawn ~shards cfg ~socket in
+  let server = Server.spawn cfg ~socket in
   let conns =
     Array.init 2 (fun _ ->
         match Client.connect socket with
         | Ok c -> c
         | Error m -> failwith ("traffic replay: " ^ m))
   in
-  (* a key routes to exactly one shard, so a global seen set still
-     pins "never cold twice" — and implicitly that routing never
-     sends one key to two shards (that would recompile it cold) *)
+  (* keys served so far: a repeated key must never be served cold *)
   let seen_keys : (string, unit) Hashtbl.t = Hashtbl.create 64 in
   let lat = Array.make n_requests 0. in
-  let shard_lat = Array.make shards [] in
-  let shard_reqs = Array.make shards 0 in
   let cold = ref 0 and warm = ref 0 in
   let rng = Srng.of_path seed [ "traffic" ] in
   let rpc i req =
@@ -202,10 +173,6 @@ let run_traffic_replay ?(quick = false) ?(seed = 1) ?requests ?(shards = 1)
     in
     lat.(i) <- (Unix.gettimeofday () -. t0) *. 1000.;
     resp
-  in
-  let bucket i s =
-    shard_lat.(s) <- lat.(i) :: shard_lat.(s);
-    shard_reqs.(s) <- shard_reqs.(s) + 1
   in
   let t_start = Unix.gettimeofday () in
   for i = 0 to n_requests - 1 do
@@ -238,13 +205,8 @@ let run_traffic_replay ?(quick = false) ?(seed = 1) ?requests ?(shards = 1)
             Some (Store.digest fx.fx_mirror) )
       in
       let key, ol = offline_compile ~variant ~prof ~digest src in
-      let shard =
-        if mode = "profile" then Store.shard_of_unit ~shards fx.fx_name
-        else Cache.shard_of_key ~shards key
-      in
       match rpc i req with
       | Proto.Compiled cr ->
-        bucket i shard;
         if cr.Proto.cr_key <> key then
           div "%s %s: daemon key %s, offline key %s" fx.fx_name mode
             cr.Proto.cr_key key;
@@ -282,7 +244,6 @@ let run_traffic_replay ?(quick = false) ?(seed = 1) ?requests ?(shards = 1)
       in
       match rpc i req with
       | Proto.Profiled pr ->
-        bucket i (Store.shard_of_unit ~shards fx.fx_name);
         if pr.Proto.rr_digest <> Store.digest fx.fx_mirror then
           div "report %s: daemon store digest %s, mirror %s" fx.fx_name
             pr.Proto.rr_digest (Store.digest fx.fx_mirror)
@@ -303,11 +264,7 @@ let run_traffic_replay ?(quick = false) ?(seed = 1) ?requests ?(shards = 1)
     | Ok _ | Error _ -> div "final stats request failed"
   in
   Array.iter Client.close conns;
-  Shard.stop server;
-  if shards > 1 then
-    for i = 0 to shards - 1 do
-      Experiments.rm_rf_cache (Cache.shard_dir cache_dir i)
-    done;
+  Server.stop server;
   Experiments.rm_rf_cache cache_dir;
   (try Unix.rmdir dir with Unix.Unix_error _ -> ());
   if counter kvs "errors" <> 0 then
@@ -315,36 +272,9 @@ let run_traffic_replay ?(quick = false) ?(seed = 1) ?requests ?(shards = 1)
       (counter kvs "errors");
   if counter kvs "store_invalid" <> 0 then
     div "%d unit stores failed validation" (counter kvs "store_invalid");
-  if counter kvs "shards" <> shards then
-    div "server reports %d shards, expected %d" (counter kvs "shards") shards;
-  let per_shard =
-    List.init shards (fun i ->
-        let c name = counter kvs (Printf.sprintf "shard%d.%s" i name) in
-        { s_shard = i;
-          s_requests = shard_reqs.(i);
-          s_cold = c "cold";
-          s_warm = c "warm";
-          s_joined = c "joined";
-          s_parked = c "parked";
-          s_reports = c "reports";
-          s_recompiles = c "recompiles";
-          s_cache_hit_ppm = c "cache_hit_ppm";
-          s_drift_ppm_max = c "store_drift_ppm_max";
-          s_p50_ms = percentile_of_list shard_lat.(i) 0.5;
-          s_p99_ms = percentile_of_list shard_lat.(i) 0.99 })
-  in
-  (* per-shard served counters must re-add to the client's view *)
-  let sum f = List.fold_left (fun a s -> a + f s) 0 per_shard in
-  if sum (fun s -> s.s_cold) <> !cold then
-    div "per-shard cold counters sum to %d, client saw %d"
-      (sum (fun s -> s.s_cold)) !cold;
-  if sum (fun s -> s.s_warm) <> !warm then
-    div "per-shard warm counters sum to %d, client saw %d"
-      (sum (fun s -> s.s_warm)) !warm;
   let sorted = Array.copy lat in
   Array.sort compare sorted;
   { t_seed = seed;
-    t_shards = shards;
     t_requests = n_requests;
     t_units = n_units;
     t_cold = !cold;
@@ -358,8 +288,7 @@ let run_traffic_replay ?(quick = false) ?(seed = 1) ?requests ?(shards = 1)
     t_p50_ms = percentile sorted 0.5;
     t_p99_ms = percentile sorted 0.99;
     t_wall_s = wall;
-    t_rps = (if wall > 0. then float_of_int n_requests /. wall else 0.);
-    t_per_shard = per_shard }
+    t_rps = (if wall > 0. then float_of_int n_requests /. wall else 0.) }
 
 let to_json c =
   Printf.sprintf
@@ -370,21 +299,3 @@ let to_json c =
     c.t_seed c.t_requests c.t_units c.t_cold c.t_warm c.t_joined c.t_parked
     c.t_reports c.t_recompiles c.t_errors c.t_divergences c.t_p50_ms
     c.t_p99_ms c.t_wall_s c.t_rps
-
-let shard_cell_to_json s =
-  Printf.sprintf
-    "{\"shard\":%d,\"requests\":%d,\"cold\":%d,\"warm\":%d,\"joined\":%d,\
-     \"parked\":%d,\"reports\":%d,\"recompiles\":%d,\"cache_hit_ppm\":%d,\
-     \"drift_ppm_max\":%d,\"p50_ms\":%.6f,\"p99_ms\":%.6f}"
-    s.s_shard s.s_requests s.s_cold s.s_warm s.s_joined s.s_parked
-    s.s_reports s.s_recompiles s.s_cache_hit_ppm s.s_drift_ppm_max s.s_p50_ms
-    s.s_p99_ms
-
-let shards_to_json c =
-  Printf.sprintf
-    "{\"seed\":%d,\"shards\":%d,\"requests\":%d,\"units\":%d,\
-     \"divergences\":%d,\"p50_ms\":%.6f,\"p99_ms\":%.6f,\"wall_s\":%.6f,\
-     \"throughput_rps\":%.6f,\"per_shard\":[%s]}"
-    c.t_seed c.t_shards c.t_requests c.t_units c.t_divergences c.t_p50_ms
-    c.t_p99_ms c.t_wall_s c.t_rps
-    (String.concat "," (List.map shard_cell_to_json c.t_per_shard))

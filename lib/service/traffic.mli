@@ -1,47 +1,24 @@
 (** Deterministic traffic replay against a live compile service
-    ([bench/main.exe --traffic [--shards n]]).
+    ([bench/main.exe --traffic]).
 
     A {!Spec_stress.Srng}-seeded stream of mixed requests — cold and
     warm compiles across workloads, modes and source versions, profile
     reports whose evidence drifts (fresh training inputs) or goes
     stale (reports recorded against an edited source), and stats
-    probes — is replayed over a real unix socket against a server
-    spawned on a background thread: a single daemon core, or a
-    {!Shard} topology of [shards] key-routed cores.  The replay keeps
-    a mirror of every unit's accumulated store and hard-fails
+    probes — is replayed over a real unix socket against a
+    {!Server} spawned on a background thread.  The replay keeps a
+    mirror of every unit's accumulated store and hard-fails
     ({!Divergence}) if any served compile differs from a direct
     in-process {!Spec_driver.Pipeline.compile_and_optimize} with the
     same evidence and knobs — byte-identical [Pp] text and vm
     execution output — or if a repeated cache key is ever served cold
-    again (which also pins routing determinism: a key bouncing between
-    shards would recompile cold).  Per-request latency (p50/p99) and
-    throughput go into the bench JSON's [service] section; sharded
-    runs additionally fill the [shards] section with per-shard
-    request/served/latency rows ([specpre-bench/7]). *)
+    again.  Per-request latency (p50/p99) and throughput go into the
+    bench JSON's [service] section. *)
 
 exception Divergence of string
 
-(** One shard's slice of a replay: client-side request count and
-    latency percentiles, server-side served/FDO counters (from the
-    ["shard<i>.*"] stats rows). *)
-type shard_cell = {
-  s_shard : int;
-  s_requests : int;            (** requests the client routed here *)
-  s_cold : int;
-  s_warm : int;
-  s_joined : int;
-  s_parked : int;
-  s_reports : int;
-  s_recompiles : int;
-  s_cache_hit_ppm : int;
-  s_drift_ppm_max : int;
-  s_p50_ms : float;
-  s_p99_ms : float;
-}
-
 type cell = {
   t_seed : int;
-  t_shards : int;              (** topology width (1 = single daemon) *)
   t_requests : int;            (** requests replayed *)
   t_units : int;               (** workload units in the mix *)
   t_cold : int;                (** compiles served cold (client-visible) *)
@@ -57,22 +34,16 @@ type cell = {
   t_p99_ms : float;
   t_wall_s : float;            (** replay wall time (setup excluded) *)
   t_rps : float;               (** requests / wall *)
-  t_per_shard : shard_cell list;
 }
 
 (** Replay [requests] (default 1200, or 250 with [~quick:true])
-    requests over [~quick:true] 3 / else all 8 workload units, against
-    a [shards]-wide topology (default 1).  Deterministic in [seed]
-    (default 1): the request sequence and every program/output are
-    reproducible; only the latency fields vary run to run. *)
+    requests over [~quick:true] 3 / else all 8 workload units.
+    Deterministic in [seed] (default 1): the request sequence and every
+    program/output are reproducible; only the latency fields vary run
+    to run. *)
 val run_traffic_replay :
-  ?quick:bool -> ?seed:int -> ?requests:int -> ?shards:int -> unit -> cell
+  ?quick:bool -> ?seed:int -> ?requests:int -> unit -> cell
 
 (** The [service] section of the bench dump, as a pre-rendered JSON
     object ({!Spec_driver.Bench_json.dump}'s [?service]). *)
 val to_json : cell -> string
-
-(** The [shards] section of the bench dump: topology-level latency and
-    throughput plus one row per shard
-    ({!Spec_driver.Bench_json.dump}'s [?shards]). *)
-val shards_to_json : cell -> string

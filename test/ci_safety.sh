@@ -4,8 +4,10 @@
 # compile), pass the constant-time kernel under strict, and deopt-based
 # recovery under forced ALAT flushes must actually exercise the deopt
 # path.  Malformed safety/recovery flag spellings must die with a
-# non-zero exit and a one-line usage hint, never compile anyway, and
-# malformed source must exit 2 naming the offending line.
+# non-zero exit and a one-line usage hint, never compile anyway,
+# malformed source must exit 2 naming the offending line, and a bad
+# cache directory or entry cap must exit 2 naming the flag (a refused
+# serve leaves no socket file).
 set -eu
 
 speccc="$1"
@@ -111,5 +113,39 @@ printf 'int main( { return 0; }\n' > "$work/syntax.c"
 expect_frontend_error "syntax error" "$work/syntax.c" 1
 printf 'int main(){ return 0; }\n\303\n' > "$work/byte.c"
 expect_frontend_error "stray non-ASCII byte" "$work/byte.c" 2
+
+# a bad cache option is a user error too: exit 2 naming the flag, and a
+# refused serve must not leave its socket file behind
+expect_usage_error() {
+  what="$1"; flag="$2"; shift 2
+  status=0
+  "$@" > "$work/err.out" 2>&1 || status=$?
+  [ "$status" -eq 2 ] || {
+    echo "safety ci: $what exited $status, not 2:" >&2
+    cat "$work/err.out" >&2
+    exit 1
+  }
+  grep -q "^speccc: $flag" "$work/err.out" || {
+    echo "safety ci: $what did not name $flag:" >&2
+    cat "$work/err.out" >&2
+    exit 1
+  }
+  [ ! -e "$work/svc.sock" ] || {
+    echo "safety ci: $what left a socket file behind" >&2
+    exit 1
+  }
+}
+
+: > "$work/plain-file"
+expect_usage_error "run --cache-dir on a regular file" --cache-dir \
+  "$speccc" run --cache-dir "$work/plain-file" "$ct"
+expect_usage_error "serve --cache-dir on a regular file" --cache-dir \
+  "$speccc" serve --socket "$work/svc.sock" --cache-dir "$work/plain-file"
+expect_usage_error "serve --cache-dir under a missing directory" \
+  --cache-dir \
+  "$speccc" serve --socket "$work/svc.sock" --cache-dir "$work/missing/sub"
+expect_usage_error "serve --max-entries 0" --max-entries \
+  "$speccc" serve --socket "$work/svc.sock" --cache-dir "$work/cache" \
+  --max-entries 0
 
 echo "safety ci ok"

@@ -1,5 +1,7 @@
 #!/bin/sh
 # @ci smoke for the compile service: start a daemon on a private socket,
+# storm it with three concurrent same-key clients (the cross-wakeup
+# single-flight registry must serve exactly one cold compile), then
 # drive it through the client subcommands — cold compile, warm compile
 # (byte-identical output), a profile-mode compile registering the unit
 # in the FDO loop, report-profile past the drift threshold (must
@@ -23,6 +25,29 @@ daemon=$!
 # If anything below fails, don't leave the daemon behind.
 trap 'kill "$daemon" 2> /dev/null || true; rm -rf "$work"' EXIT
 
+# Same-key storm: three concurrent clients ask for one key; the
+# single-flight registry must compile it exactly once (the others are
+# joined, parked, or warm depending on arrival timing) and every client
+# must get the same program.
+for i in 1 2 3; do
+  "$speccc" client compile --socket "$sock" --unit storm -m heuristic \
+    "$src" > "$work/storm.$i.out" 2> "$work/storm.$i.err" &
+  eval "storm_$i=\$!"
+done
+wait "$storm_1" "$storm_2" "$storm_3"
+for i in 2 3; do
+  cmp -s "$work/storm.1.out" "$work/storm.$i.out" || {
+    echo "service ci: storm clients got different programs (1 vs $i)" >&2
+    exit 1
+  }
+done
+"$speccc" client stats --socket "$sock" > "$work/storm-stats.out"
+grep -q "^cold 1$" "$work/storm-stats.out" || {
+  echo "service ci: same-key storm cost more than one cold compile:" >&2
+  cat "$work/storm-stats.out" >&2
+  exit 1
+}
+
 "$speccc" client compile --socket "$sock" --unit smoke -m base \
   "$src" > "$work/cold.out" 2> "$work/cold.err"
 grep -q "served: cold" "$work/cold.err" || {
@@ -44,9 +69,9 @@ cmp -s "$work/cold.out" "$work/warm.out" || {
 }
 
 # Register the unit in the FDO loop: only profile-mode compiles bind a
-# unit's source (stateless modes route by cache key under --shards and
-# deliberately leave unit state alone), so the drifted report below has
-# an artifact to refresh.
+# unit's source (a drift-triggered recompile reruns the unit's last
+# profile compile, so the base compiles above leave unit state alone),
+# and the drifted report below needs one to refresh.
 "$speccc" client compile --socket "$sock" --unit smoke -m profile \
   "$src" > "$work/reg.out" 2> "$work/reg.err"
 grep -q "served: cold" "$work/reg.err" || {

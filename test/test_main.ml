@@ -26,5 +26,4 @@ let () =
       ("fdo", Test_fdo.suite);
       ("backends", Test_backends.suite);
       ("service", Test_service.suite);
-      ("shard", Test_shard.suite);
       ("digests", Test_digests.suite) ]

@@ -5,12 +5,12 @@
    structured errors and the daemon keeps serving), daemon-vs-offline
    differential compiles (byte-identical programs and execution output,
    cold and warm, across modes), single-flight dedup under same-key
-   batches, store health under mixed-key storms, online-FDO semantics
-   (report order independence with lambda = 1, background-recompile
-   equivalence with the offline merge + compile, stale-report
-   soundness), and the [service] section of the specpre-bench/7
-   schema.  The sharded router on top of the daemon core is covered
-   in test_shard.ml. *)
+   batches and across wakeups, store health under mixed-key storms,
+   a client that hangs up before its reply, a cache directory that
+   vanishes under the daemon, online-FDO semantics (report order
+   independence with lambda = 1, background-recompile equivalence with
+   the offline merge + compile, stale-report soundness), and the
+   [service] section of the specpre-bench/8 schema. *)
 
 open Spec_ir
 open Spec_fdo
@@ -317,7 +317,7 @@ let test_socket_malformed () =
       (Printf.sprintf "specsvc-mal-%d.sock" (Unix.getpid ()))
   in
   let cfg = Daemon.default_config ~cache_dir:(fresh_dir "mal") in
-  let server = Shard.spawn cfg ~socket:sock in
+  let server = Server.spawn cfg ~socket:sock in
   (* every malformed line gets a structured error reply on the same
      connection, and the daemon survives all of them *)
   let malformed =
@@ -359,12 +359,75 @@ let test_socket_malformed () =
       | Error e -> Alcotest.fail ("post-fuzz compile failed: " ^ e));
      (match Client.rpc c Proto.Stats with
       | Ok (Proto.Stats_reply kvs) ->
-        check_bool "errors were counted" true
-          (List.assoc "errors" kvs >= List.length malformed)
+        (* the 8 malformed lines and the oversized one are refused; the
+           compile and this stats request are served *)
+        check_int "every line counted as a request" 11
+          (List.assoc "requests" kvs);
+        check_int "every refused line counted as an error" 9
+          (List.assoc "errors" kvs)
       | Ok _ -> Alcotest.fail "stats: wrong reply"
       | Error e -> Alcotest.fail ("stats failed: " ^ e));
      Client.close c);
-  Shard.stop server
+  Server.stop server
+
+(* A client that hangs up before its reply loses the reply, not the
+   server: the landed flight's answer hits EPIPE, the connection leaves
+   the select set, and the next client is served. *)
+let test_client_hangup () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let sock =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "specsvc-hup-%d.sock" (Unix.getpid ()))
+  in
+  let cfg = Daemon.default_config ~cache_dir:(fresh_dir "hup") in
+  let server = Server.spawn cfg ~socket:sock in
+  let line req = Proto.encode_request req ^ "\n" in
+  let req = compile_req ~mode:"heuristic" src_a in
+  let fd = raw_connect sock in
+  ignore (raw_write fd (line req) : int);
+  Unix.close fd;
+  (* a bounded wait: a dead server fails the test instead of hanging it *)
+  let fd = raw_connect sock in
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+  let rpc req =
+    ignore (raw_write fd (line req) : int);
+    match raw_read_line fd with
+    | None -> Alcotest.fail "no reply: the server died with the hang-up"
+    | Some l ->
+      (match Proto.decode_response l with
+       | Ok resp -> resp
+       | Error e -> Alcotest.fail ("undecodable reply: " ^ e))
+  in
+  (match (compiled (rpc req)).Proto.cr_served with
+   | Proto.Warm | Proto.Joined | Proto.Parked -> ()
+   | Proto.Cold -> Alcotest.fail "the same key was compiled cold twice");
+  (match rpc Proto.Stats with
+   | Proto.Stats_reply kvs ->
+     check_int "one cold compile" 1 (List.assoc "cold" kvs);
+     check_int "a hang-up is not an error" 0 (List.assoc "errors" kvs)
+   | _ -> Alcotest.fail "stats: wrong reply");
+  Unix.close fd;
+  Server.stop server
+
+(* A cache directory that vanishes under the daemon costs warm hits,
+   not answers: the compile is served, the failed store is counted,
+   and stats still reads the (now empty) cache. *)
+let test_vanished_cache_dir () =
+  let dir = fresh_dir "vanished" in
+  let t = Daemon.create (Daemon.default_config ~cache_dir:dir) in
+  Unix.rmdir dir;
+  let req = compile_req ~exec:true src_a in
+  let direct = offline src_a "base" in
+  let r = compiled (Daemon.handle t req) in
+  check_str "program == direct program"
+    (Pp.prog_to_string direct.Pipeline.prog) r.Proto.cr_prog;
+  check_str "output == direct output" (vm_out direct) r.Proto.cr_output;
+  check_int "no errors" 0 (counter t "errors");
+  check_int "the store failure is counted" 1
+    (counter t "cache_store_failures");
+  check_int "nothing cached" 0 (counter t "cache_length");
+  check_bool "a repeat compiles cold again" true
+    ((compiled (Daemon.handle t req)).Proto.cr_served = Proto.Cold)
 
 (* ---- differential: daemon == direct pipeline ---- *)
 
@@ -395,7 +458,7 @@ let test_differential_modes () =
             cold.Proto.cr_output warm.Proto.cr_output;
           check_str (label ^ ": same cache key") cold.Proto.cr_key
             warm.Proto.cr_key)
-        [ "none"; "base"; "heuristic" ])
+        [ "none"; "base"; "heuristic"; "aggressive" ])
     [ ("a", src_a); ("b", src_b) ]
 
 let test_differential_profile () =
@@ -481,6 +544,60 @@ let test_single_flight () =
   check_bool "across batches the cache serves" true
     (again.Proto.cr_served = Proto.Warm);
   check_int "still exactly one cold compile" 1 (counter t "cold")
+
+(* N requests for one key across wakeups cost one cold compile: the
+   creator, a same-wakeup joiner and two later-wakeup parkers are all
+   answered when the one flight lands. *)
+let test_cross_wakeup_single_flight () =
+  let t =
+    Daemon.create
+      (Daemon.default_config ~cache_dir:(fresh_dir "xwake"))
+  in
+  let req = compile_req ~mode:"heuristic" src_a in
+  (* wakeup 1: the creator and one same-wakeup joiner *)
+  Daemon.begin_wakeup t;
+  (match Daemon.submit t ~id:0 req with
+   | Daemon.Parked_on _ -> ()
+   | Daemon.Immediate _ -> Alcotest.fail "creator answered early");
+  (match Daemon.submit t ~id:1 req with
+   | Daemon.Parked_on _ -> ()
+   | Daemon.Immediate _ -> Alcotest.fail "joiner answered early");
+  (* wakeups 2 and 3: the key is still in flight — park, don't compile *)
+  Daemon.begin_wakeup t;
+  (match Daemon.submit t ~id:2 req with
+   | Daemon.Parked_on _ -> ()
+   | Daemon.Immediate _ -> Alcotest.fail "parker answered early");
+  Daemon.begin_wakeup t;
+  (match Daemon.submit t ~id:3 req with
+   | Daemon.Parked_on _ -> ()
+   | Daemon.Immediate _ -> Alcotest.fail "second parker answered early");
+  check_bool "flight pending" true (Daemon.has_inflight t);
+  let answers = Daemon.complete_one t in
+  check_int "all four waiters answered at once" 4 (List.length answers);
+  check_bool "no second flight" false (Daemon.has_inflight t);
+  let counter name = List.assoc name (Daemon.counters t) in
+  check_int "exactly one cold compile" 1 (counter "cold");
+  check_int "one same-wakeup join" 1 (counter "joined");
+  check_int "two cross-wakeup parks" 2 (counter "parked");
+  check_int "no warm serves" 0 (counter "warm");
+  let tag id =
+    (compiled (List.assoc id answers)).Proto.cr_served
+  in
+  check_bool "creator served cold" true (tag 0 = Proto.Cold);
+  check_bool "same-wakeup waiter joined" true (tag 1 = Proto.Joined);
+  check_bool "later-wakeup waiters parked" true
+    (tag 2 = Proto.Parked && tag 3 = Proto.Parked);
+  let progs =
+    List.map (fun (_, r) -> (compiled r).Proto.cr_prog) answers
+  in
+  List.iter
+    (fun p -> check_str "identical programs" (List.hd progs) p)
+    progs;
+  (* the flight is gone: a later request is warm from the cache *)
+  (match (compiled (Daemon.handle t req)).Proto.cr_served with
+   | Proto.Warm -> ()
+   | _ -> Alcotest.fail "post-flight repeat was not warm");
+  check_int "still one cold compile" 1 (counter "cold")
 
 let test_mixed_key_storm () =
   let t = daemon "storm" in
@@ -674,6 +791,10 @@ let suite =
     QCheck_alcotest.to_alcotest fuzz_decode_total;
     Alcotest.test_case "socket survives malformed lines" `Quick
       test_socket_malformed;
+    Alcotest.test_case "socket survives a client hang-up" `Quick
+      test_client_hangup;
+    Alcotest.test_case "vanished cache directory" `Quick
+      test_vanished_cache_dir;
     Alcotest.test_case "differential: plain modes" `Quick
       test_differential_modes;
     Alcotest.test_case "differential: profile mode" `Quick
@@ -681,6 +802,8 @@ let suite =
     Alcotest.test_case "malformed compile is refused, not fatal" `Quick
       test_malformed_compile;
     Alcotest.test_case "single-flight dedup" `Quick test_single_flight;
+    Alcotest.test_case "cross-wakeup single flight" `Quick
+      test_cross_wakeup_single_flight;
     Alcotest.test_case "mixed-key storm" `Quick test_mixed_key_storm;
     Alcotest.test_case "report order independence" `Quick
       test_report_order_independence;
