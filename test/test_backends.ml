@@ -267,15 +267,16 @@ let ooo_mdp_goldens = [
 ]
 
 (* art's heuristic build under a flush + chaos-invalidation plan on both
-   cores: the counter record, then the ALAT's (live, inserts,
-   store_invalidations, capacity_evictions) *)
+   cores: the counter record, the ALAT's (live, inserts,
+   store_invalidations, capacity_evictions), then the injector's own
+   (flushes, invalidations) *)
 let faulted_art_goldens = [
   ("inorder",
    (155829, 245548, 87866, 9701, 4920, 0, 9600, 6978, 11406, 20063, 0, 79, 0, 0, 0, 0),
-   (0, 11898, 2409, 0));
+   (0, 11898, 2409, 0), (3836, 4991));
   ("ooo",
    (155829, 83822, 11311, 9701, 4920, 0, 9600, 5069, 11406, 20063, 0, 79, 130, 0, 1309, 0),
-   (0, 9989, 4389, 0));
+   (0, 9989, 4389, 0), (1309, 1701));
 ]
 
 let tuple16_to_list (a, b, c, d, e, f, g, h, i, j, k, l, m, n, o, p) =
@@ -469,8 +470,8 @@ let test_faulted_art_goldens () =
     (fun (name, core) ->
       let faults = Faults.injector_opt plan ~scope:[ "backends-golden"; "art" ] in
       let m = Machine.run_sir_on core ?faults r.Pipeline.prog in
-      let _, want, (live, inserts, invs, evictions) =
-        List.find (fun (n, _, _) -> n = name) faulted_art_goldens
+      let _, want, (live, inserts, invs, evictions), (flushes, injected) =
+        List.find (fun (n, _, _, _) -> n = name) faulted_art_goldens
       in
       Alcotest.(check (list int)) (name ^ " faulted counters")
         (tuple16_to_list want) (all_counters m);
@@ -478,7 +479,15 @@ let test_faulted_art_goldens () =
       Alcotest.(check (list int)) (name ^ " faulted ALAT counters")
         [ live; inserts; invs; evictions ]
         [ Alat.live a; a.Alat.inserts; a.Alat.store_invalidations;
-          a.Alat.capacity_evictions ])
+          a.Alat.capacity_evictions ];
+      let inj =
+        match faults with
+        | Some inj -> inj
+        | None -> Alcotest.fail "the plan must build an injector"
+      in
+      Alcotest.(check (list int)) (name ^ " injected flushes/invalidations")
+        [ flushes; injected ]
+        [ Faults.flushes inj; Faults.invalidations inj ])
     [ "inorder", Machine.Inorder; "ooo", Machine.Ooo ]
 
 let suite =
