@@ -79,16 +79,16 @@ sh test/ci_service.sh _build/default/bin/speccc.exe "$tmp"
 
 echo "== bench harness argument check =="
 # An unknown flag must fail the harness, not run the default sweep: the
-# removed engine and shards options are the likeliest leftovers.  The
-# removed serve option must fail before the daemon binds its socket.
-if dune exec bench/main.exe -- --engine vm > /dev/null 2>&1; then
-  echo "bench/main.exe accepted an unknown flag" >&2
-  exit 1
-fi
-if dune exec bench/main.exe -- --traffic --shards 2 > /dev/null 2>&1; then
-  echo "bench/main.exe accepted the removed --shards flag" >&2
-  exit 1
-fi
+# removed engine, shards, backend and micro options are the likeliest
+# leftovers.  The removed serve option must fail before the daemon binds
+# its socket.
+for args in "--engine vm" "--traffic --shards 2" "--backend both" "--micro"; do
+  # $args is split on purpose: each entry is a whole argument list
+  if dune exec bench/main.exe -- $args > /dev/null 2>&1; then
+    echo "bench/main.exe accepted the removed option: $args" >&2
+    exit 1
+  fi
+done
 sock="$(mktemp -u -t speccc-ci-XXXXXX.sock)"
 if _build/default/bin/speccc.exe serve --shards 2 --socket "$sock" \
   > /dev/null 2>&1; then
@@ -109,13 +109,13 @@ echo "== bench harness smoke (--quick --stress --jobs 2) =="
 # is kept as an artifact.
 dune exec bench/main.exe -- --quick --jobs 2 --stress --json --json-file bench-smoke.json > /dev/null
 
-echo "== cross-backend smoke (--backend both --quick --jobs 2) =="
-# Runs the quick sweep on both core models (the in-order EPIC machine
-# and the out-of-order control).  The harness hard-fails if the two
-# backends disagree on any program output or instruction count, and the
-# per-backend dump — including the in-order-vs-OoO comparison section —
-# is kept as an artifact.
-dune exec bench/main.exe -- --quick --jobs 2 --backend both --json \
+echo "== cross-backend smoke (--table backends --quick --jobs 2) =="
+# The backends table runs the quick sweep on the out-of-order control
+# as well as the in-order EPIC machine.  The harness hard-fails if the
+# two cores disagree on any program output or instruction count, and the
+# dump — including the in-order-vs-OoO comparison section — is kept as
+# an artifact.
+dune exec bench/main.exe -- --quick --jobs 2 --table backends --json \
   --json-file backend-smoke.json > /dev/null
 
 echo "== compile-throughput smoke (--compile-bench --quick --jobs 2) =="

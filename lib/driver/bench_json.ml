@@ -28,7 +28,11 @@
     - [/8] (current) has one interpreter engine: variant rows lose their
       [engine] label, and the [engines] section compares the
       tree-walking oracle with the vm only ([tree_wall_s],
-      [tree_over_vm] and [geomean_tree_over_vm] are gone).
+      [tree_over_vm] and [geomean_tree_over_vm] are gone).  Rows carry
+      in-order counters only; the OoO core appears in the [backends]
+      and [mdp] sections.  Dumps written while rows still had a
+      [backend] label, some with OoO rows, validate as they are:
+      {!validate} ignores fields it does not ask for.
 
     /7 and older dumps are rejected. *)
 
@@ -40,17 +44,14 @@ let schema_tag = "specpre-bench/8"
 (* Emission                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let variant_json ~backend name (r : Experiments.run) =
+let variant_json name (r : Experiments.run) =
   let open Spec_machine in
   let p = r.Experiments.r_machine.Machine.perf in
   Printf.sprintf
-    "{\"variant\":%S,\"backend\":%S,\"wall_s\":%.6f,\
-     \"cycles\":%d,\
+    "{\"variant\":%S,\"wall_s\":%.6f,\"cycles\":%d,\
      \"insns\":%d,\"data_cycles\":%d,\"loads_retired\":%d,\"checks\":%d,\
      \"check_misses\":%d,\"br_mispredicts\":%d,\"lsq_replays\":%d}"
-    name
-    (Machine.backend_name backend)
-    r.Experiments.r_wall_s p.Machine.cycles p.Machine.insns
+    name r.Experiments.r_wall_s p.Machine.cycles p.Machine.insns
     p.Machine.data_cycles
     (Machine.loads_retired p)
     p.Machine.checks p.Machine.check_misses p.Machine.br_mispredicts
@@ -62,17 +63,13 @@ let variant_json ~backend name (r : Experiments.run) =
     compile). *)
 let workload_json (w : Workloads.workload) (b : Experiments.bench_result) =
   let buf = Buffer.create 4096 in
-  let backend = b.Experiments.backend in
   Printf.bprintf buf
-    "{\"name\":%S,\"backend\":%S,\"wall_s\":%.6f,\"profile_wall_s\":%.6f,\
-     \"variants\":["
-    b.Experiments.wname
-    (Spec_machine.Machine.backend_name backend)
-    b.Experiments.total_wall_s b.Experiments.prof_wall_s;
+    "{\"name\":%S,\"wall_s\":%.6f,\"profile_wall_s\":%.6f,\"variants\":["
+    b.Experiments.wname b.Experiments.total_wall_s b.Experiments.prof_wall_s;
   List.iteri
     (fun i (name, r) ->
       if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (variant_json ~backend name r))
+      Buffer.add_string buf (variant_json name r))
     [ "noopt", b.Experiments.noopt; "base", b.Experiments.base;
       "profile", b.Experiments.prof_spec;
       "heuristic", b.Experiments.heur_spec;
@@ -109,14 +106,13 @@ let workload_json (w : Workloads.workload) (b : Experiments.bench_result) =
 let stress_cell_json (cells : Experiments.stress_cell list)
     (c : Experiments.stress_cell) =
   Printf.sprintf
-    "{\"workload\":%S,\"backend\":%S,\"point\":%S,\"variant\":%S,\"adv_flips\":%d,\
+    "{\"workload\":%S,\"point\":%S,\"variant\":%S,\"adv_flips\":%d,\
      \"checks\":%d,\"check_misses\":%d,\"hit_rate_pct\":%.3f,\
      \"cycles\":%d,\"insns\":%d,\"cycle_overhead_pct\":%.3f,\
      \"machine_flushes\":%d,\"machine_invalidations\":%d,\
      \"interp_checks\":%d,\"interp_reloads\":%d,\"interp_flushes\":%d,\
      \"interp_invalidations\":%d}"
-    c.Experiments.sc_workload c.Experiments.sc_backend c.Experiments.sc_point
-    c.Experiments.sc_variant
+    c.Experiments.sc_workload c.Experiments.sc_point c.Experiments.sc_variant
     c.Experiments.sc_adv_flips c.Experiments.sc_checks
     c.Experiments.sc_misses
     (Experiments.stress_hit_rate c)
@@ -164,7 +160,7 @@ let backends_entry_json ~(inorder : Experiments.bench_result)
     (replays ooo.Experiments.prof_spec)
     (win inorder -. win ooo)
 
-(** The [--backend both] in-order-vs-OoO comparison as a JSON object:
+(** The [--table backends] in-order-vs-OoO comparison as a JSON object:
     one entry per workload pairing the two backends' paper metrics, the
     OoO core's LSQ replay counts on base vs speculative code, and the
     speedup points the hardware captures on its own
@@ -577,20 +573,9 @@ let as_obj path what = function
 
 let as_arr = function Arr items -> items | _ -> assert false
 
-let validate_backend_name path name f =
-  match field path name `Str f with
-  | Str s when Spec_machine.Machine.backend_of_string s <> None -> ()
-  | Str other ->
-    raise
-      (Invalid
-         (Printf.sprintf "field %s.%s: unknown backend %S"
-            (String.concat "." (List.rev path)) name other))
-  | _ -> assert false
-
 let validate_variant path v =
   let f = as_obj path "variant entry" v in
   ignore (field path "variant" `Str f);
-  validate_backend_name path "backend" f;
   ignore (field path "wall_s" `Num f);
   List.iter
     (fun name -> ignore (field path name `Int f))
@@ -601,7 +586,6 @@ let validate_workload i v =
   let path = [ Printf.sprintf "workloads[%d]" i ] in
   let f = as_obj path "workload entry" v in
   ignore (field path "name" `Str f);
-  validate_backend_name path "backend" f;
   ignore (field path "wall_s" `Num f);
   ignore (field path "profile_wall_s" `Num f);
   let variants = as_arr (field path "variants" `Arr f) in
@@ -631,7 +615,6 @@ let validate_stress_cell i v =
   List.iter
     (fun name -> ignore (field path name `Str f))
     [ "workload"; "point"; "variant" ];
-  validate_backend_name path "backend" f;
   List.iter
     (fun name -> ignore (field path name `Int f))
     [ "adv_flips"; "checks"; "check_misses"; "cycles"; "insns";

@@ -5,7 +5,8 @@
     /8 has one interpreter engine: variant rows carry no [engine] label,
     and the [engines] section compares the tree-walking oracle with the
     vm ([tree_wall_s], [tree_over_vm] and [geomean_tree_over_vm] are
-    gone).  /7 dumps no longer validate. *)
+    gone).  Rows carry in-order counters and no [backend] label; older /8
+    dumps with the label still validate.  /7 dumps no longer validate. *)
 
 (** The schema tag emitted and required by this build,
     ["specpre-bench/8"]. *)
@@ -13,51 +14,33 @@ val schema_tag : string
 
 (** {1 Emission} *)
 
-val variant_json :
-  backend:Spec_machine.Machine.backend -> string -> Experiments.run ->
-  string
-
 val workload_json :
   Spec_workloads.Workloads.workload -> Experiments.bench_result -> string
 
-val stress_cell_json :
-  Experiments.stress_cell list -> Experiments.stress_cell -> string
-
 val stress_json : seed:int -> Experiments.stress_cell list -> string
 
-(** The [--backend both] comparison as a JSON object: one entry per
+(** The [--table backends] comparison as a JSON object: one entry per
     workload pairing the in-order and OoO results for the same source —
     paper metrics per backend, OoO LSQ replays on base vs speculative
     code, and [hw_captured_pts] (in-order speedup − OoO speedup). *)
 val backends_json :
   (Experiments.bench_result * Experiments.bench_result) list -> string
 
-val engine_cell_json : Experiments.engine_cell -> string
-
 (** The engine-throughput sweep as a JSON object: per-workload wall
     times for the tree-walking oracle and the threaded-code vm, plus
     the geometric-mean speedup. *)
 val engines_json : Experiments.engine_cell list -> string
 
-val mdp_cell_json :
-  Experiments.mdp_cell list -> Experiments.mdp_cell -> string
-
 (** The OoO memory-dependence-predictor sweep as a JSON object. *)
 val mdp_json : Experiments.mdp_cell list -> string
 
-val fdo_cell_json : Experiments.fdo_result -> string
-
 (** The warm-vs-cold compile-cache sweep as a JSON object. *)
 val fdo_json : Experiments.fdo_result list -> string
-
-val compile_cell_json : Experiments.compile_result -> string
 
 (** The [--compile-bench] throughput sweep as a JSON object: parallel
     domain count, aggregate speedup, and one cell per workload with the
     sequential compile's pass breakdown. *)
 val compile_json : Experiments.compile_result list -> string
-
-val safety_cell_json : Experiments.safety_cell -> string
 
 (** The speculative-safety sweep as a JSON object: the interference
     plan, plus one cell per (workload, speculative variant) with the

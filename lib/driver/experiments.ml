@@ -217,7 +217,7 @@ let rse_row (b : bench_result) =
 (** Hard agreement gate: two backends measuring the same workload must
     report byte-identical program output (and instruction counts — the
     dynamic trace is shared) for every variant.  Raises on divergence;
-    the bench smoke runs this under [--backend both]. *)
+    the bench's [backends] table runs this before it prints. *)
 let check_backend_agreement (a : bench_result) (b : bench_result) =
   List.iter
     (fun (vname, sel) ->

@@ -348,10 +348,6 @@ let test_bench_json_rejects_drift () =
       replace ~sub:"\"deopt_steps\"" ~by:"\"deopt_step\"" dump;
       "int where site string expected",
       replace ~sub:"\"sites\":[]" ~by:"\"sites\":[7]" dump;
-      "missing backend dimension",
-      replace ~sub:"\"backend\":\"inorder\"," ~by:"" dump;
-      "unknown backend name",
-      replace ~sub:"\"backend\":\"inorder\"" ~by:"\"backend\":\"vliw\"" dump;
       "unknown mdp policy name",
       replace ~sub:"\"mdp\":\"store-set\"" ~by:"\"mdp\":\"psychic\"" dump;
       "renamed engine counter",
