@@ -223,9 +223,11 @@ let recover_plan recover src =
   | `Deopt -> Some (Spec_safety.Deopt.make_plan (Lower.compile src))
 
 (* A cache directory that is not a directory, or cannot be created, is
-   a usage error: name the flag and exit 2, as a bad --decay does. *)
-let cache_or_exit dir =
+   a usage error: name the flag and exit 2, as a bad --decay does.
+   [cleanup] runs before the exit. *)
+let cache_or_exit ?(cleanup = ignore) dir =
   let fail reason =
+    cleanup ();
     Printf.eprintf "speccc: --cache-dir %s: %s\n" dir reason;
     exit 2
   in
@@ -234,7 +236,7 @@ let cache_or_exit dir =
   | exception Invalid_argument _ -> fail "not a directory"
   | exception Unix.Unix_error (e, _, _) -> fail (Unix.error_message e)
 
-let open_cache dir = Option.map cache_or_exit dir
+let open_cache dir = Option.map (fun d -> cache_or_exit d) dir
 
 let report_cache cache =
   match cache with
@@ -711,15 +713,27 @@ let serve_cmd =
        Printf.eprintf "speccc: --max-entries must be at least 1\n";
        exit 2
      | _ -> ());
-    (* before the socket is bound: a bad cache directory leaves no
-       socket file behind *)
-    ignore (cache_or_exit cache_dir : Spec_fdo.Cache.t);
+    (* the socket is bound before the cache directory is created, so
+       a refused socket path creates nothing, and a refused cache
+       directory closes the socket and removes its file *)
+    let listener =
+      match Service.Server.listen socket with
+      | Ok l -> l
+      | Error reason ->
+        Printf.eprintf "speccc: --socket %s: %s\n" socket reason;
+        exit 2
+    in
+    ignore
+      (cache_or_exit
+         ~cleanup:(fun () -> Service.Server.close listener)
+         cache_dir
+        : Spec_fdo.Cache.t);
     let cfg =
       { Service.Daemon.sv_cache_dir = cache_dir;
         sv_max_entries = max_entries; sv_lambda = decay; sv_drift = drift;
         sv_verbose = verbose }
     in
-    Service.Server.serve cfg ~socket;
+    Service.Server.serve cfg listener;
     0
   in
   Cmd.v

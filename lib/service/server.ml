@@ -43,7 +43,36 @@ let take_lines conn =
   in
   go 0 []
 
-let serve cfg ~socket =
+type listener = { l_fd : Unix.file_descr; l_path : string }
+
+(* Only a socket is replaced: a killed daemon leaves its socket behind,
+   and anything else at the path is the user's file. *)
+let listen path =
+  let bind () =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    match
+      Unix.bind fd (Unix.ADDR_UNIX path);
+      Unix.listen fd 64
+    with
+    | () -> Ok { l_fd = fd; l_path = path }
+    | exception Unix.Unix_error (e, _, _) ->
+      Unix.close fd;
+      Error (Unix.error_message e)
+  in
+  match Unix.lstat path with
+  | { Unix.st_kind = Unix.S_SOCK; _ } ->
+    (try Unix.unlink path; bind ()
+     with Unix.Unix_error (e, _, _) -> Error (Unix.error_message e))
+  | _ -> Error "exists and is not a socket"
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> bind ()
+  | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
+
+let close l =
+  (try Unix.close l.l_fd with Unix.Unix_error _ -> ());
+  try Unix.unlink l.l_path with Unix.Unix_error _ -> ()
+
+let serve cfg l =
+  let srv = l.l_fd and socket = l.l_path in
   let d = Daemon.create cfg in
   let log fmt =
     if cfg.Daemon.sv_verbose then
@@ -53,10 +82,6 @@ let serve cfg ~socket =
   (* a peer closing mid-write must surface as EPIPE, not kill us *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
-  (try Unix.unlink socket with Unix.Unix_error _ -> ());
-  let srv = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind srv (Unix.ADDR_UNIX socket);
-  Unix.listen srv 64;
   let conns : (Unix.file_descr, conn) Hashtbl.t = Hashtbl.create 16 in
   (* waiter id -> connection, for responses landed by complete_one *)
   let waiters : (int, conn) Hashtbl.t = Hashtbl.create 16 in
@@ -145,15 +170,16 @@ let serve cfg ~socket =
   Daemon.quiesce d;
   Hashtbl.fold (fun _ conn acc -> conn :: acc) conns []
   |> List.iter (close_conn conns);
-  (try Unix.close srv with Unix.Unix_error _ -> ());
-  (try Unix.unlink socket with Unix.Unix_error _ -> ());
+  close l;
   log "stopped"
 
 type server = { s_thread : Thread.t; s_socket : string }
 
 let spawn cfg ~socket =
-  { s_thread = Thread.create (fun () -> serve cfg ~socket) ();
-    s_socket = socket }
+  match listen socket with
+  | Ok l -> { s_thread = Thread.create (serve cfg) l; s_socket = socket }
+  | Error reason ->
+    failwith (Printf.sprintf "Server.spawn: %s: %s" socket reason)
 
 let stop s =
   (match Client.connect s.s_socket with

@@ -10,19 +10,32 @@
     in.  The core answers [stats] and [shutdown] itself; the server
     only frames lines and owns the connections. *)
 
-(** Serve on a unix-domain socket path until a [shutdown] request;
-    binds (replacing any stale socket file), then enters the select
-    loop described above.  Undecodable lines get structured error
-    replies ({!Daemon.refuse}); a connection whose buffered line
-    exceeds {!Proto.max_line} is answered with an error and closed.  A
-    client that hangs up before its reply only loses that reply.
-    Flights still in the registry when shutdown arrives are landed and
-    their waiters answered before the socket is torn down. *)
-val serve : Daemon.config -> socket:string -> unit
+(** A listening unix-domain socket and its path. *)
+type listener
+
+(** Bind and listen at a socket path.  A socket already at the path —
+    the one a killed daemon leaves behind — is replaced; any other file
+    there is refused and kept as it is.  A refused path, a missing
+    directory or a failed bind is [Error reason]. *)
+val listen : string -> (listener, string) result
+
+(** Close a listener and remove its socket file. *)
+val close : listener -> unit
+
+(** Serve on a listener until a [shutdown] request, in the select loop
+    described above.  Undecodable lines get structured error replies
+    ({!Daemon.refuse}); a connection whose buffered line exceeds
+    {!Proto.max_line} is answered with an error and closed.  A client
+    that hangs up before its reply only loses that reply.  Flights
+    still in the registry when shutdown arrives are landed and their
+    waiters answered before the listener is closed. *)
+val serve : Daemon.config -> listener -> unit
 
 type server
 
-(** Run {!serve} on a background thread (tests, traffic replay). *)
+(** {!listen} at the socket path, then run {!serve} on a background
+    thread (tests, traffic replay); the socket is bound when [spawn]
+    returns.  Raises [Failure] when {!listen} refuses the path. *)
 val spawn : Daemon.config -> socket:string -> server
 
 (** Request shutdown over the socket and join the server thread. *)

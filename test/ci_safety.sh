@@ -6,8 +6,10 @@
 # path.  Malformed safety/recovery flag spellings must die with a
 # non-zero exit and a one-line usage hint, never compile anyway,
 # malformed source must exit 2 naming the offending line, and a bad
-# cache directory or entry cap must exit 2 naming the flag (a refused
-# serve leaves no socket file).
+# cache directory, entry cap or socket path must exit 2 naming the flag
+# (a refused serve leaves no socket file, a refused socket path no cache
+# directory, and a regular file at the socket path keeps its bytes).  A
+# socket left by a daemon killed with SIGKILL is replaced on restart.
 set -eu
 
 speccc="$1"
@@ -147,5 +149,51 @@ expect_usage_error "serve --cache-dir under a missing directory" \
 expect_usage_error "serve --max-entries 0" --max-entries \
   "$speccc" serve --socket "$work/svc.sock" --cache-dir "$work/cache" \
   --max-entries 0
+
+# --socket replaces only a socket: a regular file at the path is the
+# user's, and a missing directory cannot be bound; both are refused
+# before the cache directory is created (the timeout turns a daemon
+# that starts anyway into a failure instead of a hang)
+printf 'my notes\n' > "$work/notes.txt"
+expect_usage_error "serve --socket on a regular file" --socket \
+  timeout 20 "$speccc" serve --socket "$work/notes.txt" \
+  --cache-dir "$work/cache-s"
+[ "$(cat "$work/notes.txt")" = "my notes" ] || {
+  echo "safety ci: serve --socket clobbered a regular file" >&2
+  exit 1
+}
+expect_usage_error "serve --socket under a missing directory" --socket \
+  timeout 20 "$speccc" serve --socket "$work/missing/svc.sock" \
+  --cache-dir "$work/cache-s"
+[ ! -e "$work/cache-s" ] || {
+  echo "safety ci: a refused --socket created the cache directory" >&2
+  exit 1
+}
+
+# a daemon killed with SIGKILL leaves its socket behind; a restart on
+# the same path replaces it and serves
+"$speccc" serve --socket "$work/svc.sock" --cache-dir "$work/cache" &
+daemon=$!
+trap 'kill "$daemon" 2> /dev/null || true; rm -rf "$work"' EXIT
+"$speccc" client stats --socket "$work/svc.sock" > /dev/null
+kill -9 "$daemon"
+wait "$daemon" 2> /dev/null || true
+[ -S "$work/svc.sock" ] || {
+  echo "safety ci: the killed daemon left no socket to replace" >&2
+  exit 1
+}
+"$speccc" serve --socket "$work/svc.sock" --cache-dir "$work/cache" &
+daemon=$!
+"$speccc" client stats --socket "$work/svc.sock" > "$work/restart.out" || {
+  echo "safety ci: the restarted daemon did not answer stats" >&2
+  exit 1
+}
+grep -q "^requests 1$" "$work/restart.out" || {
+  echo "safety ci: unexpected stats from the restarted daemon:" >&2
+  cat "$work/restart.out" >&2
+  exit 1
+}
+"$speccc" client shutdown --socket "$work/svc.sock" > /dev/null
+wait "$daemon"
 
 echo "safety ci ok"
