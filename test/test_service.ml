@@ -6,8 +6,8 @@
    differential compiles (byte-identical programs and execution output,
    cold and warm, across modes), single-flight dedup under same-key
    batches and across wakeups, store health under mixed-key storms,
-   a client that hangs up before its reply, a cache directory that
-   vanishes under the daemon, online-FDO semantics (report order
+   a client that hangs up before its reply or in the middle of a
+   request line, a cache directory that vanishes under the daemon, online-FDO semantics (report order
    independence with lambda = 1, background-recompile equivalence with
    the offline merge + compile, stale-report soundness), and the
    [service] section of the specpre-bench/8 schema. *)
@@ -409,6 +409,37 @@ let test_client_hangup () =
   Unix.close fd;
   Server.stop server
 
+(* A request cut short by a hang-up is not a request: the partial line
+   leaves with its connection, uncounted, and the next client is
+   served. *)
+let test_partial_line_hangup () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let sock =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "specsvc-part-%d.sock" (Unix.getpid ()))
+  in
+  let cfg = Daemon.default_config ~cache_dir:(fresh_dir "part") in
+  let server = Server.spawn cfg ~socket:sock in
+  List.iter
+    (fun req ->
+      let fd = raw_connect sock in
+      ignore (raw_write fd (Proto.encode_request req) : int);
+      Unix.close fd)
+    [ compile_req ~mode:"heuristic" src_a; Proto.Stats ];
+  (match Client.connect sock with
+   | Error e -> Alcotest.fail ("daemon died: " ^ e)
+   | Ok c ->
+     (match Client.rpc c Proto.Stats with
+      | Ok (Proto.Stats_reply kvs) ->
+        check_int "only this stats request counted" 1
+          (List.assoc "requests" kvs);
+        check_int "a partial line is not an error" 0
+          (List.assoc "errors" kvs)
+      | Ok _ -> Alcotest.fail "stats: wrong reply"
+      | Error e -> Alcotest.fail ("stats failed: " ^ e));
+     Client.close c);
+  Server.stop server
+
 (* A cache directory that vanishes under the daemon costs warm hits,
    not answers: the compile is served, the failed store is counted,
    and stats still reads the (now empty) cache. *)
@@ -793,6 +824,8 @@ let suite =
       test_socket_malformed;
     Alcotest.test_case "socket survives a client hang-up" `Quick
       test_client_hangup;
+    Alcotest.test_case "partial line then hang-up" `Quick
+      test_partial_line_hangup;
     Alcotest.test_case "vanished cache directory" `Quick
       test_vanished_cache_dir;
     Alcotest.test_case "differential: plain modes" `Quick
