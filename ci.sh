@@ -63,7 +63,9 @@ echo "== speculative-safety smoke (--safety + --recover deopt) =="
 # strict must fail its compile), pass the constant-time kernel under
 # strict, deopt-based recovery under forced flushes must actually
 # deoptimize, malformed safety/recovery flags must exit non-zero with a
-# usage hint, and malformed source must exit 2 naming the line.
+# usage hint, malformed source must exit 2 naming the line, and a bad
+# cache directory or --socket path must exit 2 naming the flag (a
+# SIGKILLed daemon's leftover socket is replaced on restart).
 sh test/ci_safety.sh _build/default/bin/speccc.exe \
   test/safety_smoke.c test/safety_ct.c
 
