@@ -221,6 +221,40 @@ let test_pp_roundtrip_smoke () =
   check_bool "pp mentions main" true (contains s "func main");
   check_bool "pp mentions loop condition" true (contains s "if")
 
+(* [frontend_digests.txt] pins what each of the ~2,000 token-level
+   mutants of the kernels' train sources ({!Spec_mutate.Mutate.corpus})
+   lowers to: the MD5 of the lowered program's Pp text, or the line and
+   message of the frontend error it raises.  On a mismatch the test
+   writes the recomputed table to [frontend_digests.actual] in the
+   build's test directory. *)
+let mutant_row (label, src) =
+  let one_line = String.map (fun c -> if c = '\n' then ' ' else c) in
+  match Pp.prog_to_string (compile src) with
+  | text -> Printf.sprintf "%s %s" label (Digest.to_hex (Digest.string text))
+  | exception Ast.Frontend_error (line, msg) ->
+    Printf.sprintf "%s error %d: %s" label line (one_line msg)
+  | exception e -> Printf.sprintf "%s raised %s" label (one_line (Printexc.to_string e))
+
+let test_mutant_digests () =
+  let actual = List.map mutant_row (Spec_mutate.Mutate.corpus ~seed:1) in
+  let golden =
+    In_channel.with_open_bin "frontend_digests.txt" In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (( <> ) "")
+  in
+  if actual <> golden then begin
+    Out_channel.with_open_bin "frontend_digests.actual" (fun oc ->
+        List.iter (fun l -> output_string oc (l ^ "\n")) actual);
+    let moved = List.filter (fun l -> not (List.mem l golden)) actual in
+    let label l = List.hd (String.split_on_char ' ' l) in
+    Alcotest.failf
+      "%d of %d mutant rows moved (%d golden rows), e.g. %s; the \
+       recomputed table is in frontend_digests.actual"
+      (List.length moved) (List.length actual) (List.length golden)
+      (String.concat ", "
+         (List.map label (List.filteri (fun i _ -> i < 20) moved)))
+  end
+
 let suite =
   [ Alcotest.test_case "lex basic" `Quick test_lex_basic;
     Alcotest.test_case "lex floats" `Quick test_lex_floats;
@@ -240,4 +274,5 @@ let suite =
     Alcotest.test_case "type errors" `Quick test_lower_type_errors;
     Alcotest.test_case "unreachable pruned" `Quick test_lower_unreachable_pruned;
     Alcotest.test_case "sites registered" `Quick test_lower_sites_registered;
-    Alcotest.test_case "pp smoke" `Quick test_pp_roundtrip_smoke ]
+    Alcotest.test_case "pp smoke" `Quick test_pp_roundtrip_smoke;
+    Alcotest.test_case "mutant digests" `Quick test_mutant_digests ]
