@@ -65,8 +65,18 @@ let tokenize (src : string) : lexeme list =
         incr i
       done;
       let s = String.sub src start (!i - start) in
-      if !is_flt then emit (Tflt_lit (float_of_string s))
-      else emit (Tint_lit (int_of_string s))
+      if !is_flt then
+        match float_of_string_opt s with
+        | Some f -> emit (Tflt_lit f)
+        | None ->
+          raise (Ast.Frontend_error
+                   (!line, Printf.sprintf "malformed float literal %s" s))
+      else
+        match int_of_string_opt s with
+        | Some n -> emit (Tint_lit n)
+        | None ->
+          raise (Ast.Frontend_error
+                   (!line, Printf.sprintf "integer literal %s out of range" s))
     end
     else if is_alpha c then begin
       let start = !i in

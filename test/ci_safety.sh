@@ -115,6 +115,10 @@ printf 'int main( { return 0; }\n' > "$work/syntax.c"
 expect_frontend_error "syntax error" "$work/syntax.c" 1
 printf 'int main(){ return 0; }\n\303\n' > "$work/byte.c"
 expect_frontend_error "stray non-ASCII byte" "$work/byte.c" 2
+printf 'int main(){\n  int x; x = 1.2.3;\n  return x; }\n' > "$work/float.c"
+expect_frontend_error "malformed float literal" "$work/float.c" 2
+printf 'int main(){ return 99999999999999999999; }\n' > "$work/int.c"
+expect_frontend_error "integer literal out of range" "$work/int.c" 1
 
 # a bad cache option is a user error too: exit 2 naming the flag, and a
 # refused serve must not leave its socket file behind

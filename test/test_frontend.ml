@@ -49,6 +49,15 @@ let test_lex_error () =
   Alcotest.check_raises "bad char" (Ast.Frontend_error (1, "unexpected character '$'"))
     (fun () -> ignore (Lexer.tokenize "$"))
 
+let test_lex_bad_literals () =
+  List.iter
+    (fun (lit, msg) ->
+      Alcotest.check_raises lit (Ast.Frontend_error (2, msg)) (fun () ->
+          ignore (compile ("int main() {\n  int x; x = " ^ lit ^ ";\n  return x;\n}"))))
+    [ ("99999999999999999999", "integer literal 99999999999999999999 out of range");
+      ("1e", "malformed float literal 1e");
+      ("1.2.3", "malformed float literal 1.2.3") ]
+
 let test_parse_precedence () =
   (* 1 + 2 * 3 parses as 1 + (2 * 3) *)
   let ast = Parser.parse "int f() { return 1 + 2 * 3; }" in
@@ -221,10 +230,11 @@ let test_pp_roundtrip_smoke () =
   check_bool "pp mentions main" true (contains s "func main");
   check_bool "pp mentions loop condition" true (contains s "if")
 
-(* [frontend_digests.txt] pins what each of the ~2,000 token-level
+(* [frontend_digests.txt] pins what each of the 2,000 token-level
    mutants of the kernels' train sources ({!Spec_mutate.Mutate.corpus})
    lowers to: the MD5 of the lowered program's Pp text, or the line and
-   message of the frontend error it raises.  On a mismatch the test
+   message of the frontend error it raises.  No other exception may
+   escape.  On a mismatch the test
    writes the recomputed table to [frontend_digests.actual] in the
    build's test directory. *)
 let mutant_row (label, src) =
@@ -237,6 +247,12 @@ let mutant_row (label, src) =
 
 let test_mutant_digests () =
   let actual = List.map mutant_row (Spec_mutate.Mutate.corpus ~seed:1) in
+  let escaped =
+    List.filter (fun l -> List.nth (String.split_on_char ' ' l) 1 = "raised") actual
+  in
+  if escaped <> [] then
+    Alcotest.failf "%d mutants escaped the frontend as exceptions, e.g. %s"
+      (List.length escaped) (List.hd escaped);
   let golden =
     In_channel.with_open_bin "frontend_digests.txt" In_channel.input_all
     |> String.split_on_char '\n'
@@ -260,6 +276,7 @@ let suite =
     Alcotest.test_case "lex floats" `Quick test_lex_floats;
     Alcotest.test_case "lex puncts" `Quick test_lex_puncts;
     Alcotest.test_case "lex comments" `Quick test_lex_comments;
+    Alcotest.test_case "lex bad number literals" `Quick test_lex_bad_literals;
     Alcotest.test_case "parse precedence" `Quick test_parse_precedence;
     Alcotest.test_case "parse associativity" `Quick test_parse_assoc;
     Alcotest.test_case "parse error line" `Quick test_parse_error_reports_line;
