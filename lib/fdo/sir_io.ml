@@ -20,17 +20,23 @@ open Spec_ir
 
 let version = "specsir/2"
 
-let q = Textio.quote
-
 (* ------------------------------------------------------------------ *)
 (* Token tags                                                          *)
 (* ------------------------------------------------------------------ *)
+
+(* Each reader table pairs a writer spelling with its value, so a tag is
+   spelled in one place. *)
+let tags spell values = Array.map (fun v -> (spell v, v)) values
 
 let rec ty_str = function
   | Types.Tptr t -> "p" ^ ty_str t
   | Types.Tint -> "i"
   | Types.Tflt -> "f"
   | Types.Tvoid -> "v"
+
+let rec add_ty buf = function
+  | Types.Tptr t -> Buffer.add_char buf 'p'; add_ty buf t
+  | t -> Buffer.add_string buf (ty_str t)
 
 let ty_of_string lx s =
   let n = String.length s in
@@ -46,6 +52,15 @@ let ty_of_string lx s =
   in
   go 0
 
+(* the types up to two pointer levels; deeper ones parse through
+   [ty_of_string] *)
+let ty_tags =
+  let base = [ Types.Tint; Types.Tflt; Types.Tvoid ] in
+  let ptrs = List.map (fun t -> Types.Tptr t) in
+  tags ty_str (Array.of_list (base @ ptrs base @ ptrs (ptrs base)))
+
+let ty_tok lx = Textio.tag_or lx ty_tags ty_of_string
+
 let storage_tag = function
   | Symtab.Sglobal -> "g"
   | Symtab.Slocal -> "l"
@@ -53,13 +68,10 @@ let storage_tag = function
   | Symtab.Stemp -> "t"
   | Symtab.Svirtual -> "v"
 
-let storage_of_tag lx = function
-  | "g" -> Symtab.Sglobal
-  | "l" -> Symtab.Slocal
-  | "f" -> Symtab.Sformal
-  | "t" -> Symtab.Stemp
-  | "v" -> Symtab.Svirtual
-  | s -> Textio.fail lx (Printf.sprintf "bad storage tag %S" s)
+let storage_tags =
+  tags storage_tag
+    [| Symtab.Sglobal; Symtab.Slocal; Symtab.Sformal; Symtab.Stemp;
+       Symtab.Svirtual |]
 
 let mark_tag = function
   | Sir.Mnone -> "n"
@@ -68,249 +80,313 @@ let mark_tag = function
   | Sir.Mcspec -> "s"
   | Sir.Msa -> "sa"
 
-let mark_of_tag lx = function
-  | "n" -> Sir.Mnone
-  | "a" -> Sir.Madv
-  | "c" -> Sir.Mchk
-  | "s" -> Sir.Mcspec
-  | "sa" -> Sir.Msa
-  | s -> Textio.fail lx (Printf.sprintf "bad mark tag %S" s)
+let mark_tags =
+  tags mark_tag [| Sir.Mnone; Sir.Madv; Sir.Mchk; Sir.Mcspec; Sir.Msa |]
 
-let binop_of_tag lx = function
-  | "+" -> Sir.Add | "-" -> Sir.Sub | "*" -> Sir.Mul | "/" -> Sir.Div
-  | "%" -> Sir.Rem | "<" -> Sir.Lt | "<=" -> Sir.Le | ">" -> Sir.Gt
-  | ">=" -> Sir.Ge | "==" -> Sir.Eq | "!=" -> Sir.Ne | "&" -> Sir.Band
-  | "|" -> Sir.Bor | "^" -> Sir.Bxor | "<<" -> Sir.Shl | ">>" -> Sir.Shr
-  | s -> Textio.fail lx (Printf.sprintf "bad binop tag %S" s)
+let binop_tags =
+  tags Sitekey.binop_tag
+    [| Sir.Add; Sir.Sub; Sir.Mul; Sir.Div; Sir.Rem; Sir.Lt; Sir.Le; Sir.Gt;
+       Sir.Ge; Sir.Eq; Sir.Ne; Sir.Band; Sir.Bor; Sir.Bxor; Sir.Shl;
+       Sir.Shr |]
 
-let unop_of_tag lx = function
-  | "neg" -> Sir.Neg | "not" -> Sir.Lnot | "i2f" -> Sir.I2f | "f2i" -> Sir.F2i
-  | s -> Textio.fail lx (Printf.sprintf "bad unop tag %S" s)
-
-let kind_tag = function
-  | Sir.Kiload -> "ld"
-  | Sir.Kistore -> "st"
-  | Sir.Kcall -> "call"
-
-let site_kind_of_tag lx = function
-  | "ld" -> Sir.Kiload
-  | "st" -> Sir.Kistore
-  | "call" -> Sir.Kcall
-  | s -> Textio.fail lx (Printf.sprintf "bad site kind %S" s)
+let unop_tags =
+  tags Sitekey.unop_tag [| Sir.Neg; Sir.Lnot; Sir.I2f; Sir.F2i |]
 
 (* ------------------------------------------------------------------ *)
 (* Writer                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let bool_str b = if b then "1" else "0"
+let str = Buffer.add_string
+let int = Textio.add_int
+
+(* " " then [i] *)
+let sp_int buf i =
+  Buffer.add_char buf ' ';
+  Textio.add_int buf i
+
+let sp_quoted buf s =
+  Buffer.add_char buf ' ';
+  Textio.add_quoted buf s
+
+let sp_bool buf b = str buf (if b then " 1" else " 0")
 
 let rec write_expr buf (e : Sir.expr) =
   match e with
-  | Sir.Const (Sir.Cint i) -> Printf.bprintf buf " ci %d" i
+  | Sir.Const (Sir.Cint i) -> str buf " ci "; int buf i
   | Sir.Const (Sir.Cflt f) -> Printf.bprintf buf " cf %h" f
-  | Sir.Lod v -> Printf.bprintf buf " lod %d" v
+  | Sir.Lod v -> str buf " lod "; int buf v
   | Sir.Ilod (t, a, site) ->
-    Printf.bprintf buf " ild %s %d" (ty_str t) site;
+    str buf " ild ";
+    add_ty buf t;
+    sp_int buf site;
     write_expr buf a
-  | Sir.Lda v -> Printf.bprintf buf " lda %d" v
+  | Sir.Lda v -> str buf " lda "; int buf v
   | Sir.Unop (o, t, x) ->
-    Printf.bprintf buf " un %s %s" (Sitekey.unop_tag o) (ty_str t);
+    str buf " un ";
+    str buf (Sitekey.unop_tag o);
+    Buffer.add_char buf ' ';
+    add_ty buf t;
     write_expr buf x
   | Sir.Binop (o, t, a, b) ->
-    Printf.bprintf buf " bin %s %s" (Sitekey.binop_tag o) (ty_str t);
+    str buf " bin ";
+    str buf (Sitekey.binop_tag o);
+    Buffer.add_char buf ' ';
+    add_ty buf t;
     write_expr buf a;
     write_expr buf b
 
 let write_stmt buf (s : Sir.stmt) =
-  Printf.bprintf buf "stmt %d %s %d" s.Sir.sid (mark_tag s.Sir.mark)
-    s.Sir.check_of;
+  str buf "stmt ";
+  int buf s.Sir.sid;
+  Buffer.add_char buf ' ';
+  str buf (mark_tag s.Sir.mark);
+  sp_int buf s.Sir.check_of;
   (match s.Sir.deopt with
-   | None -> Buffer.add_string buf " -"
+   | None -> str buf " -"
    | Some d ->
-     Printf.bprintf buf " d %d %d" d.Sir.dp_target
-       (List.length d.Sir.dp_vars);
-     List.iter (fun v -> Printf.bprintf buf " %d" v) d.Sir.dp_vars);
-  Printf.bprintf buf " %d %d"
-    (List.length s.Sir.mus)
-    (List.length s.Sir.chis);
+     str buf " d";
+     sp_int buf d.Sir.dp_target;
+     sp_int buf (List.length d.Sir.dp_vars);
+     List.iter (sp_int buf) d.Sir.dp_vars);
+  sp_int buf (List.length s.Sir.mus);
+  sp_int buf (List.length s.Sir.chis);
   (match s.Sir.kind with
    | Sir.Stid (v, e) ->
-     Printf.bprintf buf " tid %d" v;
+     str buf " tid";
+     sp_int buf v;
      write_expr buf e
    | Sir.Istr (t, a, v, site) ->
-     Printf.bprintf buf " istr %s %d" (ty_str t) site;
+     str buf " istr ";
+     add_ty buf t;
+     sp_int buf site;
      write_expr buf a;
      write_expr buf v
    | Sir.Call c ->
-     Printf.bprintf buf " call %s %d %d %s"
-       (match c.Sir.ret with Some r -> string_of_int r | None -> "-")
-       c.Sir.csite
-       (List.length c.Sir.args)
-       (q c.Sir.callee);
+     str buf " call";
+     (match c.Sir.ret with Some r -> sp_int buf r | None -> str buf " -");
+     sp_int buf c.Sir.csite;
+     sp_int buf (List.length c.Sir.args);
+     sp_quoted buf c.Sir.callee;
      List.iter (write_expr buf) c.Sir.args
-   | Sir.Snop -> Buffer.add_string buf " nop");
+   | Sir.Snop -> str buf " nop");
   Buffer.add_char buf '\n';
   List.iter
     (fun (m : Sir.mu) ->
-      Printf.bprintf buf "mu %d %d %s\n" m.Sir.mu_opnd m.Sir.mu_var
-        (bool_str m.Sir.mu_spec))
+      str buf "mu ";
+      int buf m.Sir.mu_opnd;
+      sp_int buf m.Sir.mu_var;
+      sp_bool buf m.Sir.mu_spec;
+      Buffer.add_char buf '\n')
     s.Sir.mus;
   List.iter
     (fun (c : Sir.chi) ->
-      Printf.bprintf buf "chi %d %d %d %s\n" c.Sir.chi_lhs c.Sir.chi_rhs
-        c.Sir.chi_var (bool_str c.Sir.chi_spec))
+      str buf "chi ";
+      int buf c.Sir.chi_lhs;
+      sp_int buf c.Sir.chi_rhs;
+      sp_int buf c.Sir.chi_var;
+      sp_bool buf c.Sir.chi_spec;
+      Buffer.add_char buf '\n')
     s.Sir.chis
 
 let write_block buf (b : Sir.bb) =
-  Printf.bprintf buf "block %d %h %d" b.Sir.bid b.Sir.freq
-    (List.length b.Sir.preds);
-  List.iter (fun p -> Printf.bprintf buf " %d" p) b.Sir.preds;
-  Printf.bprintf buf " %d %d\n" (List.length b.Sir.phis)
-    (List.length b.Sir.stmts);
+  str buf "block ";
+  int buf b.Sir.bid;
+  Printf.bprintf buf " %h" b.Sir.freq;
+  sp_int buf (List.length b.Sir.preds);
+  List.iter (sp_int buf) b.Sir.preds;
+  sp_int buf (List.length b.Sir.phis);
+  sp_int buf (List.length b.Sir.stmts);
+  Buffer.add_char buf '\n';
   List.iter
     (fun (p : Sir.phi) ->
-      Printf.bprintf buf "phi %d %d %s %d" p.Sir.phi_var p.Sir.phi_lhs
-        (bool_str p.Sir.phi_live)
-        (Array.length p.Sir.phi_args);
-      Array.iter (fun a -> Printf.bprintf buf " %d" a) p.Sir.phi_args;
+      str buf "phi ";
+      int buf p.Sir.phi_var;
+      sp_int buf p.Sir.phi_lhs;
+      sp_bool buf p.Sir.phi_live;
+      sp_int buf (Array.length p.Sir.phi_args);
+      Array.iter (sp_int buf) p.Sir.phi_args;
       Buffer.add_char buf '\n')
     b.Sir.phis;
   List.iter (write_stmt buf) b.Sir.stmts;
   (match b.Sir.term with
-   | Sir.Tgoto t -> Printf.bprintf buf "term goto %d\n" t
+   | Sir.Tgoto t -> str buf "term goto "; int buf t
    | Sir.Tcond (e, t, el) ->
-     Printf.bprintf buf "term cond %d %d" t el;
-     write_expr buf e;
-     Buffer.add_char buf '\n'
-   | Sir.Tret None -> Buffer.add_string buf "term retv\n"
+     str buf "term cond ";
+     int buf t;
+     sp_int buf el;
+     write_expr buf e
+   | Sir.Tret None -> str buf "term retv"
    | Sir.Tret (Some e) ->
-     Buffer.add_string buf "term ret";
-     write_expr buf e;
-     Buffer.add_char buf '\n')
+     str buf "term ret";
+     write_expr buf e);
+  Buffer.add_char buf '\n'
 
 let write_func buf (f : Sir.func) =
-  Printf.bprintf buf "func %s %d" (ty_str f.Sir.fret)
-    (List.length f.Sir.fformals);
-  List.iter (fun v -> Printf.bprintf buf " %d" v) f.Sir.fformals;
-  Printf.bprintf buf " %d" (List.length f.Sir.flocals);
-  List.iter (fun v -> Printf.bprintf buf " %d" v) f.Sir.flocals;
-  Printf.bprintf buf " %d %s\n" (Sir.n_blocks f) (q f.Sir.fname);
+  str buf "func ";
+  add_ty buf f.Sir.fret;
+  sp_int buf (List.length f.Sir.fformals);
+  List.iter (sp_int buf) f.Sir.fformals;
+  sp_int buf (List.length f.Sir.flocals);
+  List.iter (sp_int buf) f.Sir.flocals;
+  sp_int buf (Sir.n_blocks f);
+  sp_quoted buf f.Sir.fname;
+  Buffer.add_char buf '\n';
   Vec.iter (write_block buf) f.Sir.fblocks
 
 (** Serialize a program.  Deterministic: equal programs produce
     byte-identical output. *)
 let write (p : Sir.prog) : string =
   let buf = Buffer.create 65536 in
-  Printf.bprintf buf "%s\n" version;
+  str buf version;
+  Buffer.add_char buf '\n';
   let syms = p.Sir.syms in
-  Printf.bprintf buf "vars %d\n" (Symtab.count syms);
+  str buf "vars ";
+  int buf (Symtab.count syms);
+  Buffer.add_char buf '\n';
   Symtab.iter
     (fun (v : Symtab.var) ->
-      Printf.bprintf buf "v %s %d %d %s %d %s %s %s %s %s %s\n"
-        (storage_tag v.Symtab.vstorage)
-        v.Symtab.vver v.Symtab.vorig
-        (bool_str v.Symtab.vaddr_taken)
-        v.Symtab.vsize
-        (bool_str v.Symtab.varray)
-        (bool_str v.Symtab.vsecret)
-        (ty_str v.Symtab.vty) (ty_str v.Symtab.velt)
-        (match v.Symtab.vfunc with Some f -> q f | None -> "-")
-        (q v.Symtab.vname))
+      str buf "v ";
+      str buf (storage_tag v.Symtab.vstorage);
+      sp_int buf v.Symtab.vver;
+      sp_int buf v.Symtab.vorig;
+      sp_bool buf v.Symtab.vaddr_taken;
+      sp_int buf v.Symtab.vsize;
+      sp_bool buf v.Symtab.varray;
+      sp_bool buf v.Symtab.vsecret;
+      Buffer.add_char buf ' ';
+      add_ty buf v.Symtab.vty;
+      Buffer.add_char buf ' ';
+      add_ty buf v.Symtab.velt;
+      (match v.Symtab.vfunc with
+       | Some f -> sp_quoted buf f
+       | None -> str buf " -");
+      sp_quoted buf v.Symtab.vname;
+      Buffer.add_char buf '\n')
     syms;
-  Printf.bprintf buf "globals %d" (List.length p.Sir.globals);
-  List.iter (fun g -> Printf.bprintf buf " %d" g) p.Sir.globals;
+  str buf "globals ";
+  int buf (List.length p.Sir.globals);
+  List.iter (sp_int buf) p.Sir.globals;
   Buffer.add_char buf '\n';
   let sites =
     List.sort compare
       (Hashtbl.fold (fun id si acc -> (id, si) :: acc) p.Sir.sites [])
   in
-  Printf.bprintf buf "sites %d\n" (List.length sites);
+  str buf "sites ";
+  int buf (List.length sites);
+  Buffer.add_char buf '\n';
   List.iter
     (fun (id, (si : Sir.site_info)) ->
-      Printf.bprintf buf "site %d %s %d %s\n" id (kind_tag si.Sir.si_kind)
-        si.Sir.si_line (q si.Sir.si_func))
+      str buf "site ";
+      int buf id;
+      Buffer.add_char buf ' ';
+      str buf (Sitekey.kind_tag si.Sir.si_kind);
+      sp_int buf si.Sir.si_line;
+      sp_quoted buf si.Sir.si_func;
+      Buffer.add_char buf '\n')
     sites;
-  Printf.bprintf buf "next %d %d %d\n" p.Sir.next_site p.Sir.next_stmt
-    p.Sir.next_label;
-  Printf.bprintf buf "funcs %d\n" (List.length p.Sir.func_order);
+  str buf "next ";
+  int buf p.Sir.next_site;
+  sp_int buf p.Sir.next_stmt;
+  sp_int buf p.Sir.next_label;
+  str buf "\nfuncs ";
+  int buf (List.length p.Sir.func_order);
+  Buffer.add_char buf '\n';
   List.iter (fun name -> write_func buf (Sir.find_func p name))
     p.Sir.func_order;
-  Buffer.add_string buf "end\n";
+  str buf "end\n";
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
 (* Reader                                                              *)
 (* ------------------------------------------------------------------ *)
 
+type expr_tag = Ci | Cf | Lod | Ild | Lda | Un | Bin
+
+(* most frequent first: the table is scanned in order *)
+let expr_tags =
+  [| ("lod", Lod); ("ci", Ci); ("bin", Bin); ("ild", Ild); ("lda", Lda);
+     ("un", Un); ("cf", Cf) |]
+
 let rec read_expr lx : Sir.expr =
-  match Textio.token lx with
-  | "ci" -> Sir.Const (Sir.Cint (Textio.int_tok lx))
-  | "cf" -> Sir.Const (Sir.Cflt (Textio.float_tok lx))
-  | "lod" -> Sir.Lod (Textio.int_tok lx)
-  | "ild" ->
-    let t = ty_of_string lx (Textio.token lx) in
+  match Textio.tag lx ~what:"bad expression tag" expr_tags with
+  | Ci -> Sir.Const (Sir.Cint (Textio.int_tok lx))
+  | Cf -> Sir.Const (Sir.Cflt (Textio.float_tok lx))
+  | Lod -> Sir.Lod (Textio.int_tok lx)
+  | Ild ->
+    let t = ty_tok lx in
     let site = Textio.int_tok lx in
     let a = read_expr lx in
     Sir.Ilod (t, a, site)
-  | "lda" -> Sir.Lda (Textio.int_tok lx)
-  | "un" ->
-    let o = unop_of_tag lx (Textio.token lx) in
-    let t = ty_of_string lx (Textio.token lx) in
+  | Lda -> Sir.Lda (Textio.int_tok lx)
+  | Un ->
+    let o = Textio.tag lx ~what:"bad unop tag" unop_tags in
+    let t = ty_tok lx in
     let x = read_expr lx in
     Sir.Unop (o, t, x)
-  | "bin" ->
-    let o = binop_of_tag lx (Textio.token lx) in
-    let t = ty_of_string lx (Textio.token lx) in
+  | Bin ->
+    let o = Textio.tag lx ~what:"bad binop tag" binop_tags in
+    let t = ty_tok lx in
     let a = read_expr lx in
     let b = read_expr lx in
     Sir.Binop (o, t, a, b)
-  | w -> Textio.fail lx (Printf.sprintf "bad expression tag %S" w)
 
 let read_ints lx n = List.init n (fun _ -> Textio.int_tok lx)
+
+(* "-" for none *)
+let no_ret = [| ("-", None) |]
+let no_func = [| ("-", None) |]
+
+type deopt_tag = No_deopt | Deopt
+
+let deopt_tags = [| ("-", No_deopt); ("d", Deopt) |]
+
+type kind_tag = Tid | Istr | Call | Nop
+
+let kind_tags = [| ("tid", Tid); ("istr", Istr); ("call", Call); ("nop", Nop) |]
+
+let call_ret lx r =
+  match int_of_string_opt r with
+  | Some r -> Some r
+  | None -> Textio.fail lx "bad call return"
+
+type term_tag = Goto | Cond | Retv | Ret
+
+let term_tags = [| ("goto", Goto); ("cond", Cond); ("retv", Retv); ("ret", Ret) |]
 
 let read_stmt lx : Sir.stmt =
   Textio.expect lx "stmt";
   let sid = Textio.int_tok lx in
-  let mark = mark_of_tag lx (Textio.token lx) in
+  let mark = Textio.tag lx ~what:"bad mark tag" mark_tags in
   let check_of = Textio.int_tok lx in
   let deopt =
-    match Textio.token lx with
-    | "-" -> None
-    | "d" ->
+    match Textio.tag lx ~what:"bad deopt tag" deopt_tags with
+    | No_deopt -> None
+    | Deopt ->
       let target = Textio.int_tok lx in
       let n = Textio.int_tok lx in
       Some { Sir.dp_target = target; dp_vars = read_ints lx n }
-    | w -> Textio.fail lx (Printf.sprintf "bad deopt tag %S" w)
   in
   let nmus = Textio.int_tok lx in
   let nchis = Textio.int_tok lx in
   let kind =
-    match Textio.token lx with
-    | "tid" ->
+    match Textio.tag lx ~what:"bad statement kind" kind_tags with
+    | Tid ->
       let v = Textio.int_tok lx in
       Sir.Stid (v, read_expr lx)
-    | "istr" ->
-      let t = ty_of_string lx (Textio.token lx) in
+    | Istr ->
+      let t = ty_tok lx in
       let site = Textio.int_tok lx in
       let a = read_expr lx in
       let v = read_expr lx in
       Sir.Istr (t, a, v, site)
-    | "call" ->
-      let ret =
-        match Textio.token lx with
-        | "-" -> None
-        | r ->
-          (match int_of_string_opt r with
-           | Some r -> Some r
-           | None -> Textio.fail lx "bad call return")
-      in
+    | Call ->
+      let ret = Textio.tag_or lx no_ret call_ret in
       let csite = Textio.int_tok lx in
       let nargs = Textio.int_tok lx in
       let callee = Textio.token lx in
       let args = List.init nargs (fun _ -> read_expr lx) in
       Sir.Call { Sir.callee; args; ret; csite }
-    | "nop" -> Sir.Snop
-    | w -> Textio.fail lx (Printf.sprintf "bad statement kind %S" w)
+    | Nop -> Sir.Snop
   in
   let mus =
     List.init nmus (fun _ ->
@@ -346,29 +422,28 @@ let read_block lx : Sir.bb =
         let lhs = Textio.int_tok lx in
         let live = Textio.bool_tok lx in
         let nargs = Textio.int_tok lx in
-        let args = Array.of_list (read_ints lx nargs) in
+        let args = Array.init nargs (fun _ -> Textio.int_tok lx) in
         { Sir.phi_var = var; phi_lhs = lhs; phi_args = args;
           phi_live = live })
   in
   let stmts = List.init nstmts (fun _ -> read_stmt lx) in
   let term =
     Textio.expect lx "term";
-    match Textio.token lx with
-    | "goto" -> Sir.Tgoto (Textio.int_tok lx)
-    | "cond" ->
+    match Textio.tag lx ~what:"bad terminator" term_tags with
+    | Goto -> Sir.Tgoto (Textio.int_tok lx)
+    | Cond ->
       let t = Textio.int_tok lx in
       let el = Textio.int_tok lx in
       let e = read_expr lx in
       Sir.Tcond (e, t, el)
-    | "retv" -> Sir.Tret None
-    | "ret" -> Sir.Tret (Some (read_expr lx))
-    | w -> Textio.fail lx (Printf.sprintf "bad terminator %S" w)
+    | Retv -> Sir.Tret None
+    | Ret -> Sir.Tret (Some (read_expr lx))
   in
   { Sir.bid; phis; stmts; term; preds; freq }
 
 let read_func lx : Sir.func =
   Textio.expect lx "func";
-  let fret = ty_of_string lx (Textio.token lx) in
+  let fret = ty_tok lx in
   let nformals = Textio.int_tok lx in
   let fformals = read_ints lx nformals in
   let nlocals = Textio.int_tok lx in
@@ -388,16 +463,16 @@ let read_from lx : Sir.prog =
   let nvars = Textio.int_tok lx in
   for vid = 0 to nvars - 1 do
     Textio.expect lx "v";
-    let storage = storage_of_tag lx (Textio.token lx) in
+    let storage = Textio.tag lx ~what:"bad storage tag" storage_tags in
     let vver = Textio.int_tok lx in
     let vorig = Textio.int_tok lx in
     let addr = Textio.bool_tok lx in
     let size = Textio.int_tok lx in
     let arr = Textio.bool_tok lx in
     let secret = Textio.bool_tok lx in
-    let ty = ty_of_string lx (Textio.token lx) in
-    let elt = ty_of_string lx (Textio.token lx) in
-    let vfunc = match Textio.token lx with "-" -> None | f -> Some f in
+    let ty = ty_tok lx in
+    let elt = ty_tok lx in
+    let vfunc = Textio.tag_or lx no_func (fun _ f -> Some f) in
     let name = Textio.token lx in
     Vec.push p.Sir.syms.Symtab.vars
       { Symtab.vid; vname = name; vty = ty; vstorage = storage; vfunc;
@@ -412,7 +487,7 @@ let read_from lx : Sir.prog =
   for _ = 1 to nsites do
     Textio.expect lx "site";
     let id = Textio.int_tok lx in
-    let kind = site_kind_of_tag lx (Textio.token lx) in
+    let kind = Textio.tag lx ~what:"bad site kind" Sitekey.kind_tags in
     let line = Textio.int_tok lx in
     let func = Textio.token lx in
     Hashtbl.replace p.Sir.sites id
@@ -424,11 +499,13 @@ let read_from lx : Sir.prog =
   p.Sir.next_label <- Textio.int_tok lx;
   Textio.expect lx "funcs";
   let nfuncs = Textio.int_tok lx in
+  let order = ref [] in
   for _ = 1 to nfuncs do
     let f = read_func lx in
     Hashtbl.replace p.Sir.funcs f.Sir.fname f;
-    p.Sir.func_order <- p.Sir.func_order @ [ f.Sir.fname ]
+    order := f.Sir.fname :: !order
   done;
+  p.Sir.func_order <- List.rev !order;
   Textio.expect lx "end";
   if not (Textio.at_eof lx) then Textio.fail lx "trailing data after end";
   p

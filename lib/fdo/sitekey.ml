@@ -39,11 +39,8 @@ let kind_tag = function
   | Sir.Kistore -> "st"
   | Sir.Kcall -> "call"
 
-let kind_of_tag = function
-  | "ld" -> Some Sir.Kiload
-  | "st" -> Some Sir.Kistore
-  | "call" -> Some Sir.Kcall
-  | _ -> None
+let kind_tags =
+  Array.map (fun k -> (kind_tag k, k)) [| Sir.Kiload; Sir.Kistore; Sir.Kcall |]
 
 let compare (a : t) (b : t) =
   let c = String.compare a.sk_func b.sk_func in
@@ -71,9 +68,9 @@ let ty_tag = function
   | Types.Tvoid -> "v"
   | Types.Tptr _ -> "p"
 
-let rec ty_shape = function
-  | Types.Tptr t -> "p" ^ ty_shape t
-  | t -> ty_tag t
+let rec add_ty_shape buf = function
+  | Types.Tptr t -> Buffer.add_char buf 'p'; add_ty_shape buf t
+  | t -> Buffer.add_string buf (ty_tag t)
 
 let binop_tag = function
   | Sir.Add -> "+" | Sir.Sub -> "-" | Sir.Mul -> "*" | Sir.Div -> "/"
@@ -84,23 +81,41 @@ let binop_tag = function
 let unop_tag = function
   | Sir.Neg -> "neg" | Sir.Lnot -> "not" | Sir.I2f -> "i2f" | Sir.F2i -> "f2i"
 
+(* [expr_shape], appended to [buf] *)
+let rec add_shape buf syms (e : Sir.expr) =
+  match e with
+  | Sir.Const (Sir.Cint i) -> Textio.add_int buf i
+  | Sir.Const (Sir.Cflt f) -> Printf.bprintf buf "%h" f
+  | Sir.Lod v -> Buffer.add_string buf (Symtab.orig syms v).Symtab.vname
+  | Sir.Ilod (t, a, _) ->
+    Buffer.add_char buf '*';
+    add_ty_shape buf t;
+    Buffer.add_char buf '(';
+    add_shape buf syms a;
+    Buffer.add_char buf ')'
+  | Sir.Lda v ->
+    Buffer.add_char buf '&';
+    Buffer.add_string buf (Symtab.orig syms v).Symtab.vname
+  | Sir.Unop (o, _, e) ->
+    Buffer.add_string buf (unop_tag o);
+    Buffer.add_char buf '(';
+    add_shape buf syms e;
+    Buffer.add_char buf ')'
+  | Sir.Binop (o, _, a, b) ->
+    Buffer.add_char buf '(';
+    add_shape buf syms a;
+    Buffer.add_string buf (binop_tag o);
+    add_shape buf syms b;
+    Buffer.add_char buf ')'
+
 (** Canonical shape of an expression: variable names (of the original,
     un-versioned variable), no site ids, fully parenthesized.  Two
     references with equal shapes compute the same address from the same
     named inputs — the stable identity an edited source preserves. *)
-let rec expr_shape syms (e : Sir.expr) =
-  match e with
-  | Sir.Const (Sir.Cint i) -> string_of_int i
-  | Sir.Const (Sir.Cflt f) -> Printf.sprintf "%h" f
-  | Sir.Lod v -> (Symtab.orig syms v).Symtab.vname
-  | Sir.Ilod (t, a, _) ->
-    Printf.sprintf "*%s(%s)" (ty_shape t) (expr_shape syms a)
-  | Sir.Lda v -> "&" ^ (Symtab.orig syms v).Symtab.vname
-  | Sir.Unop (o, _, e) ->
-    Printf.sprintf "%s(%s)" (unop_tag o) (expr_shape syms e)
-  | Sir.Binop (o, _, a, b) ->
-    Printf.sprintf "(%s%s%s)" (expr_shape syms a) (binop_tag o)
-      (expr_shape syms b)
+let expr_shape syms e =
+  let buf = Buffer.create 32 in
+  add_shape buf syms e;
+  Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
 (* Indexing a program                                                  *)
@@ -123,37 +138,50 @@ let digest_of_func ix f = Hashtbl.find_opt ix.func_digest f
     *other* functions. *)
 let func_body_string syms (f : Sir.func) =
   let buf = Buffer.create 1024 in
-  let shape e = Buffer.add_string buf (expr_shape syms e) in
+  let str = Buffer.add_string buf and chr = Buffer.add_char buf in
+  let int = Textio.add_int buf in
+  let shape = add_shape buf syms in
   Vec.iter
     (fun (b : Sir.bb) ->
-      Printf.bprintf buf "b%d:" b.Sir.bid;
+      chr 'b';
+      int b.Sir.bid;
+      chr ':';
       List.iter
         (fun (s : Sir.stmt) ->
           (match s.Sir.kind with
            | Sir.Stid (v, e) ->
-             Printf.bprintf buf "tid %s=" (Symtab.orig syms v).Symtab.vname;
+             str "tid ";
+             str (Symtab.orig syms v).Symtab.vname;
+             chr '=';
              shape e
            | Sir.Istr (t, a, v, _) ->
-             Printf.bprintf buf "istr %s " (ty_shape t);
+             str "istr ";
+             add_ty_shape buf t;
+             chr ' ';
              shape a;
-             Buffer.add_string buf "<-";
+             str "<-";
              shape v
            | Sir.Call c ->
-             Printf.bprintf buf "call %s/%d" c.Sir.callee
-               (List.length c.Sir.args);
-             List.iter (fun a -> Buffer.add_char buf ' '; shape a) c.Sir.args
-           | Sir.Snop -> Buffer.add_string buf "nop");
-          Buffer.add_char buf ';')
+             str "call ";
+             str c.Sir.callee;
+             chr '/';
+             int (List.length c.Sir.args);
+             List.iter (fun a -> chr ' '; shape a) c.Sir.args
+           | Sir.Snop -> str "nop");
+          chr ';')
         b.Sir.stmts;
       (match b.Sir.term with
-       | Sir.Tgoto t -> Printf.bprintf buf "goto %d" t
+       | Sir.Tgoto t -> str "goto "; int t
        | Sir.Tcond (e, t, el) ->
-         Buffer.add_string buf "cond ";
+         str "cond ";
          shape e;
-         Printf.bprintf buf " %d %d" t el
-       | Sir.Tret None -> Buffer.add_string buf "ret"
-       | Sir.Tret (Some e) -> Buffer.add_string buf "ret "; shape e);
-      Buffer.add_char buf '\n')
+         chr ' ';
+         int t;
+         chr ' ';
+         int el
+       | Sir.Tret None -> str "ret"
+       | Sir.Tret (Some e) -> str "ret "; shape e);
+      chr '\n')
     f.Sir.fblocks;
   Buffer.contents buf
 
@@ -182,6 +210,13 @@ let index (p : Sir.prog) : index =
     Hashtbl.replace ix.by_key key site;
     Hashtbl.replace ix.by_site site key
   in
+  (* every shape is rendered into this one buffer *)
+  let sbuf = Buffer.create 64 in
+  let shape e =
+    Buffer.clear sbuf;
+    add_shape sbuf syms e;
+    Buffer.contents sbuf
+  in
   Sir.iter_funcs
     (fun f ->
       let fname = f.Sir.fname in
@@ -190,7 +225,7 @@ let index (p : Sir.prog) : index =
         match e with
         | Sir.Const _ | Sir.Lod _ | Sir.Lda _ -> ()
         | Sir.Ilod (_, a, site) ->
-          add fname Sir.Kiload (expr_shape syms a) site;
+          add fname Sir.Kiload (shape a) site;
           expr_sites a
         | Sir.Unop (_, _, x) -> expr_sites x
         | Sir.Binop (_, _, a, b) -> expr_sites a; expr_sites b
@@ -201,12 +236,13 @@ let index (p : Sir.prog) : index =
             (fun (s : Sir.stmt) ->
               (match s.Sir.kind with
                | Sir.Istr (_, addr, _, site) ->
-                 add fname Sir.Kistore (expr_shape syms addr) site
+                 add fname Sir.Kistore (shape addr) site
                | Sir.Call c ->
-                 add fname Sir.Kcall
-                   (Printf.sprintf "%s/%d" c.Sir.callee
-                      (List.length c.Sir.args))
-                   c.Sir.csite
+                 Buffer.clear sbuf;
+                 Buffer.add_string sbuf c.Sir.callee;
+                 Buffer.add_char sbuf '/';
+                 Textio.add_int sbuf (List.length c.Sir.args);
+                 add fname Sir.Kcall (Buffer.contents sbuf) c.Sir.csite
                | Sir.Stid _ | Sir.Snop -> ());
               List.iter expr_sites (Sir.stmt_exprs s.Sir.kind))
             b.Sir.stmts;

@@ -17,7 +17,9 @@ val to_string : t -> string
 
 (** Round-trippable tag for a site kind ("ld" / "st" / "call"). *)
 val kind_tag : Spec_ir.Sir.site_kind -> string
-val kind_of_tag : string -> Spec_ir.Sir.site_kind option
+
+(** Every site kind with its tag, for {!Textio.tag}. *)
+val kind_tags : (string * Spec_ir.Sir.site_kind) array
 
 (** Operator spellings, shared with the [specsir/2] serializer. *)
 val binop_tag : Spec_ir.Sir.binop -> string

@@ -329,18 +329,31 @@ let distance a b =
 (* Writer                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let q = Textio.quote
+(* " " then the quoted [s] *)
+let sp_quoted buf s =
+  Buffer.add_char buf ' ';
+  Textio.add_quoted buf s
 
-let sloc_str = function
-  | Svar (None, name) -> Printf.sprintf "v - %s" (q name)
-  | Svar (Some f, name) -> Printf.sprintf "v %s %s" (q f) (q name)
+let add_sloc buf = function
+  | Svar (None, name) ->
+    Buffer.add_string buf "v -";
+    sp_quoted buf name
+  | Svar (Some f, name) ->
+    Buffer.add_char buf 'v';
+    sp_quoted buf f;
+    sp_quoted buf name
   | Sheap k ->
-    Printf.sprintf "h %d %s %s" k.Sitekey.sk_ord (q k.Sitekey.sk_func)
-      (q k.Sitekey.sk_shape)
+    Buffer.add_string buf "h ";
+    Textio.add_int buf k.Sitekey.sk_ord;
+    sp_quoted buf k.Sitekey.sk_func;
+    sp_quoted buf k.Sitekey.sk_shape
 
-let key_str (k : Sitekey.t) =
-  Printf.sprintf "%s %d %s %s" (Sitekey.kind_tag k.Sitekey.sk_kind)
-    k.Sitekey.sk_ord (q k.Sitekey.sk_func) (q k.Sitekey.sk_shape)
+let add_key buf (k : Sitekey.t) =
+  Buffer.add_string buf (Sitekey.kind_tag k.Sitekey.sk_kind);
+  Buffer.add_char buf ' ';
+  Textio.add_int buf k.Sitekey.sk_ord;
+  sp_quoted buf k.Sitekey.sk_func;
+  sp_quoted buf k.Sitekey.sk_shape
 
 (** Canonical rendering: sections in a fixed order, each sorted by key.
     Equal stores (up to ordering) produce byte-identical output, which is
@@ -348,32 +361,62 @@ let key_str (k : Sitekey.t) =
 let write (t : t) : string =
   let t = canon t in
   let buf = Buffer.create 4096 in
-  Printf.bprintf buf "%s\n" version;
-  Printf.bprintf buf "runs %d\n" t.runs;
+  let str = Buffer.add_string buf and int = Textio.add_int buf in
+  let nl () = Buffer.add_char buf '\n' in
+  str version;
+  str "\nruns ";
+  int t.runs;
+  nl ();
   List.iter
-    (fun (f, d) -> Printf.bprintf buf "func %s %s\n" (q d) (q f))
+    (fun (f, d) ->
+      str "func";
+      sp_quoted buf d;
+      sp_quoted buf f;
+      nl ())
     t.funcs;
   List.iter
-    (fun (f, c) -> Printf.bprintf buf "entry %d %s\n" c (q f))
+    (fun (f, c) ->
+      str "entry ";
+      int c;
+      sp_quoted buf f;
+      nl ())
     t.entries;
   List.iter
     (fun ((f, src, dst), c) ->
-      Printf.bprintf buf "edge %d %d %d %s\n" src dst c (q f))
+      str "edge ";
+      int src;
+      Buffer.add_char buf ' ';
+      int dst;
+      Buffer.add_char buf ' ';
+      int c;
+      sp_quoted buf f;
+      nl ())
     t.edges;
   List.iter
     (fun e ->
-      Printf.bprintf buf "site %s %d\n" (key_str e.e_key) e.e_count;
+      str "site ";
+      add_key buf e.e_key;
+      Buffer.add_char buf ' ';
+      int e.e_count;
+      nl ();
       List.iter
-        (fun (l, c) -> Printf.bprintf buf "loc %d %s\n" c (sloc_str l))
+        (fun (l, c) ->
+          str "loc ";
+          int c;
+          Buffer.add_char buf ' ';
+          add_sloc buf l;
+          nl ())
         e.e_locs)
     t.sites;
   List.iter
     (fun c ->
-      Printf.bprintf buf "callsite %s\n" (key_str c.c_key);
-      List.iter (fun l -> Printf.bprintf buf "mod %s\n" (sloc_str l)) c.c_mod;
-      List.iter (fun l -> Printf.bprintf buf "ref %s\n" (sloc_str l)) c.c_ref)
+      str "callsite ";
+      add_key buf c.c_key;
+      nl ();
+      List.iter (fun l -> str "mod "; add_sloc buf l; nl ()) c.c_mod;
+      List.iter (fun l -> str "ref "; add_sloc buf l; nl ()) c.c_ref)
     t.calls;
-  Buffer.add_string buf "end\n";
+  str "end\n";
   Buffer.contents buf
 
 let digest t = Digest.to_hex (Digest.string (write t))
@@ -382,30 +425,41 @@ let digest t = Digest.to_hex (Digest.string (write t))
 (* Reader                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let read_key lx kind_tok =
-  match Sitekey.kind_of_tag kind_tok with
-  | None -> Textio.fail lx (Printf.sprintf "bad site kind %S" kind_tok)
-  | Some kind ->
-    let ord = Textio.int_tok lx in
-    let func = Textio.token lx in
-    let shape = Textio.token lx in
-    { Sitekey.sk_func = func; sk_kind = kind; sk_shape = shape;
-      sk_ord = ord }
+let read_key lx =
+  let kind = Textio.tag lx ~what:"bad site kind" Sitekey.kind_tags in
+  let ord = Textio.int_tok lx in
+  let func = Textio.token lx in
+  let shape = Textio.token lx in
+  { Sitekey.sk_func = func; sk_kind = kind; sk_shape = shape; sk_ord = ord }
+
+type sloc_tag = Var | Heap
+
+let sloc_tags = [| ("v", Var); ("h", Heap) |]
+
+(* "-" for a global *)
+let no_func = [| ("-", None) |]
 
 let read_sloc lx =
-  match Textio.token lx with
-  | "v" ->
-    let f = match Textio.token lx with "-" -> None | f -> Some f in
+  match Textio.tag lx ~what:"expected v or h, got" sloc_tags with
+  | Var ->
+    let f = Textio.tag_or lx no_func (fun _ f -> Some f) in
     let name = Textio.token lx in
     Svar (f, name)
-  | "h" ->
+  | Heap ->
     let ord = Textio.int_tok lx in
     let func = Textio.token lx in
     let shape = Textio.token lx in
     Sheap
       { Sitekey.sk_func = func; sk_kind = Sir.Kcall; sk_shape = shape;
         sk_ord = ord }
-  | w -> Textio.fail lx (Printf.sprintf "expected v or h, got %S" w)
+
+type record = End | Func | Entry | Edge | Site | Loc | Callsite | Mod | Ref
+
+(* most frequent first: the table is scanned in order *)
+let records =
+  [| ("loc", Loc); ("site", Site); ("edge", Edge); ("mod", Mod);
+     ("ref", Ref); ("callsite", Callsite); ("entry", Entry); ("func", Func);
+     ("end", End) |]
 
 (** Parse a store.  Accepts exactly what {!write} emits (any section
     order/sorting, but the fixed token grammar and version header). *)
@@ -420,47 +474,46 @@ let read (s : string) : (t, string) result =
     let sites = ref [] and calls = ref [] in
     let finished = ref false in
     while not !finished do
-      match Textio.token lx with
-      | "end" -> finished := true
-      | "func" ->
+      match Textio.tag lx ~what:"unknown record" records with
+      | End -> finished := true
+      | Func ->
         let d = Textio.token lx in
         let f = Textio.token lx in
         funcs := (f, d) :: !funcs
-      | "entry" ->
+      | Entry ->
         let c = Textio.int_tok lx in
         let f = Textio.token lx in
         entries := (f, c) :: !entries
-      | "edge" ->
+      | Edge ->
         let src = Textio.int_tok lx in
         let dst = Textio.int_tok lx in
         let c = Textio.int_tok lx in
         let f = Textio.token lx in
         edges := ((f, src, dst), c) :: !edges
-      | "site" ->
-        let key = read_key lx (Textio.token lx) in
+      | Site ->
+        let key = read_key lx in
         let count = Textio.int_tok lx in
         sites := { e_key = key; e_count = count; e_locs = [] } :: !sites
-      | "loc" ->
+      | Loc ->
         (match !sites with
          | [] -> Textio.fail lx "loc before any site"
          | e :: rest ->
            let c = Textio.int_tok lx in
            let l = read_sloc lx in
            sites := { e with e_locs = (l, c) :: e.e_locs } :: rest)
-      | "callsite" ->
-        let key = read_key lx (Textio.token lx) in
+      | Callsite ->
+        let key = read_key lx in
         calls := { c_key = key; c_mod = []; c_ref = [] } :: !calls
-      | "mod" ->
+      | Mod ->
         (match !calls with
          | [] -> Textio.fail lx "mod before any callsite"
          | c :: rest ->
            calls := { c with c_mod = read_sloc lx :: c.c_mod } :: rest)
-      | "ref" ->
+      | Ref ->
         (match !calls with
          | [] -> Textio.fail lx "ref before any callsite"
          | c :: rest ->
            calls := { c with c_ref = read_sloc lx :: c.c_ref } :: rest)
-      | w -> Textio.fail lx (Printf.sprintf "unknown record %S" w)
     done;
     if not (Textio.at_eof lx) then Textio.fail lx "trailing data after end";
     Ok

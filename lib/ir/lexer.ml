@@ -10,24 +10,40 @@ type token =
 
 type lexeme = { tok : token; line : int }
 
-let keywords =
-  [ "int"; "float"; "void"; "if"; "else"; "while"; "for"; "return";
-    "break"; "continue"; "secret" ]
-
 let is_digit c = c >= '0' && c <= '9'
 let is_alpha c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
 let is_alnum c = is_alpha c || is_digit c
 
-(* Multi-character punctuation, longest first. *)
-let puncts2 =
-  [ "=="; "!="; "<="; ">="; "&&"; "||"; "<<"; ">>"; "+="; "-="; "*="; "/=";
-    "++"; "--" ]
+let word s =
+  match s with
+  | "int" | "float" | "void" | "if" | "else" | "while" | "for" | "return"
+  | "break" | "continue" | "secret" -> Tkw s
+  | _ -> Tident s
 
-let tokenize (src : string) : lexeme list =
+(* The punctuator spelled by [c] [d], or "" if none; a two-character
+   punctuator wins over its first character. *)
+let punct2 c d =
+  match c, d with
+  | '=', '=' -> "==" | '!', '=' -> "!=" | '<', '=' -> "<=" | '>', '=' -> ">="
+  | '&', '&' -> "&&" | '|', '|' -> "||" | '<', '<' -> "<<" | '>', '>' -> ">>"
+  | '+', '=' -> "+=" | '-', '=' -> "-=" | '*', '=' -> "*=" | '/', '=' -> "/="
+  | '+', '+' -> "++" | '-', '-' -> "--"
+  | _ -> ""
+
+let punct1 = function
+  | '+' -> "+" | '-' -> "-" | '*' -> "*" | '/' -> "/" | '%' -> "%"
+  | '<' -> "<" | '>' -> ">" | '=' -> "=" | '!' -> "!" | '&' -> "&"
+  | '|' -> "|" | '^' -> "^" | '(' -> "(" | ')' -> ")" | '{' -> "{"
+  | '}' -> "}" | '[' -> "[" | ']' -> "]" | ';' -> ";" | ',' -> ","
+  | _ -> ""
+
+let eof = { tok = Teof; line = 0 }
+
+(** The tokens of [src], ending with [Teof]. *)
+let tokenize (src : string) : lexeme array =
   let n = String.length src in
-  let toks = ref [] in
+  let toks = Vec.create ~capacity:(n / 4 + 16) eof in
   let line = ref 1 in
-  let emit tok = toks := { tok; line = !line } :: !toks in
   let i = ref 0 in
   while !i < n do
     let c = src.[!i] in
@@ -64,44 +80,51 @@ let tokenize (src : string) : lexeme list =
           is_flt := true;
         incr i
       done;
-      let s = String.sub src start (!i - start) in
+      let lit () = String.sub src start (!i - start) in
       if !is_flt then
-        match float_of_string_opt s with
-        | Some f -> emit (Tflt_lit f)
+        match float_of_string_opt (lit ()) with
+        | Some f -> Vec.push toks { tok = Tflt_lit f; line = !line }
         | None ->
           raise (Ast.Frontend_error
-                   (!line, Printf.sprintf "malformed float literal %s" s))
-      else
-        match int_of_string_opt s with
-        | Some n -> emit (Tint_lit n)
-        | None ->
-          raise (Ast.Frontend_error
-                   (!line, Printf.sprintf "integer literal %s out of range" s))
+                   (!line, Printf.sprintf "malformed float literal %s" (lit ())))
+      else begin
+        (* only digits: the decimal value, refused past max_int *)
+        let v = ref 0 in
+        for k = start to !i - 1 do
+          let d = Char.code src.[k] - Char.code '0' in
+          if !v > (max_int - d) / 10 then
+            raise (Ast.Frontend_error
+                     (!line,
+                      Printf.sprintf "integer literal %s out of range" (lit ())));
+          v := (!v * 10) + d
+        done;
+        Vec.push toks { tok = Tint_lit !v; line = !line }
+      end
     end
     else if is_alpha c then begin
       let start = !i in
       while !i < n && is_alnum src.[!i] do incr i done;
-      let s = String.sub src start (!i - start) in
-      if List.mem s keywords then emit (Tkw s) else emit (Tident s)
+      Vec.push toks
+        { tok = word (String.sub src start (!i - start)); line = !line }
     end
     else begin
-      let two =
-        if !i + 1 < n then Some (String.sub src !i 2) else None
-      in
-      match two with
-      | Some p when List.mem p puncts2 -> emit (Tpunct p); i := !i + 2
-      | _ ->
-        (match c with
-         | '+' | '-' | '*' | '/' | '%' | '<' | '>' | '=' | '!' | '&' | '|'
-         | '^' | '(' | ')' | '{' | '}' | '[' | ']' | ';' | ',' ->
-           emit (Tpunct (String.make 1 c)); incr i
-         | _ ->
-           raise (Ast.Frontend_error
-                    (!line, Printf.sprintf "unexpected character %C" c)))
+      let p2 = if !i + 1 < n then punct2 c src.[!i + 1] else "" in
+      if p2 <> "" then begin
+        Vec.push toks { tok = Tpunct p2; line = !line };
+        i := !i + 2
+      end
+      else begin
+        let p1 = punct1 c in
+        if p1 = "" then
+          raise (Ast.Frontend_error
+                   (!line, Printf.sprintf "unexpected character %C" c));
+        Vec.push toks { tok = Tpunct p1; line = !line };
+        incr i
+      end
     end
   done;
-  emit Teof;
-  List.rev !toks
+  Vec.push toks { tok = Teof; line = !line };
+  Array.sub toks.Vec.data 0 (Vec.length toks)
 
 let token_str = function
   | Tint_lit i -> string_of_int i

@@ -47,9 +47,11 @@ let pop_scope env =
   | _ :: rest -> env.scopes <- rest
   | [] -> assert false
 
+(* A block under construction holds its statements in reverse; [lower]
+   turns every block of a function around once its body is lowered. *)
 let emit env kind =
   let s = Sir.new_stmt env.prog kind in
-  env.cur.Sir.stmts <- env.cur.Sir.stmts @ [ s ]
+  env.cur.Sir.stmts <- s :: env.cur.Sir.stmts
 
 let start_block env =
   let b = Sir.new_bb env.func in
@@ -538,6 +540,7 @@ let lower (ast : Ast.program) : Sir.prog =
           formals formal_vars;
         push_scope env;
         List.iter (lower_stmt env) body;
+        Vec.iter (fun b -> b.Sir.stmts <- List.rev b.Sir.stmts) f.Sir.fblocks;
         (* implicit return at fall-through *)
         (match env.cur.Sir.term, fret with
          | Sir.Tret _, _ -> ()

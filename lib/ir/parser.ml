@@ -309,8 +309,7 @@ let parse_decl st =
 (** Parse a complete mini-C program from source text.
     Raises {!Ast.Frontend_error} on malformed input. *)
 let parse (src : string) : Ast.program =
-  let toks = Array.of_list (Lexer.tokenize src) in
-  let st = { toks; pos = 0 } in
+  let st = { toks = Lexer.tokenize src; pos = 0 } in
   let rec go acc =
     match peek_tok st with
     | Lexer.Teof -> List.rev acc

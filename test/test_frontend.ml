@@ -9,7 +9,7 @@ let check_str = Alcotest.(check string)
 let compile = Lower.compile
 
 let test_lex_basic () =
-  let toks = Lexer.tokenize "int x = 42; // comment\nfloat y;" in
+  let toks = Array.to_list (Lexer.tokenize "int x = 42; // comment\nfloat y;") in
   check_int "token count" 9 (List.length toks);
   match toks with
   | { tok = Lexer.Tkw "int"; line = 1 } :: { tok = Lexer.Tident "x"; _ } :: _ ->
@@ -17,7 +17,7 @@ let test_lex_basic () =
   | _ -> Alcotest.fail "unexpected token stream"
 
 let test_lex_floats () =
-  let toks = Lexer.tokenize "1.5 2e3 0.25 7" in
+  let toks = Array.to_list (Lexer.tokenize "1.5 2e3 0.25 7") in
   let values =
     List.filter_map
       (function
@@ -30,7 +30,7 @@ let test_lex_floats () =
     "literals" [ `F 1.5; `F 2000.; `F 0.25; `I 7 ] values
 
 let test_lex_puncts () =
-  let toks = Lexer.tokenize "a<=b==c&&d++ e+ +f" in
+  let toks = Array.to_list (Lexer.tokenize "a<=b==c&&d++ e+ +f") in
   let ps =
     List.filter_map
       (function { Lexer.tok = Lexer.Tpunct p; _ } -> Some p | _ -> None)
@@ -39,7 +39,7 @@ let test_lex_puncts () =
   Alcotest.(check (list string)) "puncts" [ "<="; "=="; "&&"; "++"; "+"; "+" ] ps
 
 let test_lex_comments () =
-  let toks = Lexer.tokenize "a /* multi\nline */ b" in
+  let toks = Array.to_list (Lexer.tokenize "a /* multi\nline */ b") in
   check_int "two idents + eof" 3 (List.length toks);
   (match List.nth toks 1 with
    | { Lexer.tok = Lexer.Tident "b"; line = 2 } -> ()
@@ -55,8 +55,13 @@ let test_lex_bad_literals () =
       Alcotest.check_raises lit (Ast.Frontend_error (2, msg)) (fun () ->
           ignore (compile ("int main() {\n  int x; x = " ^ lit ^ ";\n  return x;\n}"))))
     [ ("99999999999999999999", "integer literal 99999999999999999999 out of range");
+      ("4611686018427387904", "integer literal 4611686018427387904 out of range");
       ("1e", "malformed float literal 1e");
-      ("1.2.3", "malformed float literal 1.2.3") ]
+      ("1.2.3", "malformed float literal 1.2.3") ];
+  match Lexer.tokenize "4611686018427387903" with
+  | [| { Lexer.tok = Lexer.Tint_lit n; _ }; { Lexer.tok = Lexer.Teof; _ } |] ->
+    check_int "max_int literal" max_int n
+  | _ -> Alcotest.fail "max_int literal"
 
 let test_parse_precedence () =
   (* 1 + 2 * 3 parses as 1 + (2 * 3) *)
