@@ -45,8 +45,19 @@ let take_lines conn =
 
 type listener = { l_fd : Unix.file_descr; l_path : string }
 
-(* Only a socket is replaced: a killed daemon leaves its socket behind,
-   and anything else at the path is the user's file. *)
+(* Whether a daemon accepts connections on the socket at [path]: a
+   refused connect means the socket is stale. *)
+let live path =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
+      match Unix.connect fd (Unix.ADDR_UNIX path) with
+      | () -> Ok true
+      | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) -> Ok false
+      | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e))
+
+(* Only a stale socket is replaced: a killed daemon leaves its socket
+   behind, a live daemon keeps its own, and anything else at the path is
+   the user's file. *)
 let listen path =
   let bind () =
     let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -61,8 +72,12 @@ let listen path =
   in
   match Unix.lstat path with
   | { Unix.st_kind = Unix.S_SOCK; _ } ->
-    (try Unix.unlink path; bind ()
-     with Unix.Unix_error (e, _, _) -> Error (Unix.error_message e))
+    (match live path with
+     | Ok false ->
+       (try Unix.unlink path; bind ()
+        with Unix.Unix_error (e, _, _) -> Error (Unix.error_message e))
+     | Ok true -> Error "a daemon is already listening on it"
+     | Error reason -> Error reason)
   | _ -> Error "exists and is not a socket"
   | exception Unix.Unix_error (Unix.ENOENT, _, _) -> bind ()
   | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)

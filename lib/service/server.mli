@@ -13,10 +13,11 @@
 (** A listening unix-domain socket and its path. *)
 type listener
 
-(** Bind and listen at a socket path.  A socket already at the path —
-    the one a killed daemon leaves behind — is replaced; any other file
-    there is refused and kept as it is.  A refused path, a missing
-    directory or a failed bind is [Error reason]. *)
+(** Bind and listen at a socket path.  A stale socket at the path —
+    the one a killed daemon leaves behind, which refuses connections —
+    is replaced; a socket a live daemon accepts on, or any other file,
+    is refused and kept as it is.  A refused path, a missing directory
+    or a failed bind is [Error reason]. *)
 val listen : string -> (listener, string) result
 
 (** Close a listener and remove its socket file. *)

@@ -9,7 +9,8 @@
 # cache directory, entry cap or socket path must exit 2 naming the flag
 # (a refused serve leaves no socket file, a refused socket path no cache
 # directory, and a regular file at the socket path keeps its bytes).  A
-# socket left by a daemon killed with SIGKILL is replaced on restart.
+# socket left by a daemon killed with SIGKILL is replaced on restart; a
+# live daemon's socket is not.
 set -eu
 
 speccc="$1"
@@ -195,6 +196,27 @@ daemon=$!
 grep -q "^requests 1$" "$work/restart.out" || {
   echo "safety ci: unexpected stats from the restarted daemon:" >&2
   cat "$work/restart.out" >&2
+  exit 1
+}
+
+# a second serve on a live daemon's socket is refused with exit 2 naming
+# --socket, and the first daemon keeps its socket (the timeout turns a
+# second daemon that takes the path over into a failure, not a hang)
+status=0
+timeout 20 "$speccc" serve --socket "$work/svc.sock" \
+  --cache-dir "$work/cache-2" > "$work/err.out" 2>&1 || status=$?
+[ "$status" -eq 2 ] || {
+  echo "safety ci: serve on a live daemon's socket exited $status, not 2:" >&2
+  cat "$work/err.out" >&2
+  exit 1
+}
+grep -q "^speccc: --socket $work/svc.sock: " "$work/err.out" || {
+  echo "safety ci: serve on a live daemon's socket did not name --socket:" >&2
+  cat "$work/err.out" >&2
+  exit 1
+}
+"$speccc" client stats --socket "$work/svc.sock" > /dev/null || {
+  echo "safety ci: the first daemon lost its socket to a second serve" >&2
   exit 1
 }
 "$speccc" client shutdown --socket "$work/svc.sock" > /dev/null

@@ -440,6 +440,30 @@ let test_partial_line_hangup () =
      Client.close c);
   Server.stop server
 
+(* A second listener on a live daemon's socket is refused, and the
+   daemon keeps serving on it. *)
+let test_live_socket_kept () =
+  let sock =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "specsvc-live-%d.sock" (Unix.getpid ()))
+  in
+  let cfg = Daemon.default_config ~cache_dir:(fresh_dir "live") in
+  let server = Server.spawn cfg ~socket:sock in
+  (match Server.listen sock with
+   | Ok l ->
+     Server.close l;
+     Alcotest.fail "a second listener took over a live daemon's socket"
+   | Error _ -> ());
+  (match Client.connect sock with
+   | Error e -> Alcotest.fail ("daemon unreachable: " ^ e)
+   | Ok c ->
+     (match Client.rpc c Proto.Stats with
+      | Ok (Proto.Stats_reply _) -> ()
+      | Ok _ -> Alcotest.fail "stats: wrong reply"
+      | Error e -> Alcotest.fail ("stats failed: " ^ e));
+     Client.close c);
+  Server.stop server
+
 (* A cache directory that vanishes under the daemon costs warm hits,
    not answers: the compile is served, the failed store is counted,
    and stats still reads the (now empty) cache. *)
@@ -826,6 +850,8 @@ let suite =
       test_client_hangup;
     Alcotest.test_case "partial line then hang-up" `Quick
       test_partial_line_hangup;
+    Alcotest.test_case "a live daemon's socket is kept" `Quick
+      test_live_socket_kept;
     Alcotest.test_case "vanished cache directory" `Quick
       test_vanished_cache_dir;
     Alcotest.test_case "differential: plain modes" `Quick
