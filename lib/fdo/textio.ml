@@ -259,13 +259,6 @@ let here lx tags =
     !k
   end
 
-(* the index of [t] in [tags], or -1 *)
-let index tags t =
-  let n = Array.length tags in
-  let k = ref 0 in
-  while !k < n && not (String.equal (fst tags.(!k)) t) do incr k done;
-  if !k = n then -1 else !k
-
 (** The value paired with the next token in [tags] (bare words), or
     [other lx t] for any other token [t]. *)
 let tag_or lx tags other =
@@ -274,17 +267,11 @@ let tag_or lx tags other =
   if k >= 0 then snd tags.(k)
   else
     let t = token lx in
-    let k = index tags t in
-    if k >= 0 then snd tags.(k) else other lx t
+    match List.assoc_opt t (Array.to_list tags) with
+    | Some v -> v
+    | None -> other lx t
 
 (** The value paired with the next token in [tags] (bare words); [what]
     starts the error message when the token is none of them. *)
 let tag lx ~what tags =
-  skip_ws lx;
-  let k = here lx tags in
-  if k >= 0 then snd tags.(k)
-  else
-    let t = token lx in
-    let k = index tags t in
-    if k < 0 then fail lx (Printf.sprintf "%s %S" what t);
-    snd tags.(k)
+  tag_or lx tags (fun lx t -> fail lx (Printf.sprintf "%s %S" what t))
