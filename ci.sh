@@ -63,11 +63,13 @@ echo "== speculative-safety smoke (--safety + --recover deopt) =="
 # strict must fail its compile), pass the constant-time kernel under
 # strict, deopt-based recovery under forced flushes must actually
 # deoptimize, malformed safety/recovery flags must exit non-zero with a
-# usage hint, malformed source must exit 2 naming the line, and a bad
-# cache directory or --socket path must exit 2 naming the flag (a
-# SIGKILLed daemon's leftover socket is replaced on restart).
+# usage hint, malformed source (50 seeded mutants of the kernels among
+# it) must exit 2 naming the line, and a bad cache directory or
+# --socket path must exit 2 naming the flag (a SIGKILLed daemon's
+# leftover socket is replaced on restart, a live daemon's is not).
 sh test/ci_safety.sh _build/default/bin/speccc.exe \
-  test/safety_smoke.c test/safety_ct.c
+  test/safety_smoke.c test/safety_ct.c \
+  _build/default/test/mutate/gen_mutants.exe
 
 echo "== compile-service smoke (daemon + client + drift recompile) =="
 # Start the compile daemon on a private socket: three concurrent

@@ -5,7 +5,8 @@
 # recovery under forced ALAT flushes must actually exercise the deopt
 # path.  Malformed safety/recovery flag spellings must die with a
 # non-zero exit and a one-line usage hint, never compile anyway,
-# malformed source must exit 2 naming the offending line, and a bad
+# malformed source (a few hand-written cases and 50 seeded mutants of
+# the kernels) must exit 2 naming the offending line, and a bad
 # cache directory, entry cap or socket path must exit 2 naming the flag
 # (a refused serve leaves no socket file, a refused socket path no cache
 # directory, and a regular file at the socket path keeps its bytes).  A
@@ -16,6 +17,7 @@ set -eu
 speccc="$1"
 leaky="$2"
 ct="$3"
+gen_mutants="$4"
 
 work="$(mktemp -d -t speccc-safety-ci-XXXXXX)"
 trap 'rm -rf "$work"' EXIT
@@ -120,6 +122,33 @@ printf 'int main(){\n  int x; x = 1.2.3;\n  return x; }\n' > "$work/float.c"
 expect_frontend_error "malformed float literal" "$work/float.c" 2
 printf 'int main(){ return 99999999999999999999; }\n' > "$work/int.c"
 expect_frontend_error "integer literal out of range" "$work/int.c" 1
+
+# 50 seeded token-level mutants of the workload kernels: each one lowers
+# (exit 0) or is a located user error (exit 2, "speccc: FILE:LINE: "),
+# never an uncaught exception (exit 125)
+mkdir "$work/mutants"
+"$gen_mutants" "$work/mutants" 50 1
+for m in "$work"/mutants/*.c; do
+  status=0
+  "$speccc" dump --phase sir "$m" > "$work/err.out" 2>&1 || status=$?
+  case $status in
+    0) ;;
+    2)
+      grep -q "^speccc: $m:[0-9]*: " "$work/err.out" || {
+        echo "safety ci: mutant $m exited 2 without naming a line:" >&2
+        cat "$work/err.out" >&2
+        exit 1
+      } ;;
+    *)
+      echo "safety ci: mutant $m exited $status:" >&2
+      cat "$work/err.out" >&2
+      exit 1 ;;
+  esac
+done
+[ "$(ls "$work/mutants" | wc -l)" -eq 50 ] || {
+  echo "safety ci: expected 50 mutants" >&2
+  exit 1
+}
 
 # a bad cache option is a user error too: exit 2 naming the flag, and a
 # refused serve must not leave its socket file behind
