@@ -34,10 +34,6 @@ let rec ty_str = function
   | Types.Tflt -> "f"
   | Types.Tvoid -> "v"
 
-let rec add_ty buf = function
-  | Types.Tptr t -> Buffer.add_char buf 'p'; add_ty buf t
-  | t -> Buffer.add_string buf (ty_str t)
-
 let ty_of_string lx s =
   let n = String.length s in
   let rec go i =
@@ -117,7 +113,7 @@ let rec write_expr buf (e : Sir.expr) =
   | Sir.Lod v -> str buf " lod "; int buf v
   | Sir.Ilod (t, a, site) ->
     str buf " ild ";
-    add_ty buf t;
+    str buf (ty_str t);
     sp_int buf site;
     write_expr buf a
   | Sir.Lda v -> str buf " lda "; int buf v
@@ -125,13 +121,13 @@ let rec write_expr buf (e : Sir.expr) =
     str buf " un ";
     str buf (Sitekey.unop_tag o);
     Buffer.add_char buf ' ';
-    add_ty buf t;
+    str buf (ty_str t);
     write_expr buf x
   | Sir.Binop (o, t, a, b) ->
     str buf " bin ";
     str buf (Sitekey.binop_tag o);
     Buffer.add_char buf ' ';
-    add_ty buf t;
+    str buf (ty_str t);
     write_expr buf a;
     write_expr buf b
 
@@ -157,7 +153,7 @@ let write_stmt buf (s : Sir.stmt) =
      write_expr buf e
    | Sir.Istr (t, a, v, site) ->
      str buf " istr ";
-     add_ty buf t;
+     str buf (ty_str t);
      sp_int buf site;
      write_expr buf a;
      write_expr buf v
@@ -223,7 +219,7 @@ let write_block buf (b : Sir.bb) =
 
 let write_func buf (f : Sir.func) =
   str buf "func ";
-  add_ty buf f.Sir.fret;
+  str buf (ty_str f.Sir.fret);
   sp_int buf (List.length f.Sir.fformals);
   List.iter (sp_int buf) f.Sir.fformals;
   sp_int buf (List.length f.Sir.flocals);
@@ -254,9 +250,9 @@ let write (p : Sir.prog) : string =
       sp_bool buf v.Symtab.varray;
       sp_bool buf v.Symtab.vsecret;
       Buffer.add_char buf ' ';
-      add_ty buf v.Symtab.vty;
+      str buf (ty_str v.Symtab.vty);
       Buffer.add_char buf ' ';
-      add_ty buf v.Symtab.velt;
+      str buf (ty_str v.Symtab.velt);
       (match v.Symtab.vfunc with
        | Some f -> sp_quoted buf f
        | None -> str buf " -");

@@ -210,13 +210,6 @@ let index (p : Sir.prog) : index =
     Hashtbl.replace ix.by_key key site;
     Hashtbl.replace ix.by_site site key
   in
-  (* every shape is rendered into this one buffer *)
-  let sbuf = Buffer.create 64 in
-  let shape e =
-    Buffer.clear sbuf;
-    add_shape sbuf syms e;
-    Buffer.contents sbuf
-  in
   Sir.iter_funcs
     (fun f ->
       let fname = f.Sir.fname in
@@ -225,7 +218,7 @@ let index (p : Sir.prog) : index =
         match e with
         | Sir.Const _ | Sir.Lod _ | Sir.Lda _ -> ()
         | Sir.Ilod (_, a, site) ->
-          add fname Sir.Kiload (shape a) site;
+          add fname Sir.Kiload (expr_shape syms a) site;
           expr_sites a
         | Sir.Unop (_, _, x) -> expr_sites x
         | Sir.Binop (_, _, a, b) -> expr_sites a; expr_sites b
@@ -236,13 +229,11 @@ let index (p : Sir.prog) : index =
             (fun (s : Sir.stmt) ->
               (match s.Sir.kind with
                | Sir.Istr (_, addr, _, site) ->
-                 add fname Sir.Kistore (shape addr) site
+                 add fname Sir.Kistore (expr_shape syms addr) site
                | Sir.Call c ->
-                 Buffer.clear sbuf;
-                 Buffer.add_string sbuf c.Sir.callee;
-                 Buffer.add_char sbuf '/';
-                 Textio.add_int sbuf (List.length c.Sir.args);
-                 add fname Sir.Kcall (Buffer.contents sbuf) c.Sir.csite
+                 add fname Sir.Kcall
+                   (c.Sir.callee ^ "/" ^ string_of_int (List.length c.Sir.args))
+                   c.Sir.csite
                | Sir.Stid _ | Sir.Snop -> ());
               List.iter expr_sites (Sir.stmt_exprs s.Sir.kind))
             b.Sir.stmts;
