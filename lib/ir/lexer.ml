@@ -39,10 +39,12 @@ let punct1 = function
 
 let eof = { tok = Teof; line = 0 }
 
-(** The tokens of [src], ending with [Teof]. *)
+(** The tokens of [src], then [Teof].  The array is sized before the
+    tokens are counted, so more [Teof] entries may follow the first; a
+    source needs a new array only past one token per two bytes. *)
 let tokenize (src : string) : lexeme array =
   let n = String.length src in
-  let toks = Vec.create ~capacity:(n / 4 + 16) eof in
+  let toks = Vec.create ~capacity:(n / 2 + 16) eof in
   let line = ref 1 in
   let i = ref 0 in
   while !i < n do
@@ -124,7 +126,7 @@ let tokenize (src : string) : lexeme array =
     end
   done;
   Vec.push toks { tok = Teof; line = !line };
-  Array.sub toks.Vec.data 0 (Vec.length toks)
+  toks.Vec.data
 
 let token_str = function
   | Tint_lit i -> string_of_int i

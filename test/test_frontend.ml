@@ -8,8 +8,17 @@ let check_str = Alcotest.(check string)
 
 let compile = Lower.compile
 
+(* the tokens of [src] up to and including the first [Teof] *)
+let tokens src =
+  let rec upto acc = function
+    | [] -> List.rev acc
+    | ({ Lexer.tok = Lexer.Teof; _ } as t) :: _ -> List.rev (t :: acc)
+    | t :: rest -> upto (t :: acc) rest
+  in
+  upto [] (Array.to_list (Lexer.tokenize src))
+
 let test_lex_basic () =
-  let toks = Array.to_list (Lexer.tokenize "int x = 42; // comment\nfloat y;") in
+  let toks = tokens "int x = 42; // comment\nfloat y;" in
   check_int "token count" 9 (List.length toks);
   match toks with
   | { tok = Lexer.Tkw "int"; line = 1 } :: { tok = Lexer.Tident "x"; _ } :: _ ->
@@ -17,7 +26,7 @@ let test_lex_basic () =
   | _ -> Alcotest.fail "unexpected token stream"
 
 let test_lex_floats () =
-  let toks = Array.to_list (Lexer.tokenize "1.5 2e3 0.25 7") in
+  let toks = tokens "1.5 2e3 0.25 7" in
   let values =
     List.filter_map
       (function
@@ -30,7 +39,7 @@ let test_lex_floats () =
     "literals" [ `F 1.5; `F 2000.; `F 0.25; `I 7 ] values
 
 let test_lex_puncts () =
-  let toks = Array.to_list (Lexer.tokenize "a<=b==c&&d++ e+ +f") in
+  let toks = tokens "a<=b==c&&d++ e+ +f" in
   let ps =
     List.filter_map
       (function { Lexer.tok = Lexer.Tpunct p; _ } -> Some p | _ -> None)
@@ -39,7 +48,7 @@ let test_lex_puncts () =
   Alcotest.(check (list string)) "puncts" [ "<="; "=="; "&&"; "++"; "+"; "+" ] ps
 
 let test_lex_comments () =
-  let toks = Array.to_list (Lexer.tokenize "a /* multi\nline */ b") in
+  let toks = tokens "a /* multi\nline */ b" in
   check_int "two idents + eof" 3 (List.length toks);
   (match List.nth toks 1 with
    | { Lexer.tok = Lexer.Tident "b"; line = 2 } -> ()
@@ -58,8 +67,8 @@ let test_lex_bad_literals () =
       ("4611686018427387904", "integer literal 4611686018427387904 out of range");
       ("1e", "malformed float literal 1e");
       ("1.2.3", "malformed float literal 1.2.3") ];
-  match Lexer.tokenize "4611686018427387903" with
-  | [| { Lexer.tok = Lexer.Tint_lit n; _ }; { Lexer.tok = Lexer.Teof; _ } |] ->
+  match tokens "4611686018427387903" with
+  | [ { Lexer.tok = Lexer.Tint_lit n; _ }; { Lexer.tok = Lexer.Teof; _ } ] ->
     check_int "max_int literal" max_int n
   | _ -> Alcotest.fail "max_int literal"
 
