@@ -159,7 +159,7 @@ let token lx =
    without a substring; anything else (a quoted token, a sign or base
    prefix, a digit run long enough to overflow, a mismatch) goes back to
    [token], so what is accepted and every error message stay the same.
-   Hot paths use loops, not local closures, which would allocate, and
+   The scans use loops, not local closures, which would allocate, and
    compare ints with typed operators, not the polymorphic [min]. *)
 
 let[@inline] is_blank c = c = ' ' || c = '\n' || c = '\t' || c = '\r'
@@ -272,6 +272,8 @@ let tag_or lx tags other =
     | None -> other lx t
 
 (** The value paired with the next token in [tags] (bare words); [what]
-    starts the error message when the token is none of them. *)
+    starts the error message when the token is none of them.  (The
+    failure closure is built on every call; building it only off the
+    in-place path made no measurable difference to [Sir_io.read].) *)
 let tag lx ~what tags =
   tag_or lx tags (fun lx t -> fail lx (Printf.sprintf "%s %S" what t))
