@@ -42,11 +42,19 @@ let read_file path =
 
 (* Run [f] on the text of a source file.  A lexing, parsing or lowering
    error in it is the user's, not speccc's: report it as FILE:LINE and
-   exit 2, the code of every other semantic error. *)
+   exit 2, the code of every other semantic error.  So is an error the
+   program raises when it runs (a memory fault, a bad builtin argument,
+   running out of fuel) on the vm, in a training run or on the machine:
+   report it as FILE: runtime error: MSG. *)
 let with_source file f =
   let src = read_file file in
-  try f src with Ast.Frontend_error (line, msg) ->
+  try f src with
+  | Ast.Frontend_error (line, msg) ->
     Printf.eprintf "speccc: %s:%d: %s\n" file line msg;
+    exit 2
+  | Spec_prof.Interp.Runtime_error msg
+  | Spec_machine.Machine.Machine_error msg ->
+    Printf.eprintf "speccc: %s: runtime error: %s\n" file msg;
     exit 2
 
 let src_arg =

@@ -121,14 +121,14 @@ let[@inline] charge st =
   c.insns <- n;
   if n >= st.fuel then out_of_fuel ()
 
-(* ---- memory fast paths, as in {!Vm}: out-of-range traffic falls back
-   to the checked accessors, which raise (or, for ld.s, absorb) the
-   same faults ---- *)
+(* ---- memory fast paths, as in {!Vm}: traffic outside the covered
+   cells falls back to the checked accessors, which read 0, grow the
+   image, or raise (or, for ld.s, absorb) the same faults ---- *)
 
 let data_base = Memory.data_base
 
 let[@inline] in_range (m : Memory.t) addr =
-  addr >= data_base && addr <= m.Memory.size - 8 && addr land 7 = 0
+  addr >= data_base && addr <= m.Memory.limit - 8 && addr land 7 = 0
 
 let[@inline] ld_i m addr =
   if in_range m addr then Array.unsafe_get m.Memory.ints (addr lsr 3)
@@ -895,7 +895,12 @@ let run_resolved_on kind ?(config = default_config) ?faults (p : rprog) =
     error "machine: rob_entries must be positive";
   let alat = Alat.create ~entries:config.alat_entries () in
   Alat.set_faults alat faults;
-  let mem = Memory.create ~heap_bytes:config.heap_bytes p.Mcode.sir in
+  (* a memory fault is the program's runtime error, raised as one here,
+     outside the dispatch loop *)
+  let mem =
+    try Memory.create ~heap_bytes:config.heap_bytes p.Mcode.sir
+    with Memory.Fault msg -> raise (Machine_error msg)
+  in
   let globals = Array.make (Symtab.count p.Mcode.sir.Sir.syms) (-1) in
   List.iter
     (fun g -> globals.(g) <- Memory.global_addr mem g)
@@ -927,7 +932,8 @@ let run_resolved_on kind ?(config = default_config) ?faults (p : rprog) =
       store_set = config.mdp = Mdp_store_set;
       lv; ss_load; ss_store = sites (); ss_next = 0; flush_seen = 0 }
   in
-  exec_func st p.Mcode.main no_ints no_flts no_ints no_ints 0 0;
+  (try exec_func st p.Mcode.main no_ints no_flts no_ints no_ints 0 0
+   with Memory.Fault msg -> raise (Machine_error msg));
   st.ctrs.cycles <- (if st.ooo then st.last_retire else st.clock);
   let r =
     { ret_int = st.ret_i; output = Buffer.contents st.out; perf = st.ctrs;

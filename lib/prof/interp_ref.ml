@@ -391,15 +391,18 @@ let run ?(fuel = 200_000_000) ?faults ?(heap_bytes = 24 * 1024 * 1024)
     (p : Sir.prog) : result =
   if not (Hashtbl.mem p.Sir.funcs "main") then
     error "program has no main function";
-  let st =
-    { prog = p; mem = Memory.create ~heap_bytes p;
-      ctrs = { steps = 0; mem_loads = 0; mem_stores = 0; branches = 0;
-               calls = 0; check_stmts = 0; check_reloads = 0 };
-      out = Buffer.create 256; rng = 88172645463325252; fuel;
-      alat = Hashtbl.create 32; frame_serial = 0;
-      finj = faults; fevents = 0 }
-  in
-  let ret = call_user st "main" [] in
-  let r = { ret; output = Buffer.contents st.out; counters = st.ctrs } in
-  Memory.release st.mem;
-  r
+  (* a memory fault is the program's runtime error *)
+  try
+    let st =
+      { prog = p; mem = Memory.create ~heap_bytes p;
+        ctrs = { steps = 0; mem_loads = 0; mem_stores = 0; branches = 0;
+                 calls = 0; check_stmts = 0; check_reloads = 0 };
+        out = Buffer.create 256; rng = 88172645463325252; fuel;
+        alat = Hashtbl.create 32; frame_serial = 0;
+        finj = faults; fevents = 0 }
+    in
+    let ret = call_user st "main" [] in
+    let r = { ret; output = Buffer.contents st.out; counters = st.ctrs } in
+    Memory.release st.mem;
+    r
+  with Memory.Fault msg -> raise (Runtime_error msg)

@@ -2,10 +2,12 @@
     machine simulator.
 
     The address space is split into a data segment (globals), a stack, and a
-    heap.  Every scalar occupies one 8-byte cell; integer and float cells
-    are stored unboxed in two parallel arrays (the typed source language
-    never reads a cell at a different scalar kind than it was written, the
-    same assumption the type-based alias analysis makes).
+    heap right above the stack.  Every scalar occupies one 8-byte cell;
+    integer and float cells are stored unboxed in two parallel arrays (the
+    typed source language never reads a cell at a different scalar kind
+    than it was written, the same assumption the type-based alias analysis
+    makes).  The arrays cover only what the run has laid out and grow as it
+    lays out more; a cell past them reads 0.
 
     The memory also resolves addresses to abstract memory locations (LOCs)
     for the alias profiler.  Globals and heap allocations never change
@@ -18,11 +20,13 @@ open Spec_ir
 let data_base = 0x1000
 let stack_base = 0x100_000
 let stack_limit = 0x400_000
-let heap_base = 0x1_000_000
+let heap_base = stack_limit
 
 type t = {
-  ints : int array;
-  flts : float array;
+  mutable ints : int array;
+  mutable flts : float array;
+  mutable limit : int;
+      (* bytes the arrays cover: cell [c] exists iff [c < limit / 8] *)
   size : int;                          (* in bytes *)
   (* LOC resolution *)
   mutable stack_locs : int array;      (* stack cell index -> var id, -1 none *)
@@ -37,11 +41,9 @@ type t = {
   mutable hp : int;                    (* next free heap address *)
   global_addr : (int, int) Hashtbl.t;  (* var id -> address *)
   (* high-water marks, so a recycled image only re-zeroes what the
-     previous run actually dirtied (see the pool below).  The dirty
-     range is tracked per segment: the heap starts 16 MB into the
-     address space, so a single mark would drag the untouched
-     stack-to-heap gap into every scrub — milliseconds of memset that
-     used to dominate short engine runs. *)
+     previous run actually dirtied (see the pool below), tracked per
+     segment: a run that writes a global and a heap cell dirties two
+     short ranges, not the stack between them *)
   mutable hw_low : int;                (* written cells below the heap *)
   mutable hw_heap : int;               (* written cells >= heap_cell0 *)
   mutable stack_hw : int;              (* exclusive bound of stack_locs use *)
@@ -52,16 +54,47 @@ exception Fault of string
 let fault fmt = Fmt.kstr (fun s -> raise (Fault s)) fmt
 
 (* ------------------------------------------------------------------ *)
+(* Growth                                                              *)
+(*                                                                     *)
+(* The cell arrays start at the data segment's end and grow to cover   *)
+(* what the run lays out: the stack as frames are pushed, the heap as  *)
+(* it is allocated, any other cell when a store reaches it.  Growth is *)
+(* geometric per segment — to at least twice the covered data and      *)
+(* stack (up to the heap), or twice the covered heap — so a run copies *)
+(* each cell O(1) times and its arrays cover at most [stack_limit]     *)
+(* plus twice its heap.                                                *)
+(* ------------------------------------------------------------------ *)
+
+let min_heap = 0x10000
+let heap_cell0 = heap_base / Types.cell_size
+
+(* cover the addresses below [need] ([<= m.size]) *)
+let cover m need =
+  if need > m.limit then begin
+    let lim = m.limit in
+    let want =
+      if need <= heap_base then min heap_base (max need (2 * lim))
+      else max need (heap_base + max min_heap (2 * (lim - heap_base)))
+    in
+    let cells = min (m.size / Types.cell_size) ((want + 7) / Types.cell_size) in
+    let n = Array.length m.ints in
+    let ints = Array.make cells 0 and flts = Array.make cells 0. in
+    Array.blit m.ints 0 ints 0 n;
+    Array.blit m.flts 0 flts 0 n;
+    m.ints <- ints;
+    m.flts <- flts;
+    m.limit <- cells * Types.cell_size
+  end
+
+(* ------------------------------------------------------------------ *)
 (* Image pool                                                          *)
 (*                                                                     *)
-(* A fresh image is two ~size/8-element arrays — 80 MB of zeroing for  *)
-(* the default 24 MB heap — and the experiment harness creates one per *)
-(* profiling or simulation run.  Instead of paying that alloc+zero     *)
-(* cost every time, [release] parks an image in a small pool and       *)
-(* [create] revives one of matching size, re-zeroing only the cells    *)
-(* the previous run wrote (tracked by the high-water marks).  The pool *)
-(* is shared across domains and guarded by a mutex; the arrays of a    *)
-(* pooled image are owned by exactly one run at a time.                *)
+(* [release] parks an image in a small pool and [create] revives one   *)
+(* of matching size with the arrays the previous run grew, re-zeroing  *)
+(* only the cells it wrote (tracked by the high-water marks), so a     *)
+(* workload that runs many programs allocates and grows an image once. *)
+(* The pool is shared across domains and guarded by a mutex; the      *)
+(* arrays of a pooled image are owned by exactly one run at a time.    *)
 (* ------------------------------------------------------------------ *)
 
 let pool : t list ref = ref []
@@ -90,13 +123,13 @@ let take_pooled size =
 
 (* Scrub the regions the previous run dirtied, bringing the image back
    to the all-zeros state a fresh allocation guarantees. *)
-let heap_cell0 = heap_base / Types.cell_size
-
 let scrub (m : t) =
   Array.fill m.ints 0 m.hw_low 0;
   Array.fill m.flts 0 m.hw_low 0.;
-  Array.fill m.ints heap_cell0 (m.hw_heap - heap_cell0) 0;
-  Array.fill m.flts heap_cell0 (m.hw_heap - heap_cell0) 0.;
+  if m.hw_heap > heap_cell0 then begin
+    Array.fill m.ints heap_cell0 (m.hw_heap - heap_cell0) 0;
+    Array.fill m.flts heap_cell0 (m.hw_heap - heap_cell0) 0.
+  end;
   Array.fill m.stack_locs 0 m.stack_hw (-1);
   m.n_obj <- 0;
   m.sp <- stack_base;
@@ -124,16 +157,15 @@ let add_obj m lo hi owner =
     segment.  [heap_bytes] bounds heap allocation. *)
 let create ?(heap_bytes = 24 * 1024 * 1024) (p : Sir.prog) : t =
   let size = heap_base + heap_bytes in
-  let cells = size / Types.cell_size in
-  let stack_cells = (stack_limit - stack_base) / Types.cell_size in
   let m =
     match take_pooled size with
     | Some m -> scrub m; m
     | None ->
-      { ints = Array.make cells 0;
-        flts = Array.make cells 0.;
+      { ints = [||];
+        flts = [||];
+        limit = 0;
         size;
-        stack_locs = Array.make stack_cells (-1);
+        stack_locs = [||];
         obj_lo = Array.make 64 0;
         obj_hi = Array.make 64 0;
         obj_owner = Array.make 64 0;
@@ -155,18 +187,26 @@ let create ?(heap_bytes = 24 * 1024 * 1024) (p : Sir.prog) : t =
       add_obj m !next (!next + bytes) g;
       next := !next + bytes)
     p.Sir.globals;
+  cover m !next;
   m
 
+(* [addr > size - 8] rather than [addr + 8 > size], so that an address
+   near [max_int] cannot wrap past the test *)
 let check m addr what =
-  if addr < data_base || addr + Types.cell_size > m.size then
+  if addr < data_base || addr > m.size - Types.cell_size then
     fault "%s at invalid address 0x%x" what addr;
   if addr mod Types.cell_size <> 0 then
     fault "%s at unaligned address 0x%x" what addr
 
 let cell addr = addr / Types.cell_size
 
-let load_int m addr = check m addr "load"; m.ints.(cell addr)
-let load_flt m addr = check m addr "load"; m.flts.(cell addr)
+let load_int m addr =
+  check m addr "load";
+  if addr < m.limit then m.ints.(cell addr) else 0
+
+let load_flt m addr =
+  check m addr "load";
+  if addr < m.limit then m.flts.(cell addr) else 0.
 
 let touch m c =
   if c >= heap_cell0 then begin
@@ -176,27 +216,29 @@ let touch m c =
 
 let store_int m addr v =
   check m addr "store";
+  cover m (addr + Types.cell_size);
   let c = cell addr in
   touch m c;
   m.ints.(c) <- v
 
 let store_flt m addr v =
   check m addr "store";
+  cover m (addr + Types.cell_size);
   let c = cell addr in
   touch m c;
   m.flts.(c) <- v
 
 (** Non-faulting load for control-speculatively hoisted code (ld.s
     semantics: a bad address defers the fault; the value is never consumed
-    on the mis-speculated path). *)
+    on the mis-speculated path).  An uncovered cell reads 0 either way. *)
 let load_int_spec m addr =
-  if addr < data_base || addr + Types.cell_size > m.size
+  if addr < data_base || addr > m.limit - Types.cell_size
      || addr mod Types.cell_size <> 0
   then 0
   else m.ints.(cell addr)
 
 let load_flt_spec m addr =
-  if addr < data_base || addr + Types.cell_size > m.size
+  if addr < data_base || addr > m.limit - Types.cell_size
      || addr mod Types.cell_size <> 0
   then 0.
   else m.flts.(cell addr)
@@ -213,12 +255,21 @@ let push_frame_var m vid bytes =
   let addr = m.sp in
   if addr + bytes > stack_limit then fault "stack overflow";
   m.sp <- m.sp + bytes;
+  cover m m.sp;
   let base_cell = (addr - stack_base) / Types.cell_size in
   let ncells = bytes / Types.cell_size in
-  for c = 0 to ncells - 1 do
-    m.stack_locs.(base_cell + c) <- vid
+  let top = base_cell + ncells in
+  if top > Array.length m.stack_locs then begin
+    let n = Array.length m.stack_locs in
+    let stack_cells = (stack_limit - stack_base) / Types.cell_size in
+    let locs = Array.make (min stack_cells (max top (2 * n))) (-1) in
+    Array.blit m.stack_locs 0 locs 0 n;
+    m.stack_locs <- locs
+  end;
+  for c = base_cell to top - 1 do
+    m.stack_locs.(c) <- vid
   done;
-  if base_cell + ncells > m.stack_hw then m.stack_hw <- base_cell + ncells;
+  if top > m.stack_hw then m.stack_hw <- top;
   addr
 
 let stack_mark m = m.sp
@@ -239,6 +290,7 @@ let malloc m ~site bytes =
   let addr = m.hp in
   if addr + bytes > m.size then fault "heap exhausted";
   m.hp <- m.hp + bytes;
+  cover m m.hp;
   add_obj m addr m.hp (-2 - site);
   addr
 
@@ -258,7 +310,8 @@ let found () = { owner = -1; lo = 0; hi = 0 }
     it, or an empty range for a stack cell or an unowned address. *)
 let resolve m addr f =
   if addr >= stack_base && addr < stack_limit then begin
-    f.owner <- m.stack_locs.(cell (addr - stack_base));
+    let c = cell (addr - stack_base) in
+    f.owner <- (if c < Array.length m.stack_locs then m.stack_locs.(c) else -1);
     f.lo <- 0;
     f.hi <- 0
   end

@@ -133,30 +133,32 @@ let no_ints : int array = [||]
 let no_flts : float array = [||]
 
 (* ---- memory fast paths ---- *)
-(* The range test avoids `addr + 8` so a near-max_int address cannot
-   wrap into the fast path; out-of-range traffic falls back to the
-   checked accessors, which raise (or, for spec loads, absorb) the
-   exact faults the oracle sees. *)
+(* One range test against the cells the image covers ([Memory.limit]).
+   It avoids `addr + 8` so a near-max_int address cannot wrap into the
+   fast path; other traffic falls back to the checked accessors, which
+   read 0 from an uncovered cell, grow the image for a store to one, and
+   raise (or, for spec loads, absorb) the exact faults the oracle
+   sees. *)
 
 let data_base = Memory.data_base
 
 let[@inline] ld_i (m : Memory.t) addr =
-  if addr >= data_base && addr <= m.Memory.size - 8 && addr land 7 = 0
+  if addr >= data_base && addr <= m.Memory.limit - 8 && addr land 7 = 0
   then Array.unsafe_get m.Memory.ints (addr lsr 3)
   else Memory.load_int m addr
 
 let[@inline] ld_f (m : Memory.t) addr =
-  if addr >= data_base && addr <= m.Memory.size - 8 && addr land 7 = 0
+  if addr >= data_base && addr <= m.Memory.limit - 8 && addr land 7 = 0
   then Array.unsafe_get m.Memory.flts (addr lsr 3)
   else Memory.load_flt m addr
 
 let[@inline] ld_i_spec (m : Memory.t) addr =
-  if addr >= data_base && addr <= m.Memory.size - 8 && addr land 7 = 0
+  if addr >= data_base && addr <= m.Memory.limit - 8 && addr land 7 = 0
   then Array.unsafe_get m.Memory.ints (addr lsr 3)
   else Memory.load_int_spec m addr
 
 let[@inline] ld_f_spec (m : Memory.t) addr =
-  if addr >= data_base && addr <= m.Memory.size - 8 && addr land 7 = 0
+  if addr >= data_base && addr <= m.Memory.limit - 8 && addr land 7 = 0
   then Array.unsafe_get m.Memory.flts (addr lsr 3)
   else Memory.load_flt_spec m addr
 
@@ -167,7 +169,7 @@ let[@inline] touch (m : Memory.t) c =
   else if c >= m.Memory.hw_low then m.Memory.hw_low <- c + 1
 
 let[@inline] st_i (m : Memory.t) addr v =
-  if addr >= data_base && addr <= m.Memory.size - 8 && addr land 7 = 0
+  if addr >= data_base && addr <= m.Memory.limit - 8 && addr land 7 = 0
   then begin
     let c = addr lsr 3 in
     touch m c;
@@ -176,7 +178,7 @@ let[@inline] st_i (m : Memory.t) addr v =
   else Memory.store_int m addr v
 
 let[@inline] st_f (m : Memory.t) addr v =
-  if addr >= data_base && addr <= m.Memory.size - 8 && addr land 7 = 0
+  if addr >= data_base && addr <= m.Memory.limit - 8 && addr land 7 = 0
   then begin
     let c = addr lsr 3 in
     touch m c;
@@ -1351,25 +1353,30 @@ and vm_deopt_call st ~site name (argv : Spec_safety.Deopt.value list)
 let run_with ~pr ~fuel ?faults ?recover ~heap_bytes (p : V.program)
   : I.result =
   if p.V.vmain < 0 then error "program has no main function";
-  let mem = Memory.create ~heap_bytes p.V.vsrc in
-  let syms = p.V.vsrc.Sir.syms in
-  let globals = Array.make (Symtab.count syms) (-1) in
-  List.iter
-    (fun g -> globals.(g) <- Memory.global_addr mem g)
-    p.V.vsrc.Sir.globals;
-  let st =
-    { vp = p; mem; pr; found = Memory.found ();
-      ctrs = { I.steps = 0; mem_loads = 0; mem_stores = 0; branches = 0;
-               calls = 0; check_stmts = 0; check_reloads = 0; deopts = 0 };
-      out = Buffer.create 256; globals; rng = 88172645463325252; fuel;
-      alat = Sem_alat.create ?faults ();
-      ret_isf = false; ret_i = 0; ret_f = 0.; recover }
-  in
-  exec_func st p.V.vmain no_ints no_flts;
-  let ret = if st.ret_isf then I.Vflt st.ret_f else I.Vint st.ret_i in
-  let r = { I.ret; output = Buffer.contents st.out; counters = st.ctrs } in
-  Memory.release mem;
-  r
+  (* a memory fault is the program's runtime error.  It becomes one
+     here, outside the dispatch loop, so the ld.a arm-span trap still
+     lets it through, as the oracle's does *)
+  try
+    let mem = Memory.create ~heap_bytes p.V.vsrc in
+    let syms = p.V.vsrc.Sir.syms in
+    let globals = Array.make (Symtab.count syms) (-1) in
+    List.iter
+      (fun g -> globals.(g) <- Memory.global_addr mem g)
+      p.V.vsrc.Sir.globals;
+    let st =
+      { vp = p; mem; pr; found = Memory.found ();
+        ctrs = { I.steps = 0; mem_loads = 0; mem_stores = 0; branches = 0;
+                 calls = 0; check_stmts = 0; check_reloads = 0; deopts = 0 };
+        out = Buffer.create 256; globals; rng = 88172645463325252; fuel;
+        alat = Sem_alat.create ?faults ();
+        ret_isf = false; ret_i = 0; ret_f = 0.; recover }
+    in
+    exec_func st p.V.vmain no_ints no_flts;
+    let ret = if st.ret_isf then I.Vflt st.ret_f else I.Vint st.ret_i in
+    let r = { I.ret; output = Buffer.contents st.out; counters = st.ctrs } in
+    Memory.release mem;
+    r
+  with Memory.Fault msg -> raise (I.Runtime_error msg)
 
 let run_program ?(fuel = 200_000_000) ?faults ?recover
     ?(heap_bytes = 24 * 1024 * 1024) (p : V.program) : I.result =
