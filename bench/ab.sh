@@ -20,10 +20,12 @@
 # it is "unresolved".  With fewer pairs a clean sweep is too likely on
 # noise alone (3 of 3 happens 1 time in 4 per metric), so every verdict
 # reads "unresolved" and a closing note says the pair count is below 10.
-# It also prints failed/attempted ops per side and where the vm's and
-# the in-order machine's dispatch loops (Vm.exec_func,
-# Machine.exec_func) sit modulo 64 bytes in each binary: a delta that
-# follows that residue follows code placement.
+# It also prints failed/attempted ops per side and where three hot entry
+# points sit modulo 64 bytes in each binary: the vm's and the machine's
+# dispatch loops (Vm.exec_func, Machine.exec_func) and SSAPRE's renaming
+# walk (Ssapre.rename).  A delta that follows one of those residues
+# follows code placement, so when any of them differs between the sides
+# a closing note says so.
 #
 # Exit status: 0, or 1 when any metric reads "worse", or 2 on a usage,
 # build or run error.
@@ -128,8 +130,14 @@ done
 echo "ab.sh: $workload, seed $seed, $pairs pairs of ${seconds}s; base $base_rev ($(git rev-parse --short "$base_sha")) vs the working tree"
 awk '{ a[$1] += $3; f[$1] += $4 }
   END { printf "failed/attempted: base %d/%d, change %d/%d\n", f["base"], a["base"], f["change"], a["change"] }' "$results"
-echo "Vm.exec_func mod 64: base $(residue "$wt" 'Vm[.]exec_func'), change $(residue "$root" 'Vm[.]exec_func')"
-echo "Machine.exec_func mod 64: base $(residue "$wt" 'Machine[.]exec_func'), change $(residue "$root" 'Machine[.]exec_func')"
+# one line per hot entry point; remembers whether any residue differs
+moved=
+for sym in Vm.exec_func Machine.exec_func Ssapre.rename; do
+  pat="$(echo "$sym" | sed 's/[.]/[.]/')_[0-9]+\$"
+  b=$(residue "$wt" "$pat") c=$(residue "$root" "$pat")
+  echo "$sym mod 64: base $b, change $c"
+  [ "$b" = "$c" ] || moved="$moved $sym"
+done
 
 # the end-to-end metrics and their directions, one object per line of
 # BENCHMARK.json's "end_to_end" list
@@ -194,4 +202,8 @@ awk -v pairs="$pairs" '
     }
     if (pairs < 10) printf "no verdict: %d of the 10 pairs a verdict needs\n", pairs
     exit worse
-  }' "$work/metrics" "$results"
+  }' "$work/metrics" "$results" || status=$?
+if [ -n "$moved" ]; then
+  echo "note: the code moved between the sides (mod 64:$moved), so a delta may follow code placement rather than the change"
+fi
+exit "${status:-0}"
