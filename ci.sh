@@ -64,7 +64,8 @@ echo "== speculative-safety smoke (--safety + --recover deopt) =="
 # strict, deopt-based recovery under forced flushes must actually
 # deoptimize, malformed safety/recovery flags must exit non-zero with a
 # usage hint, malformed source (50 seeded mutants of the kernels among
-# it) must exit 2 naming the line, and a bad cache directory or
+# it) must exit 2 naming the line, a program that faults when it runs
+# must exit 2 naming its runtime error, and a bad cache directory or
 # --socket path must exit 2 naming the flag (a SIGKILLed daemon's
 # leftover socket is replaced on restart, a live daemon's is not).
 sh test/ci_safety.sh _build/default/bin/speccc.exe \

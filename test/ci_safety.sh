@@ -6,7 +6,8 @@
 # path.  Malformed safety/recovery flag spellings must die with a
 # non-zero exit and a one-line usage hint, never compile anyway,
 # malformed source (a few hand-written cases and 50 seeded mutants of
-# the kernels) must exit 2 naming the offending line, and a bad
+# the kernels) must exit 2 naming the offending line, a program that
+# faults when it runs must exit 2 naming its runtime error, and a bad
 # cache directory, entry cap or socket path must exit 2 naming the flag
 # (a refused serve leaves no socket file, a refused socket path no cache
 # directory, and a regular file at the socket path keeps its bytes).  A
@@ -122,6 +123,42 @@ printf 'int main(){\n  int x; x = 1.2.3;\n  return x; }\n' > "$work/float.c"
 expect_frontend_error "malformed float literal" "$work/float.c" 2
 printf 'int main(){ return 99999999999999999999; }\n' > "$work/int.c"
 expect_frontend_error "integer literal out of range" "$work/int.c" 1
+
+# a program that fails when it runs (a memory fault, a bad builtin
+# argument) is the user's error too: exit 2 with "speccc: FILE: runtime
+# error: MSG", never an uncaught exception (exit 125).  Plain runs fail
+# in the training run on the vm; --profile-in another program's store
+# skips training, so the vm and the machine each meet the fault
+expect_runtime_error() {
+  what="$1"; file="$2"; msg="$3"; shift 3
+  status=0
+  "$speccc" run "$@" "$file" > "$work/err.out" 2>&1 || status=$?
+  [ "$status" -eq 2 ] || {
+    echo "safety ci: $what exited $status, not 2:" >&2
+    cat "$work/err.out" >&2
+    exit 1
+  }
+  grep -qx "speccc: $file: runtime error: $msg" "$work/err.out" || {
+    echo "safety ci: $what did not report the runtime error:" >&2
+    cat "$work/err.out" >&2
+    exit 1
+  }
+}
+
+printf 'int main(){ return 0; }\n' > "$work/other.c"
+"$speccc" run --profile-out "$work/other.sprof" "$work/other.c" > /dev/null
+printf 'int main() { int *p; p = 0; *p = 3; return 0; }\n' > "$work/null.c"
+expect_runtime_error "null store, run -m none" "$work/null.c" \
+  "store at invalid address 0x0" -m none
+expect_runtime_error "null store, run --machine" "$work/null.c" \
+  "store at invalid address 0x0" --machine
+expect_runtime_error "null store on the vm, no training" "$work/null.c" \
+  "store at invalid address 0x0" -m none --profile-in "$work/other.sprof"
+expect_runtime_error "null store on the machine, no training" \
+  "$work/null.c" "store at invalid address 0x0" \
+  --machine --profile-in "$work/other.sprof"
+printf 'int main() { print_int(rnd(0)); return 0; }\n' > "$work/rnd.c"
+expect_runtime_error "rnd(0)" "$work/rnd.c" "rnd expects a positive bound"
 
 # 50 seeded token-level mutants of the workload kernels: each one lowers
 # (exit 0) or is a located user error (exit 2, "speccc: FILE:LINE: "),

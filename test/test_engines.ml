@@ -329,6 +329,40 @@ let vm_cache_roundtrip () =
        (Lazy.force warm.Pipeline.vm).Vmcode.vfuncs)
 
 (* ------------------------------------------------------------------ *)
+(* Mutants that lower                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Every mutant of the frontend's seed-1 corpus that lowers
+   ({!Spec_mutate.Mutate.corpus}) is compiled unoptimized and with
+   heuristic speculation and run on the vm under bounded fuel.  It must
+   print its output or stop with a runtime error (out of fuel, a memory
+   fault, a bad builtin argument), never with any other exception. *)
+let mutants_run () =
+  let lowered =
+    List.filter
+      (fun (_, src) ->
+        match Lower.compile src with
+        | _ -> true
+        | exception Ast.Frontend_error _ -> false)
+      (Spec_mutate.Mutate.corpus ~seed:1)
+  in
+  Alcotest.(check int) "mutants that lower" 184 (List.length lowered);
+  List.iter
+    (fun (label, src) ->
+      List.iter
+        (fun variant ->
+          match
+            let r = Pipeline.compile_and_optimize src variant in
+            Vm.run_program ~fuel:1_000_000 (Lazy.force r.Pipeline.vm)
+          with
+          | _ | (exception Interp.Runtime_error _) -> ()
+          | exception e ->
+            Alcotest.failf "%s under %s: %s" label
+              (Pipeline.variant_name variant) (Printexc.to_string e))
+        [ Pipeline.Noopt; Pipeline.Spec_heuristic ])
+    lowered
+
+(* ------------------------------------------------------------------ *)
 (* --jobs determinism                                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -352,7 +386,9 @@ let suite =
   [ Alcotest.test_case "parpool: order + nested fan-out" `Quick pool_order;
     Alcotest.test_case "parpool: exception propagation" `Quick pool_exn;
     Alcotest.test_case "vm artifact cache round trip" `Quick
-      vm_cache_roundtrip ]
+      vm_cache_roundtrip;
+    Alcotest.test_case "mutants that lower run or stop with an error"
+      `Quick mutants_run ]
   @ List.map
       (fun w ->
         Alcotest.test_case

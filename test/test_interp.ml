@@ -128,7 +128,7 @@ let test_runtime_errors () =
     try
       ignore (Vm.run ~fuel:100_000 (Lower.compile src));
       Alcotest.fail "expected a runtime error"
-    with Interp.Runtime_error _ | Memory.Fault _ -> ()
+    with Interp.Runtime_error _ -> ()
   in
   expect_error "int main(){ return 1 / 0; }";
   expect_error "int main(){ int* p; p = (int*)0; return *p; }";

@@ -409,6 +409,40 @@ let test_client_hangup () =
   Unix.close fd;
   Server.stop server
 
+(* A program that faults when its compile runs it is answered with its
+   runtime error, and the daemon keeps serving. *)
+let test_exec_fault () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let sock =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "specsvc-fault-%d.sock" (Unix.getpid ()))
+  in
+  let cfg = Daemon.default_config ~cache_dir:(fresh_dir "fault") in
+  let server = Server.spawn cfg ~socket:sock in
+  let fd = raw_connect sock in
+  (* a bounded wait: a dead server fails the test instead of hanging it *)
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+  let rpc req =
+    ignore (raw_write fd (Proto.encode_request req ^ "\n") : int);
+    match raw_read_line fd with
+    | None -> Alcotest.fail "no reply: the fault killed the server"
+    | Some l ->
+      (match Proto.decode_response l with
+       | Ok resp -> resp
+       | Error e -> Alcotest.fail ("undecodable reply: " ^ e))
+  in
+  let src = "int main() { int *p; p = 0; *p = 3; return 0; }\n" in
+  check_str "the reply carries the program's error"
+    "!runtime error: store at invalid address 0x0"
+    (compiled (rpc (compile_req ~exec:true src))).Proto.cr_output;
+  (match rpc Proto.Stats with
+   | Proto.Stats_reply kvs ->
+     check_int "the compile was served" 1 (List.assoc "cold" kvs);
+     check_int "and is not a daemon error" 0 (List.assoc "errors" kvs)
+   | _ -> Alcotest.fail "stats: wrong reply");
+  Unix.close fd;
+  Server.stop server
+
 (* A request cut short by a hang-up is not a request: the partial line
    leaves with its connection, uncounted, and the next client is
    served. *)
@@ -850,6 +884,8 @@ let suite =
       test_client_hangup;
     Alcotest.test_case "partial line then hang-up" `Quick
       test_partial_line_hangup;
+    Alcotest.test_case "a faulting program's exec is answered" `Quick
+      test_exec_fault;
     Alcotest.test_case "a live daemon's socket is kept" `Quick
       test_live_socket_kept;
     Alcotest.test_case "vanished cache directory" `Quick

@@ -146,6 +146,200 @@ let test_memory_stack_and_heap () =
     allocs;
   check_bool "unowned heap cell" true (extent (m.M.hp + 8) = (-1, 0, 0))
 
+(* ---- Memory: images that grow with use ---- *)
+
+(* A small heap keeps an image that a test grows to its full size
+   small; images made here are never released, so none of them reaches
+   the pool that the engines share. *)
+let small_heap = 0x10000
+
+let test_memory_layout () =
+  let module M = Spec_prof.Memory in
+  check_int "heap starts at stack_limit" M.stack_limit M.heap_base;
+  let m, _ = mk_mem () in
+  check_int "size" (M.stack_limit + (24 * 1024 * 1024)) m.M.size;
+  check_bool "a fresh image covers its globals only" true
+    (m.M.limit < M.stack_base);
+  check_int "first allocation at the heap base" M.heap_base
+    (M.malloc m ~site:1 8);
+  check_bool "the allocation is covered" true (m.M.limit > M.heap_base);
+  check_int "arrays match the limit" m.M.limit
+    (Array.length m.M.ints * 8);
+  check_int "float array too" m.M.limit (Array.length m.M.flts * 8)
+
+let test_memory_uncovered () =
+  let module M = Spec_prof.Memory in
+  let p = Lower.compile "int g; int h[4]; int main(){ return 0; }" in
+  let m = M.create ~heap_bytes:small_heap p in
+  (* loads past the covered extent read 0 and do not grow the image *)
+  let lim = m.M.limit in
+  List.iter
+    (fun addr ->
+      check_bool "past the limit" true (addr >= lim);
+      check_int "uncovered int cell" 0 (M.load_int m addr);
+      Alcotest.(check (float 0.)) "uncovered float cell" 0.
+        (M.load_flt m addr);
+      check_int "uncovered spec load" 0 (M.load_int_spec m addr);
+      Alcotest.(check (float 0.)) "uncovered spec fp load" 0.
+        (M.load_flt_spec m addr))
+    [ lim; M.stack_base; M.heap_base + 64; m.M.size - 8 ];
+  check_int "loads do not grow" lim m.M.limit;
+  (* a store to an uncovered in-range cell grows the arrays to it *)
+  let g = M.global_addr m (List.hd p.Sir.globals) in
+  M.store_int m g 42;
+  M.store_flt m (g + 8) 2.5;
+  let a = M.stack_base + 0x800 in
+  M.store_int m a 7;
+  check_bool "the store grew the image" true (m.M.limit > a);
+  check_int "round trip" 7 (M.load_int m a);
+  check_int "cell below still 0" 0 (M.load_int m (a - 8));
+  check_int "cell above still 0" 0 (M.load_int m (a + 8));
+  Alcotest.(check (float 0.)) "float cell of the address still 0" 0.
+    (M.load_flt m a);
+  (* contents survive growth: a store at the last cell covers the whole
+     address space, copying what was written below *)
+  let last = m.M.size - 8 in
+  M.store_flt m last 1.5;
+  check_int "now covers everything" m.M.size m.M.limit;
+  Alcotest.(check (float 0.)) "last cell" 1.5 (M.load_flt m last);
+  check_int "global survives growth" 42 (M.load_int m g);
+  Alcotest.(check (float 0.)) "float global survives growth" 2.5
+    (M.load_flt m (g + 8));
+  check_int "stack cell survives growth" 7 (M.load_int m a)
+
+let test_memory_growth_faults () =
+  let module M = Spec_prof.Memory in
+  let m = M.create ~heap_bytes:small_heap (Lower.compile "int main(){ return 0; }") in
+  let faults f addr =
+    match f addr with
+    | () -> Alcotest.failf "expected a fault at 0x%x" addr
+    | exception M.Fault _ -> ()
+  in
+  let bad = [ 0; 4; 12; -8; 1 lsl 40; m.M.size; m.M.size + 8; max_int - 7 ] in
+  List.iter (faults (fun a -> ignore (M.load_int m a))) bad;
+  List.iter (faults (fun a -> ignore (M.load_flt m a))) bad;
+  List.iter (faults (fun a -> M.store_int m a 1)) bad;
+  List.iter (faults (fun a -> M.store_flt m a 1.)) bad;
+  check_int "faulting stores grow nothing" 0x1000 m.M.limit;
+  List.iter
+    (fun a -> check_int "spec load absorbs the fault" 0 (M.load_int_spec m a))
+    bad;
+  faults (fun a -> M.store_int m a 1) (M.heap_base + 4);
+  faults (fun _ -> ignore (M.malloc m ~site:0 (small_heap + 8))) 0;
+  M.store_int m (m.M.size - 8) 3;
+  check_int "the last cell is in range" 3 (M.load_int m (m.M.size - 8))
+
+(* A recycled image reads all zeros, whatever the previous run grew and
+   dirtied: globals, stack cells, heap cells and a far store. *)
+let test_memory_pool_scrub () =
+  let module M = Spec_prof.Memory in
+  (* a heap size of its own, so the pool hands this image back *)
+  let heap_bytes = small_heap + 8 in
+  let p = Lower.compile "int g; int h[4]; int main(){ return 0; }" in
+  let m = M.create ~heap_bytes p in
+  let g = M.global_addr m (List.hd p.Sir.globals) in
+  M.store_int m g 1;
+  M.store_flt m (g + 16) 1.;
+  let s = M.push_frame_var m 100 32 in
+  M.store_int m (s + 24) 2;
+  M.store_flt m s 2.;
+  ignore (M.push_frame_var m 101 8 : int);
+  let h = M.malloc m ~site:3 4000 in
+  M.store_int m (h + 3992) 3;
+  M.store_flt m h 3.;
+  M.store_int m (M.heap_base + small_heap) 4;
+  M.release m;
+  let q = Lower.compile "int main(){ return 0; }" in
+  let m' = M.create ~heap_bytes q in
+  check_bool "the pool handed the image back" true (m' == m);
+  check_bool "ints all zero" true (Array.for_all (( = ) 0) m'.M.ints);
+  check_bool "floats all +0." true
+    (Array.for_all (fun f -> Int64.bits_of_float f = 0L) m'.M.flts);
+  check_bool "stack owners all cleared" true
+    (Array.for_all (( = ) (-1)) m'.M.stack_locs);
+  check_int "no objects" 0 m'.M.n_obj;
+  check_int "stack reset" M.stack_base m'.M.sp;
+  check_int "heap reset" M.heap_base m'.M.hp;
+  check_bool "old stack slot unowned" true (M.loc_of_addr m' s = None);
+  check_bool "old allocation unowned" true (M.loc_of_addr m' h = None);
+  check_bool "the grown arrays are kept" true (m'.M.limit > M.heap_base)
+
+(* Image follows use: after the ten kernels' ref runs on the vm, the
+   pooled image covers at most [stack_limit] plus twice the largest heap
+   any of them allocated.  Each kernel's heap is found exactly by
+   bisection on [heap_bytes]: the kernels allocate at set-up, so a short
+   run exhausts a heap exactly when it is smaller than the whole run's. *)
+let test_memory_follows_use () =
+  let module M = Spec_prof.Memory in
+  let module W = Spec_workloads.Workloads in
+  let tiny = Lower.compile "int main(){ return 0; }" in
+  (* take every default-size image out of the pool (it holds at most 4),
+     so that the kernels' runs start from a fresh one *)
+  let held = List.init 8 (fun _ -> M.create tiny) in
+  let progs =
+    List.map
+      (fun w -> Spec_prof.Vmcode.compile (Lower.compile (w.W.source w.W.ref_)))
+      W.all
+  in
+  let exhausts vp heap_bytes =
+    match Spec_prof.Vm.run_program ~fuel:10_000 ~heap_bytes vp with
+    | _ -> false
+    | exception Spec_prof.Interp.Runtime_error "heap exhausted" -> true
+    | exception Spec_prof.Interp.Runtime_error _ -> false
+  in
+  let heap vp =
+    (* the least heap that does not exhaust: [lo] exhausts, [hi] not *)
+    let rec bisect lo hi =
+      if hi - lo <= 8 then hi
+      else
+        let mid = (lo + hi) / 16 * 8 in
+        if exhausts vp mid then bisect mid hi else bisect lo mid
+    in
+    if exhausts vp 0 then bisect 0 (24 * 1024 * 1024) else 0
+  in
+  let largest = List.fold_left (fun acc vp -> max acc (heap vp)) 0 progs in
+  check_bool "the kernels allocate" true (largest > 0);
+  List.iter (fun vp -> ignore (Spec_prof.Vm.run_program vp)) progs;
+  let m = M.create tiny in
+  ignore held;
+  check_bool "the runs' image came back from the pool" true
+    (m.M.limit > M.heap_base);
+  if m.M.limit > M.stack_limit + (2 * largest) then
+    Alcotest.failf "image covers %d bytes, heap at most %d" m.M.limit largest;
+  check_int "int cells follow the limit" m.M.limit (Array.length m.M.ints * 8);
+  check_int "float cells follow the limit" m.M.limit
+    (Array.length m.M.flts * 8);
+  M.release m
+
+(* A memory fault is the program's runtime error on every engine *)
+let test_memory_fault_is_runtime_error () =
+  let src = "int main() { int *p; p = 0; *p = 3; return 0; }" in
+  let msg = "store at invalid address 0x0" in
+  let p = Lower.compile src in
+  (match Spec_prof.Vm.run p with
+   | _ -> Alcotest.fail "vm: expected a runtime error"
+   | exception Spec_prof.Interp.Runtime_error m -> check_str "vm" msg m);
+  (match Spec_prof.Interp_ref.run p with
+   | _ -> Alcotest.fail "oracle: expected a runtime error"
+   | exception Spec_prof.Interp_ref.Runtime_error m -> check_str "oracle" msg m);
+  List.iter
+    (fun kind ->
+      match Spec_machine.Machine.run_sir_on kind p with
+      | _ -> Alcotest.fail "machine: expected a runtime error"
+      | exception Spec_machine.Machine.Machine_error m ->
+        check_str "machine" msg m)
+    Spec_machine.Machine.all_backends;
+  (* laying out the globals can fault too *)
+  let big = Lower.compile "int a[200000]; int main() { return 0; }" in
+  (match Spec_prof.Vm.run big with
+   | _ -> Alcotest.fail "vm: expected a data segment overflow"
+   | exception Spec_prof.Interp.Runtime_error m ->
+     check_str "vm overflow" "data segment overflow" m);
+  match Spec_machine.Machine.run_sir big with
+  | _ -> Alcotest.fail "machine: expected a data segment overflow"
+  | exception Spec_machine.Machine.Machine_error m ->
+    check_str "machine overflow" "data segment overflow" m
+
 (* ---- ALAT ---- *)
 
 let test_alat_basic () =
@@ -300,6 +494,15 @@ let suite =
     Alcotest.test_case "memory basic" `Quick test_memory_basic;
     Alcotest.test_case "memory faults" `Quick test_memory_faults;
     Alcotest.test_case "memory stack/heap" `Quick test_memory_stack_and_heap;
+    Alcotest.test_case "memory layout" `Quick test_memory_layout;
+    Alcotest.test_case "memory uncovered cells" `Quick test_memory_uncovered;
+    Alcotest.test_case "memory faults after growth" `Quick
+      test_memory_growth_faults;
+    Alcotest.test_case "memory pool scrub" `Quick test_memory_pool_scrub;
+    Alcotest.test_case "memory image follows use" `Quick
+      test_memory_follows_use;
+    Alcotest.test_case "memory fault is a runtime error" `Quick
+      test_memory_fault_is_runtime_error;
     Alcotest.test_case "alat basic" `Quick test_alat_basic;
     Alcotest.test_case "alat overlap" `Quick test_alat_partial_overlap;
     Alcotest.test_case "alat same reg" `Quick test_alat_same_reg_replaced;
