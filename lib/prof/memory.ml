@@ -60,9 +60,10 @@ let fault fmt = Fmt.kstr (fun s -> raise (Fault s)) fmt
 (* what the run lays out: the stack as frames are pushed, the heap as  *)
 (* it is allocated, any other cell when a store reaches it.  Growth is *)
 (* geometric per segment — to at least twice the covered data and      *)
-(* stack (up to the heap), or twice the covered heap — so a run copies *)
-(* each cell O(1) times and its arrays cover at most [stack_limit]     *)
-(* plus twice its heap.                                                *)
+(* stack (up to the heap), or twice the covered heap and at least      *)
+(* [min_heap] of it — so a run copies each cell O(1) times and its     *)
+(* arrays cover at most [stack_limit] plus twice its heap (or          *)
+(* [min_heap]).                                                        *)
 (* ------------------------------------------------------------------ *)
 
 let min_heap = 0x10000
@@ -76,7 +77,9 @@ let cover m need =
       if need <= heap_base then min heap_base (max need (2 * lim))
       else max need (heap_base + max min_heap (2 * (lim - heap_base)))
     in
-    let cells = min (m.size / Types.cell_size) ((want + 7) / Types.cell_size) in
+    let cells =
+      min (m.size / Types.cell_size) ((want + 7) / Types.cell_size)
+    in
     let n = Array.length m.ints in
     let ints = Array.make cells 0 and flts = Array.make cells 0. in
     Array.blit m.ints 0 ints 0 n;
@@ -311,7 +314,8 @@ let found () = { owner = -1; lo = 0; hi = 0 }
 let resolve m addr f =
   if addr >= stack_base && addr < stack_limit then begin
     let c = cell (addr - stack_base) in
-    f.owner <- (if c < Array.length m.stack_locs then m.stack_locs.(c) else -1);
+    f.owner <-
+      (if c < Array.length m.stack_locs then m.stack_locs.(c) else -1);
     f.lo <- 0;
     f.hi <- 0
   end

@@ -209,7 +209,8 @@ let test_memory_uncovered () =
 
 let test_memory_growth_faults () =
   let module M = Spec_prof.Memory in
-  let m = M.create ~heap_bytes:small_heap (Lower.compile "int main(){ return 0; }") in
+  let p = Lower.compile "int main(){ return 0; }" in
+  let m = M.create ~heap_bytes:small_heap p in
   let faults f addr =
     match f addr with
     | () -> Alcotest.failf "expected a fault at 0x%x" addr
@@ -321,7 +322,8 @@ let test_memory_fault_is_runtime_error () =
    | exception Spec_prof.Interp.Runtime_error m -> check_str "vm" msg m);
   (match Spec_prof.Interp_ref.run p with
    | _ -> Alcotest.fail "oracle: expected a runtime error"
-   | exception Spec_prof.Interp_ref.Runtime_error m -> check_str "oracle" msg m);
+   | exception Spec_prof.Interp_ref.Runtime_error m ->
+     check_str "oracle" msg m);
   List.iter
     (fun kind ->
       match Spec_machine.Machine.run_sir_on kind p with
