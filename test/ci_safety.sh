@@ -159,6 +159,10 @@ expect_runtime_error "null store on the machine, no training" \
   --machine --profile-in "$work/other.sprof"
 printf 'int main() { print_int(rnd(0)); return 0; }\n' > "$work/rnd.c"
 expect_runtime_error "rnd(0)" "$work/rnd.c" "rnd expects a positive bound"
+printf 'int main() { int *p; p = (int*)4611686018427387896; return *p; }\n' \
+  > "$work/far.c"
+expect_runtime_error "load near max_int" "$work/far.c" \
+  "load at invalid address 0x3ffffffffffffff8"
 
 # 50 seeded token-level mutants of the workload kernels: each one lowers
 # (exit 0) or is a located user error (exit 2, "speccc: FILE:LINE: "),
