@@ -156,8 +156,10 @@ let small_heap = 0x10000
 let test_memory_layout () =
   let module M = Spec_prof.Memory in
   check_int "heap starts at stack_limit" M.stack_limit M.heap_base;
-  let m, _ = mk_mem () in
+  let m, p = mk_mem () in
   check_int "size" (M.stack_limit + (24 * 1024 * 1024)) m.M.size;
+  (* a size of its own, so that this is a fresh image, not a pooled one *)
+  let m = M.create ~heap_bytes:small_heap p in
   check_bool "a fresh image covers its globals only" true
     (m.M.limit < M.stack_base);
   check_int "first allocation at the heap base" M.heap_base
