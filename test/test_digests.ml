@@ -15,10 +15,16 @@
    for every kernel and fuzz source, and the exact reader message for
    every cut of one kernel artifact and one store.
 
+   [schedule_digests.txt] pins the back end on the same kernel and fuzz
+   compiles: per compile, the MD5 of the lowered and list-scheduled ITL
+   text ([Itl.pp_mfunc] in [mp_order]) and the scheduler's block and
+   move counts.
+
    On a mismatch a test writes its full recomputed table to
-   [optimizer_digests.actual] or [text_digests.actual] in the build's
-   test directory; copy it over the golden only when the change is
-   intended, and say why in CHANGES.md. *)
+   [optimizer_digests.actual], [text_digests.actual] or
+   [schedule_digests.actual] in the build's test directory; copy it over
+   the golden only when the change is intended, and say why in
+   CHANGES.md. *)
 
 open Spec_ir
 open Spec_driver
@@ -30,11 +36,26 @@ let md5 s = Digest.to_hex (Digest.string s)
 
 let digest (r : Pipeline.result) = md5 (Pp.prog_to_string r.Pipeline.prog)
 
-(* A compile's rows: its Pp digest and the digest of its [specsir/2]
-   text. *)
+(* The scheduled ITL of a compile and the scheduler's counts. *)
+let schedule_row label (r : Pipeline.result) =
+  let open Spec_codegen in
+  let mp = Codegen.lower r.Pipeline.prog in
+  let st = Schedule.run mp in
+  let text =
+    String.concat ""
+      (List.map
+         (fun f -> Fmt.str "%a@." Itl.pp_mfunc (Hashtbl.find mp.Itl.mp_funcs f))
+         mp.Itl.mp_order)
+  in
+  Printf.sprintf "%s %s blocks=%d moved=%d" label (md5 text)
+    st.Schedule.blocks st.Schedule.moved
+
+(* A compile's rows: its Pp digest, the digest of its [specsir/2] text
+   and its schedule row. *)
 let compile_rows label (r : Pipeline.result) =
   ( (label, digest r),
-    Printf.sprintf "sir/%s %s" label (md5 (Spec_fdo.Sir_io.write r.Pipeline.prog)) )
+    Printf.sprintf "sir/%s %s" label (md5 (Spec_fdo.Sir_io.write r.Pipeline.prog)),
+    schedule_row label r )
 
 (* The site keys of a fresh lowering, sorted, each with its site id, then
    every function's body digest. *)
@@ -160,19 +181,23 @@ let adversary_rows () =
           ("drop", Spec_stress.Faults.Adv_drop 250_000) ])
     [ "equake"; "ammp"; "mcf" ]
 
-(* Both tables from one pass over the compiles: the optimizer rows in
-   golden order, and the text rows of the kernel and fuzz sources. *)
+(* The three tables from one pass over the compiles: the optimizer rows
+   in golden order, the text rows of the kernel and fuzz sources, and
+   their schedule rows. *)
 let tables =
   lazy
     (let split groups =
        let compiles = List.concat_map fst groups in
-       ( List.map fst compiles,
-         List.map snd compiles @ List.concat_map snd groups )
+       ( List.map (fun (o, _, _) -> o) compiles,
+         List.map (fun (_, t, _) -> t) compiles @ List.concat_map snd groups,
+         List.map (fun (_, _, s) -> s) compiles )
      in
-     let kernel, kernel_text = split (kernel_rows ()) in
+     let kernel, kernel_text, kernel_sched = split (kernel_rows ()) in
      let probe = probe_rows () in
-     let fuzz, fuzz_text = split (fuzz_rows ()) in
-     (kernel @ probe @ fuzz @ adversary_rows (), kernel_text @ fuzz_text))
+     let fuzz, fuzz_text, fuzz_sched = split (fuzz_rows ()) in
+     ( kernel @ probe @ fuzz @ adversary_rows (),
+       kernel_text @ fuzz_text,
+       kernel_sched @ fuzz_sched ))
 
 let read_golden path =
   let ic = open_in path in
@@ -189,7 +214,7 @@ let read_golden path =
   go []
 
 let test_digests () =
-  let actual = fst (Lazy.force tables) in
+  let actual, _, _ = Lazy.force tables in
   let golden = read_golden "optimizer_digests.txt" in
   if actual <> golden then begin
     let oc = open_out "optimizer_digests.actual" in
@@ -253,27 +278,38 @@ let cut_tables () =
   cut_rows "artifact" Pipeline.read_artifact (Pipeline.write_artifact r)
   @ cut_rows "store" Store.read (Store.write (Store.of_profile prog0 prof))
 
-let test_text_digests () =
-  let actual = snd (Lazy.force tables) @ cut_tables () in
+(* Compare [actual] with the golden [name].txt line for line; on a
+   mismatch write [name].actual and name the moved rows. *)
+let check_lines name what actual =
   let golden =
-    In_channel.with_open_bin "text_digests.txt" In_channel.input_all
+    In_channel.with_open_bin (name ^ ".txt") In_channel.input_all
     |> String.split_on_char '\n'
     |> List.filter (( <> ) "")
   in
   if actual <> golden then begin
-    Out_channel.with_open_bin "text_digests.actual" (fun oc ->
+    Out_channel.with_open_bin (name ^ ".actual") (fun oc ->
         List.iter (fun l -> output_string oc (l ^ "\n")) actual);
     let moved = List.filter (fun l -> not (List.mem l golden)) actual in
     let label l = List.hd (String.split_on_char ' ' l) in
     Alcotest.failf
-      "%d of %d text rows moved (%d golden rows), e.g. %s; the recomputed \
-       table is in text_digests.actual"
-      (List.length moved) (List.length actual) (List.length golden)
+      "%d of %d %s rows moved (%d golden rows), e.g. %s; the recomputed \
+       table is in %s.actual"
+      (List.length moved) (List.length actual) what (List.length golden)
       (String.concat ", "
          (List.map label (List.filteri (fun i _ -> i < 20) moved)))
+      name
   end
+
+let test_text_digests () =
+  let _, text, _ = Lazy.force tables in
+  check_lines "text_digests" "text" (text @ cut_tables ())
+
+let test_schedule_digests () =
+  let _, _, sched = Lazy.force tables in
+  check_lines "schedule_digests" "schedule" sched
 
 let suite =
   [ Alcotest.test_case "optimizer output digests" `Quick test_digests;
     Alcotest.test_case "text-format digests and reader messages" `Quick
-      test_text_digests ]
+      test_text_digests;
+    Alcotest.test_case "schedule digests" `Quick test_schedule_digests ]
