@@ -13,9 +13,15 @@
 
 open Spec_ir
 
+(* One environment serves every function of a program.  [reg.(v)] is
+   original variable [v]'s register while [owner.(v)] is the current
+   function's number [fn], so moving on to the next function resets the
+   map without touching it. *)
 type env = {
   prog : Sir.prog;
-  reg_of : (int, int) Hashtbl.t;     (* orig var id -> register *)
+  reg : int array;                   (* orig var id -> register *)
+  owner : int array;                 (* orig var id -> function number *)
+  mutable fn : int;
   mutable next_reg : int;
   mutable buf : Itl.insn list;       (* reversed *)
 }
@@ -25,14 +31,16 @@ let fresh env =
   env.next_reg <- r + 1;
   r
 
+(* registers are numbered in order of first use *)
 let reg_of_var env vid =
   let ov = (Symtab.orig env.prog.Sir.syms vid).Symtab.vid in
-  match Hashtbl.find_opt env.reg_of ov with
-  | Some r -> r
-  | None ->
+  if env.owner.(ov) = env.fn then env.reg.(ov)
+  else begin
     let r = fresh env in
-    Hashtbl.replace env.reg_of ov r;
+    env.owner.(ov) <- env.fn;
+    env.reg.(ov) <- r;
     r
+  end
 
 let emit env i = env.buf <- i :: env.buf
 
@@ -118,10 +126,9 @@ let lower_stmt env (s : Sir.stmt) =
     let retr = Option.map (reg_of_var env) ret in
     emit env (Itl.Call { callee; args = argr; ret = retr; site = csite })
 
-let lower_func (prog : Sir.prog) (f : Sir.func) : Itl.mfunc =
-  let env =
-    { prog; reg_of = Hashtbl.create 32; next_reg = 0; buf = [] }
-  in
+let lower_func env (f : Sir.func) : Itl.mfunc =
+  env.fn <- env.fn + 1;
+  env.next_reg <- 0;
   let formals = List.map (reg_of_var env) f.Sir.fformals in
   let n = Sir.n_blocks f in
   let blocks =
@@ -151,8 +158,13 @@ let lower_func (prog : Sir.prog) (f : Sir.func) : Itl.mfunc =
 (** Lower a whole program.  The SIR program must be out of SSA form. *)
 let lower (prog : Sir.prog) : Itl.mprog =
   let funcs = Hashtbl.create 16 in
+  let nvars = Symtab.count prog.Sir.syms in
+  let env =
+    { prog; reg = Array.make nvars 0; owner = Array.make nvars 0; fn = 0;
+      next_reg = 0; buf = [] }
+  in
   Sir.iter_funcs
-    (fun f -> Hashtbl.replace funcs f.Sir.fname (lower_func prog f))
+    (fun f -> Hashtbl.replace funcs f.Sir.fname (lower_func env f))
     prog;
   { Itl.mp_funcs = funcs; Itl.mp_order = prog.Sir.func_order;
     Itl.mp_sir = prog }
