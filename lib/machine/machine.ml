@@ -932,15 +932,14 @@ let run_resolved_on kind ?(config = default_config) ?faults (p : rprog) =
       store_set = config.mdp = Mdp_store_set;
       lv; ss_load; ss_store = sites (); ss_next = 0; flush_seen = 0 }
   in
-  (try exec_func st p.Mcode.main no_ints no_flts no_ints no_ints 0 0
+  (* the image goes back to the pool however the run ends *)
+  (try
+     Fun.protect ~finally:(fun () -> Memory.release mem) (fun () ->
+         exec_func st p.Mcode.main no_ints no_flts no_ints no_ints 0 0)
    with Memory.Fault msg -> raise (Machine_error msg));
   st.ctrs.cycles <- (if st.ooo then st.last_retire else st.clock);
-  let r =
-    { ret_int = st.ret_i; output = Buffer.contents st.out; perf = st.ctrs;
-      alat }
-  in
-  Memory.release mem;
-  r
+  { ret_int = st.ret_i; output = Buffer.contents st.out; perf = st.ctrs;
+    alat }
 
 let run_on kind ?config ?faults mp =
   run_resolved_on kind ?config ?faults (resolve mp)

@@ -105,10 +105,12 @@ let pool_mu = Mutex.create ()
 let pool_cap = 4
 
 (** Return [m] to the image pool.  The caller must not touch [m] again:
-    the engines call this once a run is over. *)
+    the engines call this once a run is over, however it ends.  The pool
+    keeps the newest images, so runs of other heap sizes cannot crowd
+    out the size a workload keeps using. *)
 let release (m : t) =
   Mutex.lock pool_mu;
-  if List.length !pool < pool_cap then pool := m :: !pool;
+  pool := m :: List.filteri (fun i _ -> i < pool_cap - 1) !pool;
   Mutex.unlock pool_mu
 
 let take_pooled size =
@@ -186,7 +188,10 @@ let create ?(heap_bytes = 24 * 1024 * 1024) (p : Sir.prog) : t =
       let v = Symtab.var p.Sir.syms g in
       Hashtbl.replace m.global_addr g !next;
       let bytes = max 1 (v.Symtab.vsize / Types.cell_size) * Types.cell_size in
-      if !next + bytes > stack_base then fault "data segment overflow";
+      if !next + bytes > stack_base then begin
+        release m;
+        fault "data segment overflow"
+      end;
       add_obj m !next (!next + bytes) g;
       next := !next + bytes)
     p.Sir.globals;
@@ -288,7 +293,11 @@ let pop_frame m mark =
 
 (* ---- heap ---- *)
 
+(* the size is judged before it is rounded, so that one near [max_int]
+   cannot wrap to a small cell count *)
 let malloc m ~site bytes =
+  if bytes < 0 then fault "malloc of negative size %d" bytes;
+  if bytes > m.size - m.hp then fault "heap exhausted";
   let bytes = max Types.cell_size ((bytes + 7) / 8 * 8) in
   let addr = m.hp in
   if addr + bytes > m.size then fault "heap exhausted";

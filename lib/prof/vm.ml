@@ -1355,9 +1355,11 @@ let run_with ~pr ~fuel ?faults ?recover ~heap_bytes (p : V.program)
   if p.V.vmain < 0 then error "program has no main function";
   (* a memory fault is the program's runtime error.  It becomes one
      here, outside the dispatch loop, so the ld.a arm-span trap still
-     lets it through, as the oracle's does *)
+     lets it through, as the oracle's does.  The image goes back to the
+     pool however the run ends *)
   try
     let mem = Memory.create ~heap_bytes p.V.vsrc in
+    Fun.protect ~finally:(fun () -> Memory.release mem) @@ fun () ->
     let syms = p.V.vsrc.Sir.syms in
     let globals = Array.make (Symtab.count syms) (-1) in
     List.iter
@@ -1373,9 +1375,7 @@ let run_with ~pr ~fuel ?faults ?recover ~heap_bytes (p : V.program)
     in
     exec_func st p.V.vmain no_ints no_flts;
     let ret = if st.ret_isf then I.Vflt st.ret_f else I.Vint st.ret_i in
-    let r = { I.ret; output = Buffer.contents st.out; counters = st.ctrs } in
-    Memory.release mem;
-    r
+    { I.ret; output = Buffer.contents st.out; counters = st.ctrs }
   with Memory.Fault msg -> raise (I.Runtime_error msg)
 
 let run_program ?(fuel = 200_000_000) ?faults ?recover

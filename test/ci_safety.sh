@@ -163,6 +163,20 @@ printf 'int main() { int *p; p = (int*)4611686018427387896; return *p; }\n' \
   > "$work/far.c"
 expect_runtime_error "load near max_int" "$work/far.c" \
   "load at invalid address 0x3ffffffffffffff8"
+# malloc judges its size before rounding it, so one near max_int does
+# not wrap to a cell, and a negative one is refused
+printf 'int main() { int *p; p = (int*)malloc(4611686018427387903); p[0] = 5; print_int(p[0]); return 0; }\n' \
+  > "$work/huge.c"
+printf 'int main() { int *p; p = (int*)malloc(-16); p[0] = 7; print_int(p[0]); return 0; }\n' \
+  > "$work/neg.c"
+expect_runtime_error "malloc near max_int on the vm" "$work/huge.c" \
+  "heap exhausted" -m none
+expect_runtime_error "malloc near max_int on the machine" "$work/huge.c" \
+  "heap exhausted" --machine --profile-in "$work/other.sprof"
+expect_runtime_error "negative malloc on the vm" "$work/neg.c" \
+  "malloc of negative size -16" -m none
+expect_runtime_error "negative malloc on the machine" "$work/neg.c" \
+  "malloc of negative size -16" --machine --profile-in "$work/other.sprof"
 
 # 50 seeded token-level mutants of the workload kernels: each one lowers
 # (exit 0) or is a located user error (exit 2, "speccc: FILE:LINE: "),

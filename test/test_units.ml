@@ -313,6 +313,68 @@ let test_memory_follows_use () =
     (Array.length m.M.flts * 8);
   M.release m
 
+(* malloc judges the size it is asked for before rounding it: a negative
+   size or one past the heap is refused, however close to [max_int] *)
+let test_memory_malloc_sizes () =
+  let module M = Spec_prof.Memory in
+  let p = Lower.compile "int main(){ return 0; }" in
+  let m = M.create ~heap_bytes:small_heap p in
+  let refused bytes =
+    match M.malloc m ~site:0 bytes with
+    | a -> Alcotest.failf "malloc %d returned 0x%x" bytes a
+    | exception M.Fault _ -> ()
+  in
+  List.iter refused
+    [ -1; -16; min_int; max_int; max_int - 6; max_int / 8; small_heap + 1 ];
+  check_int "nothing allocated" M.heap_base m.M.hp;
+  check_int "the whole heap fits" M.heap_base (M.malloc m ~site:0 small_heap);
+  refused 1;
+  (* on an engine, a refused size is the program's runtime error *)
+  let neg = Lower.compile "int main(){ int *p; p = (int*)malloc(-16); \
+                           p[0] = 7; return p[0]; }" in
+  match Spec_prof.Vm.run neg with
+  | _ -> Alcotest.fail "vm: expected malloc(-16) to fail"
+  | exception Spec_prof.Interp.Runtime_error msg ->
+    check_str "vm" "malloc of negative size -16" msg
+
+(* A run that grows its heap and then stops with an error hands its
+   grown image back to the pool, on every engine *)
+let test_memory_released_on_error () =
+  let module M = Spec_prof.Memory in
+  (* a heap size of its own, so the pool holds no other image of it *)
+  let heap_bytes = small_heap + 24 in
+  let tiny = Lower.compile "int main(){ return 0; }" in
+  let p =
+    Lower.compile
+      "int main(){ int *p; p = (int*)malloc(8000); p[999] = 1; \
+       while (p[0] < 1) { p[1] = p[1] + 1; } return 0; }"
+  in
+  let grown what run =
+    (match run () with
+     | () -> Alcotest.failf "%s: expected to run out of fuel" what
+     | exception
+         ( Spec_prof.Interp.Runtime_error _
+         | Spec_prof.Interp_ref.Runtime_error _
+         | Spec_machine.Machine.Machine_error _ ) -> ());
+    let m = M.create ~heap_bytes tiny in
+    check_bool (what ^ ": the grown image is pooled") true
+      (m.M.limit > M.heap_base);
+    M.release m
+  in
+  grown "vm" (fun () -> ignore (Spec_prof.Vm.run ~fuel:10_000 ~heap_bytes p));
+  grown "oracle" (fun () ->
+      ignore (Spec_prof.Interp_ref.run ~fuel:10_000 ~heap_bytes p));
+  List.iter
+    (fun kind ->
+      let config =
+        { Spec_machine.Machine.default_config with
+          Spec_machine.Machine.heap_bytes; fuel = 10_000 }
+      in
+      grown
+        (Spec_machine.Machine.backend_name kind)
+        (fun () -> ignore (Spec_machine.Machine.run_sir_on kind ~config p)))
+    Spec_machine.Machine.all_backends
+
 (* A memory fault is the program's runtime error on every engine *)
 let test_memory_fault_is_runtime_error () =
   let src = "int main() { int *p; p = 0; *p = 3; return 0; }" in
@@ -506,6 +568,10 @@ let suite =
       test_memory_follows_use;
     Alcotest.test_case "memory fault is a runtime error" `Quick
       test_memory_fault_is_runtime_error;
+    Alcotest.test_case "malloc refuses bad sizes" `Quick
+      test_memory_malloc_sizes;
+    Alcotest.test_case "memory image released on error" `Quick
+      test_memory_released_on_error;
     Alcotest.test_case "alat basic" `Quick test_alat_basic;
     Alcotest.test_case "alat overlap" `Quick test_alat_partial_overlap;
     Alcotest.test_case "alat same reg" `Quick test_alat_same_reg_replaced;
