@@ -134,6 +134,44 @@ let optimize_src ?(verify_each = false) ?(deopt = false) ?(safety = false)
     ~edge_profile:(Some ev.ev_prof) ?perturb ?cache
     ?profile_digest:ev.ev_digest src variant
 
+(* ---- the back end ---- *)
+
+(* Lower to ITL and list-schedule it, as every harness table does (like
+   the paper's O3 baseline), with a --timings row for each step *)
+let lower_scheduled prog =
+  let t0 = Unix.gettimeofday () in
+  let mp = Spec_codegen.Codegen.lower prog in
+  let t1 = Unix.gettimeofday () in
+  let st = Spec_codegen.Schedule.run mp in
+  let t2 = Unix.gettimeofday () in
+  let insns =
+    Hashtbl.fold
+      (fun _ (f : Spec_codegen.Itl.mfunc) n ->
+        Array.fold_left
+          (fun n (b : Spec_codegen.Itl.mblock) ->
+            n + List.length b.Spec_codegen.Itl.insns + 1)
+          n f.Spec_codegen.Itl.mf_blocks)
+      mp.Spec_codegen.Itl.mp_funcs 0
+  in
+  let row name time counters =
+    { Passes.ps_pass = name; ps_runs = 1; ps_touched = 1; ps_time = time;
+      ps_counters = counters }
+  in
+  ( mp,
+    [ row "codegen" (t1 -. t0) [ ("static-insns", insns) ];
+      row "schedule" (t2 -. t1)
+        [ ("blocks", st.Spec_codegen.Schedule.blocks);
+          ("moved", st.Spec_codegen.Schedule.moved) ] ] )
+
+(* [report] with the back end's rows after the passes' *)
+let with_rows (report : Passes.report) rows =
+  { report with
+    Passes.rp_passes = report.Passes.rp_passes @ rows;
+    rp_total_time =
+      List.fold_left
+        (fun t row -> t +. row.Passes.ps_time)
+        report.Passes.rp_total_time rows }
+
 let jobs_arg =
   Arg.(value & opt int 1
        & info [ "jobs"; "j" ] ~docv:"N"
@@ -332,14 +370,22 @@ let run_cmd =
       optimize_src ~verify_each ~deopt:(recover = `Deopt) ?perturb ?cache
         ?threshold ~ev src mode
     in
+    let backend_end =
+      if machine then Some (lower_scheduled r.Pipeline.prog) else None
+    in
     if timings then
-      prerr_string (Spec_driver.Passes.report_to_string r.Pipeline.report);
+      prerr_string
+        (Spec_driver.Passes.report_to_string
+           (match backend_end with
+            | Some (_, rows) -> with_rows r.Pipeline.report rows
+            | None -> r.Pipeline.report));
     report_cache cache;
     (match perturb with
      | Some p ->
        Printf.eprintf "adversary-flips=%d\n" (Spec_spec.Flags.flipped p)
      | None -> ());
-    if machine then begin
+    (match backend_end with
+     | Some (mp, _) ->
       let config =
         match plan.Spec_stress.Faults.alat_entries with
         | Some n ->
@@ -351,10 +397,7 @@ let run_cmd =
         Spec_stress.Faults.injector_opt plan
           ~scope:[ Filename.basename file; "speccc"; machine_scope backend ]
       in
-      let m =
-        Spec_machine.Machine.run_sir_on backend ~config ?faults:mf
-          r.Pipeline.prog
-      in
+      let m = Spec_machine.Machine.run_on backend ~config ?faults:mf mp in
       print_string m.Spec_machine.Machine.output;
       let p = m.Spec_machine.Machine.perf in
       Printf.eprintf
@@ -375,8 +418,7 @@ let run_cmd =
            (Spec_stress.Faults.flushes inj)
            (Spec_stress.Faults.invalidations inj)
        | None -> ())
-    end
-    else begin
+     | None ->
       (* the vm keeps the historical "interp" fault-stream scope *)
       let fi =
         Spec_stress.Faults.injector_opt plan
@@ -396,8 +438,7 @@ let run_cmd =
           c.Spec_prof.Interp.check_reloads c.Spec_prof.Interp.deopts
           (Spec_stress.Faults.flushes inj)
           (Spec_stress.Faults.invalidations inj)
-      | None -> ()
-    end;
+      | None -> ());
     0
   in
   Cmd.v (Cmd.info "run" ~doc:"compile, optimize and execute a program")
@@ -474,7 +515,7 @@ let dump_cmd =
        in
        report_cache cache;
        handle_safety safety r;
-       let mp = Spec_codegen.Codegen.lower r.Pipeline.prog in
+       let mp, _ = lower_scheduled r.Pipeline.prog in
        List.iter
          (fun name ->
            let f = Hashtbl.find mp.Spec_codegen.Itl.mp_funcs name in
@@ -510,11 +551,12 @@ let stats_cmd =
             ~safety:(safety <> `Off) ?cache ?threshold ~ev src mode
         in
         let name = Pipeline.variant_name r.Pipeline.variant in
-        reports := (name, r.Pipeline.report) :: !reports;
+        let mp, rows = lower_scheduled r.Pipeline.prog in
+        reports := (name, with_rows r.Pipeline.report rows) :: !reports;
         (match r.Pipeline.safety with
          | Some rep -> safety_reports := (name, rep) :: !safety_reports
          | None -> ());
-        let m = Spec_machine.Machine.run_sir_on backend r.Pipeline.prog in
+        let m = Spec_machine.Machine.run_on backend mp in
         (* the vm must reproduce the machine's output *)
         let i =
           Spec_prof.Vm.run_program ?recover:rplan (Lazy.force r.Pipeline.vm)

@@ -283,9 +283,56 @@ let prop_schedule_contract =
         origs;
       st.Schedule.blocks = !blocks && st.Schedule.moved = !moved)
 
+(* speccc's machine path runs scheduled code, as every harness table
+   does: `speccc run --machine` reports the cycles of the lowered and
+   scheduled program, which differ from the unscheduled run's *)
+let test_cli_machine_is_scheduled () =
+  let src =
+    "float v[8]; int main(){ float acc; acc = 0.0; int k; k = 1; \
+     for (int i = 0; i < 500; i++) { \
+       acc = acc + v[i % 8] * 2.0; k = k * 3 + 1; k = k % 1000; } \
+     print_flt(acc); print_int(k); return 0; }"
+  in
+  let file = Filename.temp_file "sched" ".c" in
+  let err = Filename.temp_file "sched" ".err" in
+  Out_channel.with_open_bin file (fun oc -> output_string oc src);
+  let status =
+    Sys.command
+      (Printf.sprintf "../bin/speccc.exe run --machine -m base %s > /dev/null 2> %s"
+         (Filename.quote file) (Filename.quote err))
+  in
+  let lines =
+    String.split_on_char '\n' (In_channel.with_open_bin err In_channel.input_all)
+  in
+  Sys.remove file;
+  Sys.remove err;
+  check_int "speccc exit status" 0 status;
+  let cycles =
+    match List.find_opt (String.starts_with ~prefix:"cycles=") lines with
+    | Some l -> Scanf.sscanf l "cycles=%d" Fun.id
+    | None -> Alcotest.fail "no cycles= line"
+  in
+  (* the compile speccc makes: its training run's profile, through a
+     store, as edge profile *)
+  let prog, prof0, _ = Pipeline.train src in
+  let prof, _ =
+    Spec_fdo.Store.bind (Spec_fdo.Store.of_profile prog prof0) prog
+  in
+  let r =
+    Pipeline.compile_and_optimize ~edge_profile:(Some prof) src Pipeline.Base
+  in
+  let mp = Codegen.lower r.Pipeline.prog in
+  ignore (Schedule.run mp : Schedule.stats);
+  check_int "cycles of the scheduled program"
+    (Machine.run mp).Machine.perf.Machine.cycles cycles;
+  check_bool "unscheduled cycles differ" true
+    ((Machine.run_sir r.Pipeline.prog).Machine.perf.Machine.cycles <> cycles)
+
 let suite =
   [ Alcotest.test_case "semantics preserved" `Quick test_semantics_preserved;
     Alcotest.test_case "speculative code preserved" `Quick test_speculative_code_preserved;
     Alcotest.test_case "hides latency" `Quick test_scheduler_hides_latency;
     QCheck_alcotest.to_alcotest prop_schedule_differential;
-    QCheck_alcotest.to_alcotest prop_schedule_contract ]
+    QCheck_alcotest.to_alcotest prop_schedule_contract;
+    Alcotest.test_case "speccc's machine path is scheduled" `Quick
+      test_cli_machine_is_scheduled ]
