@@ -13,15 +13,15 @@
 
 open Spec_ir
 
-(* One environment serves every function of a program.  [reg.(v)] is
-   original variable [v]'s register while [owner.(v)] is the current
-   function's number [fn], so moving on to the next function resets the
-   map without touching it. *)
+(* One environment serves every function of a program.  Original
+   variable [v] has register [reg.(v) - base] in the current function
+   when that is not negative.  Each function's [base] lies above every
+   value an earlier function stored, so moving on to the next function
+   resets the map without touching it. *)
 type env = {
   prog : Sir.prog;
-  reg : int array;                   (* orig var id -> register *)
-  owner : int array;                 (* orig var id -> function number *)
-  mutable fn : int;
+  reg : int array;                   (* orig var id -> base + register *)
+  mutable base : int;
   mutable next_reg : int;
   mutable buf : Itl.insn list;       (* reversed *)
 }
@@ -33,13 +33,12 @@ let fresh env =
 
 (* registers are numbered in order of first use *)
 let reg_of_var env vid =
-  let ov = (Symtab.orig env.prog.Sir.syms vid).Symtab.vid in
-  if env.owner.(ov) = env.fn then env.reg.(ov)
+  let ov = (Symtab.var env.prog.Sir.syms vid).Symtab.vorig in
+  let r = env.reg.(ov) - env.base in
+  if r >= 0 then r
   else begin
-    let r = fresh env in
-    env.owner.(ov) <- env.fn;
-    env.reg.(ov) <- r;
-    r
+    env.reg.(ov) <- env.base + env.next_reg;
+    fresh env
   end
 
 let emit env i = env.buf <- i :: env.buf
@@ -127,7 +126,7 @@ let lower_stmt env (s : Sir.stmt) =
     emit env (Itl.Call { callee; args = argr; ret = retr; site = csite })
 
 let lower_func env (f : Sir.func) : Itl.mfunc =
-  env.fn <- env.fn + 1;
+  env.base <- env.base + env.next_reg;
   env.next_reg <- 0;
   let formals = List.map (reg_of_var env) f.Sir.fformals in
   let n = Sir.n_blocks f in
@@ -160,8 +159,7 @@ let lower (prog : Sir.prog) : Itl.mprog =
   let funcs = Hashtbl.create 16 in
   let nvars = Symtab.count prog.Sir.syms in
   let env =
-    { prog; reg = Array.make nvars 0; owner = Array.make nvars 0; fn = 0;
-      next_reg = 0; buf = [] }
+    { prog; reg = Array.make nvars (-1); base = 0; next_reg = 0; buf = [] }
   in
   Sir.iter_funcs
     (fun f -> Hashtbl.replace funcs f.Sir.fname (lower_func env f))

@@ -933,10 +933,11 @@ let run_resolved_on kind ?(config = default_config) ?faults (p : rprog) =
       lv; ss_load; ss_store = sites (); ss_next = 0; flush_seen = 0 }
   in
   (* the image goes back to the pool however the run ends *)
-  (try
-     Fun.protect ~finally:(fun () -> Memory.release mem) (fun () ->
-         exec_func st p.Mcode.main no_ints no_flts no_ints no_ints 0 0)
-   with Memory.Fault msg -> raise (Machine_error msg));
+  let finish () = Memory.release mem in
+  (match exec_func st p.Mcode.main no_ints no_flts no_ints no_ints 0 0 with
+   | () -> finish ()
+   | exception Memory.Fault msg -> finish (); raise (Machine_error msg)
+   | exception e -> finish (); raise e);
   st.ctrs.cycles <- (if st.ooo then st.last_retire else st.clock);
   { ret_int = st.ret_i; output = Buffer.contents st.out; perf = st.ctrs;
     alat }

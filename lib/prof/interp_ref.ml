@@ -393,17 +393,25 @@ let run ?(fuel = 200_000_000) ?faults ?(heap_bytes = 24 * 1024 * 1024)
     error "program has no main function";
   (* a memory fault is the program's runtime error; the image goes back
      to the pool however the run ends *)
-  try
-    let mem = Memory.create ~heap_bytes p in
-    Fun.protect ~finally:(fun () -> Memory.release mem) @@ fun () ->
-    let st =
-      { prog = p; mem;
-        ctrs = { steps = 0; mem_loads = 0; mem_stores = 0; branches = 0;
-                 calls = 0; check_stmts = 0; check_reloads = 0 };
-        out = Buffer.create 256; rng = 88172645463325252; fuel;
-        alat = Hashtbl.create 32; frame_serial = 0;
-        finj = faults; fevents = 0 }
-    in
-    let ret = call_user st "main" [] in
-    { ret; output = Buffer.contents st.out; counters = st.ctrs }
-  with Memory.Fault msg -> raise (Runtime_error msg)
+  let mem =
+    try Memory.create ~heap_bytes p
+    with Memory.Fault msg -> raise (Runtime_error msg)
+  in
+  let st =
+    { prog = p; mem;
+      ctrs = { steps = 0; mem_loads = 0; mem_stores = 0; branches = 0;
+               calls = 0; check_stmts = 0; check_reloads = 0 };
+      out = Buffer.create 256; rng = 88172645463325252; fuel;
+      alat = Hashtbl.create 32; frame_serial = 0;
+      finj = faults; fevents = 0 }
+  in
+  let ret =
+    match call_user st "main" [] with
+    | v -> v
+    | exception Memory.Fault msg ->
+      Memory.release mem;
+      raise (Runtime_error msg)
+    | exception e -> Memory.release mem; raise e
+  in
+  Memory.release mem;
+  { ret; output = Buffer.contents st.out; counters = st.ctrs }

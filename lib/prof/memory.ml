@@ -293,15 +293,14 @@ let pop_frame m mark =
 
 (* ---- heap ---- *)
 
-(* the size is judged before it is rounded, so that one near [max_int]
-   cannot wrap to a small cell count *)
+(* the size is judged in whole cells, which a size near [max_int] cannot
+   wrap *)
 let malloc m ~site bytes =
-  if bytes < 0 then fault "malloc of negative size %d" bytes;
-  if bytes > m.size - m.hp then fault "heap exhausted";
-  let bytes = max Types.cell_size ((bytes + 7) / 8 * 8) in
+  if bytes < 0 then fault "malloc of a negative size";
+  let cells = max 1 ((bytes - 1) / 8 + 1) in
   let addr = m.hp in
-  if addr + bytes > m.size then fault "heap exhausted";
-  m.hp <- m.hp + bytes;
+  if cells > (m.size - addr) / 8 then fault "heap exhausted";
+  m.hp <- addr + (cells * 8);
   cover m m.hp;
   add_obj m addr m.hp (-2 - site);
   addr

@@ -77,7 +77,8 @@ type t = {
 exception Fault of string
 
 (** Return [m] to the image pool.  The caller must not touch [m] again:
-    the engines call this once a run is over. *)
+    the engines call this once a run is over, however it ends.  The pool
+    keeps the newest images. *)
 val release : t -> unit
 
 (** Create a memory image with the program's globals laid out in the
@@ -115,7 +116,8 @@ val stack_mark : t -> int
 val pop_frame : t -> int -> unit
 
 (** Allocate [bytes] (rounded up to whole cells) of heap for an
-    allocation made at [site]; the arrays then cover it. *)
+    allocation made at [site]; the arrays then cover it.  A negative
+    size faults, and so does one past the heap, however large. *)
 val malloc : t -> site:int -> int -> int
 
 (** What an address belongs to, as {!resolve} finds it. *)

@@ -1359,7 +1359,6 @@ let run_with ~pr ~fuel ?faults ?recover ~heap_bytes (p : V.program)
      pool however the run ends *)
   try
     let mem = Memory.create ~heap_bytes p.V.vsrc in
-    Fun.protect ~finally:(fun () -> Memory.release mem) @@ fun () ->
     let syms = p.V.vsrc.Sir.syms in
     let globals = Array.make (Symtab.count syms) (-1) in
     List.iter
@@ -1373,7 +1372,9 @@ let run_with ~pr ~fuel ?faults ?recover ~heap_bytes (p : V.program)
         alat = Sem_alat.create ?faults ();
         ret_isf = false; ret_i = 0; ret_f = 0.; recover }
     in
-    exec_func st p.V.vmain no_ints no_flts;
+    (match exec_func st p.V.vmain no_ints no_flts with
+     | () -> Memory.release mem
+     | exception e -> Memory.release mem; raise e);
     let ret = if st.ret_isf then I.Vflt st.ret_f else I.Vint st.ret_i in
     { I.ret; output = Buffer.contents st.out; counters = st.ctrs }
   with Memory.Fault msg -> raise (I.Runtime_error msg)
