@@ -102,15 +102,14 @@ let cover m need =
 
 let pool : t list ref = ref []
 let pool_mu = Mutex.create ()
-let pool_cap = 4
 
 (** Return [m] to the image pool.  The caller must not touch [m] again:
     the engines call this once a run is over, however it ends.  The pool
-    keeps the newest images, so runs of other heap sizes cannot crowd
-    out the size a workload keeps using. *)
+    keeps the four newest images, so runs of other heap sizes cannot
+    crowd out the size a workload keeps using. *)
 let release (m : t) =
   Mutex.lock pool_mu;
-  pool := m :: List.filteri (fun i _ -> i < pool_cap - 1) !pool;
+  pool := m :: (match !pool with a :: b :: c :: _ -> [ a; b; c ] | l -> l);
   Mutex.unlock pool_mu
 
 let take_pooled size =
@@ -294,10 +293,10 @@ let pop_frame m mark =
 (* ---- heap ---- *)
 
 (* the size is judged in whole cells, which a size near [max_int] cannot
-   wrap *)
+   wrap; at least one, since [(0 - 1) / 8] truncates to 0 *)
 let malloc m ~site bytes =
   if bytes < 0 then fault "malloc of a negative size";
-  let cells = max 1 ((bytes - 1) / 8 + 1) in
+  let cells = ((bytes - 1) / 8) + 1 in
   let addr = m.hp in
   if cells > (m.size - addr) / 8 then fault "heap exhausted";
   m.hp <- addr + (cells * 8);
