@@ -17,8 +17,8 @@
       already safe.
 
     Data layout: every array below is scratch shared by all blocks of
-    one {!run} and grown on demand, so a block allocates nothing but its
-    reordered list.  Per-register state counts only while its stamp is
+    one {!run} and grown on demand, so a block allocates little beyond
+    its reordered list.  Per-register state counts only while its stamp is
     the current block's, and an edge mark only while it is the current
     instruction's tick, so nothing is cleared between blocks. *)
 
@@ -62,6 +62,7 @@ let create () =
     pred = Array.make 64 0; succ = Array.make 64 0; nedges = 0;
     stamp = 0; tick = 0 }
 
+(* [a] with at least [n] more cells, and at least twice as many *)
 let grown a n = Array.append a (Array.make (max n (Array.length a)) 0)
 
 let fit_regs s n =
