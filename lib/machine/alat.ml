@@ -13,7 +13,10 @@
 
     Entry [i = set * assoc + way] lives in flat arrays.  At most one
     valid entry carries a given (frame, reg) tag — [insert] drops the
-    old holder first — so a tag lookup is a scan for that entry. *)
+    old holder first.  [latest] maps each register to the entry its
+    latest insert filled, so a lookup reads that entry and scans the
+    table only when the entry was refilled since or the insert came from
+    another frame. *)
 
 type t = {
   n_sets : int;                  (* a power of two *)
@@ -30,6 +33,7 @@ type t = {
   mutable inserts : int;
   mutable store_invalidations : int;
   mutable capacity_evictions : int;
+  mutable latest : int array;    (* reg -> entry of its latest insert, or -1 *)
 }
 
 let create ?(entries = 32) ?(assoc = 2) () =
@@ -44,7 +48,8 @@ let create ?(entries = 32) ?(assoc = 2) () =
     tag_frame = Array.make entries (-1); tag_reg = Array.make entries (-1);
     addr = Array.make entries 0; valid = Bytes.make entries '\000';
     n_live = 0; next_victim = 0; faults = None;
-    inserts = 0; store_invalidations = 0; capacity_evictions = 0 }
+    inserts = 0; store_invalidations = 0; capacity_evictions = 0;
+    latest = [||] }
 
 let set_faults t inj = t.faults <- inj
 
@@ -54,20 +59,30 @@ let invalidate t i =
   Bytes.unsafe_set t.valid i '\000';
   t.n_live <- t.n_live - 1
 
-(* The entry holding (frame, reg), or -1. *)
+(* The entry holding (frame, reg), or -1.  When [reg]'s latest insert
+   filled entry [s] and [s] still carries (frame, reg), that insert was
+   (frame, reg)'s latest and dropped every older holder, so [s] decides:
+   it holds the tag if it is still valid, and nothing does otherwise. *)
 let find t ~frame ~reg =
-  if t.n_live = 0 then -1
+  if t.n_live = 0 || reg < 0 || reg >= Array.length t.latest then -1
   else begin
-    let n = Array.length t.tag_reg in
-    let i = ref 0 and found = ref (-1) in
-    while !found < 0 && !i < n do
-      let k = !i in
-      if Array.unsafe_get t.tag_reg k = reg
-         && Array.unsafe_get t.tag_frame k = frame && is_valid t k
-      then found := k;
-      i := k + 1
-    done;
-    !found
+    let s = Array.unsafe_get t.latest reg in
+    if s < 0 then -1
+    else if Array.unsafe_get t.tag_reg s = reg
+         && Array.unsafe_get t.tag_frame s = frame
+    then (if is_valid t s then s else -1)
+    else begin
+      let n = Array.length t.tag_reg in
+      let i = ref 0 and found = ref (-1) in
+      while !found < 0 && !i < n do
+        let k = !i in
+        if Array.unsafe_get t.tag_reg k = reg
+           && Array.unsafe_get t.tag_frame k = frame && is_valid t k
+        then found := k;
+        i := k + 1
+      done;
+      !found
+    end
   end
 
 (* Injected interference: a full flush (context switch) empties the
@@ -103,6 +118,7 @@ let interfere t ~now =
 
 (** Allocate an entry for an advanced load. *)
 let insert t ~frame ~reg ~addr =
+  if reg < 0 then invalid_arg "Alat.insert: negative register";
   t.inserts <- t.inserts + 1;
   (* an existing entry with the same register tag is replaced *)
   let old = find t ~frame ~reg in
@@ -120,6 +136,12 @@ let insert t ~frame ~reg ~addr =
       base + t.next_victim
     end
   in
+  if reg >= Array.length t.latest then begin
+    let l = Array.make (max (reg + 1) (2 * Array.length t.latest)) (-1) in
+    Array.blit t.latest 0 l 0 (Array.length t.latest);
+    t.latest <- l
+  end;
+  Array.unsafe_set t.latest reg victim;
   Array.unsafe_set t.tag_frame victim frame;
   Array.unsafe_set t.tag_reg victim reg;
   Array.unsafe_set t.addr victim addr;

@@ -7,10 +7,13 @@
     the ALAT-size ablation measures, and to injected interference when a
     stress plan is attached (see {!Spec_stress.Faults}).
 
-    The table is a set of flat arrays indexed by [set * assoc + way].  A
-    register tag is found by scanning the (at most a few dozen) entries,
-    skipped outright when none is live, so [insert] and [check]
-    allocate nothing. *)
+    The table is a set of flat arrays indexed by [set * assoc + way],
+    plus [latest], which maps each register to the entry its latest
+    insert filled.  A register tag is found by reading that entry: it
+    decides whenever it still carries the tag, and only when it was
+    refilled since, or the latest insert of the register came from
+    another frame, are the (at most a few dozen) entries scanned.
+    Nothing is hashed, and [check] allocates nothing. *)
 
 type t = {
   n_sets : int;  (** a power of two *)
@@ -25,6 +28,9 @@ type t = {
   mutable inserts : int;
   mutable store_invalidations : int;
   mutable capacity_evictions : int;
+  mutable latest : int array;
+      (** register -> the entry of its latest insert, or -1; grown by
+          {!insert} *)
 }
 
 (** [create ~entries ~assoc ()] — default 32 entries, 2-way.  Raises
@@ -42,7 +48,8 @@ val interfere : t -> now:int -> unit
 (** Allocate an entry for an advanced load.  An existing entry with the
     same (frame, reg) tag is replaced; a full set evicts a victim.
     [frame] is the activation serial, standing in for the distinct
-    physical registers of the register stack. *)
+    physical registers of the register stack.  Raises [Invalid_argument]
+    on a negative [reg]. *)
 val insert : t -> frame:int -> reg:int -> addr:int -> unit
 
 (** A store of [bytes] at [addr] invalidates every overlapping entry. *)

@@ -11,12 +11,25 @@
     dead entries is unobservable; it keeps the table, and so the cost of
     every store, bounded by the live frames' entries.
 
-    Injected interference ({!Spec_stress.Faults}) advances on a clock of
-    ALAT operations (arm, check, store-invalidate).  A chaos
-    invalidation drops the k-th entry in [Hashtbl] iteration order, a
-    pure function of the table's history; {!Interp_ref} keeps its own
-    copy of the table with the same protocol, so the vm and the oracle
-    pick the same victims. *)
+    {!create} picks one of two representations, once:
+    - Without an injector, the live entries sit in flat int arrays in
+      arm order.  Because frames nest and a returning frame drops its
+      entries, the innermost frame's entries are the arrays' tail:
+      {!arm} and {!check} scan that tail from the top, {!exit_frame}
+      truncates it, and {!invalidate} compacts the arrays in order.
+      Nothing is hashed, and nothing is allocated but the arrays'
+      geometric growth.
+    - With an injector, the table is a [Hashtbl].  Injected interference
+      ({!Spec_stress.Faults}) advances on a clock of ALAT operations
+      (arm, check, store-invalidate), and a chaos invalidation drops the
+      k-th entry in [Hashtbl] iteration order, a pure function of the
+      table's history.  {!Interp_ref} keeps its own copy of that table
+      with the same protocol, so the vm and the oracle pick the same
+      victims; no other order would.
+
+    Both representations answer every {!check} and {!live} alike, given
+    that {!arm} and {!check} name the innermost live frame, as the vm
+    always does. *)
 
 type t
 
@@ -31,14 +44,17 @@ val enter_frame : t -> int
     interference clock. *)
 val exit_frame : t -> int -> unit
 
-(** An advanced load of [tag] in frame [serial] read [addr]. *)
+(** An advanced load of [tag] in frame [serial], the innermost live
+    one, read [addr]. *)
 val arm : t -> serial:int -> tag:int -> int -> unit
 
-(** Does the entry for ([serial], [tag]) survive and guard [addr]? *)
+(** Does the entry for ([serial], [tag]) survive and guard [addr]?
+    [serial] is the innermost live frame, or one that has returned. *)
 val check : t -> serial:int -> tag:int -> int -> bool
 
-(** A store to [addr]: drop every entry holding that address.  Free when
-    the table is empty and no injector is attached. *)
+(** A store to [addr]: drop every entry holding that address.  Without
+    an injector it returns at once when the table is empty and writes
+    nothing unless an entry holds [addr]. *)
 val invalidate : t -> int -> unit
 
 (** Number of live entries. *)

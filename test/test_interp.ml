@@ -327,6 +327,118 @@ let test_sem_alat_frame_exit () =
   Sem_alat.exit_frame t main;
   check_int "empty after main returns" 0 (Sem_alat.live t)
 
+(* The table [Sem_alat] kept in a [Hashtbl] for every run before it
+   went dense (and still keeps under an injector), as the model of the
+   dense one. *)
+module Hashed_alat = struct
+  type t = {
+    tbl : (int * int, int) Hashtbl.t;
+    mutable serial : int;
+    mutable hi : int;
+  }
+
+  let create () = { tbl = Hashtbl.create 32; serial = 0; hi = 0 }
+
+  let enter_frame t =
+    t.serial <- t.serial + 1;
+    t.serial
+
+  let exit_frame t serial =
+    if t.hi >= serial then begin
+      t.hi <- serial - 1;
+      let dead =
+        Hashtbl.fold
+          (fun ((s, _) as k) _ acc -> if s = serial then k :: acc else acc)
+          t.tbl []
+      in
+      List.iter (Hashtbl.remove t.tbl) dead
+    end
+
+  let arm t ~serial ~tag addr =
+    if serial > t.hi then t.hi <- serial;
+    Hashtbl.replace t.tbl (serial, tag) addr
+
+  let check t ~serial ~tag addr =
+    match Hashtbl.find_opt t.tbl (serial, tag) with
+    | Some a -> a = addr
+    | None -> false
+
+  let invalidate t addr =
+    let stale =
+      Hashtbl.fold (fun k a acc -> if a = addr then k :: acc else acc) t.tbl []
+    in
+    List.iter (Hashtbl.remove t.tbl) stale
+
+  let live t = Hashtbl.length t.tbl
+end
+
+type alat_op =
+  | Enter
+  | Exit
+  | Arm of int * int                   (* tag, addr *)
+  | Check of int * int
+  | Store of int
+
+(* Addresses come from a pool of six cells so that stores hit, and tags
+   from a pool of four so that callers and callees share them.  Arms
+   and checks go to the innermost frame, as the vm's do. *)
+let gen_alat_ops =
+  QCheck.Gen.(
+    let addr = map (fun c -> 8 * c) (int_range 0 5) and tag = int_range 0 3 in
+    list_size (int_range 1 120)
+      (frequency
+         [ 2, return Enter;
+           2, return Exit;
+           4, map2 (fun t a -> Arm (t, a)) tag addr;
+           4, map2 (fun t a -> Check (t, a)) tag addr;
+           3, map (fun a -> Store a) addr ]))
+
+let print_alat_ops ops =
+  String.concat "; "
+    (List.map
+       (function
+         | Enter -> "enter"
+         | Exit -> "exit"
+         | Arm (t, a) -> Printf.sprintf "arm %d@%d" t a
+         | Check (t, a) -> Printf.sprintf "check %d@%d" t a
+         | Store a -> Printf.sprintf "store %d" a)
+       ops)
+
+let prop_sem_alat_model =
+  QCheck.Test.make ~count:500 ~name:"dense semantic ALAT = hashed model"
+    (QCheck.make ~print:print_alat_ops gen_alat_ops)
+    (fun ops ->
+      let t = Sem_alat.create () and m = Hashed_alat.create () in
+      (* the live frames, innermost first, as serial pairs *)
+      let frames = ref [] in
+      let enter () =
+        frames := (Sem_alat.enter_frame t, Hashed_alat.enter_frame m) :: !frames
+      in
+      enter ();
+      List.for_all
+        (fun op ->
+          (match op, !frames with
+           | Enter, _ -> enter (); true
+           | Exit, (s, ms) :: rest ->
+             Sem_alat.exit_frame t s;
+             Hashed_alat.exit_frame m ms;
+             frames := rest;
+             true
+           | Arm (tag, a), (s, ms) :: _ ->
+             Sem_alat.arm t ~serial:s ~tag a;
+             Hashed_alat.arm m ~serial:ms ~tag a;
+             true
+           | Check (tag, a), (s, ms) :: _ ->
+             Sem_alat.check t ~serial:s ~tag a
+             = Hashed_alat.check m ~serial:ms ~tag a
+           | Store a, _ ->
+             Sem_alat.invalidate t a;
+             Hashed_alat.invalidate m a;
+             true
+           | (Exit | Arm _ | Check _), [] -> true)
+          && Sem_alat.live t = Hashed_alat.live m)
+        ops)
+
 let suite =
   [ Alcotest.test_case "arith" `Quick test_arith;
     Alcotest.test_case "float arith" `Quick test_float_arith;
@@ -345,4 +457,5 @@ let suite =
     Alcotest.test_case "call mod/ref profile" `Quick test_call_modref_profile;
     Alcotest.test_case "load reuse redundancy" `Quick test_load_reuse_detects_redundancy;
     Alcotest.test_case "load reuse store kills" `Quick test_load_reuse_store_changes_value;
-    Alcotest.test_case "semantic ALAT frame exit" `Quick test_sem_alat_frame_exit ]
+    Alcotest.test_case "semantic ALAT frame exit" `Quick test_sem_alat_frame_exit;
+    QCheck_alcotest.to_alcotest prop_sem_alat_model ]
