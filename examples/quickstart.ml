@@ -52,15 +52,22 @@ let () =
   let r = Pipeline.compile_and_optimize src Pipeline.Spec_heuristic in
   print_endline (Pp.prog_to_string r.Pipeline.prog);
 
-  banner "4. ITL machine code";
-  let mp = Spec_codegen.Codegen.lower r.Pipeline.prog in
+  (* lowered and list-scheduled, as [speccc run --machine] and every
+     bench table run it *)
+  let lower_scheduled prog =
+    let mp = Spec_codegen.Codegen.lower prog in
+    ignore (Spec_codegen.Schedule.run mp : Spec_codegen.Schedule.stats);
+    mp
+  in
+  banner "4. ITL machine code (list-scheduled)";
+  let mp = lower_scheduled r.Pipeline.prog in
   let f = Hashtbl.find mp.Spec_codegen.Itl.mp_funcs "main" in
   Fmt.pr "%a@." Spec_codegen.Itl.pp_mfunc f;
 
   banner "5. Execution: base vs speculative on the ITL machine";
   let base = Pipeline.compile_and_optimize src Pipeline.Base in
-  let mb = Spec_machine.Machine.run_sir base.Pipeline.prog in
-  let ms = Spec_machine.Machine.run_sir r.Pipeline.prog in
+  let mb = Spec_machine.Machine.run (lower_scheduled base.Pipeline.prog) in
+  let ms = Spec_machine.Machine.run mp in
   let show name (m : Spec_machine.Machine.result) =
     let perf = m.Spec_machine.Machine.perf in
     Printf.printf
