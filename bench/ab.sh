@@ -25,7 +25,11 @@
 # dispatch loops (Vm.exec_func, Machine.exec_func) and SSAPRE's renaming
 # walk (Ssapre.rename).  A delta that follows one of those residues
 # follows code placement, so when any of them differs between the sides
-# a closing note says so.
+# a closing note says so.  Then it lists, in link order, every module
+# whose code size (code_end - code_begin) differs between the binaries,
+# with the delta and the delta modulo 64: a module that grows by other
+# than a multiple of 64 bytes moves every function linked after it,
+# including functions in modules whose residues are not printed.
 #
 # Exit status: 0, or 1 when any metric reads "worse", or 2 on a usage,
 # build or run error.
@@ -89,6 +93,18 @@ residue() {
       END { if (!found) print "?" }'
 }
 
+# "module bytes" per module of the benchmark binary, in link order
+sizes() {
+  nm -n "$1/_build/default/perf/specbench.exe" 2>/dev/null |
+    awk '$3 ~ /[.]code_(begin|end)$/ {
+        v = 0; h = tolower($1)
+        for (i = 1; i <= length(h); i++) v = v * 16 + index("0123456789abcdef", substr(h, i, 1)) - 1
+        m = $3; sub(/^caml/, "", m); sub(/[.]code_(begin|end)$/, "", m); gsub(/__/, ".", m)
+        if ($3 ~ /begin$/) { if (!(m in b)) order[++n] = m; b[m] = v } else e[m] = v
+      }
+      END { for (i = 1; i <= n; i++) if (order[i] in e) print order[i], e[order[i]] - b[order[i]] }'
+}
+
 # one run: appends "side pair attempted failed name=value..." to results
 results="$work/results"
 : > "$results"
@@ -138,6 +154,22 @@ for sym in Vm.exec_func Machine.exec_func Ssapre.rename; do
   echo "$sym mod 64: base $b, change $c"
   [ "$b" = "$c" ] || moved="$moved $sym"
 done
+
+sizes "$wt" > "$work/sizes-base"
+sizes "$root" > "$work/sizes-change"
+awk 'FNR == NR { base[$1] = $2; next }
+  { seen[$1] = 1
+    if (!($1 in base)) { rows[++n] = sprintf("  %-36s %8s %8d %+8d %6d", $1, "-", $2, $2, ($2 % 64 + 64) % 64) }
+    else if (base[$1] != $2) {
+      d = $2 - base[$1]
+      rows[++n] = sprintf("  %-36s %8d %8d %+8d %6d", $1, base[$1], $2, d, (d % 64 + 64) % 64)
+    } }
+  END {
+    for (m in base) if (!(m in seen)) rows[++n] = sprintf("  %-36s %8d %8s %+8d %6d", m, base[m], "-", -base[m], (-base[m] % 64 + 64) % 64)
+    if (n == 0) { print "module code sizes: identical"; exit }
+    printf "modules whose code size differs:\n  %-36s %8s %8s %8s %6s\n", "module", "base", "change", "delta", "mod 64"
+    for (i = 1; i <= n; i++) print rows[i]
+  }' "$work/sizes-base" "$work/sizes-change"
 
 # the end-to-end metrics and their directions, one object per line of
 # BENCHMARK.json's "end_to_end" list
