@@ -11,44 +11,34 @@
                                        fault injection + adversarial
                                        profiles; --stress-seed N picks the
                                        fault streams, default 1)
-     bench/main.exe --json          -- bench dump (JSON on stdout, and
-                                       written to BENCH_<date>.json;
-                                       --json-file PATH overrides the
-                                       destination, "-" = stdout only;
-                                       combined with --stress the dump
-                                       gains a "stress" section)
-
+     bench/main.exe --json          -- the bench record on stdout: JSON,
+                                       deterministic counters only (see
+                                       Bench_json); with --stress it gains
+                                       a "stress" section
      bench/main.exe --fdo           -- persistent-FDO warm-vs-cold compile
                                        cache bench (also available as
-                                       --table fdo; with --json the dump
+                                       --table fdo; with --json the record
                                        gains an "fdo" section)
-     bench/main.exe --compile-bench -- compile throughput: cold heuristic
-                                       compiles at --jobs 1 vs --jobs N
-                                       (N from --jobs, default 4), asserting
-                                       byte-identical output; also --table
-                                       compile; with --json the dump gains
-                                       a "compile" section
      bench/main.exe --table backends -- in-order EPIC core vs out-of-order
                                        control: hard-fails if the cores
                                        disagree on program output or
                                        instruction counts (with --json the
-                                       dump gains a "backends" section)
-     bench/main.exe --table engines -- engine-throughput sweep (oracle vs
-                                       vm; always in the --json dump as
-                                       "engines")
+                                       record gains a "backends" section)
      bench/main.exe --table mdp     -- OoO memory-dependence predictor
                                        sweep (store-set, last-violator,
-                                       none; "mdp" section in the dump)
+                                       none; always in the record as "mdp")
      bench/main.exe --table safety  -- speculative-safety sweep: taint
                                        checker verdicts per variant plus
                                        reload-vs-deopt recovery costs
                                        under forced ALAT interference
-                                       (always in the --json dump as
-                                       "safety")
+                                       (always in the record as "safety")
+     bench/main.exe --traffic       -- compile-service traffic replay
+                                       (also --table traffic; not in the
+                                       record)
 
-   Tables: smvp fig10 fig11 fig12 heuristics rse stress fdo compile backends
-           engines mdp safety ablate-cspec ablate-alat ablate-threshold
-           ablate-sched traffic
+   Tables: smvp fig10 fig11 fig12 heuristics rse stress fdo backends mdp
+           safety ablate-cspec ablate-alat ablate-threshold ablate-sched
+           traffic
 
    The paper's tables run on the in-order core, as the paper's did; the
    out-of-order control runs only where it answers a question of its
@@ -67,11 +57,9 @@ let quick = ref false
 let tables = ref []
 let jobs = ref 1
 let json = ref false
-let json_file = ref None
 let stress = ref false
 let stress_seed = ref 1
 let fdo = ref false
-let compile_bench = ref false
 let traffic = ref false
 
 let section title = Printf.printf "\n== %s ==\n%!" title
@@ -92,10 +80,7 @@ let results (ws : Spec_workloads.Workloads.workload list) =
   in
   if missing <> [] then
     List.iter2
-      (fun w b ->
-        Hashtbl.replace result_tbl (name w) b;
-        Printf.eprintf "  [%s done in %.1fs]\n%!" (name w)
-          b.Experiments.total_wall_s)
+      (fun w b -> Hashtbl.replace result_tbl (name w) b)
       missing
       (Experiments.run_workloads ~quick:!quick missing);
   List.map (fun w -> Hashtbl.find result_tbl (name w)) ws
@@ -104,9 +89,9 @@ let all_results () = results Spec_workloads.Workloads.all
 
 let result_of name = List.hd (results [ Spec_workloads.Workloads.find name ])
 
-(** The in-order/OoO pairs for the comparison table and the JSON
+(** The in-order/OoO pairs for the comparison table and the record's
     [backends] section.  The OoO workload sweep runs only here, and its
-    hard agreement gate runs before anything is printed or dumped: any
+    hard agreement gate runs before anything is printed or recorded: any
     program-output or instruction-count disagreement between the cores
     fails the run. *)
 let backend_pairs =
@@ -132,31 +117,8 @@ let table_backends () =
     (List.length pairs)
 
 (* ------------------------------------------------------------------ *)
-(* Engine throughput + memory-dependence predictor sweeps              *)
+(* Memory-dependence predictor and safety sweeps                       *)
 (* ------------------------------------------------------------------ *)
-
-(** Memoized engine-throughput cells so the table and the JSON section
-    share one (strictly sequential — it carries wall times) sweep.
-    Every cell asserts the vm reproduced the tree-walking oracle
-    exactly; a divergence fails the run. *)
-let engine_cells =
-  lazy
-    (Experiments.run_engine_bench ~quick:!quick
-       ~reps:(if !quick then 3 else 5)
-       Spec_workloads.Workloads.all)
-
-let table_engines () =
-  section
-    "Execution-engine throughput: tree-walking oracle vs threaded-code vm \
-     (best-of wall)";
-  let cells = Lazy.force engine_cells in
-  print_endline Experiments.engine_header;
-  List.iter (fun c -> print_endline (Experiments.engine_row c)) cells;
-  Printf.printf
-    "(geomean oracle/vm %.2fx over %d workloads; every vm output \
-     identical to the oracle)\n"
-    (Experiments.engine_geomean cells)
-    (List.length cells)
 
 (** Memoized memory-dependence-predictor cells (base builds plus the
     adversarial chain kernel, on the OoO core under each policy);
@@ -175,7 +137,7 @@ let table_mdp () =
     "(%d cells; outputs and instruction counts identical across policies)\n"
     (List.length cells)
 
-(** Memoized speculative-safety cells so the table and the JSON section
+(** Memoized speculative-safety cells so the table and the record
     share one sweep.  The sweep itself is the gate: the reload leg and
     the deopt leg must each print the unoptimized oracle's output (the
     aggressive variant, which has no checks, its own fault-free output)
@@ -255,8 +217,8 @@ let table_ablate_cspec () =
 (* Misspeculation stress sweep (--stress)                              *)
 (* ------------------------------------------------------------------ *)
 
-(** Memoized in-order stress cells so the table and the JSON section
-    share one sweep.  Every grid point asserts bit-identical outputs
+(** Memoized in-order stress cells so the table and the record share
+    one sweep.  Every grid point asserts bit-identical outputs
     against the unoptimized oracle; [Experiments.Stress_divergence]
     escapes and fails the run (that is the CI gate). *)
 let stress_cells =
@@ -294,8 +256,8 @@ let table_stress () =
 (* Persistent FDO: warm-vs-cold compile cache (--table fdo)             *)
 (* ------------------------------------------------------------------ *)
 
-(** Memoized warm-vs-cold cells so the table and the JSON section share
-    one sweep.  Each cell asserts the warm compile hit the cache, ran
+(** Memoized warm-vs-cold cells so the table and the record share one
+    sweep.  Each cell asserts the warm compile hit the cache, ran
     zero passes and reproduced the cold program exactly; a violation
     fails the run. *)
 let fdo_cells =
@@ -333,47 +295,6 @@ let table_fdo () =
      the cold program exactly)\n"
     (List.length cells)
 
-(* ------------------------------------------------------------------ *)
-(* Compile throughput: parallel per-function pipeline (--compile-bench) *)
-(* ------------------------------------------------------------------ *)
-
-(** Memoized compile-throughput cells so the table and the JSON section
-    share one sweep.  Every cell asserts the parallel compile printed a
-    byte-identical program to the sequential one; a divergence fails the
-    run (that is the CI gate).  The parallel leg uses [--jobs] when
-    given, else 4 domains. *)
-let compile_cells =
-  lazy
-    (let n = if !jobs > 1 then !jobs else 4 in
-     let cells =
-       Experiments.run_compile_bench ~quick:!quick ~jobs:n
-         Spec_workloads.Workloads.all
-     in
-     List.iter
-       (fun (c : Experiments.compile_result) ->
-         if not c.Experiments.c_identical then
-           failwith
-             (Printf.sprintf
-                "compile-bench %s: --jobs %d program diverged from --jobs 1"
-                c.Experiments.c_wname c.Experiments.c_jobs))
-       cells;
-     cells)
-
-let table_compile () =
-  let cells = Lazy.force compile_cells in
-  let n = match cells with c :: _ -> c.Experiments.c_jobs | [] -> 1 in
-  section
-    (Printf.sprintf
-       "Compile throughput: per-function pipeline at --jobs 1 vs --jobs %d"
-       n);
-  print_endline Experiments.compile_header;
-  List.iter (fun c -> print_endline (Experiments.compile_row c)) cells;
-  Printf.printf
-    "(total speedup %.2fx over %d workloads; every parallel program \
-     byte-identical to the sequential compile)\n"
-    (Experiments.compile_total_speedup cells)
-    (List.length cells)
-
 let table_ablate_alat () =
   section "Ablation: ALAT capacity vs mis-speculation (equake)";
   Printf.printf "entries | checks | check misses\n";
@@ -388,20 +309,16 @@ let table_ablate_alat () =
 (* Compile-service traffic replay (--traffic)                          *)
 (* ------------------------------------------------------------------ *)
 
-(** Memoized traffic-replay cell so the table and the JSON section share
-    one replay.  The replay itself is the gate: it raises
+(** The replay itself is the gate: it raises
     [Spec_service.Traffic.Divergence] — failing the run — if any
     daemon-served compile differs byte-for-byte from a direct
     in-process compile with the same evidence, if a repeated key is
     served cold again, or if the daemon's error counter is nonzero
     after a well-formed request stream. *)
-let traffic_cell =
-  lazy (Spec_service.Traffic.run_traffic_replay ~quick:!quick ~seed:1 ())
-
 let table_traffic () =
   section
     "Compile service: deterministic traffic replay over a unix socket";
-  let c = Lazy.force traffic_cell in
+  let c = Spec_service.Traffic.run_traffic_replay ~quick:!quick ~seed:1 () in
   let open Spec_service.Traffic in
   Printf.printf
     "requests | units | cold | warm | joined | parked | reports | recompiles\n";
@@ -417,91 +334,38 @@ let table_traffic () =
      in-process compile)\n"
 
 (* ------------------------------------------------------------------ *)
-(* Machine-readable bench dump (--json)                                *)
+(* The bench record (--json)                                           *)
 (* ------------------------------------------------------------------ *)
 
-let date_string () =
-  let tm = Unix.localtime (Unix.time ()) in
-  Printf.sprintf "%04d-%02d-%02d" (tm.Unix.tm_year + 1900)
-    (tm.Unix.tm_mon + 1) tm.Unix.tm_mday
-
-(** [--json]: run the harness on every workload and dump the bench
-    trajectory record (see {!Bench_json} for the schema) — printed on
-    stdout and, unless [--json-file -], written to [BENCH_<date>.json]
-    (or the [--json-file] path) so it can be committed as a baseline for
-    future PRs to diff against.  With [--stress] the dump also carries
-    the in-order stress sweep. *)
-let json_dump () =
-  let t0 = Unix.gettimeofday () in
-  let ws = Spec_workloads.Workloads.all in
-  let blobs =
-    Parpool.parmap
-      (fun (w, b) -> Bench_json.workload_json w b)
-      (List.combine ws (results ws))
+(** [--json]: run the harness on every workload and print the bench
+    record (see {!Bench_json}) on stdout.  It always carries the mdp and
+    safety sweeps; [--table backends], [--stress] and [--fdo] add their
+    sections. *)
+let json_record () =
+  let optional name on json = if on then [ (name, json ()) ] else [] in
+  (* the agreement gate runs before anything is printed: a backend
+     divergence must fail the record, not be recorded *)
+  let sections =
+    List.concat
+      [ [ ( "workloads",
+            Bench_json.Arr
+              (List.map Bench_json.workload_json (all_results ())) ) ];
+        optional "backends" (List.mem "backends" !tables) (fun () ->
+            Bench_json.backends_json (Lazy.force backend_pairs));
+        [ ("mdp", Bench_json.mdp_json (Lazy.force mdp_cells)) ];
+        optional "stress" !stress (fun () ->
+            Bench_json.stress_json ~seed:!stress_seed
+              (Lazy.force stress_cells));
+        optional "fdo" (!fdo || List.mem "fdo" !tables) (fun () ->
+            Bench_json.fdo_json (Lazy.force fdo_cells));
+        [ ( "safety",
+            Bench_json.safety_json ~seed:!stress_seed
+              (Lazy.force safety_cells) ) ] ]
   in
-  (* the agreement gate runs before anything is written: a backend
-     divergence must fail the dump, not be recorded *)
-  let backends_blob =
-    if List.mem "backends" !tables then
-      Some (Bench_json.backends_json (Lazy.force backend_pairs))
-    else None
-  in
-  (* the engine-throughput and mdp sweeps are cheap next to the variant
-     matrix, so every dump carries them — the committed baselines keep
-     an engine-speedup trail the same way they keep the harness wall *)
-  let engines_blob = Some (Bench_json.engines_json (Lazy.force engine_cells)) in
-  let mdp_blob = Some (Bench_json.mdp_json (Lazy.force mdp_cells)) in
-  (* the safety sweep always rides along: the committed baselines keep a
-     verdict + recovery-cost trail the same way they keep engine speedups *)
-  let safety_blob =
-    Some (Bench_json.safety_json ~seed:!stress_seed (Lazy.force safety_cells))
-  in
-  let stress_blob =
-    if !stress then
-      Some (Bench_json.stress_json ~seed:!stress_seed (Lazy.force stress_cells))
-    else None
-  in
-  let fdo_blob =
-    if !fdo || List.mem "fdo" !tables then
-      Some (Bench_json.fdo_json (Lazy.force fdo_cells))
-    else None
-  in
-  let compile_blob =
-    if !compile_bench || List.mem "compile" !tables then
-      Some (Bench_json.compile_json (Lazy.force compile_cells))
-    else None
-  in
-  let service_blob =
-    if !traffic || List.mem "traffic" !tables then
-      Some (Spec_service.Traffic.to_json (Lazy.force traffic_cell))
-    else None
-  in
-  let wall = Unix.gettimeofday () -. t0 in
-  let out =
-    Bench_json.dump ~date:(date_string ())
-      ~inputs:(if !quick then "train" else "ref")
-      ~jobs:(Parpool.get_jobs ()) ~harness_wall_s:wall
-      (* wall time of the pre-overhaul harness on this machine, for the
-         speedup trail (see EXPERIMENTS.md) *)
-      ?pre_pr2_quick_wall_s:(if !quick then Some 13.194 else None)
-      ?backends:backends_blob ?engines:engines_blob ?mdp:mdp_blob
-      ?stress:stress_blob ?fdo:fdo_blob
-      ?compile:compile_blob ?safety:safety_blob ?service:service_blob
-      blobs
-  in
-  print_string out;
-  match !json_file with
-  | Some "-" -> ()
-  | dest ->
-    let path =
-      match dest with
-      | Some p -> p
-      | None -> "BENCH_" ^ date_string () ^ ".json"
-    in
-    let oc = open_out path in
-    output_string oc out;
-    close_out oc;
-    Printf.eprintf "wrote %s\n%!" path
+  print_endline
+    (Bench_json.to_string
+       (Bench_json.record ~inputs:(if !quick then "train" else "ref")
+          sections))
 
 let table_ablate_threshold () =
   section
@@ -530,15 +394,14 @@ let known_tables =
     "ablate-cspec", table_ablate_cspec; "ablate-alat", table_ablate_alat;
     "ablate-threshold", table_ablate_threshold;
     "ablate-sched", table_ablate_sched;
-    "stress", table_stress; "fdo", table_fdo; "compile", table_compile;
-    "backends", table_backends; "engines", table_engines;
+    "stress", table_stress; "fdo", table_fdo; "backends", table_backends;
     "mdp", table_mdp; "safety", table_safety; "traffic", table_traffic ]
 
 (* every flag [parse] accepts; a flag that takes a value is unknown when
    the value is missing *)
 let known_args =
   "--quick, --full, --jobs N, --table NAME, --stress, --stress-seed N, \
-   --fdo, --compile-bench, --traffic, --json, --json-file PATH"
+   --fdo, --traffic, --json"
 
 let () =
   let args = Array.to_list Sys.argv in
@@ -548,7 +411,6 @@ let () =
     | "--quick" :: rest -> quick := true; parse rest
     | "--stress" :: rest -> stress := true; parse rest
     | "--fdo" :: rest -> fdo := true; parse rest
-    | "--compile-bench" :: rest -> compile_bench := true; parse rest
     | "--traffic" :: rest -> traffic := true; parse rest
     | "--stress-seed" :: n :: rest ->
       (match int_of_string_opt n with
@@ -558,7 +420,6 @@ let () =
          exit 2);
       parse rest
     | "--json" :: rest -> json := true; parse rest
-    | "--json-file" :: p :: rest -> json_file := Some p; parse rest
     | "--jobs" :: n :: rest ->
       (match int_of_string_opt n with
        | Some n when n >= 1 -> jobs := n
@@ -582,7 +443,7 @@ let () =
   if !jobs > 1 then Parpool.set_jobs !jobs;
   if !json then begin
     (* machine-readable mode: nothing but JSON on stdout *)
-    json_dump ();
+    json_record ();
     exit 0
   end;
   Printf.printf
@@ -594,12 +455,11 @@ let () =
   let to_run =
     if !stress && !tables = [] then [ "stress" ]
     else if !fdo && !tables = [] then [ "fdo" ]
-    else if !compile_bench && !tables = [] then [ "compile" ]
     else if !traffic && !tables = [] then [ "traffic" ]
     else if !tables = [] then
       [ "smvp"; "fig10"; "fig11"; "fig12"; "heuristics"; "rse";
         "ablate-cspec"; "ablate-alat"; "ablate-threshold"; "ablate-sched";
-        "fdo"; "compile"; "engines"; "mdp"; "safety"; "backends" ]
+        "fdo"; "mdp"; "safety"; "backends" ]
     else List.rev !tables
   in
   List.iter (fun t -> List.assoc t known_tables ()) to_run

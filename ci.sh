@@ -83,14 +83,18 @@ echo "== compile-service smoke (daemon + client + drift recompile) =="
 sh test/ci_service.sh _build/default/bin/speccc.exe "$tmp"
 
 echo "== bench harness argument check =="
-# An unknown flag must fail the harness, not run the default sweep: the
-# removed engine, shards, backend and micro options are the likeliest
-# leftovers.  The removed serve option must fail before the daemon binds
-# its socket.
-for args in "--engine vm" "--traffic --shards 2" "--backend both" "--micro"; do
+# An unknown flag or table must fail the harness with exit 2, not run
+# the default sweep: the removed engine, shards, backend, micro,
+# compile-bench and json-file options and the removed compile and
+# engines tables are the likeliest leftovers.  The removed serve option
+# must fail before the daemon binds its socket.
+for args in "--engine vm" "--traffic --shards 2" "--backend both" "--micro" \
+  "--compile-bench" "--table compile" "--table engines" "--json-file x"; do
   # $args is split on purpose: each entry is a whole argument list
-  if dune exec bench/main.exe -- $args > /dev/null 2>&1; then
-    echo "bench/main.exe accepted the removed option: $args" >&2
+  status=0
+  _build/default/bench/main.exe $args > /dev/null 2>&1 || status=$?
+  if [ "$status" -ne 2 ]; then
+    echo "bench/main.exe $args exited $status, not 2" >&2
     exit 1
   fi
 done
@@ -106,39 +110,14 @@ if [ -e "$sock" ]; then
   exit 1
 fi
 
-echo "== bench harness smoke (--quick --stress --jobs 2) =="
-# Runs every workload through every pipeline variant on a 2-domain pool,
-# plus the misspeculation stress grid; the harness aborts if any variant
-# diverges from the reference output or any stress point diverges from
-# the unoptimized oracle.  The JSON bench dump (stress section included)
-# is kept as an artifact.
-dune exec bench/main.exe -- --quick --jobs 2 --stress --json --json-file bench-smoke.json > /dev/null
-
-echo "== cross-backend smoke (--table backends --quick --jobs 2) =="
-# The backends table runs the quick sweep on the out-of-order control
-# as well as the in-order EPIC machine.  The harness hard-fails if the
-# two cores disagree on any program output or instruction count, and the
-# dump — including the in-order-vs-OoO comparison section — is kept as
-# an artifact.
-dune exec bench/main.exe -- --quick --jobs 2 --table backends --json \
-  --json-file backend-smoke.json > /dev/null
-
-echo "== compile-throughput smoke (--compile-bench --quick --jobs 2) =="
-# Cold-compiles every workload's throughput unit at --jobs 1 and
-# --jobs 2 and hard-fails unless the parallel program is byte-identical
-# to the sequential one.  The compile-throughput JSON (with per-pass
-# breakdowns) is kept as an artifact.
-dune exec bench/main.exe -- --compile-bench --quick --jobs 2 --json \
-  --json-file compile-smoke.json > /dev/null
-
 echo "== traffic-replay smoke (--traffic --quick --jobs 2) =="
 # Spawns the compile daemon and replays a deterministic mixed
 # cold/warm/report request stream against it; the harness hard-fails if
 # any daemon-served compile diverges byte-for-byte from the offline
-# pipeline.  The service JSON (latency percentiles + throughput) is
-# kept as an artifact.
-dune exec bench/main.exe -- --traffic --quick --jobs 2 --json \
-  --json-file traffic-smoke.json > /dev/null
+# pipeline.  (The quick sweep, its stress grid and the backends
+# agreement gate run in `dune runtest`, as the test/bench_record.json
+# golden.)
+dune exec bench/main.exe -- --traffic --quick --jobs 2 > /dev/null
 
 echo "== paired A/B runner smoke (bench/ab.sh HEAD --pairs 1) =="
 # One pair of 0.1-second build runs of the working tree against HEAD:

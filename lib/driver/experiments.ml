@@ -8,8 +8,7 @@
     vm must reproduce the machine's output on every variant — the
     harness asserts both, so every experiment run doubles as an
     end-to-end correctness check of speculation and recovery.  The
-    semantic oracle ({!Spec_prof.Interp_ref}) gates the engine-throughput
-    and safety sweeps. *)
+    semantic oracle ({!Spec_prof.Interp_ref}) gates the safety sweep. *)
 
 open Spec_ir
 open Spec_prof
@@ -19,7 +18,7 @@ open Spec_workloads
 type run = {
   r_machine : Machine.result;
   r_stats : Spec_ssapre.Ssapre.stats;
-  r_wall_s : float;  (** compile + simulate wall time for this variant *)
+  r_report : Passes.report;  (** the pass reports of this compile *)
 }
 
 type bench_result = {
@@ -32,43 +31,41 @@ type bench_result = {
   heur_spec : run;
   aggressive : run;
   reuse_frac : float;  (** simulation-based potential load reuse (Fig 12a) *)
-  prof_wall_s : float;   (** train-input profiling wall time *)
-  total_wall_s : float;  (** whole-workload wall time (sum over tasks when
-                             variants run in parallel) *)
-  train_profile : Profile.t;
-      (** the training run's profile — collected exactly once per
-          workload; downstream consumers (JSON pass reports, FDO bench)
-          reuse it instead of re-running the interpreter *)
 }
 
 let machine_config = ref Machine.default_config
 
-(** Compile the ref input under [variant] and run it on the machine
-    backend [backend] (default: the in-order EPIC core).  Every variant
-    gets the local list scheduler, like the paper's O3 baseline (ORC
-    schedules everything).  The same optimized program is then executed
-    on the vm, which must reproduce the machine's output byte-for-byte —
-    a vm/machine divergence fails the measurement rather than skewing a
-    table. *)
+(** Lower an optimized program to ITL and list-schedule it, as every
+    table does: the paper's O3 baseline (ORC) schedules everything. *)
+let lower_scheduled prog =
+  let mp = Spec_codegen.Codegen.lower prog in
+  ignore (Spec_codegen.Schedule.run mp : Spec_codegen.Schedule.stats);
+  mp
+
+(** Compile the ref input under [variant], lower and schedule it
+    ({!lower_scheduled}), and run it on the machine backend [backend]
+    (default: the in-order EPIC core).  The same optimized program is
+    then executed on the vm, which must reproduce the machine's output
+    byte-for-byte — a vm/machine divergence fails the measurement rather
+    than skewing a table. *)
 let run_variant ?(quick = false) ?(backend = Machine.Inorder)
     (w : Workloads.workload) profile variant : run =
-  let t0 = Unix.gettimeofday () in
   let params = if quick then w.Workloads.train else w.Workloads.ref_ in
   let prog = Lower.compile (w.Workloads.source params) in
   let r =
     Pipeline.optimize ~edge_profile:(Some profile) prog variant
   in
-  let mp = Spec_codegen.Codegen.lower r.Pipeline.prog in
-  ignore (Spec_codegen.Schedule.run mp : Spec_codegen.Schedule.stats);
-  let m = Machine.run_on backend ~config:!machine_config mp in
+  let m =
+    Machine.run_on backend ~config:!machine_config
+      (lower_scheduled r.Pipeline.prog)
+  in
   let i = Vm.run_program (Lazy.force r.Pipeline.vm) in
   if i.Interp.output <> m.Machine.output then
     failwith
       (Printf.sprintf "experiment %s/%s: vm output diverged from the machine"
          w.Workloads.name
          (Pipeline.variant_name variant));
-  { r_machine = m; r_stats = r.Pipeline.stats;
-    r_wall_s = Unix.gettimeofday () -. t0 }
+  { r_machine = m; r_stats = r.Pipeline.stats; r_report = r.Pipeline.report }
 
 (* Fig 12a: load-reuse potential, measured on the base-optimized program *)
 let reuse_fraction ?(quick = false) (w : Workloads.workload) profile : float =
@@ -80,10 +77,8 @@ let reuse_fraction ?(quick = false) (w : Workloads.workload) profile : float =
 
 let run_workload ?(quick = false) ?(backend = Machine.Inorder)
     (w : Workloads.workload) : bench_result =
-  let t0 = Unix.gettimeofday () in
   let train_prog = Lower.compile (Workloads.train_source w) in
   let profile, _ = Profiler.profile train_prog in
-  let prof_wall_s = Unix.gettimeofday () -. t0 in
   (* The six measurement tasks are independent; fan them out to the
      domain pool.  [Parpool.parmap] joins in submission order, so the
      result record — and hence all table output — is identical to the
@@ -103,7 +98,9 @@ let run_workload ?(quick = false) ?(backend = Machine.Inorder)
       noopt, base, prof_spec, heur_spec, aggressive, reuse_frac
     | _ -> assert false
   in
-  (* correctness gate: every variant reproduces the unoptimized output *)
+  (* correctness gate: every variant reproduces the unoptimized output.
+     The aggressive upper bound is only correct when no aliasing actually
+     occurs; kernels with real aliasing legitimately diverge there *)
   let expect = noopt.r_machine.Machine.output in
   List.iter
     (fun (name, r) ->
@@ -112,16 +109,8 @@ let run_workload ?(quick = false) ?(backend = Machine.Inorder)
           (Printf.sprintf "experiment %s: variant %s diverged" w.Workloads.name
              name))
     [ "base", base; "profile", prof_spec; "heuristic", heur_spec ];
-  (* the aggressive upper bound is only correct when no aliasing actually
-     occurs; kernels with real aliasing legitimately diverge there *)
-  let total_wall_s =
-    prof_wall_s
-    +. List.fold_left (fun acc r -> acc +. r.r_wall_s) 0.
-         [ noopt; base; prof_spec; heur_spec; aggressive ]
-  in
   { wname = w.Workloads.name; backend; fp = w.Workloads.fp; noopt;
-    base; prof_spec; heur_spec; aggressive; reuse_frac; prof_wall_s;
-    total_wall_s; train_profile = profile }
+    base; prof_spec; heur_spec; aggressive; reuse_frac }
 
 (** Run a sweep of workloads on the domain pool; results are in input
     order, so output is independent of [--jobs].  The per-workload
@@ -270,104 +259,6 @@ let smvp_case_study (b : bench_result) : smvp_study =
     tuned_speedup = speedup ~base:b.base ~spec:b.aggressive }
 
 (* ------------------------------------------------------------------ *)
-(* Engine throughput (tree-walking oracle vs vm)                       *)
-(* ------------------------------------------------------------------ *)
-
-(** One workload's engine-throughput cell: the same (unoptimized)
-    program executed by the tree-walking oracle ({!Interp_ref}) and the
-    threaded-code vm ({!Vm}), with best-of-[reps] wall times.  [e_steps]
-    is the number of source statements both retire; [e_insns] is the
-    resolved machine's instruction count on the same program — a fixed
-    work measure, so Mstmt/s and Minsn/s rates compare engines on
-    identical work. *)
-type engine_cell = {
-  e_wname : string;
-  e_steps : int;
-  e_insns : int;
-  e_ref_s : float;   (** tree-walking oracle, best-of wall *)
-  e_vm_s : float;    (** threaded-code vm, best-of wall *)
-}
-
-let engine_ref_over_vm (c : engine_cell) =
-  if c.e_vm_s > 0. then c.e_ref_s /. c.e_vm_s else 0.
-
-(** Throughput of one engine leg in million units per second. *)
-let engine_mrate units wall_s =
-  if wall_s > 0. then float_of_int units /. wall_s /. 1e6 else 0.
-
-let best_of_wall reps f =
-  let rec go i best =
-    if i >= reps then best
-    else begin
-      let t0 = Unix.gettimeofday () in
-      ignore (f ());
-      let dt = Unix.gettimeofday () -. t0 in
-      go (i + 1) (if dt < best then dt else best)
-    end
-  in
-  go 0 infinity
-
-(** Measure one workload's engine throughput.  The first (untimed) vm
-    run doubles as the agreement gate: its output and retired-statement
-    count must match the tree-walking oracle exactly.  Timed runs are
-    best-of-[reps] and must execute sequentially — the caller must not
-    put this on the domain pool. *)
-let engine_bench_workload ?(quick = false) ?(reps = 5)
-    (w : Workloads.workload) : engine_cell =
-  let params = if quick then w.Workloads.train else w.Workloads.ref_ in
-  let src = w.Workloads.source params in
-  let iprog = Lower.compile src in
-  let vprog = Vmcode.compile iprog in
-  let oracle = Interp_ref.run iprog in
-  let vm = Vm.run_program vprog in
-  if vm.Interp.output <> oracle.Interp_ref.output
-     || vm.Interp.counters.Interp.steps
-        <> oracle.Interp_ref.counters.Interp_ref.steps
-  then
-    failwith
-      (Printf.sprintf "engine bench %s: vm diverged from the tree-walking oracle"
-         w.Workloads.name);
-  let insns =
-    let p = Lower.compile src in
-    let r = Pipeline.optimize p Pipeline.Noopt in
-    let mp = Spec_codegen.Codegen.lower r.Pipeline.prog in
-    ignore (Spec_codegen.Schedule.run mp : Spec_codegen.Schedule.stats);
-    (Machine.run ~config:!machine_config mp).Machine.perf.Machine.insns
-  in
-  { e_wname = w.Workloads.name;
-    e_steps = vm.Interp.counters.Interp.steps;
-    e_insns = insns;
-    e_ref_s = best_of_wall reps (fun () -> Interp_ref.run iprog);
-    e_vm_s = best_of_wall reps (fun () -> Vm.run_program vprog) }
-
-(** Engine-throughput sweep.  Strictly sequential: the cells carry wall
-    times, so the pool would only add scheduler noise. *)
-let run_engine_bench ?(quick = false) ?reps (ws : Workloads.workload list) :
-    engine_cell list =
-  List.map (fun w -> engine_bench_workload ~quick ?reps w) ws
-
-let engine_header =
-  "workload  |   ref ms |    vm ms | ref/vm | vm Mstmt/s | vm Minsn/s"
-
-let engine_row (c : engine_cell) =
-  Printf.sprintf "%-9s | %8.3f | %8.3f | %5.1fx | %10.1f | %10.1f"
-    c.e_wname (1000. *. c.e_ref_s) (1000. *. c.e_vm_s)
-    (engine_ref_over_vm c)
-    (engine_mrate c.e_steps c.e_vm_s)
-    (engine_mrate c.e_insns c.e_vm_s)
-
-(** Geometric-mean oracle/vm speedup over a sweep — the headline engine
-    number. *)
-let engine_geomean (cells : engine_cell list) =
-  match cells with
-  | [] -> 0.
-  | _ ->
-    exp
-      (List.fold_left (fun acc c -> acc +. log (engine_ref_over_vm c)) 0.
-         cells
-       /. float_of_int (List.length cells))
-
-(* ------------------------------------------------------------------ *)
 (* Memory-dependence-predictor sweep (out-of-order core)               *)
 (* ------------------------------------------------------------------ *)
 
@@ -387,12 +278,6 @@ let mdp_name = function
   | Machine.Mdp_last_violator -> "last-violator"
   | Machine.Mdp_none -> "none"
 
-let mdp_of_string = function
-  | "store-set" -> Some Machine.Mdp_store_set
-  | "last-violator" -> Some Machine.Mdp_last_violator
-  | "none" -> Some Machine.Mdp_none
-  | _ -> None
-
 let all_mdps =
   [ Machine.Mdp_store_set; Machine.Mdp_last_violator; Machine.Mdp_none ]
 
@@ -407,9 +292,7 @@ let all_mdps =
     instruction count (prediction is a timing-only concern — a
     difference is a simulator bug and fails the sweep). *)
 let mdp_cells_of ~name (prog : Sir.prog) : mdp_cell list =
-  let mp = Spec_codegen.Codegen.lower prog in
-  ignore (Spec_codegen.Schedule.run mp : Spec_codegen.Schedule.stats);
-  let rp = Machine.resolve mp in
+  let rp = Machine.resolve (lower_scheduled prog) in
   let runs =
     List.map
       (fun policy ->
@@ -510,6 +393,16 @@ let mdp_row (cells : mdp_cell list) (c : mdp_cell) =
 (* Ablations (§6 of DESIGN.md)                                          *)
 (* ------------------------------------------------------------------ *)
 
+(** Fig. 10's profile variant of [prog] on the in-order core.  The
+    control-speculation, alias-threshold and ALAT-capacity ablations each
+    vary one knob of it: the SSAPRE [config] or the [machine]. *)
+let run_profile_variant ?config ?(machine = !machine_config) profile prog =
+  let r =
+    Pipeline.optimize ~config ~edge_profile:(Some profile) prog
+      (Pipeline.Spec_profile profile)
+  in
+  Machine.run ~config:machine (lower_scheduled r.Pipeline.prog)
+
 (** Control-speculation ablation: speculative PRE with and without
     insertion at non-downsafe Phis. *)
 let ablate_control_spec ?(quick = false) (w : Workloads.workload) =
@@ -517,17 +410,12 @@ let ablate_control_spec ?(quick = false) (w : Workloads.workload) =
   let profile, _ = Profiler.profile train_prog in
   let params = if quick then w.Workloads.train else w.Workloads.ref_ in
   let run ~control_spec =
-    let prog = Lower.compile (w.Workloads.source params) in
     let config =
       { (Spec_ssapre.Ssapre.default_config Spec_spec.Flags.Nonspec) with
         Spec_ssapre.Ssapre.control_spec }
     in
-    let r =
-      Pipeline.optimize ~config:(Some config) ~edge_profile:(Some profile)
-        prog (Pipeline.Spec_profile profile)
-    in
-    Machine.run ~config:!machine_config
-      (Spec_codegen.Codegen.lower r.Pipeline.prog)
+    run_profile_variant ~config profile
+      (Lower.compile (w.Workloads.source params))
   in
   let with_cs = run ~control_spec:true in
   let without_cs = run ~control_spec:false in
@@ -555,19 +443,11 @@ let ablate_threshold ?(alias_permille = 30) thresholds =
   let profile = Pipeline.profile_of_source src in
   List.map
     (fun threshold ->
-      let prog = Lower.compile src in
       let config =
         { (Spec_ssapre.Ssapre.default_config Spec_spec.Flags.Nonspec) with
           Spec_ssapre.Ssapre.alias_threshold = threshold }
       in
-      let r =
-        Pipeline.optimize ~config:(Some config) ~edge_profile:(Some profile)
-          prog (Pipeline.Spec_profile profile)
-      in
-      let m =
-        Machine.run ~config:!machine_config
-          (Spec_codegen.Codegen.lower r.Pipeline.prog)
-      in
+      let m = run_profile_variant ~config profile (Lower.compile src) in
       let p = m.Machine.perf in
       (threshold, Machine.loads_retired p, p.Machine.checks,
        p.Machine.check_misses, p.Machine.cycles))
@@ -579,18 +459,18 @@ let ablate_schedule ?(quick = false) (w : Workloads.workload) =
   let train_prog = Lower.compile (Workloads.train_source w) in
   let profile, _ = Profiler.profile train_prog in
   let params = if quick then w.Workloads.train else w.Workloads.ref_ in
-  let build () =
+  let plain =
     let prog = Lower.compile (w.Workloads.source params) in
     let r =
       Pipeline.optimize ~edge_profile:(Some profile) prog
         (Pipeline.Spec_profile profile)
     in
-    Spec_codegen.Codegen.lower r.Pipeline.prog
+    Machine.run ~config:!machine_config
+      (Spec_codegen.Codegen.lower r.Pipeline.prog)
   in
-  let plain = Machine.run ~config:!machine_config (build ()) in
-  let mp = build () in
-  ignore (Spec_codegen.Schedule.run mp : Spec_codegen.Schedule.stats);
-  let sched = Machine.run ~config:!machine_config mp in
+  let sched =
+    run_profile_variant profile (Lower.compile (w.Workloads.source params))
+  in
   if plain.Machine.output <> sched.Machine.output then
     failwith ("scheduling changed behaviour on " ^ w.Workloads.name);
   (w.Workloads.name, plain.Machine.perf.Machine.cycles,
@@ -685,9 +565,8 @@ let stress_variant ~quick ~seed ~oracle ~backend (w : Workloads.workload)
     let flips =
       match perturb with Some p -> Spec_spec.Flags.flipped p | None -> 0
     in
-    let mp = Spec_codegen.Codegen.lower r.Pipeline.prog in
-    ignore (Spec_codegen.Schedule.run mp : Spec_codegen.Schedule.stats);
-    (Machine.resolve mp, Vmcode.compile r.Pipeline.prog, flips)
+    (Machine.resolve (lower_scheduled r.Pipeline.prog),
+     Vmcode.compile r.Pipeline.prog, flips)
   in
   let adversaries =
     List.sort_uniq compare
@@ -779,9 +658,8 @@ let stress_workload ?(quick = false) ?(seed = 1) ?points
   let oracle_run () =
     let prog = Lower.compile (w.Workloads.source params) in
     let r = Pipeline.optimize ~edge_profile:(Some profile) prog Pipeline.Noopt in
-    let mp = Spec_codegen.Codegen.lower r.Pipeline.prog in
-    ignore (Spec_codegen.Schedule.run mp : Spec_codegen.Schedule.stats);
-    Machine.run_on backend ~config:!machine_config mp
+    Machine.run_on backend ~config:!machine_config
+      (lower_scheduled r.Pipeline.prog)
   in
   let oracle = (oracle_run ()).Machine.output in
   let variants =
@@ -801,10 +679,9 @@ let stress_workload ?(quick = false) ?(seed = 1) ?points
           let r =
             Pipeline.optimize ~edge_profile:(Some profile) prog variant
           in
-          let mp = Spec_codegen.Codegen.lower r.Pipeline.prog in
-          ignore (Spec_codegen.Schedule.run mp : Spec_codegen.Schedule.stats);
           let self =
-            (Machine.run_on backend ~config:!machine_config mp).Machine.output
+            (Machine.run_on backend ~config:!machine_config
+               (lower_scheduled r.Pipeline.prog)).Machine.output
           in
           stress_variant ~quick ~seed ~oracle:self ~backend w profile points
             ("aggressive", variant)
@@ -871,9 +748,6 @@ type fdo_result = {
   f_match_rate : float;    (** store self-match rate — must be 1.0 *)
 }
 
-let total_pass_runs (r : Passes.report) =
-  List.fold_left (fun acc ps -> acc + ps.Passes.ps_runs) 0 r.Passes.rp_passes
-
 let rm_rf_cache dir =
   (match Sys.readdir dir with
    | files ->
@@ -921,8 +795,8 @@ let run_fdo ?(quick = false) (w : Workloads.workload) : fdo_result =
     f_misses = st.Spec_fdo.Cache.misses;
     f_stores = st.Spec_fdo.Cache.stores;
     f_evictions = st.Spec_fdo.Cache.evictions;
-    f_cold_passes = total_pass_runs cold.Pipeline.report;
-    f_warm_passes = total_pass_runs warm.Pipeline.report;
+    f_cold_passes = Passes.total_runs cold.Pipeline.report;
+    f_warm_passes = Passes.total_runs warm.Pipeline.report;
     f_warm_hit = warm.Pipeline.from_cache;
     f_identical =
       Pp.prog_to_string warm.Pipeline.prog
@@ -947,34 +821,17 @@ let fdo_row (f : fdo_result) =
     (100. *. f.f_match_rate)
 
 (* ------------------------------------------------------------------ *)
-(* Compile-throughput bench (parallel per-function pipeline)           *)
+(* Many-function compile units                                         *)
 (* ------------------------------------------------------------------ *)
 
-(** One workload's cold-compile throughput comparison: the heuristic
-    pipeline (no profile needed — pure compile cost) run at [--jobs 1]
-    and at [--jobs N] against the same source.  The optimized programs
-    must print byte-identically; the sequential run also records its
-    allocation footprint and per-pass breakdown (the dense-internals
-    metrics). *)
-type compile_result = {
-  c_wname : string;
-  c_funcs : int;            (** functions in the lowered program *)
-  c_jobs : int;             (** domain count of the parallel measurement *)
-  c_seq_s : float;          (** best cold-compile wall, jobs = 1 *)
-  c_par_s : float;          (** best cold-compile wall, jobs = N *)
-  c_seq_alloc_w : float;    (** words allocated by one sequential compile *)
-  c_identical : bool;       (** parallel output byte-identical to sequential *)
-  c_report : Passes.report; (** the sequential compile's pass breakdown *)
-}
-
-(* A compile-throughput unit: [copies] renamed copies of a kernel's
-   source concatenated into one translation unit, plus a driver [main]
-   invoking each copy.  Per-function parallelism needs many functions to
-   chew on, and the workload kernels have only a handful each — so the
-   bench scales them the way a real translation unit grows: more
-   functions, not bigger ones.  Renaming is plain alpha-renaming of the
-   kernel's top-level names (functions and globals), discovered from a
-   probe compile; builtins are untouched. *)
+(* A compile unit: [copies] renamed copies of a kernel's source
+   concatenated into one translation unit, plus a driver [main] invoking
+   each copy.  Per-function parallelism needs many functions to chew on,
+   and the workload kernels have only a handful each — so [perf/]'s
+   build workload and the tests scale them the way a real translation
+   unit grows: more functions, not bigger ones.  Renaming is plain
+   alpha-renaming of the kernel's top-level names (functions and
+   globals), discovered from a probe compile; builtins are untouched. *)
 let is_ident_char c =
   (c >= 'a' && c <= 'z')
   || (c >= 'A' && c <= 'Z')
@@ -1024,88 +881,6 @@ let compile_unit ~copies src =
   Buffer.add_string buf "  return 0;\n}\n";
   Buffer.contents buf
 
-(* One cold compile: lower outside the timed region (the bench measures
-   the optimizer, not the frontend), then the full heuristic pipeline. *)
-let compile_once src =
-  let prog = Lower.compile src in
-  let t0 = Unix.gettimeofday () in
-  let r = Pipeline.optimize prog Pipeline.Spec_heuristic in
-  (Unix.gettimeofday () -. t0, r)
-
-(* Best-of-[reps] cold compile at the current pool size.  The repeats
-   absorb scheduler noise; every repetition starts from a fresh lowered
-   program, so each one is a genuinely cold compile. *)
-let best_compile ~reps src =
-  let dt0, r0 = compile_once src in
-  let rec go i ((bdt, _) as acc) =
-    if i >= reps then acc
-    else
-      let dt, r = compile_once src in
-      go (i + 1) (if dt < bdt then (dt, r) else acc)
-  in
-  go 1 (dt0, r0)
-
-(** Compile-throughput measurement of one workload.  Flips the global
-    pool between the two legs, so it must not itself run on the pool;
-    the caller restores the pool afterwards. *)
-let compile_workload ?(quick = false) ~jobs (w : Workloads.workload) :
-    compile_result =
-  let params = if quick then w.Workloads.train else w.Workloads.ref_ in
-  let copies = if quick then 6 else 24 in
-  let src = compile_unit ~copies (w.Workloads.source params) in
-  let reps = if quick then 1 else 3 in
-  Parpool.set_jobs 1;
-  (* allocation words measured on a dedicated run: [Gc.allocated_bytes]
-     counts the calling domain only, which is exact when jobs = 1 *)
-  let a0 = Gc.allocated_bytes () in
-  let _, _ = compile_once src in
-  let alloc_w =
-    (Gc.allocated_bytes () -. a0) /. float_of_int (Sys.word_size / 8)
-  in
-  let seq_s, seq_r = best_compile ~reps src in
-  Parpool.set_jobs jobs;
-  let par_s, par_r = best_compile ~reps src in
-  { c_wname = w.Workloads.name;
-    c_funcs = List.length seq_r.Pipeline.prog.Sir.func_order;
-    c_jobs = jobs;
-    c_seq_s = seq_s;
-    c_par_s = par_s;
-    c_seq_alloc_w = alloc_w;
-    c_identical =
-      Pp.prog_to_string par_r.Pipeline.prog
-      = Pp.prog_to_string seq_r.Pipeline.prog;
-    c_report = seq_r.Pipeline.report }
-
-(** Sweep the compile bench over [ws].  Runs strictly sequentially (each
-    measurement owns the global pool) and restores the pool size the
-    harness configured before returning. *)
-let run_compile_bench ?(quick = false) ?(jobs = 4)
-    (ws : Workloads.workload list) : compile_result list =
-  let prev = Parpool.get_jobs () in
-  let results = List.map (fun w -> compile_workload ~quick ~jobs w) ws in
-  Parpool.set_jobs prev;
-  results
-
-let compile_speedup (c : compile_result) =
-  if c.c_par_s > 0. then c.c_seq_s /. c.c_par_s else 0.
-
-(** Aggregate sweep speedup: total sequential wall over total parallel
-    wall (the whole-sweep number the acceptance gate checks). *)
-let compile_total_speedup (cells : compile_result list) =
-  let seq = List.fold_left (fun a c -> a +. c.c_seq_s) 0. cells in
-  let par = List.fold_left (fun a c -> a +. c.c_par_s) 0. cells in
-  if par > 0. then seq /. par else 0.
-
-let compile_header =
-  "benchmark | funcs |  seq ms |  par ms | speedup | alloc Mwords | identical"
-
-let compile_row (c : compile_result) =
-  Printf.sprintf "%-9s | %5d | %7.2f | %7.2f | %6.2fx | %12.2f | %9s"
-    c.c_wname c.c_funcs (1000. *. c.c_seq_s) (1000. *. c.c_par_s)
-    (compile_speedup c)
-    (c.c_seq_alloc_w /. 1e6)
-    (if c.c_identical then "yes" else "NO")
-
 (** ALAT capacity ablation: mis-speculation ratio vs table size. *)
 let ablate_alat ?(quick = false) (w : Workloads.workload) sizes =
   let train_prog = Lower.compile (Workloads.train_source w) in
@@ -1113,15 +888,10 @@ let ablate_alat ?(quick = false) (w : Workloads.workload) sizes =
   let params = if quick then w.Workloads.train else w.Workloads.ref_ in
   List.map
     (fun entries ->
-      let prog = Lower.compile (w.Workloads.source params) in
-      let r =
-        Pipeline.optimize ~edge_profile:(Some profile) prog
-          (Pipeline.Spec_profile profile)
-      in
       let m =
-        Machine.run
-          ~config:{ !machine_config with Machine.alat_entries = entries }
-          (Spec_codegen.Codegen.lower r.Pipeline.prog)
+        run_profile_variant
+          ~machine:{ !machine_config with Machine.alat_entries = entries }
+          profile (Lower.compile (w.Workloads.source params))
       in
       let p = m.Machine.perf in
       (entries, p.Machine.checks, p.Machine.check_misses))

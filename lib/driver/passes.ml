@@ -1042,6 +1042,13 @@ let report mgr =
 (* Report rendering                                                    *)
 (* ------------------------------------------------------------------ *)
 
+let total_runs r =
+  let rec go acc = function
+    | [] -> acc
+    | st :: rest -> go (acc + st.ps_runs) rest
+  in
+  go 0 r.rp_passes
+
 let counters_to_string c =
   Printf.sprintf
     "analyses: steensgaard=%d modref=%d annotate=%d dom=%d safety=%d \
@@ -1071,35 +1078,4 @@ let report_to_string r =
     Buffer.add_string buf
       (Printf.sprintf "inter-pass verification: %d runs, all clean\n"
          r.rp_verified);
-  Buffer.contents buf
-
-let report_to_json r =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\"passes\":[";
-  List.iteri
-    (fun i st ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"name\":%S,\"runs\":%d,\"touched\":%d,\"ms\":%.3f,\"stats\":{"
-           st.ps_pass st.ps_runs st.ps_touched (st.ps_time *. 1000.));
-      List.iteri
-        (fun j (k, v) ->
-          if j > 0 then Buffer.add_char buf ',';
-          Buffer.add_string buf (Printf.sprintf "%S:%d" k v))
-        st.ps_counters;
-      Buffer.add_string buf "}}")
-    r.rp_passes;
-  let c = r.rp_counters in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "],\"analyses\":{\"steensgaard_runs\":%d,\"modref_runs\":%d,\
-        \"annot_runs\":%d,\"dom_runs\":%d,\"safety_runs\":%d,\
-        \"points_to_hits\":%d,\"annot_hits\":%d,\"dom_hits\":%d,\
-        \"safety_hits\":%d},\"verified\":%d,\
-        \"total_ms\":%.3f}"
-       c.steensgaard_runs c.modref_runs c.annot_runs c.dom_runs
-       c.safety_runs c.points_to_hits c.annot_hits c.dom_hits
-       c.safety_hits r.rp_verified
-       (r.rp_total_time *. 1000.));
   Buffer.contents buf

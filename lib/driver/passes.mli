@@ -158,6 +158,9 @@ val fused_post :
   manager -> ?deopt_vbase:int -> strength:bool -> strip:bool -> unit ->
   (string * bool) list
 
+(** Pass runs summed over every pass of a report (0 for a compile served
+    from the cache). *)
+val total_runs : report -> int
+
 val counters_to_string : counters -> string
 val report_to_string : report -> string
-val report_to_json : report -> string

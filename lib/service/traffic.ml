@@ -289,13 +289,3 @@ let run_traffic_replay ?(quick = false) ?(seed = 1) ?requests () =
     t_p99_ms = percentile sorted 0.99;
     t_wall_s = wall;
     t_rps = (if wall > 0. then float_of_int n_requests /. wall else 0.) }
-
-let to_json c =
-  Printf.sprintf
-    "{\"seed\":%d,\"requests\":%d,\"units\":%d,\"cold\":%d,\"warm\":%d,\
-     \"joined\":%d,\"parked\":%d,\"reports\":%d,\"recompiles\":%d,\
-     \"errors\":%d,\"divergences\":%d,\"p50_ms\":%.6f,\"p99_ms\":%.6f,\
-     \"wall_s\":%.6f,\"throughput_rps\":%.6f}"
-    c.t_seed c.t_requests c.t_units c.t_cold c.t_warm c.t_joined c.t_parked
-    c.t_reports c.t_recompiles c.t_errors c.t_divergences c.t_p50_ms
-    c.t_p99_ms c.t_wall_s c.t_rps

@@ -43,7 +43,3 @@ type cell = {
     to run. *)
 val run_traffic_replay :
   ?quick:bool -> ?seed:int -> ?requests:int -> unit -> cell
-
-(** The [service] section of the bench dump, as a pre-rendered JSON
-    object ({!Spec_driver.Bench_json.dump}'s [?service]). *)
-val to_json : cell -> string

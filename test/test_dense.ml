@@ -209,39 +209,6 @@ let prop_dense_differential =
              = Pp.prog_to_string r2.Pipeline.prog)
         [ Pipeline.Base; Pipeline.Spec_heuristic ])
 
-(* ---- bench schema: the optional "compile" section ---- *)
-
-(* A real (quick) compile-throughput cell must satisfy the pinned
-   schema, assert byte-identical parallel output, and a malformed cell
-   must be rejected. *)
-let test_bench_json_compile_section () =
-  let w = Spec_workloads.Workloads.find "vpr" in
-  let cells = Experiments.run_compile_bench ~quick:true ~jobs:2 [ w ] in
-  List.iter
-    (fun (c : Experiments.compile_result) ->
-      check_bool "parallel output byte-identical" true
-        c.Experiments.c_identical)
-    cells;
-  let dump =
-    Bench_json.dump ~date:"2026-08-07" ~inputs:"train" ~jobs:2
-      ~harness_wall_s:0.1
-      ~compile:(Bench_json.compile_json cells)
-      []
-  in
-  (match Bench_json.check dump with
-   | Ok () -> ()
-   | Error e -> Alcotest.fail ("compile section rejected: " ^ e));
-  let broken =
-    Bench_json.dump ~date:"2026-08-07" ~inputs:"train" ~jobs:2
-      ~harness_wall_s:0.1
-      ~compile:
-        "{\"jobs\":2,\"total_speedup\":1.0,\"workloads\":[{\"workload\":\"w\"}]}"
-      []
-  in
-  (match Bench_json.check broken with
-   | Ok () -> Alcotest.fail "accepted malformed compile cell"
-   | Error _ -> ())
-
 let suite =
   [ Alcotest.test_case "scratch ints recycle dirty" `Quick
       test_scratch_ints_reuse;
@@ -253,6 +220,4 @@ let suite =
     Alcotest.test_case "build_func formals_v1" `Quick test_formals_v1;
     Alcotest.test_case "ssapre formals fast path == symtab scan" `Quick
       test_ssapre_formals_differential;
-    QCheck_alcotest.to_alcotest prop_dense_differential;
-    Alcotest.test_case "bench json compile section" `Quick
-      test_bench_json_compile_section ]
+    QCheck_alcotest.to_alcotest prop_dense_differential ]

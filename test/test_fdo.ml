@@ -4,8 +4,7 @@
    stale-profile matching on edited sources (sound: outputs always
    bit-identical to the unoptimized oracle), full-fidelity SIR
    serialization, the content-addressed cache (hit / miss / evict /
-   corrupt-artifact recovery), and the "fdo" section of the
-   [specpre-bench/2] schema. *)
+   corrupt-artifact recovery). *)
 
 open Spec_ir
 open Spec_fdo
@@ -416,9 +415,6 @@ let test_store_save_atomic () =
        (fun f -> not (String.starts_with ~prefix:".tmp." f))
        (Sys.readdir dir))
 
-let total_pass_runs (r : Passes.report) =
-  List.fold_left (fun acc ps -> acc + ps.Passes.ps_runs) 0 r.Passes.rp_passes
-
 let test_cache_blob_store () =
   let c = Cache.create (fresh_dir "blob") in
   let key = String.make 32 'a' in
@@ -450,11 +446,11 @@ let test_cache_pipeline_hit () =
   let cold = compile () in
   check_bool "cold compile is not from cache" false cold.Pipeline.from_cache;
   check_bool "cold compile ran passes" true
-    (total_pass_runs cold.Pipeline.report > 0);
+    (Passes.total_runs cold.Pipeline.report > 0);
   let warm = compile () in
   check_bool "warm compile is from cache" true warm.Pipeline.from_cache;
   check_int "warm compile ran zero passes" 0
-    (total_pass_runs warm.Pipeline.report);
+    (Passes.total_runs warm.Pipeline.report);
   check_str "warm program identical"
     (Pp.prog_to_string cold.Pipeline.prog)
     (Pp.prog_to_string warm.Pipeline.prog);
@@ -556,32 +552,6 @@ let test_cache_profile_needs_digest () =
     (Pp.prog_to_string r2.Pipeline.prog)
     (Pp.prog_to_string r3.Pipeline.prog)
 
-(* ---- bench schema: the optional "fdo" section ---- *)
-
-let test_bench_json_fdo_section () =
-  let cell =
-    { Experiments.f_wname = "w"; f_cold_s = 0.01; f_warm_s = 0.001;
-      f_hits = 1; f_misses = 1; f_stores = 1; f_evictions = 0;
-      f_cold_passes = 26; f_warm_passes = 0; f_warm_hit = true;
-      f_identical = true; f_match_rate = 1.0 }
-  in
-  let fdo = Bench_json.fdo_json [ cell ] in
-  let dump =
-    Bench_json.dump ~date:"2026-08-07" ~inputs:"train" ~jobs:1
-      ~harness_wall_s:0.1 ~fdo []
-  in
-  (match Bench_json.check dump with
-   | Ok () -> ()
-   | Error e -> Alcotest.fail ("fdo section rejected: " ^ e));
-  (* a malformed cell (missing field) must be rejected *)
-  let broken =
-    Bench_json.dump ~date:"2026-08-07" ~inputs:"train" ~jobs:1
-      ~harness_wall_s:0.1 ~fdo:"{\"workloads\":[{\"workload\":\"w\"}]}" []
-  in
-  (match Bench_json.check broken with
-   | Ok () -> Alcotest.fail "accepted malformed fdo cell"
-   | Error _ -> ())
-
 let suite =
   [ Alcotest.test_case "textio round trip" `Quick test_textio_roundtrip;
     Alcotest.test_case "store round trip" `Quick test_store_roundtrip;
@@ -608,6 +578,4 @@ let suite =
     Alcotest.test_case "cache store failure leaves no temp file" `Quick
       test_cache_store_failure;
     Alcotest.test_case "profile compiles need a digest" `Quick
-      test_cache_profile_needs_digest;
-    Alcotest.test_case "bench json fdo section" `Quick
-      test_bench_json_fdo_section ]
+      test_cache_profile_needs_digest ]

@@ -95,6 +95,24 @@ let test_profile_variant () =
     [ "equake"; "gzip" ]
 
 (* ------------------------------------------------------------------ *)
+(* Many-function units                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* 6-copy units ({!Experiments.compile_unit}) give each per-function
+   segment dozens of tasks to fan out, where a single kernel gives a
+   handful *)
+let test_compile_units () =
+  List.iter
+    (fun name ->
+      let src =
+        Experiments.compile_unit ~copies:6
+          (Workloads.train_source (Workloads.find name))
+      in
+      check_variant ~wname:(name ^ "x6") ~vname:"heuristic" src
+        Pipeline.Spec_heuristic)
+    [ "equake"; "vpr" ]
+
+(* ------------------------------------------------------------------ *)
 (* --verify-each: inter-task verification must be jobs-independent     *)
 (* ------------------------------------------------------------------ *)
 
@@ -157,4 +175,6 @@ let suite =
     Alcotest.test_case "--verify-each under --jobs 4" `Slow
       test_verify_each_parallel;
     Alcotest.test_case "compile-cache keys are jobs-independent" `Quick
-      test_cache_key_jobs_independent ]
+      test_cache_key_jobs_independent;
+    Alcotest.test_case "6-copy units x heuristic: --jobs 4 == --jobs 1"
+      `Slow test_compile_units ]

@@ -112,16 +112,7 @@ let test_report_collects_all_pass_stats () =
   check_bool "every pass was timed" true
     (List.for_all (fun s -> s.Passes.ps_time >= 0.) rp.Passes.rp_passes);
   check_bool "report renders" true
-    (String.length (Passes.report_to_string rp) > 0);
-  (* the JSON dump is parseable enough to contain every pass name *)
-  let contains hay needle =
-    let n = String.length needle and h = String.length hay in
-    let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
-    go 0
-  in
-  let json = Passes.report_to_json rp in
-  check_bool "json dump mentions ssapre" true
-    (contains json "\"name\":\"ssapre\"")
+    (String.length (Passes.report_to_string rp) > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Inter-pass verification                                             *)

@@ -125,6 +125,23 @@ let test_alat_ablation_monotone () =
       (misses_small >= misses_big)
   | _ -> Alcotest.fail "expected two rows"
 
+(* the control-speculation ablation's "on" build is Fig. 10's profile
+   variant, and both lower and schedule the same way, so its loads and
+   cycles must be the harness's *)
+let test_cspec_ablation_is_profile_variant () =
+  let module M = Spec_machine.Machine in
+  List.iter
+    (fun name ->
+      let w = Workloads.find name in
+      let b = Experiments.run_workload ~quick:true w in
+      let p = b.Experiments.prof_spec.Experiments.r_machine.M.perf in
+      let _, loads_on, _, cycles_on, _ =
+        Experiments.ablate_control_spec ~quick:true w
+      in
+      check_int (name ^ ": loads (cspec on)") (M.loads_retired p) loads_on;
+      check_int (name ^ ": cycles (cspec on)") p.M.cycles cycles_on)
+    [ "art"; "equake" ]
+
 let test_fig12_potential_bounds_achieved () =
   List.iter
     (fun name ->
@@ -151,4 +168,6 @@ let suite =
     Alcotest.test_case "gzip misspec on ref" `Slow test_gzip_misspeculates_on_ref;
     Alcotest.test_case "no misspec on train" `Slow test_no_misspec_on_train;
     Alcotest.test_case "ALAT ablation monotone" `Slow test_alat_ablation_monotone;
-    Alcotest.test_case "fig12 bounds" `Slow test_fig12_potential_bounds_achieved ]
+    Alcotest.test_case "fig12 bounds" `Slow test_fig12_potential_bounds_achieved;
+    Alcotest.test_case "cspec ablation is the profile variant" `Slow
+      test_cspec_ablation_is_profile_variant ]
