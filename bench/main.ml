@@ -44,10 +44,15 @@
    out-of-order control runs only where it answers a question of its
    own: the backends and mdp tables and the stress table's OoO column.
    Every variant also runs on the vm, which must reproduce the machine's
-   output.  Workload results are computed per workload on demand and
-   memoized, so `--table smvp` only runs equake; table output is
-   deterministic in [--jobs] (see Parpool).  An unknown argument or
-   table name exits 2. *)
+   output.  Each workload is built once, on demand (one profile of its
+   train input and one compile per variant, see Experiments.prepare),
+   and measured on the in-order core; the result is memoized, so
+   `--table smvp` only runs equake, and every other table and sweep
+   runs on the memoized builds.  Table output is deterministic in
+   [--jobs] (see Parpool): test/quick_tables.txt (470 lines) pins the
+   --quick output of the paper's tables, safety, stress, backends and
+   the four ablations, and dune runtest diffs it at --jobs 1 and at
+   --jobs 3.  An unknown argument or table name exits 2. *)
 
 open Spec_driver
 
@@ -89,17 +94,20 @@ let all_results () = results Spec_workloads.Workloads.all
 
 let result_of name = List.hd (results [ Spec_workloads.Workloads.find name ])
 
+let builds () = List.map (fun b -> b.Experiments.build) (all_results ())
+
 (** The in-order/OoO pairs for the comparison table and the record's
-    [backends] section.  The OoO workload sweep runs only here, and its
-    hard agreement gate runs before anything is printed or recorded: any
-    program-output or instruction-count disagreement between the cores
-    fails the run. *)
+    [backends] section.  The OoO core re-runs the in-order results'
+    builds only here, and its hard agreement gate runs before anything
+    is printed or recorded: any program-output or instruction-count
+    disagreement between the cores fails the run. *)
 let backend_pairs =
   lazy
     (let inorder = all_results () in
      let ooo =
-       Experiments.run_workloads ~quick:!quick ~backend:Machine.Ooo
-         Spec_workloads.Workloads.all
+       Parpool.parmap
+         (fun b -> Experiments.measure ~backend:Machine.Ooo b.Experiments.build)
+         inorder
      in
      List.iter2 Experiments.check_backend_agreement inorder ooo;
      List.combine inorder ooo)
@@ -125,7 +133,9 @@ let table_backends () =
     outputs and instruction counts must agree across policies or the
     sweep fails. *)
 let mdp_cells =
-  lazy (Experiments.run_mdp_sweep ~quick:!quick Spec_workloads.Workloads.all)
+  lazy
+    (Experiments.run_mdp_sweep (builds ())
+     @ Experiments.mdp_chain ~quick:!quick ())
 
 let table_mdp () =
   section
@@ -143,9 +153,7 @@ let table_mdp () =
     aggressive variant, which has no checks, its own fault-free output)
     — [Experiments.Safety_divergence] escapes and fails the run. *)
 let safety_cells =
-  lazy
-    (Experiments.run_safety ~quick:!quick ~seed:!stress_seed
-       Spec_workloads.Workloads.all)
+  lazy (Experiments.run_safety ~seed:!stress_seed (builds ()))
 
 let table_safety () =
   section
@@ -209,9 +217,7 @@ let table_ablate_cspec () =
     (fun (name, l_on, l_off, c_on, c_off) ->
       Printf.printf "%-9s | %16d | %11d | %11d | %12d\n" name l_on l_off c_on
         c_off)
-    (Parpool.parmap
-       (fun w -> Experiments.ablate_control_spec ~quick:!quick w)
-       Spec_workloads.Workloads.all)
+    (Parpool.parmap Experiments.ablate_control_spec (all_results ()))
 
 (* ------------------------------------------------------------------ *)
 (* Misspeculation stress sweep (--stress)                              *)
@@ -222,17 +228,15 @@ let table_ablate_cspec () =
     against the unoptimized oracle; [Experiments.Stress_divergence]
     escapes and fails the run (that is the CI gate). *)
 let stress_cells =
-  lazy
-    (Experiments.run_stress ~quick:!quick ~seed:!stress_seed
-       Spec_workloads.Workloads.all)
+  lazy (Experiments.run_stress ~seed:!stress_seed (builds ()))
 
 (** The same sweep on the OoO core, for the table's [ooo miss/cyc]
     column only.  Its fault streams are keyed by the [machine-ooo] scope,
     and it holds every output to the same oracle. *)
 let ooo_stress_cells =
   lazy
-    (Experiments.run_stress ~quick:!quick ~seed:!stress_seed
-       ~backend:Machine.Ooo Spec_workloads.Workloads.all)
+    (Experiments.run_stress ~seed:!stress_seed ~backend:Machine.Ooo
+       (builds ()))
 
 let table_stress () =
   section
@@ -262,9 +266,7 @@ let table_stress () =
     fails the run. *)
 let fdo_cells =
   lazy
-    (let cells =
-       Experiments.run_fdos ~quick:!quick Spec_workloads.Workloads.all
-     in
+    (let cells = Experiments.run_fdos (builds ()) in
      List.iter
        (fun (f : Experiments.fdo_result) ->
          if not f.Experiments.f_warm_hit then
@@ -301,8 +303,7 @@ let table_ablate_alat () =
   List.iter
     (fun (entries, checks, misses) ->
       Printf.printf "%7d | %6d | %12d\n" entries checks misses)
-    (Experiments.ablate_alat ~quick:!quick
-       (Spec_workloads.Workloads.find "equake")
+    (Experiments.ablate_alat (result_of "equake").Experiments.build
        [ 4; 8; 16; 32; 64 ])
 
 (* ------------------------------------------------------------------ *)
@@ -384,9 +385,7 @@ let table_ablate_sched () =
     (fun (name, plain, sched) ->
       Printf.printf "%-9s | %20d | %18d | %+6.1f\n" name plain sched
         (100. *. (float_of_int plain /. float_of_int sched -. 1.)))
-    (Parpool.parmap
-       (fun w -> Experiments.ablate_schedule ~quick:!quick w)
-       Spec_workloads.Workloads.all)
+    (Parpool.parmap Experiments.ablate_schedule (all_results ()))
 
 let known_tables =
   [ "smvp", table_smvp; "fig10", table_fig10; "fig11", table_fig11;

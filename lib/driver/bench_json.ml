@@ -147,7 +147,7 @@ let workload_json (b : Experiments.bench_result) =
             "data_cycle_reduction_pct", Float (data_cycle_reduction ~base ~spec);
             "check_pct", Float (check_pct spec);
             "misspec_pct", Float (misspec_ratio spec);
-            "reuse_potential_pct", Float (pct b.reuse_frac) ] );
+            "reuse_potential_pct", Float (pct b.build.reuse_frac) ] );
       rows "passes"
         (fun (name, r) ->
           Obj [ "variant", Str name; "report", report_json r.r_report ])

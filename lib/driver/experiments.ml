@@ -4,10 +4,12 @@
     Methodology, as in the paper: profiles (edge + alias) are collected on
     each kernel's *train* input; every pipeline variant is compiled with
     that profile and measured on the *ref* input on the ITL machine
-    simulator.  All variants must produce the reference output, and the
-    vm must reproduce the machine's output on every variant — the
-    harness asserts both, so every experiment run doubles as an
-    end-to-end correctness check of speculation and recovery.  The
+    simulator.  Each kernel is profiled and each variant compiled once,
+    in the kernel's {!build}; every table, sweep and ablation runs what
+    it varies on that build.  All variants must produce the reference
+    output, and the vm must reproduce the machine's output on every
+    variant — the harness asserts both, so every experiment run doubles
+    as an end-to-end correctness check of speculation and recovery.  The
     semantic oracle ({!Spec_prof.Interp_ref}) gates the safety sweep. *)
 
 open Spec_ir
@@ -21,6 +23,32 @@ type run = {
   r_report : Passes.report;  (** the pass reports of this compile *)
 }
 
+(** One variant of a build: the optimized program, lowered,
+    list-scheduled and resolved for the machine, its vm bytecode, and
+    what the vm printed running it. *)
+type compiled = {
+  c_variant : Pipeline.variant;
+  c_prog : Sir.prog;
+  c_rprog : Machine.rprog;
+  c_vprog : Vmcode.program;
+  c_output : string;
+  c_stats : Spec_ssapre.Ssapre.stats;
+  c_report : Passes.report;
+}
+
+(** A workload's build: its train input lowered and profiled once, and
+    the measured input compiled once per variant against that profile,
+    in the order noopt, base, profile, heuristic, aggressive.  Every
+    table, sweep and ablation runs what it varies on the build. *)
+type build = {
+  workload : Workloads.workload;
+  src : string;  (** the measured input's source *)
+  train_prog : Sir.prog;  (** the lowering the profile's sites key to *)
+  profile : Profile.t;
+  variants : compiled list;
+  reuse_frac : float;  (** simulation-based potential load reuse (Fig 12a) *)
+}
+
 type bench_result = {
   wname : string;
   backend : Machine.backend;  (** core model the variants ran on *)
@@ -30,10 +58,8 @@ type bench_result = {
   prof_spec : run;
   heur_spec : run;
   aggressive : run;
-  reuse_frac : float;  (** simulation-based potential load reuse (Fig 12a) *)
+  build : build;  (** what the variants ran *)
 }
-
-let machine_config = ref Machine.default_config
 
 (** Lower an optimized program to ITL and list-schedule it, as every
     table does: the paper's O3 baseline (ORC) schedules everything. *)
@@ -42,83 +68,81 @@ let lower_scheduled prog =
   ignore (Spec_codegen.Schedule.run mp : Spec_codegen.Schedule.stats);
   mp
 
-(** Compile the ref input under [variant], lower and schedule it
-    ({!lower_scheduled}), and run it on the machine backend [backend]
-    (default: the in-order EPIC core).  The same optimized program is
-    then executed on the vm, which must reproduce the machine's output
-    byte-for-byte — a vm/machine divergence fails the measurement rather
+(** The variant of [b] that {!Pipeline.variant_name} calls [name]. *)
+let find_variant (b : build) name =
+  List.find (fun c -> Pipeline.variant_name c.c_variant = name) b.variants
+
+(** Build [w]: train and profile it ({!Pipeline.train}), then compile
+    the ref input (the train input when [quick]) once per variant
+    against that profile, lower and schedule it ({!lower_scheduled}),
+    and run its bytecode on the vm once.  The five compiles fan out to
+    the domain pool.  Each forces its own bytecode, so a build holds
+    plain values only and tasks of other sweeps may read it. *)
+let prepare ?(quick = false) (w : Workloads.workload) : build =
+  let train_prog, profile, _ = Pipeline.train (Workloads.train_source w) in
+  let src =
+    w.Workloads.source (if quick then w.Workloads.train else w.Workloads.ref_)
+  in
+  let compile v =
+    let r =
+      Pipeline.optimize ~edge_profile:(Some profile) (Lower.compile src) v
+    in
+    let vprog = Lazy.force r.Pipeline.vm in
+    { c_variant = v; c_prog = r.Pipeline.prog;
+      c_rprog = Machine.resolve (lower_scheduled r.Pipeline.prog);
+      c_vprog = vprog; c_output = (Vm.run_program vprog).Interp.output;
+      c_stats = r.Pipeline.stats; c_report = r.Pipeline.report }
+  in
+  let variants =
+    Parpool.parmap compile
+      [ Pipeline.Noopt; Pipeline.Base; Pipeline.Spec_profile profile;
+        Pipeline.Spec_heuristic; Pipeline.Aggressive ]
+  in
+  let lr, _ = Load_reuse.analyse (List.nth variants 1).c_prog in
+  { workload = w; src; train_prog; profile; variants;
+    reuse_frac = Load_reuse.reuse_fraction lr }
+
+(** Run a build's variants on the machine backend [backend] (default:
+    the in-order EPIC core).  Each must print what the vm printed on the
+    same build — a vm/machine divergence fails the measurement rather
     than skewing a table. *)
-let run_variant ?(quick = false) ?(backend = Machine.Inorder)
-    (w : Workloads.workload) profile variant : run =
-  let params = if quick then w.Workloads.train else w.Workloads.ref_ in
-  let prog = Lower.compile (w.Workloads.source params) in
-  let r =
-    Pipeline.optimize ~edge_profile:(Some profile) prog variant
+let measure ?(backend = Machine.Inorder) (b : build) : bench_result =
+  let w = b.workload in
+  let run c =
+    let m = Machine.run_resolved_on backend c.c_rprog in
+    if m.Machine.output <> c.c_output then
+      failwith
+        (Printf.sprintf "experiment %s/%s: vm output diverged from the machine"
+           w.Workloads.name
+           (Pipeline.variant_name c.c_variant));
+    { r_machine = m; r_stats = c.c_stats; r_report = c.c_report }
   in
-  let m =
-    Machine.run_on backend ~config:!machine_config
-      (lower_scheduled r.Pipeline.prog)
-  in
-  let i = Vm.run_program (Lazy.force r.Pipeline.vm) in
-  if i.Interp.output <> m.Machine.output then
-    failwith
-      (Printf.sprintf "experiment %s/%s: vm output diverged from the machine"
-         w.Workloads.name
-         (Pipeline.variant_name variant));
-  { r_machine = m; r_stats = r.Pipeline.stats; r_report = r.Pipeline.report }
+  match Parpool.parmap run b.variants with
+  | [ noopt; base; prof_spec; heur_spec; aggressive ] ->
+    (* correctness gate: every variant reproduces the unoptimized output.
+       The aggressive upper bound is only correct when no aliasing
+       actually occurs; kernels with real aliasing legitimately diverge
+       there *)
+    List.iter
+      (fun (name, r) ->
+        if r.r_machine.Machine.output <> noopt.r_machine.Machine.output then
+          failwith
+            (Printf.sprintf "experiment %s: variant %s diverged"
+               w.Workloads.name name))
+      [ "base", base; "profile", prof_spec; "heuristic", heur_spec ];
+    { wname = w.Workloads.name; backend; fp = w.Workloads.fp; noopt; base;
+      prof_spec; heur_spec; aggressive; build = b }
+  | _ -> assert false
 
-(* Fig 12a: load-reuse potential, measured on the base-optimized program *)
-let reuse_fraction ?(quick = false) (w : Workloads.workload) profile : float =
-  let params = if quick then w.Workloads.train else w.Workloads.ref_ in
-  let reuse_prog = Lower.compile (w.Workloads.source params) in
-  let rr = Pipeline.optimize ~edge_profile:(Some profile) reuse_prog Pipeline.Base in
-  let lr, _ = Load_reuse.analyse rr.Pipeline.prog in
-  Load_reuse.reuse_fraction lr
-
-let run_workload ?(quick = false) ?(backend = Machine.Inorder)
-    (w : Workloads.workload) : bench_result =
-  let train_prog = Lower.compile (Workloads.train_source w) in
-  let profile, _ = Profiler.profile train_prog in
-  (* The six measurement tasks are independent; fan them out to the
-     domain pool.  [Parpool.parmap] joins in submission order, so the
-     result record — and hence all table output — is identical to the
-     sequential run. *)
-  let tasks =
-    [ (fun () -> `Run (run_variant ~quick ~backend w profile Pipeline.Noopt));
-      (fun () -> `Run (run_variant ~quick ~backend w profile Pipeline.Base));
-      (fun () -> `Run (run_variant ~quick ~backend w profile (Pipeline.Spec_profile profile)));
-      (fun () -> `Run (run_variant ~quick ~backend w profile Pipeline.Spec_heuristic));
-      (fun () -> `Run (run_variant ~quick ~backend w profile Pipeline.Aggressive));
-      (fun () -> `Reuse (reuse_fraction ~quick w profile)) ]
-  in
-  let noopt, base, prof_spec, heur_spec, aggressive, reuse_frac =
-    match Parpool.parmap (fun f -> f ()) tasks with
-    | [ `Run noopt; `Run base; `Run prof_spec; `Run heur_spec;
-        `Run aggressive; `Reuse reuse_frac ] ->
-      noopt, base, prof_spec, heur_spec, aggressive, reuse_frac
-    | _ -> assert false
-  in
-  (* correctness gate: every variant reproduces the unoptimized output.
-     The aggressive upper bound is only correct when no aliasing actually
-     occurs; kernels with real aliasing legitimately diverge there *)
-  let expect = noopt.r_machine.Machine.output in
-  List.iter
-    (fun (name, r) ->
-      if r.r_machine.Machine.output <> expect then
-        failwith
-          (Printf.sprintf "experiment %s: variant %s diverged" w.Workloads.name
-             name))
-    [ "base", base; "profile", prof_spec; "heuristic", heur_spec ];
-  { wname = w.Workloads.name; backend; fp = w.Workloads.fp; noopt;
-    base; prof_spec; heur_spec; aggressive; reuse_frac }
+let run_workload ?quick ?backend w = measure ?backend (prepare ?quick w)
 
 (** Run a sweep of workloads on the domain pool; results are in input
-    order, so output is independent of [--jobs].  The per-workload
-    variant fan-out nests inside this one — [Parpool.await] helps with
-    queued tasks, so the nesting cannot deadlock. *)
-let run_workloads ?(quick = false) ?(backend = Machine.Inorder)
-    (ws : Workloads.workload list) : bench_result list =
-  Parpool.parmap (fun w -> run_workload ~quick ~backend w) ws
+    order, so output is independent of [--jobs].  Each build's variant
+    fan-out nests inside this one — [Parpool.await] helps with queued
+    tasks, so the nesting cannot deadlock. *)
+let run_workloads ?quick ?backend (ws : Workloads.workload list) :
+    bench_result list =
+  Parpool.parmap (run_workload ?quick ?backend) ws
 
 (* ------------------------------------------------------------------ *)
 (* Metrics                                                             *)
@@ -176,7 +200,7 @@ let fig12_header =
 
 let fig12_row (b : bench_result) =
   Printf.sprintf "%-9s | %28.1f | %30.1f | %10.1f" b.wname
-    (pct b.reuse_frac)
+    (pct b.build.reuse_frac)
     (load_reduction ~base:b.base ~spec:b.aggressive)
     (load_reduction ~base:b.base ~spec:b.prof_spec)
 
@@ -281,22 +305,15 @@ let mdp_name = function
 let all_mdps =
   [ Machine.Mdp_store_set; Machine.Mdp_last_violator; Machine.Mdp_none ]
 
-(** Sweep one workload's *base* (non-speculative) build across the
-    memory-dependence predictors.  Base is the interesting build: its
-    loads still sit below stores in program order, so the OoO core's
-    eager issue is what discovers the conflicts (on the speculative
-    builds the compiler has already replaced those loads with checks and
-    the LSQ sees nothing — the compile-time/hardware overlap §3.6
-    documents).  The program is compiled and resolved once; every policy
-    re-runs it on the OoO core and must reproduce the same output and
-    instruction count (prediction is a timing-only concern — a
-    difference is a simulator bug and fails the sweep). *)
-let mdp_cells_of ~name (prog : Sir.prog) : mdp_cell list =
-  let rp = Machine.resolve (lower_scheduled prog) in
+(** Sweep one resolved program across the memory-dependence
+    predictors: every policy runs it on the OoO core and must reproduce
+    the same output and instruction count (prediction is a timing-only
+    concern — a difference is a simulator bug and fails the sweep). *)
+let mdp_cells_of ~name (rp : Machine.rprog) : mdp_cell list =
   let runs =
     List.map
       (fun policy ->
-        let config = { !machine_config with Machine.mdp = policy } in
+        let config = { Machine.default_config with Machine.mdp = policy } in
         (policy, Machine.run_resolved_on Machine.Ooo ~config rp))
       all_mdps
   in
@@ -325,49 +342,49 @@ let mdp_cells_of ~name (prog : Sir.prog) : mdp_cell list =
         md_replays = m.Machine.perf.Machine.lsq_replays })
     runs
 
-let mdp_workload ?(quick = false) (w : Workloads.workload) : mdp_cell list =
-  let train_prog = Lower.compile (Workloads.train_source w) in
-  let profile, _ = Profiler.profile train_prog in
-  let params = if quick then w.Workloads.train else w.Workloads.ref_ in
-  let prog = Lower.compile (w.Workloads.source params) in
-  let r = Pipeline.optimize ~edge_profile:(Some profile) prog Pipeline.Base in
-  mdp_cells_of ~name:w.Workloads.name r.Pipeline.prog
-
 (* The workload kernels never replay — their store addresses resolve
    inside the OoO window before any conflicting load issues — so an
    adversarial rider differentiates the predictors: the store address
    takes a division chain to resolve, the next load issues eagerly
    underneath it, and every fifth iteration they collide. *)
-let mdp_chain_src n =
-  Printf.sprintf
-    "int A[64];\n\
-     int acc;\n\
-     int main() {\n\
-    \  int i; int j;\n\
-    \  i = 0; acc = 0;\n\
-    \  while (i < %d) {\n\
-    \    j = (i / 5) * 5 - i + 4;\n\
-    \    A[j] = i;\n\
-    \    acc = acc + A[4];\n\
-    \    i = i + 1;\n\
-    \  }\n\
-    \  print_int(acc);\n\
-    \  return 0;\n\
-     }\n"
-    n
-
 let mdp_chain ?(quick = false) () : mdp_cell list =
-  let prog = Lower.compile (mdp_chain_src (if quick then 300 else 2000)) in
-  let r = Pipeline.optimize prog Pipeline.Base in
-  mdp_cells_of ~name:"chain" r.Pipeline.prog
+  let src =
+    Printf.sprintf
+      "int A[64];\n\
+       int acc;\n\
+       int main() {\n\
+      \  int i; int j;\n\
+      \  i = 0; acc = 0;\n\
+      \  while (i < %d) {\n\
+      \    j = (i / 5) * 5 - i + 4;\n\
+      \    A[j] = i;\n\
+      \    acc = acc + A[4];\n\
+      \    i = i + 1;\n\
+      \  }\n\
+      \  print_int(acc);\n\
+      \  return 0;\n\
+       }\n"
+      (if quick then 300 else 2000)
+  in
+  let r = Pipeline.optimize (Lower.compile src) Pipeline.Base in
+  mdp_cells_of ~name:"chain"
+    (Machine.resolve (lower_scheduled r.Pipeline.prog))
 
-(** Sweep every workload × predictor on the domain pool, plus the
-    adversarial chain kernel; cells are grouped by unit in input order
-    (deterministic in [--jobs]). *)
-let run_mdp_sweep ?(quick = false) (ws : Workloads.workload list) :
-    mdp_cell list =
-  List.concat (Parpool.parmap (fun w -> mdp_workload ~quick w) ws)
-  @ mdp_chain ~quick ()
+(** Sweep each build's *base* (non-speculative) variant × predictor on
+    the domain pool; cells are grouped by workload in input order
+    (deterministic in [--jobs]).  Base is the interesting build: its
+    loads still sit below stores in program order, so the OoO core's
+    eager issue is what discovers the conflicts (on the speculative
+    builds the compiler has already replaced those loads with checks and
+    the LSQ sees nothing — the compile-time/hardware overlap §3.6
+    documents). *)
+let run_mdp_sweep (bs : build list) : mdp_cell list =
+  List.concat
+    (Parpool.parmap
+       (fun b ->
+         mdp_cells_of ~name:b.workload.Workloads.name
+           (find_variant b "base").c_rprog)
+       bs)
 
 (** Cycle cost of a cell versus the same workload under [Mdp_none], in
     percent (negative = the predictor is faster than always-speculate). *)
@@ -393,33 +410,23 @@ let mdp_row (cells : mdp_cell list) (c : mdp_cell) =
 (* Ablations (§6 of DESIGN.md)                                          *)
 (* ------------------------------------------------------------------ *)
 
-(** Fig. 10's profile variant of [prog] on the in-order core.  The
-    control-speculation, alias-threshold and ALAT-capacity ablations each
-    vary one knob of it: the SSAPRE [config] or the [machine]. *)
-let run_profile_variant ?config ?(machine = !machine_config) profile prog =
-  let r =
-    Pipeline.optimize ~config ~edge_profile:(Some profile) prog
-      (Pipeline.Spec_profile profile)
-  in
-  Machine.run ~config:machine (lower_scheduled r.Pipeline.prog)
-
 (** Control-speculation ablation: speculative PRE with and without
-    insertion at non-downsafe Phis. *)
-let ablate_control_spec ?(quick = false) (w : Workloads.workload) =
-  let train_prog = Lower.compile (Workloads.train_source w) in
-  let profile, _ = Profiler.profile train_prog in
-  let params = if quick then w.Workloads.train else w.Workloads.ref_ in
-  let run ~control_spec =
-    let config =
-      { (Spec_ssapre.Ssapre.default_config Spec_spec.Flags.Nonspec) with
-        Spec_ssapre.Ssapre.control_spec }
-    in
-    run_profile_variant ~config profile
-      (Lower.compile (w.Workloads.source params))
+    insertion at non-downsafe Phis.  The "on" leg is Fig. 10's profile
+    variant as measured in [b]; the "off" leg compiles it again with
+    control speculation off. *)
+let ablate_control_spec (b : bench_result) =
+  let config =
+    { (Spec_ssapre.Ssapre.default_config Spec_spec.Flags.Nonspec) with
+      Spec_ssapre.Ssapre.control_spec = false }
   in
-  let with_cs = run ~control_spec:true in
-  let without_cs = run ~control_spec:false in
-  (w.Workloads.name,
+  let { profile; src; _ } = b.build in
+  let r =
+    Pipeline.optimize ~config:(Some config) ~edge_profile:(Some profile)
+      (Lower.compile src) (Pipeline.Spec_profile profile)
+  in
+  let without_cs = Machine.run (lower_scheduled r.Pipeline.prog) in
+  let with_cs = b.prof_spec.r_machine in
+  (b.wname,
    Machine.loads_retired with_cs.Machine.perf,
    Machine.loads_retired without_cs.Machine.perf,
    with_cs.Machine.perf.Machine.cycles,
@@ -447,33 +454,27 @@ let ablate_threshold ?(alias_permille = 30) thresholds =
         { (Spec_ssapre.Ssapre.default_config Spec_spec.Flags.Nonspec) with
           Spec_ssapre.Ssapre.alias_threshold = threshold }
       in
-      let m = run_profile_variant ~config profile (Lower.compile src) in
-      let p = m.Machine.perf in
+      let r =
+        Pipeline.optimize ~config:(Some config) ~edge_profile:(Some profile)
+          (Lower.compile src) (Pipeline.Spec_profile profile)
+      in
+      let p = (Machine.run (lower_scheduled r.Pipeline.prog)).Machine.perf in
       (threshold, Machine.loads_retired p, p.Machine.checks,
        p.Machine.check_misses, p.Machine.cycles))
     thresholds
 
 (** Local-scheduling ablation: cycles with and without the ITL list
-    scheduler, on the profile-speculative build. *)
-let ablate_schedule ?(quick = false) (w : Workloads.workload) =
-  let train_prog = Lower.compile (Workloads.train_source w) in
-  let profile, _ = Profiler.profile train_prog in
-  let params = if quick then w.Workloads.train else w.Workloads.ref_ in
+    scheduler, on the profile-speculative build.  The scheduled leg is
+    the one measured in [b]. *)
+let ablate_schedule (b : bench_result) =
   let plain =
-    let prog = Lower.compile (w.Workloads.source params) in
-    let r =
-      Pipeline.optimize ~edge_profile:(Some profile) prog
-        (Pipeline.Spec_profile profile)
-    in
-    Machine.run ~config:!machine_config
-      (Spec_codegen.Codegen.lower r.Pipeline.prog)
+    Machine.run
+      (Spec_codegen.Codegen.lower (find_variant b.build "profile").c_prog)
   in
-  let sched =
-    run_profile_variant profile (Lower.compile (w.Workloads.source params))
-  in
+  let sched = b.prof_spec.r_machine in
   if plain.Machine.output <> sched.Machine.output then
-    failwith ("scheduling changed behaviour on " ^ w.Workloads.name);
-  (w.Workloads.name, plain.Machine.perf.Machine.cycles,
+    failwith ("scheduling changed behaviour on " ^ b.wname);
+  (b.wname, plain.Machine.perf.Machine.cycles,
    sched.Machine.perf.Machine.cycles)
 
 (* ------------------------------------------------------------------ *)
@@ -547,158 +548,122 @@ let stress_diverged ~workload ~variant ~point ~engine =
           "stress %s/%s@%s: %s output diverged from the unoptimized oracle"
           workload variant point engine))
 
-(* Run every grid point of one (workload, variant) pair.  The program is
-   compiled once per distinct adversary (runtime-only fault points share
-   the honest compile) and re-run with a fresh, scope-derived injector
-   per point and engine, so results do not depend on point order or on
-   which pool worker executes the task. *)
-let stress_variant ~quick ~seed ~oracle ~backend (w : Workloads.workload)
-    profile points (vname, variant) : stress_cell list =
-  let params = if quick then w.Workloads.train else w.Workloads.ref_ in
-  let compile_for adv =
-    let prog = Lower.compile (w.Workloads.source params) in
-    let perturb =
-      Spec_spec.Flags.perturbation ~seed ~scope:[ w.Workloads.name; vname ]
-        adv
-    in
-    let r = Pipeline.optimize ~edge_profile:(Some profile) ?perturb prog variant in
-    let flips =
-      match perturb with Some p -> Spec_spec.Flags.flipped p | None -> 0
-    in
-    (Machine.resolve (lower_scheduled r.Pipeline.prog),
-     Vmcode.compile r.Pipeline.prog, flips)
-  in
-  let adversaries =
-    List.sort_uniq compare
-      (List.map (fun pt -> pt.sp_plan.Spec_stress.Faults.adversary) points)
-  in
-  let compiled = List.map (fun adv -> (adv, compile_for adv)) adversaries in
+(* Run every grid point of one variant of a build.  Runtime-only fault
+   points re-run the build's own program; each distinct adversary is
+   compiled once.  Every point and engine gets a fresh, scope-derived
+   injector, so results do not depend on point order or on which pool
+   worker executes the task. *)
+let stress_variant ~seed ~oracle ~backend (b : build) points (c : compiled) :
+    stress_cell list =
+  let wname = b.workload.Workloads.name in
+  let vname = Pipeline.variant_name c.c_variant in
   (* the Aggressive variant has no checks, so it cannot recover from a
      wrong profile: adversarial points are skipped for it, and under
      runtime interference it is held to its own fault-free output (it
      legitimately diverges from the oracle on kernels with real
      aliasing, as in the main harness's correctness gate) *)
-  let aggressive = variant = Pipeline.Aggressive in
-  List.concat_map
+  let oracle, points =
+    match c.c_variant with
+    | Pipeline.Aggressive ->
+      ( c.c_output,
+        List.filter
+          (fun pt ->
+            pt.sp_plan.Spec_stress.Faults.adversary
+            = Spec_stress.Faults.Adv_none)
+          points )
+    | _ -> (oracle, points)
+  in
+  let compile_for adv =
+    match Spec_spec.Flags.perturbation ~seed ~scope:[ wname; vname ] adv with
+    | None -> (c.c_rprog, c.c_vprog, 0)
+    | Some perturb ->
+      let r =
+        Pipeline.optimize ~edge_profile:(Some b.profile) ~perturb
+          (Lower.compile b.src) c.c_variant
+      in
+      (Machine.resolve (lower_scheduled r.Pipeline.prog),
+       Lazy.force r.Pipeline.vm, Spec_spec.Flags.flipped perturb)
+  in
+  let compiled =
+    List.map
+      (fun adv -> (adv, compile_for adv))
+      (List.sort_uniq compare
+         (List.map (fun pt -> pt.sp_plan.Spec_stress.Faults.adversary) points))
+  in
+  List.map
     (fun pt ->
       let plan = pt.sp_plan in
-      if aggressive
-         && plan.Spec_stress.Faults.adversary <> Spec_stress.Faults.Adv_none
-      then []
-      else begin
-        let rp, vprog, flips =
-          match List.assoc plan.Spec_stress.Faults.adversary compiled with
-          | c -> c
-        in
-        let scope tail =
-          [ w.Workloads.name; vname; pt.sp_label; tail ]
-        in
-        (* the in-order core keeps the historical "machine" scope so its
-           fault streams (and hence the committed stress baselines) are
-           unchanged; other backends get their own streams *)
-        let machine_scope =
-          match backend with
-          | Machine.Inorder -> "machine"
-          | b -> "machine-" ^ Machine.backend_name b
-        in
-        let mf =
-          Spec_stress.Faults.injector_opt plan ~scope:(scope machine_scope)
-        in
-        let cfg =
-          match plan.Spec_stress.Faults.alat_entries with
-          | Some n -> { !machine_config with Machine.alat_entries = n }
-          | None -> !machine_config
-        in
-        let m = Machine.run_resolved_on backend ~config:cfg ?faults:mf rp in
-        if m.Machine.output <> oracle then
-          stress_diverged ~workload:w.Workloads.name ~variant:vname
-            ~point:pt.sp_label ~engine:"machine";
-        (* the vm keeps the historical "interp" scope, so its fault
-           streams (and hence the stress cells) are unchanged *)
-        let fi =
-          Spec_stress.Faults.injector_opt plan ~scope:(scope "interp")
-        in
-        let i = Vm.run_program ?faults:fi vprog in
-        if i.Interp.output <> oracle then
-          stress_diverged ~workload:w.Workloads.name ~variant:vname
-            ~point:pt.sp_label ~engine:"vm";
-        let p = m.Machine.perf in
-        let ic = i.Interp.counters in
-        let injected f = function None -> 0 | Some inj -> f inj in
-        [ { sc_workload = w.Workloads.name;
-            sc_backend = Machine.backend_name backend;
-            sc_point = pt.sp_label;
-            sc_variant = vname;
-            sc_adv_flips = flips;
-            sc_checks = p.Machine.checks;
-            sc_misses = p.Machine.check_misses;
-            sc_cycles = p.Machine.cycles;
-            sc_insns = p.Machine.insns;
-            sc_m_flushes = injected Spec_stress.Faults.flushes mf;
-            sc_m_invs = injected Spec_stress.Faults.invalidations mf;
-            sc_i_checks = ic.Interp.check_stmts;
-            sc_i_reloads = ic.Interp.check_reloads;
-            sc_i_flushes = injected Spec_stress.Faults.flushes fi;
-            sc_i_invs = injected Spec_stress.Faults.invalidations fi } ]
-      end)
+      let rp, vprog, flips =
+        List.assoc plan.Spec_stress.Faults.adversary compiled
+      in
+      let scope tail = [ wname; vname; pt.sp_label; tail ] in
+      (* the in-order core keeps the historical "machine" scope so its
+         fault streams (and hence the committed stress baselines) are
+         unchanged; other backends get their own streams *)
+      let machine_scope =
+        match backend with
+        | Machine.Inorder -> "machine"
+        | b -> "machine-" ^ Machine.backend_name b
+      in
+      let mf =
+        Spec_stress.Faults.injector_opt plan ~scope:(scope machine_scope)
+      in
+      let cfg =
+        match plan.Spec_stress.Faults.alat_entries with
+        | Some n -> { Machine.default_config with Machine.alat_entries = n }
+        | None -> Machine.default_config
+      in
+      let m = Machine.run_resolved_on backend ~config:cfg ?faults:mf rp in
+      if m.Machine.output <> oracle then
+        stress_diverged ~workload:wname ~variant:vname ~point:pt.sp_label
+          ~engine:"machine";
+      (* the vm keeps the historical "interp" scope, so its fault
+         streams (and hence the stress cells) are unchanged *)
+      let fi = Spec_stress.Faults.injector_opt plan ~scope:(scope "interp") in
+      let i = Vm.run_program ?faults:fi vprog in
+      if i.Interp.output <> oracle then
+        stress_diverged ~workload:wname ~variant:vname ~point:pt.sp_label
+          ~engine:"vm";
+      let p = m.Machine.perf in
+      let ic = i.Interp.counters in
+      let injected f = function None -> 0 | Some inj -> f inj in
+      { sc_workload = wname;
+        sc_backend = Machine.backend_name backend;
+        sc_point = pt.sp_label;
+        sc_variant = vname;
+        sc_adv_flips = flips;
+        sc_checks = p.Machine.checks;
+        sc_misses = p.Machine.check_misses;
+        sc_cycles = p.Machine.cycles;
+        sc_insns = p.Machine.insns;
+        sc_m_flushes = injected Spec_stress.Faults.flushes mf;
+        sc_m_invs = injected Spec_stress.Faults.invalidations mf;
+        sc_i_checks = ic.Interp.check_stmts;
+        sc_i_reloads = ic.Interp.check_reloads;
+        sc_i_flushes = injected Spec_stress.Faults.flushes fi;
+        sc_i_invs = injected Spec_stress.Faults.invalidations fi })
     points
 
-(** Stress-sweep one workload: every variant × grid point, outputs
-    asserted bit-identical to the unoptimized oracle at every point
-    (raises {!Stress_divergence} otherwise).  Variants fan out on the
-    domain pool; the grid runs inside each variant task with
-    scope-derived fault streams, so cell order and content are
-    independent of [--jobs]. *)
-let stress_workload ?(quick = false) ?(seed = 1) ?points
-    ?(backend = Machine.Inorder) (w : Workloads.workload) : stress_cell list =
+(** Stress-sweep one build: every variant but noopt × grid point,
+    outputs asserted bit-identical to the unoptimized oracle (the
+    build's noopt output) at every point; raises {!Stress_divergence}
+    otherwise.  Variants fan out on the domain pool; the grid runs
+    inside each variant task with scope-derived fault streams, so cell
+    order and content are independent of [--jobs]. *)
+let stress_workload ?(seed = 1) ?points ?(backend = Machine.Inorder)
+    (b : build) : stress_cell list =
   let points = match points with Some p -> p | None -> stress_grid ~seed () in
-  let train_prog = Lower.compile (Workloads.train_source w) in
-  let profile, _ = Profiler.profile train_prog in
-  let params = if quick then w.Workloads.train else w.Workloads.ref_ in
-  let oracle_run () =
-    let prog = Lower.compile (w.Workloads.source params) in
-    let r = Pipeline.optimize ~edge_profile:(Some profile) prog Pipeline.Noopt in
-    Machine.run_on backend ~config:!machine_config
-      (lower_scheduled r.Pipeline.prog)
-  in
-  let oracle = (oracle_run ()).Machine.output in
-  let variants =
-    [ ("base", Pipeline.Base);
-      ("profile", Pipeline.Spec_profile profile);
-      ("heuristic", Pipeline.Spec_heuristic);
-      ("aggressive", Pipeline.Aggressive) ]
-  in
-  let tasks =
-    List.map
-      (fun v () ->
-        match v with
-        | ("aggressive", variant) ->
-          (* self-oracle: run the fault-free point once to learn the
-             variant's own reference output, then sweep against it *)
-          let prog = Lower.compile (w.Workloads.source params) in
-          let r =
-            Pipeline.optimize ~edge_profile:(Some profile) prog variant
-          in
-          let self =
-            (Machine.run_on backend ~config:!machine_config
-               (lower_scheduled r.Pipeline.prog)).Machine.output
-          in
-          stress_variant ~quick ~seed ~oracle:self ~backend w profile points
-            ("aggressive", variant)
-        | v -> stress_variant ~quick ~seed ~oracle ~backend w profile points v)
-      variants
-  in
-  List.concat (Parpool.parmap (fun f -> f ()) tasks)
-
-(** Stress-sweep a list of workloads (deterministic under any
-    [--jobs N]); cells are grouped by workload in input order. *)
-let run_stress ?(quick = false) ?(seed = 1) ?points
-    ?(backend = Machine.Inorder) (ws : Workloads.workload list) :
-    stress_cell list =
+  let oracle = (List.hd b.variants).c_output in
   List.concat
     (Parpool.parmap
-       (fun w -> stress_workload ~quick ~seed ?points ~backend w)
-       ws)
+       (stress_variant ~seed ~oracle ~backend b points)
+       (List.tl b.variants))
+
+(** Stress-sweep a list of builds (deterministic under any [--jobs N]);
+    cells are grouped by workload in input order. *)
+let run_stress ?(seed = 1) ?points ?(backend = Machine.Inorder)
+    (bs : build list) : stress_cell list =
+  List.concat (Parpool.parmap (stress_workload ~seed ?points ~backend) bs)
 
 (** Cycle overhead of a cell versus the same (workload, variant) at the
     zero-fault point, in percent; 0 when the baseline cell is absent. *)
@@ -758,21 +723,18 @@ let rm_rf_cache dir =
    | exception Sys_error _ -> ());
   try Unix.rmdir dir with Unix.Unix_error _ -> ()
 
-(** Warm-vs-cold compile of one workload through the persistent-FDO
-    path: train once, persist the profile through the {!Spec_fdo.Store}
-    round-trip (as [speccc --profile-out]/[--profile-in] would), then
-    compile the ref source twice against a fresh cache. *)
-let run_fdo ?(quick = false) (w : Workloads.workload) : fdo_result =
-  let train_prog = Lower.compile (Workloads.train_source w) in
-  let profile0, _ = Profiler.profile train_prog in
-  let store = Spec_fdo.Store.of_profile train_prog profile0 in
-  let profile, mr = Spec_fdo.Store.bind store train_prog in
+(** Warm-vs-cold compile of one build through the persistent-FDO path:
+    persist its profile through the {!Spec_fdo.Store} round-trip (as
+    [speccc --profile-out]/[--profile-in] would), then compile the
+    measured source twice against a fresh cache. *)
+let run_fdo (b : build) : fdo_result =
+  let store = Spec_fdo.Store.of_profile b.train_prog b.profile in
+  let profile, mr = Spec_fdo.Store.bind store b.train_prog in
   let digest = Spec_fdo.Store.digest store in
-  let params = if quick then w.Workloads.train else w.Workloads.ref_ in
-  let src = w.Workloads.source params in
+  let wname = b.workload.Workloads.name in
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "speccc-fdo-%d-%s" (Unix.getpid ()) w.Workloads.name)
+      (Printf.sprintf "speccc-fdo-%d-%s" (Unix.getpid ()) wname)
   in
   rm_rf_cache dir;
   let cache = Spec_fdo.Cache.create dir in
@@ -780,7 +742,7 @@ let run_fdo ?(quick = false) (w : Workloads.workload) : fdo_result =
     let t0 = Unix.gettimeofday () in
     let r =
       Pipeline.compile_and_optimize ~edge_profile:(Some profile) ~cache
-        ~profile_digest:digest src (Pipeline.Spec_profile profile)
+        ~profile_digest:digest b.src (Pipeline.Spec_profile profile)
     in
     (r, Unix.gettimeofday () -. t0)
   in
@@ -788,7 +750,7 @@ let run_fdo ?(quick = false) (w : Workloads.workload) : fdo_result =
   let warm, warm_s = compile () in
   rm_rf_cache dir;
   let st = Spec_fdo.Cache.stats cache in
-  { f_wname = w.Workloads.name;
+  { f_wname = wname;
     f_cold_s = cold_s;
     f_warm_s = warm_s;
     f_hits = st.Spec_fdo.Cache.hits;
@@ -804,9 +766,7 @@ let run_fdo ?(quick = false) (w : Workloads.workload) : fdo_result =
     f_match_rate = Spec_fdo.Store.match_rate mr }
 
 (** Warm-vs-cold sweep on the domain pool; results in input order. *)
-let run_fdos ?(quick = false) (ws : Workloads.workload list) :
-    fdo_result list =
-  Parpool.parmap (fun w -> run_fdo ~quick w) ws
+let run_fdos (bs : build list) : fdo_result list = Parpool.parmap run_fdo bs
 
 let fdo_header =
   "benchmark |  cold ms |  warm ms | speedup | hit | passes c/w | identical | match%"
@@ -881,19 +841,16 @@ let compile_unit ~copies src =
   Buffer.add_string buf "  return 0;\n}\n";
   Buffer.contents buf
 
-(** ALAT capacity ablation: mis-speculation ratio vs table size. *)
-let ablate_alat ?(quick = false) (w : Workloads.workload) sizes =
-  let train_prog = Lower.compile (Workloads.train_source w) in
-  let profile, _ = Profiler.profile train_prog in
-  let params = if quick then w.Workloads.train else w.Workloads.ref_ in
+(** ALAT capacity ablation: mis-speculation ratio vs table size, on
+    the build's profile variant. *)
+let ablate_alat (b : build) sizes =
+  let rp = (find_variant b "profile").c_rprog in
   List.map
     (fun entries ->
-      let m =
-        run_profile_variant
-          ~machine:{ !machine_config with Machine.alat_entries = entries }
-          profile (Lower.compile (w.Workloads.source params))
+      let config =
+        { Machine.default_config with Machine.alat_entries = entries }
       in
-      let p = m.Machine.perf in
+      let p = (Machine.run_resolved ~config rp).Machine.perf in
       (entries, p.Machine.checks, p.Machine.check_misses))
     sizes
 
@@ -930,19 +887,12 @@ type safety_cell = {
 let safety_fault_plan ~seed =
   { (Spec_stress.Faults.null seed) with Spec_stress.Faults.flush_period = 25 }
 
-let safety_diverged ~workload ~variant ~leg msg =
-  raise
-    (Safety_divergence
-       (Printf.sprintf "safety %s/%s (%s): %s" workload variant leg msg))
-
-let safety_variant ~quick ~seed (w : Workloads.workload) profile
-    (vname, variant) : safety_cell =
-  let params = if quick then w.Workloads.train else w.Workloads.ref_ in
-  let src = w.Workloads.source params in
-  let prog = Lower.compile src in
+let safety_variant ~seed (b : build) variant : safety_cell =
+  let wname = b.workload.Workloads.name in
+  let vname = Pipeline.variant_name variant in
   let r =
-    Pipeline.optimize ~edge_profile:(Some profile) ~deopt:true ~safety:true
-      prog variant
+    Pipeline.optimize ~edge_profile:(Some b.profile) ~deopt:true ~safety:true
+      (Lower.compile b.src) variant
   in
   let report =
     match r.Pipeline.safety with
@@ -950,7 +900,7 @@ let safety_variant ~quick ~seed (w : Workloads.workload) profile
     | None -> failwith "safety sweep: pipeline dropped the safety report"
   in
   let verdict, confirmed, plausible = Spec_safety.Spectct.cells report in
-  let dplan = Spec_safety.Deopt.make_plan (Lower.compile src) in
+  let dplan = Spec_safety.Deopt.make_plan (Lower.compile b.src) in
   (* the Aggressive variant has no runtime checks, so on kernels with
      real aliasing it legitimately diverges from the unoptimized oracle
      (as in the main harness); it is held to its own fault-free output
@@ -959,23 +909,26 @@ let safety_variant ~quick ~seed (w : Workloads.workload) profile
   let vprog = Lazy.force r.Pipeline.vm in
   let expected =
     if variant = Pipeline.Aggressive then (Vm.run_program vprog).Interp.output
-    else (Interp_ref.run (Lower.compile src)).Interp_ref.output
+    else (Interp_ref.run (Lower.compile b.src)).Interp_ref.output
   in
   let plan = safety_fault_plan ~seed in
   let inj leg =
     Spec_stress.Faults.injector plan
-      ~scope:[ w.Workloads.name; vname; "safety"; leg ]
+      ~scope:[ wname; vname; "safety"; leg ]
   in
   let check leg (i : Interp.result) =
     if i.Interp.output <> expected then
-      safety_diverged ~workload:w.Workloads.name ~variant:vname ~leg
-        "output diverged from the unoptimized oracle"
+      raise
+        (Safety_divergence
+           (Printf.sprintf
+              "safety %s/%s (%s): output diverged from the unoptimized oracle"
+              wname vname leg))
   in
   let reload = Vm.run_program ~faults:(inj "reload") vprog in
   check "reload" reload;
   let deo = Vm.run_program ~faults:(inj "deopt") ~recover:dplan vprog in
   check "deopt" deo;
-  { sf_wname = w.Workloads.name;
+  { sf_wname = wname;
     sf_variant = vname;
     sf_verdict = verdict;
     sf_confirmed = confirmed;
@@ -987,31 +940,17 @@ let safety_variant ~quick ~seed (w : Workloads.workload) profile
     sf_deopts = deo.Interp.counters.Interp.deopts;
     sf_deopt_steps = deo.Interp.counters.Interp.steps }
 
-let safety_variants =
-  [ "profile", `Profile; "heuristic", `Heuristic; "aggressive", `Aggressive ]
-
-(** Safety-sweep one workload: checker verdict + recovery-cost cells for
-    each speculative variant.  The profile is collected inside the task so
-    cells are self-contained (deterministic under any [--jobs]). *)
-let safety_workload ?(quick = false) ?(seed = 1) (w : Workloads.workload) :
-    safety_cell list =
-  let train_prog = Lower.compile (Workloads.train_source w) in
-  let profile, _ = Profiler.profile train_prog in
-  List.map
-    (fun (vname, v) ->
-      let variant =
-        match v with
-        | `Profile -> Pipeline.Spec_profile profile
-        | `Heuristic -> Pipeline.Spec_heuristic
-        | `Aggressive -> Pipeline.Aggressive
-      in
-      safety_variant ~quick ~seed w profile (vname, variant))
-    safety_variants
-
-(** The full safety sweep, one workload per pool task. *)
-let run_safety ?(quick = false) ?(seed = 1) (ws : Workloads.workload list) :
-    safety_cell list =
-  List.concat (Parpool.parmap (fun w -> safety_workload ~quick ~seed w) ws)
+(** The full safety sweep, one build per pool task: checker verdict +
+    recovery-cost cells for each speculative variant, compiled with
+    deoptimization support against the build's profile. *)
+let run_safety ?(seed = 1) (bs : build list) : safety_cell list =
+  List.concat
+    (Parpool.parmap
+       (fun b ->
+         List.map (safety_variant ~seed b)
+           [ Pipeline.Spec_profile b.profile; Pipeline.Spec_heuristic;
+             Pipeline.Aggressive ])
+       bs)
 
 let safety_header =
   "benchmark | variant    | verdict     | conf | plaus | checks | reloads | \

@@ -69,7 +69,6 @@ let test_default_engine_is_inorder () =
    simulator) must hold when the same workload is driven through
    [run_workload ~backend:Inorder] *)
 let inorder_golden_dispatch w () =
-  Experiments.machine_config := Machine.default_config;
   let b = Experiments.run_workload ~quick:true ~backend:Machine.Inorder w in
   List.iter
     (fun (vname, (r : Experiments.run)) ->
@@ -108,7 +107,6 @@ let inorder_golden_dispatch w () =
 (* ------------------------------------------------------------------ *)
 
 let agreement_workload w () =
-  Experiments.machine_config := Machine.default_config;
   let a = Experiments.run_workload ~quick:true ~backend:Machine.Inorder w in
   let b = Experiments.run_workload ~quick:true ~backend:Machine.Ooo w in
   (* the harness's own hard gate (output + instruction counts) *)
@@ -292,7 +290,6 @@ let all_counters (m : Machine.result) =
     p.Machine.lsq_replays; p.Machine.mdp_poisons; m.Machine.ret_int ]
 
 let ooo_golden_workload w () =
-  Experiments.machine_config := Machine.default_config;
   let b = Experiments.run_workload ~quick:true ~backend:Machine.Ooo w in
   List.iter
     (fun (vname, (r : Experiments.run)) ->
@@ -406,15 +403,14 @@ let test_faults_poison_predictor () =
    unfaulted OoO baseline exactly (the sweep takes the unfaulted code
    path, not a faulted path that happens to inject nothing) *)
 let test_ooo_zero_fault_reproduces_baseline () =
-  Experiments.machine_config := Machine.default_config;
   let w = find "art" in
   let zero =
     [ { Experiments.sp_label = "0%";
         Experiments.sp_plan = Faults.null 1 } ]
   in
   let cells =
-    Experiments.stress_workload ~quick:true ~seed:1 ~points:zero
-      ~backend:Machine.Ooo w
+    Experiments.stress_workload ~seed:1 ~points:zero ~backend:Machine.Ooo
+      (Experiments.prepare ~quick:true w)
   in
   check_bool "sweep produced cells" true (cells <> []);
   let baseline = Experiments.run_workload ~quick:true ~backend:Machine.Ooo w in

@@ -172,7 +172,6 @@ let tuple_to_list (a, b, c, d, e, f, g, h, i, j, k, l, m) =
 
 let golden_workload w () =
   let open Spec_machine in
-  Experiments.machine_config := Machine.default_config;
   let b = Experiments.run_workload ~quick:true w in
   List.iter
     (fun (vname, (r : Experiments.run)) ->

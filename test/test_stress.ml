@@ -133,9 +133,8 @@ let mini_points seed =
    misspeculate by the adversary *)
 let mini_sweep =
   lazy
-    (Experiments.stress_workload ~quick:true ~seed:1
-       ~points:(mini_points 1)
-       (Spec_workloads.Workloads.find "art"))
+    (Experiments.stress_workload ~seed:1 ~points:(mini_points 1)
+       (Experiments.prepare ~quick:true (Spec_workloads.Workloads.find "art")))
 
 let cell cells point variant =
   match
@@ -166,8 +165,7 @@ let test_stress_zero_fault_reproduces_baseline () =
   let mp = Spec_codegen.Codegen.lower r.Pipeline.prog in
   ignore (Spec_codegen.Schedule.run mp : Spec_codegen.Schedule.stats);
   let m =
-    Spec_machine.Machine.run_resolved ~config:!Experiments.machine_config
-      (Spec_machine.Machine.resolve mp)
+    Spec_machine.Machine.run_resolved (Spec_machine.Machine.resolve mp)
   in
   let p = m.Spec_machine.Machine.perf in
   check_int "cycles reproduce" p.Spec_machine.Machine.cycles
@@ -218,8 +216,8 @@ let test_stress_jobs_determinism () =
   (* the sweep must be byte-identical for any pool width: fault streams
      are derived from scope labels, never from scheduling order *)
   let sweep () =
-    Experiments.stress_workload ~quick:true ~seed:1 ~points:(mini_points 1)
-      (Spec_workloads.Workloads.find "art")
+    Experiments.stress_workload ~seed:1 ~points:(mini_points 1)
+      (Experiments.prepare ~quick:true (Spec_workloads.Workloads.find "art"))
   in
   let saved = Parpool.get_jobs () in
   let with_jobs n f =

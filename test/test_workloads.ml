@@ -116,7 +116,8 @@ let test_no_misspec_on_train () =
 
 let test_alat_ablation_monotone () =
   let rows =
-    Experiments.ablate_alat ~quick:true (Workloads.find "equake")
+    Experiments.ablate_alat
+      (Experiments.prepare ~quick:true (Workloads.find "equake"))
       [ 4; 32 ]
   in
   match rows with
@@ -125,19 +126,28 @@ let test_alat_ablation_monotone () =
       (misses_small >= misses_big)
   | _ -> Alcotest.fail "expected two rows"
 
-(* the control-speculation ablation's "on" build is Fig. 10's profile
-   variant, and both lower and schedule the same way, so its loads and
-   cycles must be the harness's *)
+(* the control-speculation ablation's "on" column reads Fig. 10's
+   profile variant, so a compile of the build with control speculation
+   explicitly on, lowered and scheduled the same way, must reproduce
+   its loads and cycles *)
 let test_cspec_ablation_is_profile_variant () =
   let module M = Spec_machine.Machine in
   List.iter
     (fun name ->
-      let w = Workloads.find name in
-      let b = Experiments.run_workload ~quick:true w in
-      let p = b.Experiments.prof_spec.Experiments.r_machine.M.perf in
-      let _, loads_on, _, cycles_on, _ =
-        Experiments.ablate_control_spec ~quick:true w
+      let b = Experiments.run_workload ~quick:true (Workloads.find name) in
+      let { Experiments.profile; src; _ } = b.Experiments.build in
+      let config =
+        { (Spec_ssapre.Ssapre.default_config Spec_spec.Flags.Nonspec) with
+          Spec_ssapre.Ssapre.control_spec = true }
       in
+      let r =
+        Pipeline.optimize ~config:(Some config) ~edge_profile:(Some profile)
+          (Lower.compile src) (Pipeline.Spec_profile profile)
+      in
+      let p =
+        (M.run (Experiments.lower_scheduled r.Pipeline.prog)).M.perf
+      in
+      let _, loads_on, _, cycles_on, _ = Experiments.ablate_control_spec b in
       check_int (name ^ ": loads (cspec on)") (M.loads_retired p) loads_on;
       check_int (name ^ ": cycles (cspec on)") p.M.cycles cycles_on)
     [ "art"; "equake" ]
