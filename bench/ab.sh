@@ -8,9 +8,15 @@
 # out into a temporary `git worktree` (under $TMPDIR) that is removed on
 # exit.  Both sides are built from source, then each pair runs the
 # workload once per side, the base first in odd pairs and the change
-# first in even ones, so that drift on the host cancels out.  Defaults:
-# workload build, seed 1, 10 pairs, 20 seconds (BENCHMARK.json's
-# run_seconds).
+# first in even ones, so that drift on the host cancels out.  Each
+# side's two binaries are copied into its own run directory, two
+# siblings under the temporary directory whose paths have the same
+# length, and each run starts there and invokes its copy by absolute
+# path: a run's peak RSS follows the length of the binary's path and the
+# directory it starts in, by up to about 1 MB, whatever the binary.  The
+# copy also keeps a rebuild of the working tree during the runs from
+# swapping the change's binary.  Defaults: workload build, seed 1, 10
+# pairs, 20 seconds (BENCHMARK.json's run_seconds).
 #
 # For every end-to-end metric of BENCHMARK.json it prints each side's
 # median [lower quartile, upper quartile], how many pairs the change won
@@ -66,7 +72,11 @@ root=$(pwd)
 base_sha=$(git rev-parse --verify "$base_rev^{commit}") || exit 2
 
 work=$(mktemp -d "${TMPDIR:-/tmp}/ab.XXXXXX")
+work=$(cd "$work" && pwd)
 wt="$work/base"
+# the run directories: equal-length siblings, one per side
+brun="$work/run-b"
+crun="$work/run-c"
 cleanup() {
   if [ -d "$wt" ]; then git -C "$root" worktree remove --force "$wt" || true; fi
   git -C "$root" worktree prune || true
@@ -83,10 +93,19 @@ build() {
 }
 build "$wt"
 build "$root"
+# copy a tree's binaries into a run directory, laid out as in
+# _build/default so that specbench finds speccc.exe next to it
+install() {
+  mkdir -p "$2/bin" "$2/perf"
+  cp "$1/_build/default/bin/speccc.exe" "$2/bin/"
+  cp "$1/_build/default/perf/specbench.exe" "$2/perf/"
+}
+install "$wt" "$brun"
+install "$root" "$crun"
 
 # residue of a text symbol's address modulo 64, or "?"
 residue() {
-  nm "$1/_build/default/perf/specbench.exe" 2>/dev/null |
+  nm "$1/perf/specbench.exe" 2>/dev/null |
     awk -v pat="$2" '$3 ~ pat { v = 0; h = tolower($1)
         for (i = 1; i <= length(h); i++) v = (v * 16 + index("0123456789abcdef", substr(h, i, 1)) - 1) % 64
         print v; found = 1; exit }
@@ -95,7 +114,7 @@ residue() {
 
 # "module bytes" per module of the benchmark binary, in link order
 sizes() {
-  nm -n "$1/_build/default/perf/specbench.exe" 2>/dev/null |
+  nm -n "$1/perf/specbench.exe" 2>/dev/null |
     awk '$3 ~ /[.]code_(begin|end)$/ {
         v = 0; h = tolower($1)
         for (i = 1; i <= length(h); i++) v = v * 16 + index("0123456789abcdef", substr(h, i, 1)) - 1
@@ -111,7 +130,7 @@ results="$work/results"
 run() {
   side=$1 dir=$2 pair=$3
   out="$work/out-$side-$pair"
-  (cd "$dir" && ./_build/default/perf/specbench.exe --workload "$workload" \
+  (cd "$dir" && "$dir/perf/specbench.exe" --workload "$workload" \
      --seed "$seed" --seconds "$seconds" --trace 0) > "$out" ||
     { echo "ab.sh: $side run $pair failed" >&2; exit 2; }
   tail -n 1 "$out" | awk -v side="$side" -v pair="$pair" '
@@ -135,28 +154,29 @@ run() {
 i=1
 while [ "$i" -le "$pairs" ]; do
   if [ $((i % 2)) -eq 1 ]; then
-    run base "$wt" "$i"; run change "$root" "$i"
+    run base "$brun" "$i"; run change "$crun" "$i"
   else
-    run change "$root" "$i"; run base "$wt" "$i"
+    run change "$crun" "$i"; run base "$brun" "$i"
   fi
   echo "ab.sh: pair $i/$pairs done" >&2
   i=$((i + 1))
 done
 
 echo "ab.sh: $workload, seed $seed, $pairs pairs of ${seconds}s; base $base_rev ($(git rev-parse --short "$base_sha")) vs the working tree"
+echo "run directories: base $brun, change $crun"
 awk '{ a[$1] += $3; f[$1] += $4 }
   END { printf "failed/attempted: base %d/%d, change %d/%d\n", f["base"], a["base"], f["change"], a["change"] }' "$results"
 # one line per hot entry point; remembers whether any residue differs
 moved=
 for sym in Vm.exec_func Machine.exec_func Ssapre.rename; do
   pat="$(echo "$sym" | sed 's/[.]/[.]/')_[0-9]+\$"
-  b=$(residue "$wt" "$pat") c=$(residue "$root" "$pat")
+  b=$(residue "$brun" "$pat") c=$(residue "$crun" "$pat")
   echo "$sym mod 64: base $b, change $c"
   [ "$b" = "$c" ] || moved="$moved $sym"
 done
 
-sizes "$wt" > "$work/sizes-base"
-sizes "$root" > "$work/sizes-change"
+sizes "$brun" > "$work/sizes-base"
+sizes "$crun" > "$work/sizes-change"
 awk 'FNR == NR { base[$1] = $2; next }
   { seen[$1] = 1
     if (!($1 in base)) { rows[++n] = sprintf("  %-36s %8s %8d %+8d %6d", $1, "-", $2, $2, ($2 % 64 + 64) % 64) }
