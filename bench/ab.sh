@@ -12,11 +12,11 @@
 # side's two binaries are copied into its own run directory, two
 # siblings under the temporary directory whose paths have the same
 # length, and each run starts there and invokes its copy by absolute
-# path: a run's peak RSS follows the length of the binary's path and the
-# directory it starts in, by up to about 1 MB, whatever the binary.  The
-# copy also keeps a rebuild of the working tree during the runs from
-# swapping the change's binary.  Defaults: workload build, seed 1, 10
-# pairs, 20 seconds (BENCHMARK.json's run_seconds).
+# path: a run's peak RSS follows the length of the binary's path, by up
+# to about 1 MB, whatever the binary.  The copy also keeps a rebuild of
+# the working tree during the runs from swapping the change's binary.
+# Defaults: workload build, seed 1, 10 pairs, 20 seconds
+# (BENCHMARK.json's run_seconds).
 #
 # For every end-to-end metric of BENCHMARK.json it prints each side's
 # median [lower quartile, upper quartile], how many pairs the change won

@@ -46,9 +46,10 @@
    Every variant also runs on the vm, which must reproduce the machine's
    output.  Each workload is built once, on demand (one profile of its
    train input and one compile per variant, see Experiments.prepare),
-   and measured on the in-order core; the result is memoized, so
-   `--table smvp` only runs equake, and every other table and sweep
-   runs on the memoized builds.  Table output is deterministic in
+   and the build is memoized, as is its in-order measurement, which
+   only the tables that print it make: `--table smvp` only runs
+   equake, and `--stress`, `--fdo`, `--table mdp` and `--table safety`
+   measure nothing on the in-order core.  Table output is deterministic in
    [--jobs] (see Parpool): test/quick_tables.txt (470 lines) pins the
    --quick output of the paper's tables, safety, stress, backends and
    the four ablations, and dune runtest diffs it at --jobs 1 and at
@@ -70,31 +71,46 @@ let traffic = ref false
 let section title = Printf.printf "\n== %s ==\n%!" title
 
 (* ------------------------------------------------------------------ *)
-(* Per-workload memoized results                                       *)
+(* Per-workload memoized builds and results                            *)
 (* ------------------------------------------------------------------ *)
+
+(** [List.map f xs], memoized in [tbl] under [key x]: only the entries
+    not already there are computed, in parallel; output order follows
+    [xs]. *)
+let memo tbl key f xs =
+  let missing = List.filter (fun x -> not (Hashtbl.mem tbl (key x))) xs in
+  List.iter2
+    (fun x y -> Hashtbl.replace tbl (key x) y)
+    missing (Parpool.parmap f missing);
+  List.map (fun x -> Hashtbl.find tbl (key x)) xs
+
+let build_tbl : (string, Experiments.build) Hashtbl.t = Hashtbl.create 16
 
 let result_tbl : (string, Experiments.bench_result) Hashtbl.t =
   Hashtbl.create 16
 
-(** In-order results for [ws], computing (in parallel) only those not
-    already cached.  Output order follows [ws]. *)
-let results (ws : Spec_workloads.Workloads.workload list) =
-  let name w = w.Spec_workloads.Workloads.name in
-  let missing =
-    List.filter (fun w -> not (Hashtbl.mem result_tbl (name w))) ws
-  in
-  if missing <> [] then
-    List.iter2
-      (fun w b -> Hashtbl.replace result_tbl (name w) b)
-      missing
-      (Experiments.run_workloads ~quick:!quick missing);
-  List.map (fun w -> Hashtbl.find result_tbl (name w)) ws
+(** The builds of [ws]: the sweeps that run what they vary on a build
+    (mdp, stress, fdo, safety) need nothing else. *)
+let builds_of ws =
+  memo build_tbl
+    (fun w -> w.Spec_workloads.Workloads.name)
+    (Experiments.prepare ~quick:!quick)
+    ws
+
+(** In-order results for [ws], measured on their builds. *)
+let results ws =
+  memo result_tbl
+    (fun b -> b.Experiments.workload.Spec_workloads.Workloads.name)
+    (fun b -> Experiments.measure b)
+    (builds_of ws)
 
 let all_results () = results Spec_workloads.Workloads.all
 
-let result_of name = List.hd (results [ Spec_workloads.Workloads.find name ])
+let builds () = builds_of Spec_workloads.Workloads.all
 
-let builds () = List.map (fun b -> b.Experiments.build) (all_results ())
+let build_of name = List.hd (builds_of [ Spec_workloads.Workloads.find name ])
+
+let result_of name = List.hd (results [ Spec_workloads.Workloads.find name ])
 
 (** The in-order/OoO pairs for the comparison table and the record's
     [backends] section.  The OoO core re-runs the in-order results'
@@ -303,8 +319,7 @@ let table_ablate_alat () =
   List.iter
     (fun (entries, checks, misses) ->
       Printf.printf "%7d | %6d | %12d\n" entries checks misses)
-    (Experiments.ablate_alat (result_of "equake").Experiments.build
-       [ 4; 8; 16; 32; 64 ])
+    (Experiments.ablate_alat (build_of "equake") [ 4; 8; 16; 32; 64 ])
 
 (* ------------------------------------------------------------------ *)
 (* Compile-service traffic replay (--traffic)                          *)

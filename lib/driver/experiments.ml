@@ -37,15 +37,18 @@ type compiled = {
 }
 
 (** A workload's build: its train input lowered and profiled once, and
-    the measured input compiled once per variant against that profile,
-    in the order noopt, base, profile, heuristic, aggressive.  Every
-    table, sweep and ablation runs what it varies on the build. *)
+    the measured input compiled once per variant against that profile.
+    Every table, sweep and ablation runs what it varies on the build. *)
 type build = {
   workload : Workloads.workload;
   src : string;  (** the measured input's source *)
   train_prog : Sir.prog;  (** the lowering the profile's sites key to *)
   profile : Profile.t;
-  variants : compiled list;
+  v_noopt : compiled;
+  v_base : compiled;
+  v_profile : compiled;
+  v_heuristic : compiled;
+  v_aggressive : compiled;
   reuse_frac : float;  (** simulation-based potential load reuse (Fig 12a) *)
 }
 
@@ -68,10 +71,6 @@ let lower_scheduled prog =
   ignore (Spec_codegen.Schedule.run mp : Spec_codegen.Schedule.stats);
   mp
 
-(** The variant of [b] that {!Pipeline.variant_name} calls [name]. *)
-let find_variant (b : build) name =
-  List.find (fun c -> Pipeline.variant_name c.c_variant = name) b.variants
-
 (** Build [w]: train and profile it ({!Pipeline.train}), then compile
     the ref input (the train input when [quick]) once per variant
     against that profile, lower and schedule it ({!lower_scheduled}),
@@ -93,14 +92,20 @@ let prepare ?(quick = false) (w : Workloads.workload) : build =
       c_vprog = vprog; c_output = (Vm.run_program vprog).Interp.output;
       c_stats = r.Pipeline.stats; c_report = r.Pipeline.report }
   in
-  let variants =
+  match
     Parpool.parmap compile
       [ Pipeline.Noopt; Pipeline.Base; Pipeline.Spec_profile profile;
         Pipeline.Spec_heuristic; Pipeline.Aggressive ]
-  in
-  let lr, _ = Load_reuse.analyse (List.nth variants 1).c_prog in
-  { workload = w; src; train_prog; profile; variants;
-    reuse_frac = Load_reuse.reuse_fraction lr }
+  with
+  | [ v_noopt; v_base; v_profile; v_heuristic; v_aggressive ] ->
+    let lr, _ = Load_reuse.analyse v_base.c_prog in
+    { workload = w; src; train_prog; profile; v_noopt; v_base; v_profile;
+      v_heuristic; v_aggressive; reuse_frac = Load_reuse.reuse_fraction lr }
+  | _ -> assert false
+
+(** The five variants of [b], in the order of {!bench_result}'s runs. *)
+let variants b =
+  [ b.v_noopt; b.v_base; b.v_profile; b.v_heuristic; b.v_aggressive ]
 
 (** Run a build's variants on the machine backend [backend] (default:
     the in-order EPIC core).  Each must print what the vm printed on the
@@ -117,22 +122,26 @@ let measure ?(backend = Machine.Inorder) (b : build) : bench_result =
            (Pipeline.variant_name c.c_variant));
     { r_machine = m; r_stats = c.c_stats; r_report = c.c_report }
   in
-  match Parpool.parmap run b.variants with
-  | [ noopt; base; prof_spec; heur_spec; aggressive ] ->
-    (* correctness gate: every variant reproduces the unoptimized output.
-       The aggressive upper bound is only correct when no aliasing
-       actually occurs; kernels with real aliasing legitimately diverge
-       there *)
-    List.iter
-      (fun (name, r) ->
-        if r.r_machine.Machine.output <> noopt.r_machine.Machine.output then
-          failwith
-            (Printf.sprintf "experiment %s: variant %s diverged"
-               w.Workloads.name name))
-      [ "base", base; "profile", prof_spec; "heuristic", heur_spec ];
-    { wname = w.Workloads.name; backend; fp = w.Workloads.fp; noopt; base;
-      prof_spec; heur_spec; aggressive; build = b }
-  | _ -> assert false
+  let cs = variants b in
+  let runs = List.combine cs (Parpool.parmap run cs) in
+  let run_of c = List.assq c runs in
+  let noopt = run_of b.v_noopt in
+  (* correctness gate: every variant reproduces the unoptimized output.
+     The aggressive upper bound is only correct when no aliasing
+     actually occurs; kernels with real aliasing legitimately diverge
+     there *)
+  List.iter
+    (fun c ->
+      if (run_of c).r_machine.Machine.output <> noopt.r_machine.Machine.output
+      then
+        failwith
+          (Printf.sprintf "experiment %s: variant %s diverged"
+             w.Workloads.name (Pipeline.variant_name c.c_variant)))
+    [ b.v_base; b.v_profile; b.v_heuristic ];
+  { wname = w.Workloads.name; backend; fp = w.Workloads.fp; noopt;
+    base = run_of b.v_base; prof_spec = run_of b.v_profile;
+    heur_spec = run_of b.v_heuristic; aggressive = run_of b.v_aggressive;
+    build = b }
 
 let run_workload ?quick ?backend w = measure ?backend (prepare ?quick w)
 
@@ -140,9 +149,7 @@ let run_workload ?quick ?backend w = measure ?backend (prepare ?quick w)
     order, so output is independent of [--jobs].  Each build's variant
     fan-out nests inside this one — [Parpool.await] helps with queued
     tasks, so the nesting cannot deadlock. *)
-let run_workloads ?quick ?backend (ws : Workloads.workload list) :
-    bench_result list =
-  Parpool.parmap (run_workload ?quick ?backend) ws
+let run_workloads ?quick ws = Parpool.parmap (fun w -> run_workload ?quick w) ws
 
 (* ------------------------------------------------------------------ *)
 (* Metrics                                                             *)
@@ -382,8 +389,7 @@ let run_mdp_sweep (bs : build list) : mdp_cell list =
   List.concat
     (Parpool.parmap
        (fun b ->
-         mdp_cells_of ~name:b.workload.Workloads.name
-           (find_variant b "base").c_rprog)
+         mdp_cells_of ~name:b.workload.Workloads.name b.v_base.c_rprog)
        bs)
 
 (** Cycle cost of a cell versus the same workload under [Mdp_none], in
@@ -468,8 +474,7 @@ let ablate_threshold ?(alias_permille = 30) thresholds =
     the one measured in [b]. *)
 let ablate_schedule (b : bench_result) =
   let plain =
-    Machine.run
-      (Spec_codegen.Codegen.lower (find_variant b.build "profile").c_prog)
+    Machine.run (Spec_codegen.Codegen.lower b.build.v_profile.c_prog)
   in
   let sched = b.prof_spec.r_machine in
   if plain.Machine.output <> sched.Machine.output then
@@ -653,17 +658,15 @@ let stress_variant ~seed ~oracle ~backend (b : build) points (c : compiled) :
 let stress_workload ?(seed = 1) ?points ?(backend = Machine.Inorder)
     (b : build) : stress_cell list =
   let points = match points with Some p -> p | None -> stress_grid ~seed () in
-  let oracle = (List.hd b.variants).c_output in
   List.concat
     (Parpool.parmap
-       (stress_variant ~seed ~oracle ~backend b points)
-       (List.tl b.variants))
+       (stress_variant ~seed ~oracle:b.v_noopt.c_output ~backend b points)
+       [ b.v_base; b.v_profile; b.v_heuristic; b.v_aggressive ])
 
 (** Stress-sweep a list of builds (deterministic under any [--jobs N]);
     cells are grouped by workload in input order. *)
-let run_stress ?(seed = 1) ?points ?(backend = Machine.Inorder)
-    (bs : build list) : stress_cell list =
-  List.concat (Parpool.parmap (stress_workload ~seed ?points ~backend) bs)
+let run_stress ?seed ?backend (bs : build list) : stress_cell list =
+  List.concat (Parpool.parmap (fun b -> stress_workload ?seed ?backend b) bs)
 
 (** Cycle overhead of a cell versus the same (workload, variant) at the
     zero-fault point, in percent; 0 when the baseline cell is absent. *)
@@ -844,7 +847,7 @@ let compile_unit ~copies src =
 (** ALAT capacity ablation: mis-speculation ratio vs table size, on
     the build's profile variant. *)
 let ablate_alat (b : build) sizes =
-  let rp = (find_variant b "profile").c_rprog in
+  let rp = b.v_profile.c_rprog in
   List.map
     (fun entries ->
       let config =
